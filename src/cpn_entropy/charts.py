@@ -55,12 +55,6 @@ class ChartPoint:
         return np.concatenate([self.w.real, self.w.imag])
 
 
-def from_xy(chart: int, xy: np.ndarray) -> ChartPoint:
-    xy = np.asarray(xy, dtype=float)
-    n = xy.shape[0] // 2
-    return ChartPoint(chart, xy[:n] + 1j * xy[n:])
-
-
 def transition_map(p: ChartPoint, target_chart: int) -> ChartPoint:
     """Re-express ``p`` in ``target_chart``; involutive up to roundoff."""
     if not (0 <= target_chart <= p.N):

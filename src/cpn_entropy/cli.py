@@ -11,6 +11,7 @@ contract excludes).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -102,7 +103,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         for key, text in raw.items():
             if key not in _CONFIG_TYPES:
                 raise UsageError(f"unknown config key {key!r}")
-            file_values[key] = _CONFIG_TYPES[key](text)
+            try:
+                file_values[key] = _CONFIG_TYPES[key](text)
+            except ValueError:
+                raise UsageError(f"bad value {text!r} for config key {key!r}")
     merged = {
         "N": args.N, "points": args.points, "seed": args.seed,
         "mc_samples": getattr(args, "mc_samples", None),
@@ -118,8 +122,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         setattr(cfg, attr, value)
     if cfg.points < 1:
         raise UsageError("points must be >= 1")
-    if cfg.tol <= 0:
-        raise UsageError("tol must be positive")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise UsageError("tol must be positive and finite")
     if cfg.orders < 1:
         raise UsageError("orders must be >= 1")
     if cfg.n_symbol != "symbolic":
@@ -427,43 +431,9 @@ def cmd_algebra(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_certify(cfg: RunConfig) -> tuple[list[dict], dict | None]:
+    """Serialize ``certify``, which builds every record and the verdict."""
     cert = certify(cfg.N, points=cfg.points, seed=cfg.seed)
-    cert_dict = certificate_to_dict(cert)
-    fv = cert.first_variations
-    checks = [
-        check("eigen_residual", "(lap + 1/tau) phi = 0",
-              cert.eigen_residual < 1e-8, cert.eigen_residual, 1e-8, "pointwise"),
-        check("v_solution", "v = 2 phi solves (lap + 1/(2 tau)) v = div div h",
-              cert.v_residual < 1e-8, cert.v_residual, 1e-8, "pointwise"),
-        check("n_tilde_vanishes", "Ntilde(phi g) = 0",
-              cert.n_tilde_max < 1e-7, cert.n_tilde_max, 1e-7, "pointwise"),
-        check("tau_prime", "tau' = 0", abs(fv["tau_prime"]) < 1e-8,
-              abs(fv["tau_prime"]), 1e-8, "quadrature"),
-        check("volume_prime", "V' = 0", abs(fv["volume_prime"]) < 1e-8,
-              abs(fv["volume_prime"]), 1e-8, "quadrature"),
-        check("hbar_prime", "Hbar' = n(n-2)/(2V) ||phi||^2",
-              abs(fv["hbar_prime_fd"] - fv["hbar_prime_closed"])
-              < 1e-5 * max(1.0, abs(fv["hbar_prime_closed"])),
-              abs(fv["hbar_prime_fd"] - fv["hbar_prime_closed"]),
-              1e-5 * max(1.0, abs(fv["hbar_prime_closed"])), "both"),
-        check("second_variation", "nu'' = 0 along h = phi g",
-              abs(cert.second_variation) < 1e-7, abs(cert.second_variation),
-              1e-7, "quadrature"),
-        check("third_variation_cross_check",
-              "exact and quadrature int phi^3 agree",
-              cert.third_variation.quadrature_rel_diff < 1e-5,
-              cert.third_variation.quadrature_rel_diff, 1e-5, "both"),
-        check("third_variation_nonzero",
-              "nu''' = (n-2)(4 pi tau)^(-n/2) int phi^3 dV > 0",
-              abs(cert.third_variation.value) > 1e-3,
-              provenance="both",
-              detail={"value": cert.third_variation.value,
-                      "exact_rational": cert.third_variation.exact_rational}),
-        check("verdict", "not a local maximum of the shrinker entropy",
-              cert.verdict == "not_local_max", provenance="both",
-              detail={"verdict": cert.verdict}),
-    ]
-    return checks, cert_dict
+    return cert.checks, certificate_to_dict(cert)
 
 
 # ---------------------------------------------------------------------------

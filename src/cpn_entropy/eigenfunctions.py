@@ -205,9 +205,6 @@ class EigenFunction:
     def value_at(self, p: ChartPoint) -> float:
         return phi_value_at(self.form, p)
 
-    def gradient_at(self, p: ChartPoint) -> np.ndarray:
-        return self.jet_batch(p.chart, p.w[None, :]).grad[0]
-
     def covariant_hessian_at(self, p: ChartPoint,
                              geom: GeometryJet | None = None) -> np.ndarray:
         from .geometry import covariant_hessian_arrays

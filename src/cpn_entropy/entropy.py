@@ -14,8 +14,9 @@ For a conformal perturbation h = psi * g_FS the module evaluates:
       (n-2) (4 pi tau)^{-n/2} int phi^3 dV,
   with the integral supplied exactly by the moments engine and
   cross-checked by chart quadrature;
-* ``certify``, which packages everything into a machine-checkable
-  instability certificate.
+* ``certify``, which gates every stage against the one table
+  ``CERTIFICATE_CHECKS`` and packages the records and the verdict into a
+  machine-checkable instability certificate.
 
 Documentation note: on trace-free divergence-free tensors the stability
 operator satisfies 2 N = lap_L - 1/tau, where lap_L is the Lichnerowicz
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .geometry import (Tau, covariant_hessian_arrays, curvature_batch,
 from .moments import cpn_average, cpn_volume_closed_form, polynomial_average
 from .polynomials import BihomogeneousPolynomial
 from .quadrature import adaptive_cpn_integral, chart_nodes
+from .report import check
 
 
 class NotEigenError(RuntimeError):
@@ -196,6 +199,9 @@ def n_tilde_max(h: ConformalPerturbation, points: int = 100,
 # ---------------------------------------------------------------------------
 # quadrature passes
 
+# Central-difference step of the Richardson-extrapolated Hbar' estimate.
+_HBAR_FD_STEP = 1e-3
+
 
 def _entropy_quad_levels(N: int) -> tuple[int, int]:
     """Fixed (simplex, torus) orders for geometry-heavy integrals.
@@ -236,18 +242,20 @@ def _geometry_sweep(h: ConformalPerturbation, N: int,
     return acc
 
 
-def first_variations(h: ConformalPerturbation, fd_step: float = 1e-3) -> dict:
+def first_variations(h: ConformalPerturbation,
+                     sweep: dict | None = None) -> dict:
     """tau', V', Hbar' along g(s) = g_FS + s h.
 
     tau' and V' come from quadrature (both must vanish for eigen psi);
     Hbar' is computed from the closed form n(n-2)/(2V) ||psi||^2 and by
-    finite differences of (int H dV)/V in s.
+    finite differences of (int H dV)/V in s.  ``sweep`` is the fine
+    ``_geometry_sweep`` of ``h`` when the caller has already computed it.
     """
     N = h.N
     n = 2 * N
     tau = einstein_tau(N)
-    n_u, n_theta = _entropy_quad_levels(N)
-    sweep = _geometry_sweep(h, N, n_u, n_theta)
+    if sweep is None:
+        sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
     tau_prime = tau.tau * sweep["ric_h"] / sweep["scal"]
     psi_avg_exact = h.exact_average(1)
 
@@ -272,7 +280,7 @@ def first_variations(h: ConformalPerturbation, fd_step: float = 1e-3) -> dict:
     def d1(step):
         return (hbar_at(step) - hbar_at(-step)) / (2 * step)
 
-    hbar_prime_fd = (4.0 * d1(fd_step / 2) - d1(fd_step)) / 3.0
+    hbar_prime_fd = (4.0 * d1(_HBAR_FD_STEP / 2) - d1(_HBAR_FD_STEP)) / 3.0
     return {
         "tau_prime": tau_prime,
         "volume_prime": volume_prime,
@@ -282,15 +290,18 @@ def first_variations(h: ConformalPerturbation, fd_step: float = 1e-3) -> dict:
     }
 
 
-def second_variation(h: ConformalPerturbation) -> tuple[float, float]:
+def second_variation(h: ConformalPerturbation,
+                     sweep: dict | None = None) -> tuple[float, float]:
     """(tau/V) int <N(h), h> dV by quadrature; returns (value, error_estimate).
 
     The error estimate is the difference against one coarser level.
+    ``sweep`` is the fine ``_geometry_sweep`` of ``h`` when the caller has
+    already computed it.
     """
     N = h.N
     tau = einstein_tau(N)
     n_u, n_theta = _entropy_quad_levels(N)
-    fine = _geometry_sweep(h, N, n_u, n_theta)
+    fine = sweep if sweep is not None else _geometry_sweep(h, N, n_u, n_theta)
     coarse = _geometry_sweep(h, N, max(n_u - 1, 2), max(n_theta - 1, 3))
     value = tau.tau * fine["nh_h"] / fine["volume"]
     value_coarse = tau.tau * coarse["nh_h"] / coarse["volume"]
@@ -299,6 +310,9 @@ def second_variation(h: ConformalPerturbation) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # the third variation
+
+# Relative tolerance of the adaptive quadrature cross-check of int phi^3.
+_PHI3_QUAD_TOL = 1e-8
 
 
 def third_variation_exact_rational(N: int) -> Fraction:
@@ -324,8 +338,7 @@ class ThirdVariation:
     tau_used: float
 
 
-def third_variation(N: int, form: HermitianForm | None = None,
-                    quad_tol: float = 1e-8) -> ThirdVariation:
+def third_variation(N: int, form: HermitianForm | None = None) -> ThirdVariation:
     """Third variation along h = phi g_FS, exact and quadrature paths."""
     if N < 2:
         raise ValueError("third_variation requires N >= 2")
@@ -340,7 +353,8 @@ def third_variation(N: int, form: HermitianForm | None = None,
     def phi3(w):
         return pert.psi_values(w) ** 3
 
-    integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=quad_tol, max_level=4)
+    integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=_PHI3_QUAD_TOL,
+                                             max_level=4)
     rel = abs(integral_quad - integral_exact) / max(abs(integral_exact), 1e-30)
     value = (n - 2) * (4 * math.pi * tau.tau) ** (-N) * integral_exact
     exact_rational = None
@@ -375,6 +389,36 @@ def minimizer_identity_coefficient() -> Fraction:
 # the certificate
 
 
+class Gate(NamedTuple):
+    """One record of the certificate: what it checks and how it is gated."""
+
+    identity: str
+    tolerance: float | None
+    provenance: str
+
+
+# Every record of the certificate, in report order: the one place where its
+# thresholds are written.  A record passes when its residual is below the
+# tolerance, except that hbar_prime's tolerance is relative (scaled by
+# max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
+# must exceed.  The final verdict record is the conjunction of the others.
+CERTIFICATE_CHECKS = {
+    "eigen_residual": Gate("(lap + 1/tau) phi = 0", 1e-8, "pointwise"),
+    "v_solution": Gate("v = 2 phi solves (lap + 1/(2 tau)) v = div div h",
+                       1e-8, "pointwise"),
+    "n_tilde_vanishes": Gate("Ntilde(phi g) = 0", 1e-7, "pointwise"),
+    "tau_prime": Gate("tau' = 0", 1e-8, "quadrature"),
+    "volume_prime": Gate("V' = 0", 1e-8, "quadrature"),
+    "hbar_prime": Gate("Hbar' = n(n-2)/(2V) ||phi||^2", 1e-5, "both"),
+    "second_variation": Gate("nu'' = 0 along h = phi g", 1e-7, "quadrature"),
+    "third_variation_cross_check": Gate("exact and quadrature int phi^3 agree",
+                                        1e-5, "both"),
+    "third_variation_nonzero": Gate(
+        "nu''' = (n-2)(4 pi tau)^(-n/2) int phi^3 dV > 0", 1e-3, "both"),
+    "verdict": Gate("not a local maximum of the shrinker entropy", None, "both"),
+}
+
+
 @dataclass
 class StabilityCertificate:
     N: int
@@ -391,18 +435,28 @@ class StabilityCertificate:
     verdict: str
     failures: list = field(default_factory=list)
     thresholds: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
     normalization: str = (
         "metric from the potential log(1+|w|^2) with identity chart-origin "
         "metric; phi is the unit-coefficient form restriction")
 
 
-def certify(N: int, points: int = 100, seed: int = 7,
-            eigen_tol: float = 1e-8, nu2_tol: float = 1e-7,
-            nu3_floor: float = 1e-3) -> StabilityCertificate:
-    """Run the full stability pipeline and assemble the certificate.
+def _gate(name: str, residual: float, scale: float = 1.0) -> dict:
+    """Record ``name``: passes iff residual < its tolerance times ``scale``."""
+    gate = CERTIFICATE_CHECKS[name]
+    tol = gate.tolerance * scale
+    return check(name, gate.identity, residual < tol, residual, tol,
+                 gate.provenance)
 
-    Verdict ``not_local_max`` iff the eigen residual is below ``eigen_tol``,
-    |nu''| below ``nu2_tol``, and |nu'''| above ``nu3_floor``.
+
+def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
+    """Run the full stability pipeline and decide the certificate.
+
+    Builds one check record per entry of ``CERTIFICATE_CHECKS``, in its
+    order.  The verdict is ``not_local_max`` iff every gated record passes;
+    ``failures`` names the records that fail, and the last record restates
+    the verdict.  The fine geometry sweep is computed once and shared by
+    the first and second variations.
     """
     if N < 2:
         raise ValueError("requires N >= 2")
@@ -410,30 +464,49 @@ def certify(N: int, points: int = 100, seed: int = 7,
     tau = einstein_tau(N)
     h = ConformalPerturbation.special(N)
     eigen_res = h.eigen_residual(tau, points=points, seed=seed)
-    v_sol = v_of(h, tau, points=points, seed=seed)
+    # the v_solution record gates the residual, so v_of must not raise
+    v_sol = v_of(h, tau, points=points, seed=seed, tol=math.inf)
     nt_max = n_tilde_max(h, points=points, seed=seed)
-    firsts = first_variations(h)
-    nu2, nu2_err = second_variation(h)
+    sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
+    firsts = first_variations(h, sweep=sweep)
+    nu2, nu2_err = second_variation(h, sweep=sweep)
     nu3 = third_variation(N)
     vol = cpn_volume_closed_form(N)
     prefactor_ratio = vol / (4 * math.pi * tau.tau) ** (n / 2)
     ident = minimizer_identity_coefficient()
 
-    failures = []
-    if eigen_res >= eigen_tol:
-        failures.append(f"eigen residual {eigen_res:.3e} >= {eigen_tol:g}")
-    if abs(nu2) >= nu2_tol:
-        failures.append(f"|nu''| = {abs(nu2):.3e} >= {nu2_tol:g}")
-    if abs(nu3.value) <= nu3_floor:
-        failures.append(f"|nu'''| = {abs(nu3.value):.3e} <= {nu3_floor:g}")
-    if nu3.quadrature_rel_diff >= 1e-5:
-        failures.append(
-            f"phi^3 quadrature/exact mismatch {nu3.quadrature_rel_diff:.3e}")
-    verdict = "not_local_max" if not failures else "inconclusive"
+    hbar_closed = firsts["hbar_prime_closed"]
+    floor = CERTIFICATE_CHECKS["third_variation_nonzero"]
+    checks = [
+        _gate("eigen_residual", eigen_res),
+        _gate("v_solution", v_sol.residual),
+        _gate("n_tilde_vanishes", nt_max),
+        _gate("tau_prime", abs(firsts["tau_prime"])),
+        _gate("volume_prime", abs(firsts["volume_prime"])),
+        _gate("hbar_prime", abs(firsts["hbar_prime_fd"] - hbar_closed),
+              scale=max(1.0, abs(hbar_closed))),
+        _gate("second_variation", abs(nu2)),
+        _gate("third_variation_cross_check", nu3.quadrature_rel_diff),
+        check("third_variation_nonzero", floor.identity,
+              abs(nu3.value) > floor.tolerance, provenance=floor.provenance,
+              detail={"value": nu3.value,
+                      "exact_rational": nu3.exact_rational}),
+    ]
+    failures = [rec["name"] for rec in checks if rec["status"] == "fail"]
+    verdict = "inconclusive" if failures else "not_local_max"
+    final = CERTIFICATE_CHECKS["verdict"]
+    checks.append(check("verdict", final.identity, not failures,
+                        provenance=final.provenance,
+                        detail={"verdict": verdict}))
     return StabilityCertificate(
         N=N, tau=tau.tau, eigen_residual=eigen_res, v_residual=v_sol.residual,
         n_tilde_max=nt_max, first_variations=firsts,
         second_variation=nu2, second_variation_error=nu2_err,
         third_variation=nu3, prefactor_ratio=prefactor_ratio,
         minimizer_identity=ident, verdict=verdict, failures=failures,
-        thresholds={"eigen": eigen_tol, "nu2": nu2_tol, "nu3_floor": nu3_floor})
+        thresholds={
+            "eigen": CERTIFICATE_CHECKS["eigen_residual"].tolerance,
+            "nu2": CERTIFICATE_CHECKS["second_variation"].tolerance,
+            "nu3_floor": floor.tolerance,
+        },
+        checks=checks)

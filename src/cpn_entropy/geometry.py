@@ -155,12 +155,6 @@ def metric_values(w: np.ndarray) -> np.ndarray:
 # curvature assembly
 
 
-def christoffel_from_arrays(g_inv, dg):
-    t = (dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3)
-         - dg.transpose(0, 3, 1, 2))
-    return 0.5 * np.einsum("bkl,blij->bkij", g_inv, t)
-
-
 def curvature_from_arrays(g, dg, d2g):
     """Full curvature stack from metric derivative arrays."""
     g_inv = np.linalg.inv(g)

@@ -9,7 +9,8 @@ where Delta^N is the Euclidean simplex {t_j >= 0, sum t_j <= 1} and T^N the
 torus of relative phases.  The simplex uses stick-breaking Gauss-Legendre
 rules and the torus uniform grids, both spectrally accurate; low-degree
 circle-invariant polynomial integrands are integrated exactly at small
-orders.  Sphere Monte Carlo is the fallback oracle.
+orders.  Sphere Monte Carlo (``moments.monte_carlo_average``) is the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -82,29 +83,13 @@ def cpn_integral(func, N: int, n_u: int, n_theta: int) -> float:
     return total
 
 
-def cpn_average_quad(func, N: int, n_u: int, n_theta: int) -> float:
-    total = 0.0
-    wsum = 0.0
-    for w, weights in chart_nodes(N, n_u, n_theta):
-        total += float(np.dot(weights, np.asarray(func(w), dtype=float)))
-        wsum += float(np.sum(weights))
-    return total / wsum
-
-
 def level_orders(level: int) -> tuple[int, int]:
     """Refinement schedule: (Gauss-Legendre order, torus points per angle)."""
     return 3 + level, 4 + 2 * level
 
 
-class QuadratureNonConvergence(RuntimeError):
-    def __init__(self, message, value, error):
-        super().__init__(message)
-        self.value = value
-        self.error = error
-
-
 def adaptive_cpn_integral(func, N: int, tol: float = 1e-6, max_level: int = 6,
-                          min_level: int = 1, raise_on_failure: bool = False):
+                          min_level: int = 1):
     """Refine until two consecutive levels agree to ``tol`` (relative).
 
     Returns (value, error_estimate); the estimate is the achieved relative
@@ -122,34 +107,5 @@ def adaptive_cpn_integral(func, N: int, tol: float = 1e-6, max_level: int = 6,
             if err < tol:
                 return value, err
         prev = value
-    if raise_on_failure:
-        raise QuadratureNonConvergence(
-            f"quadrature did not reach tol={tol:g}; achieved {err:g}", value, err)
     return value, err
 
-
-def mc_sphere_average(func_z, N: int, samples: int, seed: int,
-                      chunk: int = 200_000):
-    """Monte Carlo average over S^{2N+1} of a circle-invariant integrand.
-
-    ``func_z`` acts on (B, N+1) complex unit vectors.  Fallback oracle for
-    the chart quadrature; returns (mean, standard_error).
-    """
-    seq = np.random.SeedSequence(seed)
-    n_chunks = (samples + chunk - 1) // chunk
-    children = seq.spawn(n_chunks)
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for i in range(n_chunks):
-        size = min(chunk, samples - count)
-        rng = np.random.default_rng(children[i])
-        g = rng.standard_normal((size, N + 1)) + 1j * rng.standard_normal((size, N + 1))
-        z = g / np.linalg.norm(g, axis=1, keepdims=True)
-        vals = np.asarray(func_z(z), dtype=float)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals ** 2))
-        count += size
-    mean = total / count
-    var = max(total_sq / count - mean ** 2, 0.0)
-    return mean, math.sqrt(var / count)

@@ -96,8 +96,6 @@ def build_report(command: str, config: dict, checks: list,
         report["notes"] = notes
     if certificate is not None:
         report["certificate"] = certificate
-        if certificate.get("verdict") == "inconclusive":
-            report["status"] = "fail"
     report["timings"] = timings or {}
     return report
 
@@ -123,22 +121,32 @@ def reverify(report: dict) -> bool:
     """Re-check recorded residuals against tolerances without recomputation.
 
     Returns True iff every numeric record is consistent with its recorded
-    status and the overall status equals the conjunction of the records.
+    status, the overall status equals the conjunction of the records, and,
+    for a certificate, its verdict is ``not_local_max`` exactly when every
+    record other than the final ``verdict`` record passes, which that
+    record restates.
     """
+    checks = report.get("checks", [])
     ok = True
-    for rec in report.get("checks", []):
+    for rec in checks:
         residual = rec.get("residual")
         tolerance = rec.get("tolerance")
         if residual is not None and tolerance is not None:
             within = abs(float(residual)) < float(tolerance)
             if within != (rec["status"] == "pass"):
                 ok = False
-    all_pass = all(rec["status"] == "pass" for rec in report.get("checks", []))
-    cert = report.get("certificate")
-    if cert is not None and cert.get("verdict") == "inconclusive":
-        all_pass = False
+    all_pass = all(rec["status"] == "pass" for rec in checks)
     if (report.get("status") == "pass") != all_pass:
         ok = False
+    cert = report.get("certificate")
+    if cert is not None:
+        certified = cert.get("verdict") == "not_local_max"
+        gated = all(rec["status"] == "pass" for rec in checks
+                    if rec["name"] != "verdict")
+        stated = [rec["status"] == "pass" for rec in checks
+                  if rec["name"] == "verdict"]
+        if certified != gated or stated != [certified]:
+            ok = False
     return ok
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from cpn_entropy.cli import main
 from cpn_entropy.report import dumps, parse_report, reverify, strip_timings
 
@@ -147,6 +149,13 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert main(["eigen", "--config", str(cfg)]) == 2
 
 
+def test_malformed_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("tol=abc\n")
+    assert main(["eigen", "--config", str(cfg)]) == 2
+    assert "error: bad value 'abc' for config key 'tol'" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_usage_error():
     assert main(["eigen", "--config", "/nonexistent/path.cfg"]) == 2
 
@@ -154,3 +163,16 @@ def test_missing_config_file_is_usage_error():
 def test_floats_serialized_with_17_significant_digits():
     text = dumps({"x": 1.8})
     assert text == '{"x":1.8000000000000000}'
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_tol_is_usage_error(value, capsys, tmp_path):
+    assert main(["moments", "--N", "2", "--mc-samples", "10000",
+                 "--tol", value]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol={value}\n")
+    assert main(["eigen", "--N", "2", "--points", "5",
+                 "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: tol must be positive and finite") == 2

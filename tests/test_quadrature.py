@@ -5,11 +5,8 @@ import pytest
 
 from cpn_entropy.eigenfunctions import phi_values_batch, special_phi
 from cpn_entropy.moments import cpn_volume_closed_form
-from cpn_entropy.quadrature import (QuadratureNonConvergence,
-                                    adaptive_cpn_integral, chart_nodes,
-                                    cpn_average_quad, cpn_integral,
-                                    mc_sphere_average, simplex_rule,
-                                    torus_grid)
+from cpn_entropy.quadrature import (adaptive_cpn_integral, chart_nodes,
+                                    cpn_integral, simplex_rule, torus_grid)
 
 
 def test_simplex_rule_integrates_to_simplex_volume():
@@ -30,10 +27,6 @@ def test_torus_grid_weight():
 def test_unit_integrand_gives_volume(N):
     total = cpn_integral(lambda w: np.ones(w.shape[0]), N, 6, 6)
     assert abs(total - cpn_volume_closed_form(N)) < 1e-12
-
-
-def test_average_of_one_is_one():
-    assert abs(cpn_average_quad(lambda w: np.ones(w.shape[0]), 2, 5, 6) - 1.0) < 1e-13
 
 
 def test_chunking_does_not_change_the_rule():
@@ -73,20 +66,3 @@ def test_adaptive_reports_achieved_error():
 
     value, err = adaptive_cpn_integral(needle, 2, tol=1e-12, max_level=2)
     assert err > 1e-12
-    with pytest.raises(QuadratureNonConvergence) as exc:
-        adaptive_cpn_integral(needle, 2, tol=1e-12, max_level=2,
-                              raise_on_failure=True)
-    assert exc.value.error > 1e-12
-    assert exc.value.value is not None
-
-
-def test_mc_sphere_average_agrees_with_rule():
-    form = special_phi(2)
-
-    def phi2_z(z):
-        num = np.einsum("bi,ij,bj->b", np.conj(z), form.matrix, z).real
-        return num ** 2  # |z| = 1 on the sphere
-
-    mean, se = mc_sphere_average(phi2_z, 2, 200_000, seed=3)
-    assert abs(mean - 0.5) < 3 * se
-    assert se < 5e-3
