@@ -8,16 +8,14 @@ shrinker entropy, emitting a machine-checkable instability certificate.
 
 __version__ = "0.1.0"
 
-from .charts import (ChartPoint, OutsideChartError, sample_points, sample_w,
-                     transition_map)
+from .charts import ChartPoint, OutsideChartError, sample_w, transition_map
 from .eigenfunctions import (EigenFunction, HermitianForm,
                              basis_first_eigenspace, phi_value_at, special_phi,
                              verify_eigen)
 from .entropy import (ConformalPerturbation, StabilityCertificate, certify,
-                      first_variations, n_operator_at, n_tilde_at,
-                      second_variation, third_variation, v_of)
-from .geometry import (GeometryJet, Tau, covariant_hessian_at, curvature_at,
-                       einstein_tau, fs_metric_at)
+                      first_variations, second_variation, third_variation,
+                      v_of)
+from .geometry import GeometryJet, Tau, einstein_tau
 from .moments import (cpn_average, cpn_volume, monomial_average,
                       monte_carlo_average, polynomial_average,
                       symmetry_vanishing)
@@ -43,23 +41,17 @@ __all__ = [
     "certify",
     "closed_form_derivative",
     "confluence_check",
-    "covariant_hessian_at",
     "cpn_average",
     "cpn_volume",
-    "curvature_at",
     "einstein_tau",
     "fd_derivative",
     "first_variations",
-    "fs_metric_at",
     "harmonic_decomposition",
     "monomial_average",
     "monte_carlo_average",
-    "n_operator_at",
-    "n_tilde_at",
     "phi_value_at",
     "polynomial_average",
     "reduce_third_variation",
-    "sample_points",
     "sample_w",
     "second_variation",
     "special_cubic_polynomial",

@@ -81,7 +81,3 @@ def sample_w(N: int, count: int, seed: int, radius: float = 2.0) -> np.ndarray:
     radii = radius * rng.random((count, 1)) ** (1.0 / (2 * N))
     xy = xy / norms * radii
     return xy[:, :N] + 1j * xy[:, N:]
-
-
-def sample_points(N: int, count: int, seed: int, radius: float = 2.0) -> list[ChartPoint]:
-    return [ChartPoint(0, row) for row in sample_w(N, count, seed, radius)]

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .charts import ChartPoint, sample_w, transition_map
-from .eigenfunctions import (basis_first_eigenspace, phi_values_batch,
-                             special_phi, verify_eigen)
+from .eigenfunctions import basis_first_eigenspace, phi_values_batch, verify_eigen
 from .entropy import certify
 from .geometry import (NormalizationError, curvature_batch, curvature_from_arrays,
                        einstein_tau, fd_metric_arrays, metric_arrays,
@@ -32,8 +31,7 @@ from .moments import (cpn_volume, cpn_volume_closed_form, monomial_average,
 from .polynomials import (BihomogeneousPolynomial, full_harmonic_expansion,
                           special_cubic_polynomial)
 from .quadrature import chart_nodes
-from .report import (build_report, certificate_to_dict, check, report_bytes,
-                     strip_timings)
+from .report import build_report, certificate_to_dict, check, gate, report_bytes
 from .rewrite import (IntegralExpr, PHI3, confluence_check,
                       expected_final_coefficient, reduce_third_variation,
                       ricci_second_variation_coefficients,
@@ -146,56 +144,54 @@ def cmd_geometry(cfg: RunConfig) -> list[dict]:
     geo = curvature_batch(w)
     checks = []
     gg = np.einsum("bij,bjk->bik", geo.g, geo.g_inv) - np.eye(n)
-    checks.append(check("metric_inverse", "g g^(-1) = I", np.max(np.abs(gg)) < 1e-12,
-                        float(np.max(np.abs(gg))), 1e-12, "pointwise"))
+    checks.append(gate("metric_inverse", "g g^(-1) = I",
+                       float(np.max(np.abs(gg))), 1e-12, "pointwise"))
     min_eig = float(np.min(np.linalg.eigvalsh(geo.g)))
     checks.append(check("metric_positive_definite", "g > 0", min_eig > 0.0,
                         provenance="pointwise", detail={"min_eigenvalue": min_eig}))
     try:
         tau = einstein_tau(N, samples=min(cfg.points, 20), seed=cfg.seed)
         ein = float(np.max(np.abs(geo.Ric - geo.g / (2 * tau.tau))))
-        checks.append(check("einstein", "ric = g/(2 tau)", ein < 1e-9,
-                            ein, 1e-9, "pointwise",
-                            detail={"tau": tau.tau}))
+        checks.append(gate("einstein", "ric = g/(2 tau)", ein, 1e-9,
+                           "pointwise", detail={"tau": tau.tau}))
         tau_dev = abs(tau.tau - 1 / (4 * (N + 1)))
-        checks.append(check("tau_closed_form", "tau = 1/(4(N+1))", tau_dev < 1e-9,
-                            tau_dev, 1e-9, "pointwise",
-                            detail={"closed_form": Fraction(1, 4 * (N + 1))}))
+        checks.append(gate("tau_closed_form", "tau = 1/(4(N+1))", tau_dev,
+                           1e-9, "pointwise",
+                           detail={"closed_form": Fraction(1, 4 * (N + 1))}))
     except NormalizationError as exc:
         checks.append(check("einstein", "ric = g/(2 tau)", False,
                             provenance="pointwise", detail={"error": str(exc)}))
     spread = float(np.max(geo.R) - np.min(geo.R))
-    checks.append(check("scalar_constant", "R = n/(2 tau) constant", spread < 1e-9,
-                        spread, 1e-9, "pointwise",
-                        detail={"R": float(np.mean(geo.R))}))
+    checks.append(gate("scalar_constant", "R = n/(2 tau) constant", spread,
+                       1e-9, "pointwise", detail={"R": float(np.mean(geo.R))}))
     antisym = float(np.max(np.abs(geo.Riem + geo.Riem.transpose(0, 1, 3, 2, 4))))
-    checks.append(check("riemann_antisymmetry", "R_ijk^l = -R_jik^l",
-                        antisym < 1e-12, antisym, 1e-12, "pointwise"))
+    checks.append(gate("riemann_antisymmetry", "R_ijk^l = -R_jik^l",
+                       antisym, 1e-12, "pointwise"))
     w_few = w[: min(cfg.points, 4)]
     g_ex, dg_ex, d2g_ex = metric_arrays(w_few)
     dg_fd, d2g_fd = fd_metric_arrays(w_few)
     geo_fd = curvature_from_arrays(g_ex, dg_fd, d2g_fd)
     geo_ex = curvature_from_arrays(g_ex, dg_ex, d2g_ex)
     fd_dev = float(np.max(np.abs(geo_fd.Riem - geo_ex.Riem)))
-    checks.append(check("curvature_fd_oracle",
-                        "exact-jet curvature = finite-difference curvature",
-                        fd_dev < 1e-6, fd_dev, 1e-6, "finite differences"))
+    checks.append(gate("curvature_fd_oracle",
+                       "exact-jet curvature = finite-difference curvature",
+                       fd_dev, 1e-6, "finite differences"))
     gp, dgp, d2gp = potential_metric_arrays(w[0])
     dual_dev = max(float(np.max(np.abs(gp - g_ex[:1]))),
                    float(np.max(np.abs(dgp - dg_ex[:1]))),
                    float(np.max(np.abs(d2gp - d2g_ex[:1]))))
-    checks.append(check("metric_dual_oracle",
-                        "jet metric derivatives = nested-dual potential derivatives",
-                        dual_dev < 1e-12, dual_dev, 1e-12, "nested duals"))
+    checks.append(gate("metric_dual_oracle",
+                       "jet metric derivatives = nested-dual potential derivatives",
+                       dual_dev, 1e-12, "nested duals"))
     shifted = w[: min(cfg.points, 10)] + 0.1
     pull = max(pullback_mismatch(shifted, 0, target) for target in range(1, N + 1))
-    checks.append(check("transition_isometry", "chart transitions are isometries",
-                        pull < 1e-10, pull, 1e-10, "pointwise"))
+    checks.append(gate("transition_isometry", "chart transitions are isometries",
+                       pull, 1e-10, "pointwise"))
     p = ChartPoint(0, shifted[0])
     q = transition_map(transition_map(p, 1), 0)
     rt = float(np.max(np.abs(q.w - p.w)))
-    checks.append(check("transition_roundtrip", "chart 0 -> 1 -> 0 = identity",
-                        rt < 1e-14, rt, 1e-14, "pointwise"))
+    checks.append(gate("transition_roundtrip", "chart 0 -> 1 -> 0 = identity",
+                       rt, 1e-14, "pointwise"))
     return checks
 
 
@@ -215,9 +211,8 @@ def cmd_eigen(cfg: RunConfig) -> list[dict]:
     checks.append(check("trace_free", "tr A = 0", traces == 0.0,
                         float(traces), 1e-300, "exact"))
     resid = max(verify_eigen(f, tau, w) for f in basis)
-    checks.append(check("eigen_residual", "(lap + 1/tau) phi = 0", resid < 1e-8,
-                        resid, 1e-8, "pointwise",
-                        detail={"eigenvalue": 1.0 / tau.tau}))
+    checks.append(gate("eigen_residual", "(lap + 1/tau) phi = 0", resid, 1e-8,
+                       "pointwise", detail={"eigenvalue": 1.0 / tau.tau}))
     vals = []
     weights_all = []
     for wq, wts in chart_nodes(N, 5, 6):
@@ -242,8 +237,8 @@ def cmd_eigen(cfg: RunConfig) -> list[dict]:
             q = transition_map(p, target)
             inv_dev = max(inv_dev, abs(
                 phi_values_batch(f, q.chart, q.w[None, :])[0] - base))
-    checks.append(check("chart_invariance", "phi([z]) independent of chart",
-                        inv_dev < 1e-12, inv_dev, 1e-12, "pointwise"))
+    checks.append(gate("chart_invariance", "phi([z]) independent of chart",
+                       inv_dev, 1e-12, "pointwise"))
     return checks
 
 
@@ -266,10 +261,10 @@ def cmd_moments(cfg: RunConfig) -> list[dict]:
                         detail={"value": third}))
     mean, se = monte_carlo_average(f.power(3), m, cfg.mc_samples, cfg.seed)
     z_score = abs(mean - float(avg3)) / se if se > 0 else 0.0
-    checks.append(check("monte_carlo_oracle", "MC average within 3 sigma of exact",
-                        z_score < 3.0, z_score, 3.0, "monte_carlo",
-                        detail={"mean": mean, "stderr": se,
-                                "samples": cfg.mc_samples}))
+    checks.append(gate("monte_carlo_oracle", "MC average within 3 sigma of exact",
+                       z_score, 3.0, "monte_carlo",
+                       detail={"mean": mean, "stderr": se,
+                               "samples": cfg.mc_samples}))
     zm = polynomial_average(m, f)
     checks.append(check("zero_mean", "avg f = 0", zm == 0, float(zm),
                         1e-300, "exact"))
@@ -298,11 +293,10 @@ def cmd_moments(cfg: RunConfig) -> list[dict]:
     vol, vol_err = cpn_volume(N, tol=cfg.tol)
     vol_closed = cpn_volume_closed_form(N)
     vol_rel = abs(vol - vol_closed) / vol_closed
-    checks.append(check("volume_quadrature", "Vol(CP^N) = pi^N/N!",
-                        vol_rel < max(cfg.tol, 1e-6), vol_rel, max(cfg.tol, 1e-6),
-                        "quadrature", detail={"quadrature": vol,
-                                              "closed_form": vol_closed,
-                                              "error_estimate": vol_err}))
+    checks.append(gate("volume_quadrature", "Vol(CP^N) = pi^N/N!",
+                       vol_rel, max(cfg.tol, 1e-6), "quadrature",
+                       detail={"quadrature": vol, "closed_form": vol_closed,
+                               "error_estimate": vol_err}))
     if N <= 3:
         constant_part = full_harmonic_expansion(f.power(3), 3)[-1]
         const_coef = constant_part.terms.get(
@@ -367,9 +361,9 @@ def cmd_variation(cfg: RunConfig) -> list[dict]:
                             not undetected, provenance="finite differences",
                             detail={"undetected": undetected}))
         conf = conformal_change_mismatch(N, min(cfg.points, 10), cfg.seed)
-        checks.append(check("conformal_change_oracle",
-                            "family geometry matches e^(2u) conformal formulas",
-                            conf < 1e-8, conf, 1e-8, "pointwise"))
+        checks.append(gate("conformal_change_oracle",
+                           "family geometry matches e^(2u) conformal formulas",
+                           conf, 1e-8, "pointwise"))
     return checks
 
 
@@ -449,7 +443,8 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--mc-samples", dest="mc_samples", type=int, default=None,
                         help="Monte Carlo sample count (>= 10^4)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="quadrature relative tolerance")
+                        help="relative tolerance of the volume quadrature "
+                             "check (read by moments only)")
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report to this path")
     parser.add_argument("--config", type=str, default=None,

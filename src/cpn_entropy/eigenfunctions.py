@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charts import ChartPoint
-from .geometry import GeometryJet, Tau, curvature_batch, laplacian_arrays
+from .geometry import Tau, curvature_batch, hessian_and_laplacian
 from .jets import Jet
 
 
@@ -171,6 +171,7 @@ def phi_jet_batch(form: HermitianForm, chart: int, w: np.ndarray) -> Jet:
 
 
 def phi_value_at(form: HermitianForm, p: ChartPoint) -> float:
+    """phi_A at one point through its sphere lift; the oracle for the batches."""
     z = p.lift()
     return float(np.real(np.vdot(z, form.matrix @ z)))
 
@@ -189,7 +190,7 @@ def phi_values_batch(form: HermitianForm, chart: int, w: np.ndarray) -> np.ndarr
 
 
 class EigenFunction:
-    """A first-eigenspace eigenfunction with pointwise evaluators."""
+    """A first-eigenspace eigenfunction with batched jets."""
 
     def __init__(self, form: HermitianForm, N: int):
         if form.size != N + 1:
@@ -202,39 +203,15 @@ class EigenFunction:
     def jet_batch(self, chart: int, w: np.ndarray) -> Jet:
         return phi_jet_batch(self.form, chart, w)
 
-    def value_at(self, p: ChartPoint) -> float:
-        return phi_value_at(self.form, p)
-
-    def covariant_hessian_at(self, p: ChartPoint,
-                             geom: GeometryJet | None = None) -> np.ndarray:
-        from .geometry import covariant_hessian_arrays
-
-        if geom is None:
-            geom = curvature_batch(p.w[None, :])
-            gamma = geom.Gamma
-        else:
-            gamma = geom.Gamma[None, ...] if geom.Gamma.ndim == 3 else geom.Gamma
-        jet = self.jet_batch(p.chart, p.w[None, :])
-        return covariant_hessian_arrays(jet.grad, jet.hess, gamma)[0]
-
-    def laplacian_at(self, p: ChartPoint) -> float:
-        geom = curvature_batch(p.w[None, :])
-        jet = self.jet_batch(p.chart, p.w[None, :])
-        return float(laplacian_arrays(jet.grad, jet.hess, geom)[0])
-
     def max_abs_bound(self) -> float:
         """sup |phi_A| <= largest |eigenvalue| of A (attained on CP^N)."""
         return self.form.operator_norm()
 
 
-def eigen_residuals(form: HermitianForm, tau: Tau, w: np.ndarray) -> np.ndarray:
-    """|Delta phi + phi/tau| over a batch of chart-0 points."""
+def verify_eigen(form: HermitianForm, tau: Tau, points: np.ndarray) -> float:
+    """Max |Delta phi + phi/tau| over a batch of chart-0 points."""
+    w = np.asarray(points)
     geom = curvature_batch(w)
     jet = phi_jet_batch(form, 0, w)
-    lap = laplacian_arrays(jet.grad, jet.hess, geom)
-    return np.abs(lap + jet.val / tau.tau)
-
-
-def verify_eigen(form: HermitianForm, tau: Tau, points: np.ndarray) -> float:
-    """Max residual of the eigen-equation over the sample set."""
-    return float(np.max(eigen_residuals(form, tau, np.asarray(points))))
+    _, lap = hessian_and_laplacian(jet, geom)
+    return float(np.max(np.abs(lap + jet.val / tau.tau)))

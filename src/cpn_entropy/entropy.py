@@ -35,13 +35,11 @@ import numpy as np
 
 from .charts import sample_w
 from .eigenfunctions import (HermitianForm, identity_form, phi_jet_batch,
-                             phi_values_batch, special_phi)
-from .geometry import (Tau, covariant_hessian_arrays, curvature_batch,
-                       einstein_tau)
-from .moments import cpn_average, cpn_volume_closed_form, polynomial_average
-from .polynomials import BihomogeneousPolynomial
+                             phi_values_batch, special_phi, verify_eigen)
+from .geometry import Tau, curvature_batch, einstein_tau, hessian_and_laplacian
+from .moments import cpn_average, cpn_volume_closed_form
 from .quadrature import adaptive_cpn_integral, chart_nodes
-from .report import check
+from .report import check, gate
 
 
 class NotEigenError(RuntimeError):
@@ -75,9 +73,8 @@ class ConformalPerturbation:
         return phi_values_batch(self.form, 0, w)
 
     def exact_average(self, q: int) -> Fraction:
-        """Average of psi^q over CP^N, exact (any Hermitian form)."""
-        p = BihomogeneousPolynomial.from_form(self.form)
-        return polynomial_average(self.N + 1, p.power(q))
+        """Average of psi^q over CP^N, exact (q in {1, 2, 3})."""
+        return cpn_average(q, self.form, self.N)
 
     def trace_mean_exact(self) -> Fraction:
         """Hbar = mean of tr_g h = n * avg(psi), exact."""
@@ -87,12 +84,7 @@ class ConformalPerturbation:
         return ConformalPerturbation(self.form.scaled(c), self.N)
 
     def eigen_residual(self, tau: Tau, points: int = 50, seed: int = 7) -> float:
-        w = sample_w(self.N, points, seed)
-        jet = self.psi_jet(w)
-        geom = curvature_batch(w)
-        hess = covariant_hessian_arrays(jet.grad, jet.hess, geom.Gamma)
-        lap = np.einsum("bij,bij->b", geom.g_inv, hess)
-        return float(np.max(np.abs(lap + jet.val / tau.tau)))
+        return verify_eigen(self.form, tau, sample_w(self.N, points, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +114,8 @@ def v_of(h: ConformalPerturbation, tau: Tau | None = None,
     tau = tau or einstein_tau(h.N)
     w = sample_w(h.N, points, seed)
     jet = h.psi_jet(w)
-    geom = curvature_batch(w)
-    hess = covariant_hessian_arrays(jet.grad, jet.hess, geom.Gamma)
-    lap = np.einsum("bij,bij->b", geom.g_inv, hess)
-    resid = float(np.max(np.abs(
-        2.0 * lap + jet.val / tau.tau - lap)))
+    _, lap = hessian_and_laplacian(jet, curvature_batch(w))
+    resid = float(np.max(np.abs(2.0 * lap + jet.val / tau.tau - lap)))
     if resid > tol:
         raise NotEigenError(
             f"eigen residual {resid:.3e} exceeds {tol:g}; v = 2 psi invalid")
@@ -148,8 +137,7 @@ def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
     if geom is None:
         geom = curvature_batch(w)
     psi = h.psi_jet(w)
-    psi_hess = covariant_hessian_arrays(psi.grad, psi.hess, geom.Gamma)
-    psi_lap = np.einsum("bij,bij->b", geom.g_inv, psi_hess)
+    psi_hess, psi_lap = hessian_and_laplacian(psi, geom)
     h_ij = psi.val[:, None, None] * geom.g
 
     # (1/2)(Delta h)_ij: the rough Laplacian of psi g is (Delta psi) g.
@@ -178,16 +166,6 @@ def n_operator_batch(h: ConformalPerturbation, w: np.ndarray,
     hbar = float(h.trace_mean_exact())
     nt = n_tilde_batch(h, w, geom)
     return nt - (hbar / (2 * n * tau.tau)) * geom.g
-
-
-def n_tilde_at(h: ConformalPerturbation, p) -> np.ndarray:
-    """Ntilde(h) at a single chart point, as a symmetric 2N x 2N matrix."""
-    return n_tilde_batch(h, p.w[None, :])[0]
-
-
-def n_operator_at(h: ConformalPerturbation, p) -> np.ndarray:
-    """N(h) at a single chart point."""
-    return n_operator_batch(h, p.w[None, :])[0]
 
 
 def n_tilde_max(h: ConformalPerturbation, points: int = 100,
@@ -222,9 +200,6 @@ def _scalar_quad_levels(N: int) -> tuple[int, int]:
 def _geometry_sweep(h: ConformalPerturbation, N: int,
                     n_u: int, n_theta: int) -> dict:
     """One pass over quadrature nodes collecting the curvature integrals."""
-    tau = einstein_tau(N)
-    hbar = float(h.trace_mean_exact())
-    n = 2 * N
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
     for w, weights in chart_nodes(N, n_u, n_theta):
         geom = curvature_batch(w)
@@ -232,13 +207,14 @@ def _geometry_sweep(h: ConformalPerturbation, N: int,
         h_ij = psi.val[:, None, None] * geom.g
         h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
         ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-        nt = n_tilde_batch(h, w, geom)
-        n_op = nt - (hbar / (2 * n * tau.tau)) * geom.g
-        nh_h = np.einsum("bij,bij->b", h_up, n_op)
+        nh_h = np.einsum("bij,bij->b", h_up, n_operator_batch(h, w, geom))
         acc["ric_h"] += float(np.dot(weights, ric_h))
         acc["scal"] += float(np.dot(weights, geom.R))
         acc["nh_h"] += float(np.dot(weights, nh_h))
         acc["volume"] += float(np.sum(weights))
+        # free this batch's curvature arrays before the next batch builds its
+        # own, so that peak memory holds one batch, not two
+        del geom
     return acc
 
 
@@ -315,15 +291,19 @@ def second_variation(h: ConformalPerturbation,
 _PHI3_QUAD_TOL = 1e-8
 
 
-def third_variation_exact_rational(N: int) -> Fraction:
-    """(n-2)(4 pi tau)^{-n/2} int phi^3 dV in closed form.
+def _third_variation_rational(N: int, avg3: Fraction) -> Fraction:
+    """(n-2)(4 pi tau)^{-n/2} int phi^3 dV from avg3 = avg(phi^3), exact.
 
     With tau = 1/(4(N+1)) one has (4 pi tau)^{-N} = ((N+1)/pi)^N and
     V = pi^N/N!, so the pi powers cancel and the third variation is the
     rational number (2N-2) (N+1)^N avg(phi^3) / N!.
     """
-    avg3 = cpn_average(3, special_phi(N), N)
     return Fraction(2 * N - 2) * Fraction((N + 1) ** N, math.factorial(N)) * avg3
+
+
+def third_variation_exact_rational(N: int) -> Fraction:
+    """The third variation along the special phi, in closed form."""
+    return _third_variation_rational(N, cpn_average(3, special_phi(N), N))
 
 
 @dataclass
@@ -358,10 +338,8 @@ def third_variation(N: int, form: HermitianForm | None = None) -> ThirdVariation
     rel = abs(integral_quad - integral_exact) / max(abs(integral_exact), 1e-30)
     value = (n - 2) * (4 * math.pi * tau.tau) ** (-N) * integral_exact
     exact_rational = None
-    tau_rational = Fraction(1, 4 * (N + 1))
-    if abs(tau.tau - float(tau_rational)) < 1e-9:
-        exact_rational = (Fraction(n - 2)
-                          * Fraction((N + 1) ** N, math.factorial(N)) * avg3)
+    if abs(tau.tau - 1 / (4 * (N + 1))) < 1e-9:
+        exact_rational = _third_variation_rational(N, avg3)
     return ThirdVariation(
         N=N, phi3_average=avg3, phi3_integral_exact=integral_exact,
         phi3_integral_quadrature=integral_quad, quadrature_rel_diff=rel,
@@ -443,10 +421,9 @@ class StabilityCertificate:
 
 def _gate(name: str, residual: float, scale: float = 1.0) -> dict:
     """Record ``name``: passes iff residual < its tolerance times ``scale``."""
-    gate = CERTIFICATE_CHECKS[name]
-    tol = gate.tolerance * scale
-    return check(name, gate.identity, residual < tol, residual, tol,
-                 gate.provenance)
+    spec = CERTIFICATE_CHECKS[name]
+    return gate(name, spec.identity, residual, spec.tolerance * scale,
+                spec.provenance)
 
 
 def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:

@@ -31,23 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartPoint
 from .jets import Jet, nested_variable
 
 
 @dataclass
 class GeometryJet:
-    """Metric and curvature data at a point (or batch of points).
-
-    ``Gamma``, ``Riem``, ``Ric``, ``R`` are ``None`` for metric-level jets.
-    """
+    """Metric and curvature data at a batch of points (batch axis first)."""
 
     g: np.ndarray
     g_inv: np.ndarray
-    Gamma: np.ndarray | None = None
-    Riem: np.ndarray | None = None
-    Ric: np.ndarray | None = None
-    R: np.ndarray | float | None = None
+    Gamma: np.ndarray
+    Riem: np.ndarray
+    Ric: np.ndarray
+    R: np.ndarray
 
 
 @dataclass
@@ -181,26 +177,6 @@ def curvature_batch(w: np.ndarray) -> GeometryJet:
     return curvature_from_arrays(g, dg, d2g)
 
 
-def _squeeze_geometry(geom: GeometryJet) -> GeometryJet:
-    out = {}
-    for name in ("g", "g_inv", "Gamma", "Riem", "Ric"):
-        val = getattr(geom, name)
-        out[name] = None if val is None else val[0]
-    r = geom.R
-    return GeometryJet(R=None if r is None else float(r[0]), **out)
-
-
-def fs_metric_at(p: ChartPoint) -> GeometryJet:
-    """Metric-level geometry at a single chart point."""
-    g = metric_values(p.w[None, :])
-    return _squeeze_geometry(GeometryJet(g=g, g_inv=np.linalg.inv(g)))
-
-
-def curvature_at(p: ChartPoint) -> GeometryJet:
-    """Full curvature data at a single chart point."""
-    return _squeeze_geometry(curvature_batch(p.w[None, :]))
-
-
 # ---------------------------------------------------------------------------
 # scalar-field covariant calculus
 
@@ -210,27 +186,14 @@ def covariant_hessian_arrays(grad, hess, gamma):
     return hess - np.einsum("bkij,bk->bij", gamma, grad)
 
 
-def laplacian_arrays(grad, hess, geom: GeometryJet):
-    cov = covariant_hessian_arrays(grad, hess, geom.Gamma)
-    return np.einsum("bij,bij->b", geom.g_inv, cov)
+def hessian_and_laplacian(jet: Jet, geom: GeometryJet):
+    """Covariant Hessian (B, D, D) and Laplacian (B,) of a batched scalar jet.
 
-
-def covariant_hessian_at(u, p: ChartPoint) -> np.ndarray:
-    """Covariant Hessian of a scalar field at a point.
-
-    ``u`` must provide ``jet_batch(chart, w) -> Jet`` (values plus first and
-    second coordinate derivatives); the trace against g_inv equals the
-    Laplace-Beltrami operator applied to u.
+    ``jet`` and ``geom`` must be taken at the same points in the same chart;
+    the Laplacian is the trace of the Hessian against g_inv.
     """
-    geom = curvature_batch(p.w[None, :])
-    jet = u.jet_batch(p.chart, p.w[None, :])
-    return covariant_hessian_arrays(jet.grad, jet.hess, geom.Gamma)[0]
-
-
-def laplacian_at(u, p: ChartPoint) -> float:
-    geom = curvature_batch(p.w[None, :])
-    jet = u.jet_batch(p.chart, p.w[None, :])
-    return float(laplacian_arrays(jet.grad, jet.hess, geom)[0])
+    hess = covariant_hessian_arrays(jet.grad, jet.hess, geom.Gamma)
+    return hess, np.einsum("bij,bij->b", geom.g_inv, hess)
 
 
 # ---------------------------------------------------------------------------

@@ -177,12 +177,6 @@ class BihomogeneousPolynomial:
             out = out * self
         return out
 
-    def conjugate(self) -> "BihomogeneousPolynomial":
-        out = BihomogeneousPolynomial(self.m)
-        for (a, b), c in self.terms.items():
-            out._accumulate((b, a), c.conj())
-        return out
-
     def is_real_valued(self) -> bool:
         for (a, b), c in self.terms.items():
             other = self.terms.get((b, a), QC_ZERO)

@@ -2,23 +2,25 @@
 
 Reports are single JSON documents with a stable field order.  Serialization
 is handled by a small writer rather than ``json.dumps`` so that the byte
-output is fully pinned: floats are decimal with 17 significant digits,
-rationals are {"num": "...", "den": "..."} string pairs, and key order is
-insertion order.  Wall-clock timings live in a dedicated ``timings`` field
+output is fully pinned: floats are decimal with 17 significant digits
+(``null`` when not finite, which JSON cannot represent), rationals are
+{"num": "...", "den": "..."} string pairs, and key order is insertion
+order.  Wall-clock timings live in a dedicated ``timings`` field
 that determinism comparisons exclude.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from . import __version__
 
 
 def format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("non-finite float in report")
+    if not math.isfinite(x):
+        return "null"
     # '#' keeps trailing zeros: exactly 17 significant digits, round-trip safe
     return format(float(x), "#.17g")
 
@@ -81,6 +83,16 @@ def check(name: str, identity: str, passed: bool, residual=None,
     return rec
 
 
+def gate(name: str, identity: str, residual: float, tol: float,
+         provenance: str, detail: dict | None = None) -> dict:
+    """A record that passes iff ``residual < tol``.
+
+    A non-finite residual fails; it is written as ``null``.
+    """
+    passed = math.isfinite(residual) and residual < tol
+    return check(name, identity, passed, residual, tol, provenance, detail)
+
+
 def build_report(command: str, config: dict, checks: list,
                  certificate: dict | None = None,
                  notes: list | None = None,
@@ -120,8 +132,9 @@ def parse_report(text: str) -> dict:
 def reverify(report: dict) -> bool:
     """Re-check recorded residuals against tolerances without recomputation.
 
-    Returns True iff every numeric record is consistent with its recorded
-    status, the overall status equals the conjunction of the records, and,
+    Returns True iff every record with a tolerance is consistent with its
+    recorded status (a null residual, written for a non-finite value, must
+    fail), the overall status equals the conjunction of the records, and,
     for a certificate, its verdict is ``not_local_max`` exactly when every
     record other than the final ``verdict`` record passes, which that
     record restates.
@@ -131,10 +144,11 @@ def reverify(report: dict) -> bool:
     for rec in checks:
         residual = rec.get("residual")
         tolerance = rec.get("tolerance")
-        if residual is not None and tolerance is not None:
-            within = abs(float(residual)) < float(tolerance)
-            if within != (rec["status"] == "pass"):
-                ok = False
+        if tolerance is None:
+            continue
+        within = residual is not None and abs(float(residual)) < float(tolerance)
+        if within != (rec["status"] == "pass"):
+            ok = False
     all_pass = all(rec["status"] == "pass" for rec in checks)
     if (report.get("status") == "pass") != all_pass:
         ok = False

@@ -32,8 +32,8 @@ import numpy as np
 
 from .charts import sample_w
 from .eigenfunctions import EigenFunction, HermitianForm, phi_jet_batch, special_phi
-from .geometry import (GeometryJet, Tau, covariant_hessian_arrays, curvature_batch,
-                       curvature_from_arrays, einstein_tau, metric_arrays)
+from .geometry import (GeometryJet, Tau, curvature_batch, curvature_from_arrays,
+                       einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 
 QUANTITIES = (
@@ -104,8 +104,7 @@ def prepare_point_data(N: int, w: np.ndarray, phi: EigenFunction,
                        tau: Tau | None = None) -> VariationPointData:
     geom = curvature_batch(w)
     pj = phi.jet_batch(0, w)
-    p_hess = covariant_hessian_arrays(pj.grad, pj.hess, geom.Gamma)
-    p_lap = np.einsum("bij,bij->b", geom.g_inv, p_hess)
+    p_hess, p_lap = hessian_and_laplacian(pj, geom)
     data = VariationPointData(
         n=2 * N,
         tau=(tau or einstein_tau(N)).tau,
@@ -113,8 +112,7 @@ def prepare_point_data(N: int, w: np.ndarray, phi: EigenFunction,
     if u_form is not None:
         uj = phi_jet_batch(u_form, 0, w)
         data.u = uj
-        data.u_hess = covariant_hessian_arrays(uj.grad, uj.hess, geom.Gamma)
-        data.u_lap = np.einsum("bij,bij->b", geom.g_inv, data.u_hess)
+        data.u_hess, data.u_lap = hessian_and_laplacian(uj, geom)
     return data
 
 
@@ -245,8 +243,7 @@ def _extractor(quantity: str, family: VariationFamily, w: np.ndarray,
         if quantity == "volume_density":
             return np.sqrt(np.linalg.det(geom.g))
         if quantity == "laplacian":
-            cov = covariant_hessian_arrays(u_jet.grad, u_jet.hess, geom.Gamma)
-            return np.einsum("bij,bij->b", geom.g_inv, cov)
+            return hessian_and_laplacian(u_jet, geom)[1]
         raise ValueError(f"unknown quantity {quantity}")
 
     return value
@@ -367,8 +364,7 @@ def conformal_change_mismatch(N: int, points: int, seed: int,
     worst = 0.0
     for s in s_values:
         u = ((pj * s) + 1.0).log() * 0.5
-        u_hess = covariant_hessian_arrays(u.grad, u.hess, base.Gamma)
-        u_lap = np.einsum("bij,bij->b", base.g_inv, u_hess)
+        u_hess, u_lap = hessian_and_laplacian(u, base)
         du_up = np.einsum("bkl,bl->bk", base.g_inv, u.grad)
         du_sq = np.einsum("bk,bk->b", du_up, u.grad)
         eye = np.eye(2 * N)

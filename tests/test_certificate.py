@@ -131,6 +131,34 @@ def test_each_gate_flips_the_verdict(record, recorded, monkeypatch, capsys):
     assert reverify(report)
 
 
+def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,
+                                                  capsys):
+    _, outputs = recorded
+    _replay(monkeypatch, outputs)
+    monkeypatch.setattr(entropy, "n_tilde_max",
+                        lambda *args, **kwargs: float("nan"))
+    cert = entropy.certify(2)
+    assert cert.verdict == "inconclusive"
+    assert cert.failures == ["n_tilde_vanishes"]
+    assert main(["certify", "--N", "2"]) == 1
+    text = capsys.readouterr().out
+    assert "NaN" not in text and "Infinity" not in text
+    report = parse_report(text)
+    record = next(rec for rec in report["checks"]
+                  if rec["name"] == "n_tilde_vanishes")
+    assert record["residual"] is None and record["status"] == "fail"
+    assert report["certificate"]["n_tilde_max"]["value"] is None
+    assert report["certificate"]["verdict"] == "inconclusive"
+    assert reverify(report)
+    # the same report, made consistent except that the null residual
+    # claims a pass, is rejected
+    record["status"] = "pass"
+    report["checks"][-1]["status"] = "pass"
+    report["certificate"]["verdict"] = "not_local_max"
+    report["status"] = "pass"
+    assert not reverify(report)
+
+
 def test_reverify_rejects_a_verdict_the_records_contradict(recorded,
                                                           monkeypatch, capsys):
     _, outputs = recorded

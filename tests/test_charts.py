@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cpn_entropy.charts import (ChartPoint, OutsideChartError, sample_points,
-                                sample_w, transition_map)
+from cpn_entropy.charts import (ChartPoint, OutsideChartError, sample_w,
+                                transition_map)
 
 
 def test_lift_has_unit_norm():
@@ -53,9 +53,3 @@ def test_sample_w_is_seeded_and_bounded():
     assert not np.array_equal(a, c)
     radii = np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
     assert np.all(radii <= 2.0)
-
-
-def test_sample_points_wraps_chart_zero():
-    pts = sample_points(3, 5, seed=0)
-    assert len(pts) == 5
-    assert all(p.chart == 0 and p.N == 3 for p in pts)

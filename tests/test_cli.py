@@ -165,6 +165,39 @@ def test_floats_serialized_with_17_significant_digits():
     assert text == '{"x":1.8000000000000000}'
 
 
+def test_nonfinite_floats_serialized_as_null():
+    nonfinite = [float("nan"), float("inf"), float("-inf")]
+    assert dumps({"x": nonfinite}) == '{"x":[null,null,null]}'
+
+
+def test_gate_fails_a_nonfinite_residual():
+    from cpn_entropy.report import gate
+
+    assert gate("a", "a = 0", 0.5, 1.0, "pointwise")["status"] == "pass"
+    assert gate("a", "a = 0", 1.0, 1.0, "pointwise")["status"] == "fail"
+    for value in (float("nan"), float("inf"), float("-inf")):
+        assert gate("a", "a = 0", value, 1.0, "pointwise")["status"] == "fail"
+
+
+def test_nonfinite_eigen_residual_is_a_failing_record(capsys, monkeypatch):
+    import cpn_entropy.cli as cli
+
+    monkeypatch.setattr(cli, "verify_eigen", lambda *args: float("nan"))
+    assert main(["eigen", "--N", "2", "--points", "5"]) == 1
+    text = capsys.readouterr().out
+    assert "NaN" not in text and "Infinity" not in text
+    report = parse_report(text)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["eigen_residual"]["residual"] is None
+    assert by_name["eigen_residual"]["status"] == "fail"
+    assert report["status"] == "fail"
+    assert reverify(report)
+    # a null residual under a tolerance can never pass
+    by_name["eigen_residual"]["status"] = "pass"
+    report["status"] = "pass"
+    assert not reverify(report)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nonfinite_tol_is_usage_error(value, capsys, tmp_path):
     assert main(["moments", "--N", "2", "--mc-samples", "10000",

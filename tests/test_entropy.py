@@ -104,16 +104,16 @@ def test_n_operator_equals_n_tilde_for_eigen_direction():
 
 
 def test_single_point_operator_wrappers():
+    # single-point use of the batch operators: f(p.w[None, :])[0]
     from cpn_entropy.charts import ChartPoint
-    from cpn_entropy.entropy import n_operator_at, n_tilde_at
 
     h = ConformalPerturbation.special(2)
     p = ChartPoint(0, np.array([0.4 + 0.1j, -0.3 + 0.6j]))
-    nt = n_tilde_at(h, p)
+    nt = n_tilde_batch(h, p.w[None, :])[0]
     assert nt.shape == (4, 4)
     assert np.max(np.abs(nt)) < 1e-7
     assert np.max(np.abs(nt - nt.T)) < 1e-12
-    assert np.max(np.abs(n_operator_at(h, p) - nt)) < 1e-12
+    assert np.max(np.abs(n_operator_batch(h, p.w[None, :])[0] - nt)) < 1e-12
 
 
 def test_mean_trace_term_for_constant_direction():

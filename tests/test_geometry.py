@@ -3,19 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cpn_entropy.charts import ChartPoint, sample_w
-from cpn_entropy.eigenfunctions import EigenFunction, special_phi
-from cpn_entropy.geometry import (NormalizationError, Tau, covariant_hessian_at,
-                                  curvature_at, curvature_batch,
+from cpn_entropy.eigenfunctions import phi_jet_batch, phi_value_at, special_phi
+from cpn_entropy.geometry import (NormalizationError, Tau, curvature_batch,
                                   curvature_from_arrays, einstein_tau,
-                                  fd_metric_arrays, fs_metric_at,
-                                  laplacian_at, metric_arrays, metric_values,
+                                  fd_metric_arrays, hessian_and_laplacian,
+                                  metric_arrays, metric_values,
                                   potential_metric_arrays, pullback_mismatch)
 
 
 def test_chart_origin_metric_is_identity():
-    p = ChartPoint(0, np.zeros(2, dtype=complex))
-    jet = fs_metric_at(p)
-    assert_allclose(jet.g, np.eye(4), atol=1e-15)
+    g = metric_values(np.zeros((1, 2), dtype=complex))
+    assert g.shape == (1, 4, 4)
+    assert_allclose(g[0], np.eye(4), atol=1e-15)
 
 
 def test_round_sphere_metric_closed_form():
@@ -112,41 +111,43 @@ def test_chart_transitions_are_isometries():
             assert pullback_mismatch(w, 0, target) < 1e-10
 
 
-class _ConstantField:
-    def jet_batch(self, chart, w):
-        from cpn_entropy.jets import Jet
-
-        b, n = w.shape
-        return Jet(np.full(b, 3.7), np.zeros((b, 2 * n)),
-                   np.zeros((b, 2 * n, 2 * n)))
-
-
 def test_covariant_hessian_of_constant_vanishes():
-    p = ChartPoint(0, np.array([0.3 + 0.1j, -0.2 + 0.4j]))
-    hess = covariant_hessian_at(_ConstantField(), p)
+    from cpn_entropy.jets import Jet
+
+    w = np.array([[0.3 + 0.1j, -0.2 + 0.4j]])
+    constant = Jet(np.full(1, 3.7), np.zeros((1, 4)), np.zeros((1, 4, 4)))
+    hess, lap = hessian_and_laplacian(constant, curvature_batch(w))
     assert np.max(np.abs(hess)) < 1e-14
+    assert np.max(np.abs(lap)) < 1e-14
 
 
 def test_hessian_trace_gives_eigenvalue():
     # trace of the covariant Hessian of phi equals lap phi = -phi/tau
     N = 2
-    phi = EigenFunction(special_phi(N), N)
+    form = special_phi(N)
     tau = einstein_tau(N)
     p = ChartPoint(0, np.array([0.5 - 0.2j, 0.1 + 0.8j]))
-    geo = curvature_at(p)
-    hess = covariant_hessian_at(phi, p)
-    trace = np.einsum("ij,ij->", geo.g_inv, hess)
-    assert abs(trace + phi.value_at(p) / tau.tau) < 1e-8
+    w = p.w[None, :]
+    geo = curvature_batch(w)
+    hess, lap = hessian_and_laplacian(phi_jet_batch(form, 0, w), geo)
+    trace = np.einsum("ij,ij->", geo.g_inv[0], hess[0])
+    assert abs(trace - lap[0]) < 1e-12
+    assert abs(trace + phi_value_at(form, p) / tau.tau) < 1e-8
 
 
 def test_laplacian_chart_invariance():
     from cpn_entropy.charts import transition_map
 
-    N = 2
-    phi = EigenFunction(special_phi(N), N)
+    form = special_phi(2)
     p = ChartPoint(0, np.array([0.5 - 0.2j, 0.1 + 0.8j]))
     q = transition_map(p, 2)
-    assert abs(laplacian_at(phi, p) - laplacian_at(phi, q)) < 1e-8
+
+    def laplacian(chart, w):
+        w = w[None, :]
+        jet = phi_jet_batch(form, chart, w)
+        return hessian_and_laplacian(jet, curvature_batch(w))[1][0]
+
+    assert abs(laplacian(p.chart, p.w) - laplacian(q.chart, q.w)) < 1e-8
 
 
 def test_scalar_spread_guard():
