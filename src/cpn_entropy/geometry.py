@@ -54,6 +54,49 @@ class Tau:
 
 
 # ---------------------------------------------------------------------------
+# row slabs
+
+# Rows per slab of the batch kernels.  The slab bounds depend only on the
+# batch size, never on the CPU count, so no result depends on the machine.
+# 512 rows keep the per-slab einsum temporaries small (peak memory) while
+# 256 to 2048 rows run equally fast.
+_SLAB_ROWS = 512
+
+_POOL = None
+
+
+def _pool():
+    """The one thread pool of the slab kernels, sized to the usable CPUs."""
+    global _POOL
+    if _POOL is None:
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        _POOL = ThreadPoolExecutor(max_workers=workers or 1,
+                                   thread_name_prefix="cpn-slab")
+    return _POOL
+
+
+def map_row_slabs(kernel, rows: int) -> None:
+    """Call ``kernel(s)`` for each slice ``s`` of ``_SLAB_ROWS`` rows.
+
+    Rows are independent, so the slabs may run in any order: a batch of at
+    most one slab runs inline, a larger one on the pool.  ``kernel`` writes
+    its rows into preallocated outputs; it runs on worker threads, so it
+    must call only numpy, never a function that may be wrapped for tracing.
+    """
+    if rows <= _SLAB_ROWS:
+        kernel(slice(0, rows))
+        return
+    slabs = [slice(start, start + _SLAB_ROWS)
+             for start in range(0, rows, _SLAB_ROWS)]
+    # reading every result re-raises a kernel's exception here
+    list(_pool().map(kernel, slabs))
+
+
+# ---------------------------------------------------------------------------
 # metric values and exact derivative arrays
 
 
@@ -94,6 +137,18 @@ def _hermitian_metric_jets(w: np.ndarray) -> list[list[Jet]]:
     return rows
 
 
+def _write_real_blocks(out, src):
+    """Write [[Re H, Im H], [-Im H, Re H]] of complex (B, N, N, ...) data
+    ``src`` into ``out`` of shape (B, 2N, 2N, ...)."""
+    n = src.shape[1]
+    s_re = src.real
+    s_im = src.imag
+    out[:, :n, :n] = s_re
+    out[:, n:, n:] = s_re
+    out[:, :n, n:] = s_im
+    out[:, n:, :n] = -s_im
+
+
 def _assemble_real_blocks(hval, hgrad, hhess):
     """Real metric arrays from complex Hermitian data.
 
@@ -105,30 +160,31 @@ def _assemble_real_blocks(hval, hgrad, hhess):
     dg = np.empty((b, d, d, d))
     d2g = np.empty((b, d, d, d, d))
     for arr, src in ((g, hval), (dg, hgrad), (d2g, hhess)):
-        s_re = src.real
-        s_im = src.imag
-        arr[:, :n, :n] = s_re
-        arr[:, n:, n:] = s_re
-        arr[:, :n, n:] = s_im
-        arr[:, n:, :n] = -s_im
+        _write_real_blocks(arr, src)
     return g, dg, d2g
 
 
 def metric_arrays(w: np.ndarray):
-    """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc."""
-    h = _hermitian_metric_jets(w)
-    n = len(h)
-    b = h[0][0].val.shape[0]
+    """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc.
+
+    The jets are built one row slab at a time, serially on the calling
+    thread, and each slab's real blocks go straight into the full-batch
+    outputs; small jet arrays stay in cache, which is faster than one
+    batch-wide pass.
+    """
+    w = np.asarray(w, dtype=complex)
+    b, n = w.shape
     d = 2 * n
-    hval = np.empty((b, n, n), dtype=complex)
-    hgrad = np.empty((b, n, n, d), dtype=complex)
-    hhess = np.empty((b, n, n, d, d), dtype=complex)
-    for a in range(n):
-        for c in range(n):
-            hval[:, a, c] = h[a][c].val
-            hgrad[:, a, c] = h[a][c].grad
-            hhess[:, a, c] = h[a][c].hess
-    return _assemble_real_blocks(hval, hgrad, hhess)
+    g = np.empty((b, d, d))
+    dg = np.empty((b, d, d, d))
+    d2g = np.empty((b, d, d, d, d))
+    for start in range(0, b, _SLAB_ROWS):
+        s = slice(start, start + _SLAB_ROWS)
+        h = _hermitian_metric_jets(w[s])
+        for arr, part in ((g, "val"), (dg, "grad"), (d2g, "hess")):
+            src = np.array([[getattr(jet, part) for jet in row] for row in h])
+            _write_real_blocks(arr[s], np.moveaxis(src, 2, 0))
+    return g, dg, d2g
 
 
 def metric_values(w: np.ndarray) -> np.ndarray:
@@ -140,10 +196,7 @@ def metric_values(w: np.ndarray) -> np.ndarray:
     h = (eye[None, :, :] / sigma[:, None, None]
          - np.conj(w)[:, :, None] * w[:, None, :] / (sigma ** 2)[:, None, None])
     g = np.empty((b, 2 * n, 2 * n))
-    g[:, :n, :n] = h.real
-    g[:, n:, n:] = h.real
-    g[:, :n, n:] = h.imag
-    g[:, n:, :n] = -h.imag
+    _write_real_blocks(g, h)
     return g
 
 
@@ -151,8 +204,11 @@ def metric_values(w: np.ndarray) -> np.ndarray:
 # curvature assembly
 
 
-def curvature_from_arrays(g, dg, d2g):
-    """Full curvature stack from metric derivative arrays."""
+def _curvature_rows(g, dg, d2g):
+    """(g_inv, Gamma, Riem, Ric, R) from metric derivative arrays.
+
+    Every output row depends only on the same input row.
+    """
     g_inv = np.linalg.inv(g)
     t = (dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3)
          - dg.transpose(0, 3, 1, 2))
@@ -169,6 +225,27 @@ def curvature_from_arrays(g, dg, d2g):
     riem = a1 - a2 + quad1 - quad2
     ric = np.einsum("biijk->bjk", riem)
     scal = np.einsum("bjk,bjk->b", g_inv, ric)
+    return g_inv, gamma, riem, ric, scal
+
+
+def curvature_from_arrays(g, dg, d2g):
+    """Full curvature stack from metric derivative arrays.
+
+    The assembly runs in row slabs (``map_row_slabs``), each writing its
+    rows of the full-batch outputs.
+    """
+    b, d = g.shape[0], g.shape[1]
+    g_inv = np.empty((b, d, d))
+    gamma = np.empty((b, d, d, d))
+    riem = np.empty((b, d, d, d, d))
+    ric = np.empty((b, d, d))
+    scal = np.empty(b)
+
+    def kernel(s):
+        g_inv[s], gamma[s], riem[s], ric[s], scal[s] = _curvature_rows(
+            g[s], dg[s], d2g[s])
+
+    map_row_slabs(kernel, b)
     return GeometryJet(g=g, g_inv=g_inv, Gamma=gamma, Riem=riem, Ric=ric, R=scal)
 
 

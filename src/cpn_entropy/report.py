@@ -137,7 +137,9 @@ def reverify(report: dict) -> bool:
     fail), the overall status equals the conjunction of the records, and,
     for a certificate, its verdict is ``not_local_max`` exactly when every
     record other than the final ``verdict`` record passes, which that
-    record restates.
+    record restates.  The ``third_variation_nonzero`` record passes exactly
+    when |detail.value| exceeds the certificate's ``nu3_floor`` threshold,
+    and that value equals the certificate's ``third_variation`` value.
     """
     checks = report.get("checks", [])
     ok = True
@@ -161,6 +163,17 @@ def reverify(report: dict) -> bool:
                   if rec["name"] == "verdict"]
         if certified != gated or stated != [certified]:
             ok = False
+        # the nu''' floor record carries its value in detail, not residual
+        nu3 = cert.get("third_variation", {}).get("value")
+        floor = cert.get("thresholds", {}).get("nu3_floor")
+        for rec in checks:
+            if rec["name"] != "third_variation_nonzero":
+                continue
+            value = rec.get("detail", {}).get("value")
+            above = (value is not None and floor is not None
+                     and abs(float(value)) > float(floor))
+            if above != (rec["status"] == "pass") or value != nu3:
+                ok = False
     return ok
 
 

@@ -172,3 +172,23 @@ def test_reverify_rejects_a_verdict_the_records_contradict(recorded,
             rec["residual"], rec["status"] = 1.0, "fail"
     report["status"] = "fail"
     assert not reverify(report)
+
+
+def test_reverify_rechecks_the_third_variation_floor(recorded, monkeypatch,
+                                                     capsys):
+    _, outputs = recorded
+    _replay(monkeypatch, outputs)
+    assert main(["certify", "--N", "2"]) == 0
+    report = parse_report(capsys.readouterr().out)
+    record = next(rec for rec in report["checks"]
+                  if rec["name"] == "third_variation_nonzero")
+    value = record["detail"]["value"]
+    # nu''' = 0 in the record and the certificate, still claiming a pass
+    record["detail"]["value"] = 0.0
+    report["certificate"]["third_variation"]["value"] = 0.0
+    assert not reverify(report)
+    # the record alone disagreeing with the certificate's value
+    report["certificate"]["third_variation"]["value"] = value
+    assert not reverify(report)
+    record["detail"]["value"] = value
+    assert reverify(report)
