@@ -164,13 +164,13 @@ def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
 
 
 def n_operator_batch(h: ConformalPerturbation, w: np.ndarray,
-                     geom=None, tau: Tau | None = None) -> np.ndarray:
+                     geom=None) -> np.ndarray:
     """N(h) = Ntilde(h) - (Hbar / (2 n tau)) g."""
     w = np.asarray(w, dtype=complex)
     if geom is None:
         geom = curvature_batch(w)
     n = 2 * h.N
-    tau = tau or einstein_tau(h.N)
+    tau = einstein_tau(h.N)
     hbar = float(h.trace_mean_exact())
     nt = n_tilde_batch(h, w, geom)
     return nt - (hbar / (2 * n * tau.tau)) * geom.g
@@ -206,7 +206,7 @@ def _scalar_quad_levels(N: int) -> tuple[int, int]:
 
 
 def _geometry_sweep(h: ConformalPerturbation, N: int,
-                    n_u: int, n_theta: int, tau: Tau) -> dict:
+                    n_u: int, n_theta: int) -> dict:
     """One pass over quadrature nodes collecting the curvature integrals."""
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
     for w, weights in chart_nodes(N, n_u, n_theta):
@@ -215,7 +215,7 @@ def _geometry_sweep(h: ConformalPerturbation, N: int,
         h_ij = psi.val[:, None, None] * geom.g
         h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
         ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-        nh_h = np.einsum("bij,bij->b", h_up, n_operator_batch(h, w, geom, tau))
+        nh_h = np.einsum("bij,bij->b", h_up, n_operator_batch(h, w, geom))
         acc["ric_h"] += float(np.dot(weights, ric_h))
         acc["scal"] += float(np.dot(weights, geom.R))
         acc["nh_h"] += float(np.dot(weights, nh_h))
@@ -226,21 +226,20 @@ def _geometry_sweep(h: ConformalPerturbation, N: int,
     return acc
 
 
-def first_variations(h: ConformalPerturbation, sweep: dict | None = None,
-                     tau: Tau | None = None) -> dict:
+def first_variations(h: ConformalPerturbation,
+                     sweep: dict | None = None) -> dict:
     """tau', V', Hbar' along g(s) = g_FS + s h.
 
     tau' and V' come from quadrature (both must vanish for eigen psi);
     Hbar' is computed from the closed form n(n-2)/(2V) ||psi||^2 and by
     finite differences of (int H dV)/V in s.  ``sweep`` is the fine
-    ``_geometry_sweep`` of ``h`` and ``tau`` the Einstein scale, when the
-    caller has already computed them.
+    ``_geometry_sweep`` of ``h`` when the caller has already computed it.
     """
     N = h.N
     n = 2 * N
-    tau = tau or einstein_tau(N)
+    tau = einstein_tau(N)
     if sweep is None:
-        sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N), tau)
+        sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
     tau_prime = tau.tau * sweep["ric_h"] / sweep["scal"]
     psi_avg_exact = h.exact_average(1)
 
@@ -276,20 +275,19 @@ def first_variations(h: ConformalPerturbation, sweep: dict | None = None,
     }
 
 
-def second_variation(h: ConformalPerturbation, sweep: dict | None = None,
-                     tau: Tau | None = None) -> tuple[float, float]:
+def second_variation(h: ConformalPerturbation,
+                     sweep: dict | None = None) -> tuple[float, float]:
     """(tau/V) int <N(h), h> dV by quadrature; returns (value, error_estimate).
 
     The error estimate is the difference against one coarser level.
-    ``sweep`` is the fine ``_geometry_sweep`` of ``h`` and ``tau`` the
-    Einstein scale, when the caller has already computed them.
+    ``sweep`` is the fine ``_geometry_sweep`` of ``h`` when the caller has
+    already computed it.
     """
     N = h.N
-    tau = tau or einstein_tau(N)
+    tau = einstein_tau(N)
     n_u, n_theta = _entropy_quad_levels(N)
-    fine = (sweep if sweep is not None
-            else _geometry_sweep(h, N, n_u, n_theta, tau))
-    coarse = _geometry_sweep(h, N, max(n_u - 1, 2), max(n_theta - 1, 3), tau)
+    fine = sweep if sweep is not None else _geometry_sweep(h, N, n_u, n_theta)
+    coarse = _geometry_sweep(h, N, max(n_u - 1, 2), max(n_theta - 1, 3))
     value = tau.tau * fine["nh_h"] / fine["volume"]
     value_coarse = tau.tau * coarse["nh_h"] / coarse["volume"]
     return value, abs(value - value_coarse)
@@ -329,17 +327,13 @@ class ThirdVariation:
     tau_used: float
 
 
-def third_variation(N: int, form: HermitianForm | None = None,
-                    tau: Tau | None = None) -> ThirdVariation:
-    """Third variation along h = phi g_FS, exact and quadrature paths.
-
-    ``tau`` is the Einstein scale when the caller has already computed it.
-    """
+def third_variation(N: int, form: HermitianForm | None = None) -> ThirdVariation:
+    """Third variation along h = phi g_FS, exact and quadrature paths."""
     if N < 2:
         raise ValueError("third_variation requires N >= 2")
     form = form if form is not None else special_phi(N)
     n = 2 * N
-    tau = tau or einstein_tau(N)
+    tau = einstein_tau(N)
     avg3 = cpn_average(3, form, N)
     vol = cpn_volume_closed_form(N)
     integral_exact = float(avg3) * vol
@@ -448,8 +442,7 @@ def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
     order.  The verdict is ``not_local_max`` iff every gated record passes;
     ``failures`` names the records that fail, and the last record restates
     the verdict.  The fine geometry sweep is computed once and shared by
-    the first and second variations, and tau is computed once and passed
-    to every stage.
+    the first and second variations.
     """
     if N < 2:
         raise ValueError("requires N >= 2")
@@ -460,10 +453,10 @@ def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
     # the v_solution record gates the residual, so v_of must not raise
     v_sol = v_of(h, tau, points=points, seed=seed, tol=math.inf)
     nt_max = n_tilde_max(h, points=points, seed=seed)
-    sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N), tau)
-    firsts = first_variations(h, sweep=sweep, tau=tau)
-    nu2, nu2_err = second_variation(h, sweep=sweep, tau=tau)
-    nu3 = third_variation(N, tau=tau)
+    sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
+    firsts = first_variations(h, sweep=sweep)
+    nu2, nu2_err = second_variation(h, sweep=sweep)
+    nu3 = third_variation(N)
     vol = cpn_volume_closed_form(N)
     prefactor_ratio = vol / (4 * math.pi * tau.tau) ** (n / 2)
     ident = minimizer_identity_coefficient()

@@ -62,19 +62,25 @@ class Tau:
 # 256 to 2048 rows run equally fast.
 _SLAB_ROWS = 512
 
+# Most slabs in flight at once.  Each running slab holds its own einsum
+# temporaries (50 to 70 MB more peak memory per worker at N = 4), so the
+# cap bounds peak memory on machines with many CPUs.
+_MAX_WORKERS = 4
+
 _POOL = None
 
 
 def _pool():
-    """The one thread pool of the slab kernels, sized to the usable CPUs."""
+    """The one thread pool of the slab kernels: the usable CPUs, at most
+    ``_MAX_WORKERS``."""
     global _POOL
     if _POOL is None:
         import os
         from concurrent.futures import ThreadPoolExecutor
 
-        workers = (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity") else os.cpu_count())
-        _POOL = ThreadPoolExecutor(max_workers=workers or 1,
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        _POOL = ThreadPoolExecutor(max_workers=min(cpus or 1, _MAX_WORKERS),
                                    thread_name_prefix="cpn-slab")
     return _POOL
 

@@ -138,8 +138,9 @@ def reverify(report: dict) -> bool:
     for a certificate, its verdict is ``not_local_max`` exactly when every
     record other than the final ``verdict`` record passes, which that
     record restates.  The ``third_variation_nonzero`` record passes exactly
-    when |detail.value| exceeds the certificate's ``nu3_floor`` threshold,
-    and that value equals the certificate's ``third_variation`` value.
+    when |detail.value| exceeds the floor of ``entropy.CERTIFICATE_CHECKS``,
+    which the certificate's ``nu3_floor`` threshold must state, and that
+    value equals the certificate's ``third_variation`` value.
     """
     checks = report.get("checks", [])
     ok = True
@@ -163,15 +164,19 @@ def reverify(report: dict) -> bool:
                   if rec["name"] == "verdict"]
         if certified != gated or stated != [certified]:
             ok = False
-        # the nu''' floor record carries its value in detail, not residual
+        # the nu''' floor record carries its value in detail, not residual;
+        # the floor comes from the certificate table, not from the report
+        from .entropy import CERTIFICATE_CHECKS
+
+        floor = CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance
+        if cert.get("thresholds", {}).get("nu3_floor") != floor:
+            ok = False
         nu3 = cert.get("third_variation", {}).get("value")
-        floor = cert.get("thresholds", {}).get("nu3_floor")
         for rec in checks:
             if rec["name"] != "third_variation_nonzero":
                 continue
             value = rec.get("detail", {}).get("value")
-            above = (value is not None and floor is not None
-                     and abs(float(value)) > float(floor))
+            above = value is not None and abs(float(value)) > floor
             if above != (rec["status"] == "pass") or value != nu3:
                 ok = False
     return ok

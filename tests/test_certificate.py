@@ -183,12 +183,21 @@ def test_reverify_rechecks_the_third_variation_floor(recorded, monkeypatch,
     record = next(rec for rec in report["checks"]
                   if rec["name"] == "third_variation_nonzero")
     value = record["detail"]["value"]
+    thresholds = report["certificate"]["thresholds"]
+    floor = thresholds["nu3_floor"]
     # nu''' = 0 in the record and the certificate, still claiming a pass
     record["detail"]["value"] = 0.0
     report["certificate"]["third_variation"]["value"] = 0.0
     assert not reverify(report)
+    # ... also with the stated floor lowered below zero
+    thresholds["nu3_floor"] = -1.0
+    assert not reverify(report)
     # the record alone disagreeing with the certificate's value
+    thresholds["nu3_floor"] = floor
     report["certificate"]["third_variation"]["value"] = value
     assert not reverify(report)
     record["detail"]["value"] = value
     assert reverify(report)
+    # a stated floor other than the certificate table's
+    thresholds["nu3_floor"] = 2 * floor
+    assert not reverify(report)

@@ -1,9 +1,9 @@
 """Row-slab kernels: every row's bits are independent of slabs and threads.
 
 The heavy curvature and Ntilde kernels run in ``_SLAB_ROWS``-row slabs on
-a thread pool.  Each row must come out bit for bit as if computed alone,
-with any number of workers, and every function that a tracer may wrap
-must still run on the calling thread.
+a thread pool of at most ``_MAX_WORKERS`` workers.  Each row must come out
+bit for bit as if computed alone, with any number of workers, and every
+function that a tracer may wrap must still run on the calling thread.
 """
 
 import functools
@@ -67,6 +67,20 @@ def test_rows_do_not_depend_on_the_pool(batch, workers, monkeypatch):
             sys.setswitchinterval(switch)
     for name, values in full.items():
         assert np.array_equal(values, other[name]), name
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+def test_pool_has_the_usable_cpus_at_most_the_cap(cpus, monkeypatch):
+    # the pool starts no thread before its first task
+    monkeypatch.setattr(geometry, "_POOL", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pool = geometry._pool()
+    try:
+        assert pool._max_workers == min(cpus, geometry._MAX_WORKERS)
+    finally:
+        pool.shutdown()
 
 
 def test_small_batches_start_no_pool_and_import_nothing():
