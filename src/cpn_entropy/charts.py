@@ -69,8 +69,8 @@ def transition_map(p: ChartPoint, target_chart: int) -> ChartPoint:
     return ChartPoint(target_chart, w)
 
 
-def sample_w(N: int, count: int, seed: int, radius: float = 2.0) -> np.ndarray:
-    """Seeded points drawn uniformly from the chart-0 ball |w| <= radius.
+def sample_w(N: int, count: int, seed: int) -> np.ndarray:
+    """Seeded points drawn uniformly from the chart-0 ball |w| <= 2.
 
     Returns a (count, N) complex array; chart 0 covers CP^N up to a
     measure-zero set, so this samples the whole manifold for our purposes.
@@ -78,6 +78,6 @@ def sample_w(N: int, count: int, seed: int, radius: float = 2.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     xy = rng.standard_normal((count, 2 * N))
     norms = np.linalg.norm(xy, axis=1, keepdims=True)
-    radii = radius * rng.random((count, 1)) ** (1.0 / (2 * N))
+    radii = 2.0 * rng.random((count, 1)) ** (1.0 / (2 * N))
     xy = xy / norms * radii
     return xy[:, :N] + 1j * xy[:, N:]

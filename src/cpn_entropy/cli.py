@@ -14,8 +14,9 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .rewrite import (IntegralExpr, PHI3, confluence_check,
                       expected_final_coefficient, reduce_third_variation,
                       ricci_second_variation_coefficients,
                       second_variation_symbolic_zero, solve_f_second_integrals)
-from .variation import (QUANTITIES, conformal_change_mismatch,
+from .variation import (LEMMA_REL_TOL, QUANTITIES, conformal_change_mismatch,
                         default_coefficients, failing_quantities,
                         verify_lemma_suite)
 
@@ -54,23 +55,19 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The settings of a run.  The fields are the config-file keys, in the
+    order the report echoes them; a value parses as its default's type, and
+    as a string where the default is None."""
+
     N: int = 2
     points: int = 100
     seed: int = 7
     mc_samples: int = 1_000_000
     tol: float = 1e-6
     out: str | None = None
-    n_symbol: str = "symbolic"
+    n: str = "symbolic"
     orders: int = 100
     mutate: str | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "N": self.N, "points": self.points, "seed": self.seed,
-            "mc_samples": self.mc_samples, "tol": self.tol,
-            "out": self.out, "n": self.n_symbol, "orders": self.orders,
-            "mutate": self.mutate,
-        }
 
 
 def _load_config_file(path: str) -> dict:
@@ -87,14 +84,11 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "N": int, "points": int, "seed": int, "mc_samples": int,
-    "tol": float, "out": str, "n": str, "orders": int, "mutate": str,
-}
+_CONFIG_TYPES = {f.name: str if f.default is None else type(f.default)
+                 for f in fields(RunConfig)}
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
     file_values: dict = {}
     if getattr(args, "config", None):
         raw = _load_config_file(args.config)
@@ -105,28 +99,22 @@ def make_config(args: argparse.Namespace) -> RunConfig:
                 file_values[key] = _CONFIG_TYPES[key](text)
             except ValueError:
                 raise UsageError(f"bad value {text!r} for config key {key!r}")
-    merged = {
-        "N": args.N, "points": args.points, "seed": args.seed,
-        "mc_samples": getattr(args, "mc_samples", None),
-        "tol": args.tol, "out": args.out,
-        "n": getattr(args, "n", None), "orders": getattr(args, "orders", None),
-        "mutate": getattr(args, "mutate", None),
-    }
-    for key, flag_value in merged.items():
+    values = {}
+    for key in _CONFIG_TYPES:
+        flag_value = getattr(args, key, None)
         value = flag_value if flag_value is not None else file_values.get(key)
-        if value is None:
-            continue
-        attr = "n_symbol" if key == "n" else key
-        setattr(cfg, attr, value)
+        if value is not None:
+            values[key] = value
+    cfg = RunConfig(**values)
     if cfg.points < 1:
         raise UsageError("points must be >= 1")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0):
         raise UsageError("tol must be positive and finite")
     if cfg.orders < 1:
         raise UsageError("orders must be >= 1")
-    if cfg.n_symbol != "symbolic":
+    if cfg.n != "symbolic":
         try:
-            int(cfg.n_symbol)
+            int(cfg.n)
         except ValueError:
             raise UsageError("--n must be 'symbolic' or an even integer")
     return cfg
@@ -136,7 +124,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 # command implementations
 
 
-def cmd_geometry(cfg: RunConfig) -> list[dict]:
+def cmd_geometry(cfg: RunConfig) -> tuple[list[dict], None]:
     if cfg.N < 1:
         raise UsageError("geometry requires N >= 1")
     N, n = cfg.N, 2 * cfg.N
@@ -150,7 +138,7 @@ def cmd_geometry(cfg: RunConfig) -> list[dict]:
     checks.append(check("metric_positive_definite", "g > 0", min_eig > 0.0,
                         provenance="pointwise", detail={"min_eigenvalue": min_eig}))
     try:
-        tau = einstein_tau(N, samples=min(cfg.points, 20), seed=cfg.seed)
+        tau = einstein_tau(N, seed=cfg.seed)
         ein = float(np.max(np.abs(geo.Ric - geo.g / (2 * tau.tau))))
         checks.append(gate("einstein", "ric = g/(2 tau)", ein, 1e-9,
                            "pointwise", detail={"tau": tau.tau}))
@@ -192,10 +180,10 @@ def cmd_geometry(cfg: RunConfig) -> list[dict]:
     rt = float(np.max(np.abs(q.w - p.w)))
     checks.append(gate("transition_roundtrip", "chart 0 -> 1 -> 0 = identity",
                        rt, 1e-14, "pointwise"))
-    return checks
+    return checks, None
 
 
-def cmd_eigen(cfg: RunConfig) -> list[dict]:
+def cmd_eigen(cfg: RunConfig) -> tuple[list[dict], None]:
     if cfg.N < 1:
         raise UsageError("eigen requires N >= 1")
     N = cfg.N
@@ -239,10 +227,10 @@ def cmd_eigen(cfg: RunConfig) -> list[dict]:
                 phi_values_batch(f, q.chart, q.w[None, :])[0] - base))
     checks.append(gate("chart_invariance", "phi([z]) independent of chart",
                        inv_dev, 1e-12, "pointwise"))
-    return checks
+    return checks, None
 
 
-def cmd_moments(cfg: RunConfig) -> list[dict]:
+def cmd_moments(cfg: RunConfig) -> tuple[list[dict], None]:
     if cfg.N < 2:
         raise UsageError("moments requires N >= 2")
     if cfg.mc_samples < 10_000:
@@ -308,7 +296,7 @@ def cmd_moments(cfg: RunConfig) -> list[dict]:
                             " avg f^3 > 0",
                             ok, provenance="exact",
                             detail={"constant": const_coef.re if const_coef else 0}))
-    return checks
+    return checks, None
 
 
 def _parse_mutation(text: str):
@@ -319,7 +307,7 @@ def _parse_mutation(text: str):
         raise UsageError("--mutate expects QUANTITY:ORDER:COEFFICIENT")
 
 
-def cmd_variation(cfg: RunConfig) -> list[dict]:
+def cmd_variation(cfg: RunConfig) -> tuple[list[dict], None]:
     if cfg.N < 2:
         raise UsageError("variation requires N >= 2")
     N, n = cfg.N, 2 * cfg.N
@@ -344,7 +332,7 @@ def cmd_variation(cfg: RunConfig) -> list[dict]:
         checks.append(check(f"{quantity}_order{order}",
                             f"closed-form d^{order}/ds^{order} {quantity} "
                             "matches finite differences",
-                            all(r.passed for r in rs), worst, 1e-5,
+                            all(r.passed for r in rs), worst, LEMMA_REL_TOL,
                             "finite differences"))
     if not cfg.mutate:
         defaults = default_coefficients(n)
@@ -364,11 +352,11 @@ def cmd_variation(cfg: RunConfig) -> list[dict]:
         checks.append(gate("conformal_change_oracle",
                            "family geometry matches e^(2u) conformal formulas",
                            conf, 1e-8, "pointwise"))
-    return checks
+    return checks, None
 
 
-def cmd_algebra(cfg: RunConfig) -> list[dict]:
-    n_mode = "symbolic" if cfg.n_symbol == "symbolic" else int(cfg.n_symbol)
+def cmd_algebra(cfg: RunConfig) -> tuple[list[dict], None]:
+    n_mode = "symbolic" if cfg.n == "symbolic" else int(cfg.n)
     checks = []
     result = reduce_third_variation(n_mode, "classical")
     checks.append(check("checkpoint",
@@ -421,17 +409,50 @@ def cmd_algebra(cfg: RunConfig) -> list[dict]:
                         and not mutated.deviation.is_zero(),
                         provenance="exact",
                         detail={"deviation": mutated.deviation.canonical()}))
-    return checks
+    return checks, None
 
 
 def cmd_certify(cfg: RunConfig) -> tuple[list[dict], dict | None]:
     """Serialize ``certify``, which builds every record and the verdict."""
-    cert = certify(cfg.N, points=cfg.points, seed=cfg.seed)
-    return cert.checks, certificate_to_dict(cert)
+    try:
+        cert = certify(cfg.N, points=cfg.points, seed=cfg.seed)
+        return cert.checks, certificate_to_dict(cert)
+    except ValueError as exc:
+        return [check("certify", "instability certificate", False,
+                      provenance="pipeline", detail={"reason": str(exc)})], None
 
 
 # ---------------------------------------------------------------------------
 # driver
+
+
+class Verb(NamedTuple):
+    """A subcommand: help line, suite, own flags and report notes.
+
+    ``run`` returns the check records and the certificate (None except for
+    certify); ``flags`` holds (flag, type, help) of the flags only this
+    verb takes."""
+
+    help: str
+    run: Callable[[RunConfig], tuple[list[dict], dict | None]]
+    flags: tuple = ()
+    notes: tuple = ()
+
+
+VERBS = {
+    "geometry": Verb("Einstein and curvature suite", cmd_geometry),
+    "eigen": Verb("eigenspace dimension and residual suite", cmd_eigen),
+    "moments": Verb("exact vs Monte Carlo sphere moments", cmd_moments, notes=(
+        SPHERE_NOTE, "all sphere integrals are reported as averages; integrals "
+                     "multiply by the CP^N volume explicitly")),
+    "variation": Verb("first/second variation formula suite", cmd_variation, flags=(
+        ("--mutate", str, "QUANTITY:ORDER:COEFFICIENT to perturb by 1/2 "
+                          "(the suite must then fail)"),)),
+    "algebra": Verb("symbolic third-variation reduction", cmd_algebra, flags=(
+        ("--n", str, "'symbolic' or an even integer dimension"),
+        ("--orders", int, "random rule orders for the confluence check"))),
+    "certify": Verb("emit the instability certificate", cmd_certify),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -458,56 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "instability of the Fubini-Study metric")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("geometry", "Einstein and curvature suite"),
-            ("eigen", "eigenspace dimension and residual suite"),
-            ("moments", "exact vs Monte Carlo sphere moments"),
-            ("variation", "first/second variation formula suite"),
-            ("algebra", "symbolic third-variation reduction"),
-            ("certify", "emit the instability certificate")):
-        p = sub.add_parser(name, help=help_text)
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
         _add_common(p)
-        if name == "algebra":
-            p.add_argument("--n", type=str, default=None,
-                           help="'symbolic' or an even integer dimension")
-            p.add_argument("--orders", type=int, default=None,
-                           help="random rule orders for the confluence check")
-        if name == "variation":
-            p.add_argument("--mutate", type=str, default=None,
-                           help="QUANTITY:ORDER:COEFFICIENT to perturb by 1/2 "
-                                "(the suite must then fail)")
+        for flag, kind, help_text in verb.flags:
+            p.add_argument(flag, type=kind, default=None, help=help_text)
     return parser
 
 
 def run_command(command: str, cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    certificate = None
-    notes = None
-    if command == "geometry":
-        checks = cmd_geometry(cfg)
-    elif command == "eigen":
-        checks = cmd_eigen(cfg)
-    elif command == "moments":
-        checks = cmd_moments(cfg)
-        notes = [SPHERE_NOTE,
-                 "all sphere integrals are reported as averages; integrals "
-                 "multiply by the CP^N volume explicitly"]
-    elif command == "variation":
-        checks = cmd_variation(cfg)
-    elif command == "algebra":
-        checks = cmd_algebra(cfg)
-    elif command == "certify":
-        try:
-            checks, certificate = cmd_certify(cfg)
-        except ValueError as exc:
-            checks = [check("certify", "instability certificate", False,
-                            provenance="pipeline",
-                            detail={"reason": str(exc)})]
-    else:  # pragma: no cover
-        raise UsageError(f"unknown command {command!r}")
+    verb = VERBS[command]
+    checks, certificate = verb.run(cfg)
     timings = {"total_seconds": time.perf_counter() - t0}
-    report = build_report(command, cfg.as_dict(), checks,
-                          certificate=certificate, notes=notes,
+    report = build_report(command, asdict(cfg), checks,
+                          certificate=certificate, notes=list(verb.notes),
                           timings=timings)
     code = EXIT_PASS if report["status"] == "pass" else EXIT_FAIL
     return report, code

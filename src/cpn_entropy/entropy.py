@@ -36,10 +36,10 @@ import numpy as np
 from .charts import sample_w
 from .eigenfunctions import (HermitianForm, identity_form, phi_jet_batch,
                              phi_values_batch, special_phi, verify_eigen)
-from .geometry import (Tau, curvature_batch, einstein_tau, hessian_and_laplacian,
+from .geometry import (curvature_batch, einstein_tau, hessian_and_laplacian,
                        map_row_slabs)
 from .moments import cpn_average, cpn_volume_closed_form
-from .quadrature import adaptive_cpn_integral, chart_nodes
+from .quadrature import adaptive_cpn_integral, chart_nodes, cpn_integral, level_orders
 from .report import check, gate
 
 
@@ -84,8 +84,9 @@ class ConformalPerturbation:
     def scaled(self, c) -> "ConformalPerturbation":
         return ConformalPerturbation(self.form.scaled(c), self.N)
 
-    def eigen_residual(self, tau: Tau, points: int = 50, seed: int = 7) -> float:
-        return verify_eigen(self.form, tau, sample_w(self.N, points, seed))
+    def eigen_residual(self, points: int = 50, seed: int = 7) -> float:
+        return verify_eigen(self.form, einstein_tau(self.N),
+                            sample_w(self.N, points, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +105,15 @@ class VSolution:
         return self.perturbation.psi_jet(w) * self.scale
 
 
-def v_of(h: ConformalPerturbation, tau: Tau | None = None,
-         points: int = 50, seed: int = 7, tol: float = 1e-8) -> VSolution:
+def v_of(h: ConformalPerturbation, points: int = 50, seed: int = 7,
+         tol: float = 1e-8) -> VSolution:
     """Solve (Delta + 1/(2 tau)) v = div div h, zero mean, for eigen psi.
 
     For h = psi g_FS, div div h = Delta psi, and v = 2 psi satisfies the
     equation exactly when Delta psi = -psi/tau; the returned residual is the
     max over sample points of |(Delta + 1/(2 tau))(2 psi) - Delta psi|.
     """
-    tau = tau or einstein_tau(h.N)
+    tau = einstein_tau(h.N)
     w = sample_w(h.N, points, seed)
     jet = h.psi_jet(w)
     _, lap = hessian_and_laplacian(jet, curvature_batch(w))
@@ -127,17 +128,9 @@ def v_of(h: ConformalPerturbation, tau: Tau | None = None,
 # the stability operators, assembled literally
 
 
-def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
-                  geom=None, include_v_term: bool = True) -> np.ndarray:
-    """Ntilde(h)_ij over a batch of chart-0 points, all four terms explicit.
-
-    ``include_v_term=False`` drops (1/2) Hess v (mutation check: the result
-    is then -Hess psi instead of ~0).
-    """
-    w = np.asarray(w, dtype=complex)
-    if geom is None:
-        geom = curvature_batch(w)
-    psi = h.psi_jet(w)
+def _n_tilde(psi, geom) -> np.ndarray:
+    """Ntilde(psi g)_ij, all four terms explicit, from the jet of psi and the
+    geometry at the same chart-0 points."""
     psi_hess, psi_lap = hessian_and_laplacian(psi, geom)
     h_ij = psi.val[:, None, None] * geom.g
 
@@ -155,12 +148,26 @@ def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
         term_div[s] = -0.5 * (np.einsum("bkl,bil,bkj->bij", g_inv, psi_hess[s], g)
                               + np.einsum("bkl,bjl,bki->bij", g_inv, psi_hess[s], g))
 
-    map_row_slabs(kernel, w.shape[0])
-    total = term_lap + term_rm + term_div
-    if include_v_term:
-        # (1/2) Hess v with v = 2 psi.
-        total = total + psi_hess
-    return total
+    map_row_slabs(kernel, psi.val.shape[0])
+    # the last term is (1/2) Hess v with v = 2 psi
+    return term_lap + term_rm + term_div + psi_hess
+
+
+def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
+                  geom=None) -> np.ndarray:
+    """Ntilde(h)_ij over a batch of chart-0 points."""
+    w = np.asarray(w, dtype=complex)
+    if geom is None:
+        geom = curvature_batch(w)
+    return _n_tilde(h.psi_jet(w), geom)
+
+
+def _trace_shift(h: ConformalPerturbation) -> float:
+    """Hbar / (2 n tau): N(h) = Ntilde(h) - _trace_shift(h) g."""
+    n = 2 * h.N
+    tau = einstein_tau(h.N)
+    hbar = float(h.trace_mean_exact())
+    return hbar / (2 * n * tau.tau)
 
 
 def n_operator_batch(h: ConformalPerturbation, w: np.ndarray,
@@ -169,11 +176,7 @@ def n_operator_batch(h: ConformalPerturbation, w: np.ndarray,
     w = np.asarray(w, dtype=complex)
     if geom is None:
         geom = curvature_batch(w)
-    n = 2 * h.N
-    tau = einstein_tau(h.N)
-    hbar = float(h.trace_mean_exact())
-    nt = n_tilde_batch(h, w, geom)
-    return nt - (hbar / (2 * n * tau.tau)) * geom.g
+    return n_tilde_batch(h, w, geom) - _trace_shift(h) * geom.g
 
 
 def n_tilde_max(h: ConformalPerturbation, points: int = 100,
@@ -209,13 +212,14 @@ def _geometry_sweep(h: ConformalPerturbation, N: int,
                     n_u: int, n_theta: int) -> dict:
     """One pass over quadrature nodes collecting the curvature integrals."""
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
+    shift = _trace_shift(h)
     for w, weights in chart_nodes(N, n_u, n_theta):
         geom = curvature_batch(w)
         psi = h.psi_jet(w)
         h_ij = psi.val[:, None, None] * geom.g
         h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
         ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-        nh_h = np.einsum("bij,bij->b", h_up, n_operator_batch(h, w, geom))
+        nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * geom.g)
         acc["ric_h"] += float(np.dot(weights, ric_h))
         acc["scal"] += float(np.dot(weights, geom.R))
         acc["nh_h"] += float(np.dot(weights, nh_h))
@@ -246,8 +250,8 @@ def first_variations(h: ConformalPerturbation,
     def v_prime_integrand(w):
         return (n / 2.0) * h.psi_values(w)
 
-    volume_prime, _ = adaptive_cpn_integral(v_prime_integrand, N, tol=1e-10,
-                                            max_level=3)
+    # V' = 0 exactly, which no relative stopping rule can reach: one level
+    volume_prime = cpn_integral(v_prime_integrand, N, *level_orders(3))
     hbar_prime_closed = float(n * (n - 2) * Fraction(1, 2) * h.exact_average(2))
     # psi at the nodes, shared by the four hbar_at calls
     psi_nodes = [(h.psi_values(w), weights)
@@ -449,9 +453,9 @@ def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
     n = 2 * N
     tau = einstein_tau(N)
     h = ConformalPerturbation.special(N)
-    eigen_res = h.eigen_residual(tau, points=points, seed=seed)
+    eigen_res = h.eigen_residual(points=points, seed=seed)
     # the v_solution record gates the residual, so v_of must not raise
-    v_sol = v_of(h, tau, points=points, seed=seed, tol=math.inf)
+    v_sol = v_of(h, points=points, seed=seed, tol=math.inf)
     nt_max = n_tilde_max(h, points=points, seed=seed)
     sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
     firsts = first_variations(h, sweep=sweep)

@@ -287,17 +287,20 @@ class NormalizationError(RuntimeError):
     """Scalar curvature failed to be constant: normalization bug."""
 
 
-def einstein_tau(N: int, samples: int = 20, seed: int = 0,
-                 tol: float = 1e-9) -> Tau:
-    """tau = n/(2R), with R checked constant over seeded sample points."""
+# Largest spread of R, relative to max(1, |R|), that einstein_tau accepts.
+_SCALAR_SPREAD_TOL = 1e-9
+
+
+def einstein_tau(N: int, seed: int = 0) -> Tau:
+    """tau = n/(2R), with R checked constant over 20 seeded sample points."""
     if N < 1:
         raise ValueError("N must be >= 1")
     from .charts import sample_w
 
-    w = sample_w(N, max(samples, 20), seed)
+    w = sample_w(N, 20, seed)
     scal = curvature_batch(w).R
     spread = float(np.max(scal) - np.min(scal))
-    if spread > tol * max(1.0, float(np.max(np.abs(scal)))):
+    if spread > _SCALAR_SPREAD_TOL * max(1.0, float(np.max(np.abs(scal)))):
         raise NormalizationError(
             f"scalar curvature varies by {spread:.3e} over sample points")
     n = 2 * N
@@ -308,8 +311,9 @@ def einstein_tau(N: int, samples: int = 20, seed: int = 0,
 # independent oracles for the metric derivative chain
 
 
-def fd_metric_arrays(w: np.ndarray, step: float = 1e-4):
+def fd_metric_arrays(w: np.ndarray):
     """(dg, d2g) by Richardson-extrapolated central differences on g values."""
+    step = 1e-4
     w = np.asarray(w, dtype=complex)
     b, n = w.shape
     d = 2 * n

@@ -108,7 +108,7 @@ def cpn_volume_closed_form(N: int) -> float:
     return math.pi ** N / math.factorial(N)
 
 
-def cpn_volume(N: int, tol: float = 1e-6, max_level: int = 6):
+def cpn_volume(N: int, tol: float = 1e-6):
     """Volume by chart quadrature; returns (value, error_estimate).
 
     Cross-check target is the closed form pi^N/N!; a failure to converge is
@@ -119,16 +119,17 @@ def cpn_volume(N: int, tol: float = 1e-6, max_level: int = 6):
     def one(w):
         return np.ones(w.shape[0])
 
-    return adaptive_cpn_integral(one, N, tol=tol, max_level=max_level)
+    return adaptive_cpn_integral(one, N, tol=tol)
 
 
 def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
-                        seed: int, chunk: int = 200_000):
+                        seed: int):
     """Unbiased sphere-average estimate via normalized complex Gaussians.
 
     Returns (mean, standard_error).  Per-shard seeds are spawned from the
-    master seed, so the estimate is deterministic for fixed seed and chunk.
+    master seed, so the estimate is deterministic for a fixed seed.
     """
+    chunk = 200_000     # samples per shard
     if samples < 10_000:
         raise ValueError("samples must be >= 10^4")
     if p.m != m:

@@ -88,9 +88,8 @@ def level_orders(level: int) -> tuple[int, int]:
     return 3 + level, 4 + 2 * level
 
 
-def adaptive_cpn_integral(func, N: int, tol: float = 1e-6, max_level: int = 6,
-                          min_level: int = 1):
-    """Refine until two consecutive levels agree to ``tol`` (relative).
+def adaptive_cpn_integral(func, N: int, tol: float = 1e-6, max_level: int = 6):
+    """Refine from level 1 until two consecutive levels agree to ``tol``.
 
     Returns (value, error_estimate); the estimate is the achieved relative
     difference between the last two levels.
@@ -98,7 +97,7 @@ def adaptive_cpn_integral(func, N: int, tol: float = 1e-6, max_level: int = 6,
     prev = None
     value = None
     err = math.inf
-    for level in range(min_level, max_level + 1):
+    for level in range(1, max_level + 1):
         n_u, n_theta = level_orders(level)
         value = cpn_integral(func, N, n_u, n_theta)
         if prev is not None:

@@ -116,9 +116,8 @@ def strip_timings(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timings"}
 
 
-def report_bytes(report: dict, with_timings: bool = True) -> bytes:
-    obj = report if with_timings else strip_timings(report)
-    return (dumps(obj) + "\n").encode("utf-8")
+def report_bytes(report: dict) -> bytes:
+    return (dumps(report) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

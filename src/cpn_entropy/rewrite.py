@@ -366,8 +366,9 @@ def rule_set(route: str = "classical",
             rule_zero_mean, elim]
 
 
-def reduce_to_fixed_point(e: IntegralExpr, rules, max_rounds: int = 50) -> IntegralExpr:
-    for _ in range(max_rounds):
+def reduce_to_fixed_point(e: IntegralExpr, rules) -> IntegralExpr:
+    """Apply ``rules`` in turn until a round changes nothing (at most 50)."""
+    for _ in range(50):
         before = e
         for rule in rules:
             e = rule(e)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .charts import sample_w
 from .eigenfunctions import EigenFunction, HermitianForm, phi_jet_batch, special_phi
-from .geometry import (GeometryJet, Tau, curvature_batch, curvature_from_arrays,
+from .geometry import (GeometryJet, curvature_batch, curvature_from_arrays,
                        einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 
@@ -41,6 +41,11 @@ QUANTITIES = (
     ("volume_density", 1), ("laplacian", 1),
     ("inverse", 2), ("christoffel", 2), ("laplacian", 2), ("ricci", 2),
 )
+
+# A closed form passes at a point when its residual against finite differences
+# is below LEMMA_REL_TOL times the larger norm, or _ABS_FLOOR if that is more.
+LEMMA_REL_TOL = 1e-5
+_ABS_FLOOR = 1e-9
 
 
 class PositivityError(RuntimeError):
@@ -100,14 +105,13 @@ class VariationPointData:
 
 
 def prepare_point_data(N: int, w: np.ndarray, phi: EigenFunction,
-                       u_form: HermitianForm | None = None,
-                       tau: Tau | None = None) -> VariationPointData:
+                       u_form: HermitianForm | None = None) -> VariationPointData:
     geom = curvature_batch(w)
     pj = phi.jet_batch(0, w)
     p_hess, p_lap = hessian_and_laplacian(pj, geom)
     data = VariationPointData(
         n=2 * N,
-        tau=(tau or einstein_tau(N)).tau,
+        tau=einstein_tau(N).tau,
         geom=geom, phi=pj, phi_hess=p_hess, phi_lap=p_lap)
     if u_form is not None:
         uj = phi_jet_batch(u_form, 0, w)
@@ -250,9 +254,9 @@ def _extractor(quantity: str, family: VariationFamily, w: np.ndarray,
 
 
 def fd_derivative(quantity: str, order: int, family: VariationFamily,
-                  w: np.ndarray, u_jet: Jet | None = None,
-                  step: float = 1e-2) -> np.ndarray:
+                  w: np.ndarray, u_jet: Jet | None = None) -> np.ndarray:
     """Richardson-extrapolated central s-derivative at s = 0; O(step^4)."""
+    step = 1e-2
     value = _extractor(quantity, family, w, u_jet)
     if order == 1:
         def d1(h):
@@ -291,8 +295,6 @@ def _per_point_max(arr: np.ndarray) -> np.ndarray:
 
 
 def verify_lemma_suite(N: int, points: int, seed: int,
-                       step: float = 1e-2, rel_tol: float = 1e-5,
-                       abs_floor: float = 1e-9,
                        mutations: dict | None = None) -> list[VariationReport]:
     """Closed forms vs finite differences for all ten variation formulas.
 
@@ -304,10 +306,9 @@ def verify_lemma_suite(N: int, points: int, seed: int,
     if points < 1:
         raise ValueError("points must be >= 1")
     w = sample_w(N, points, seed)
-    tau = einstein_tau(N)
     phi = EigenFunction(special_phi(N), N)
     u_form = default_test_function(N)
-    data = prepare_point_data(N, w, phi, u_form, tau)
+    data = prepare_point_data(N, w, phi, u_form)
     family = VariationFamily(phi, N)
     coeffs = default_coefficients(2 * N)
     if mutations:
@@ -316,15 +317,15 @@ def verify_lemma_suite(N: int, points: int, seed: int,
     reports = []
     for quantity, order in QUANTITIES:
         closed = closed_form_derivative(quantity, order, data, coeffs)
-        fd = fd_derivative(quantity, order, family, w, data.u, step)
+        fd = fd_derivative(quantity, order, family, w, data.u)
         closed = np.asarray(closed, dtype=float).reshape(points, -1)
         fd = np.asarray(fd, dtype=float).reshape(points, -1)
         resid = _per_point_max(closed - fd)
         closed_n = _per_point_max(closed)
         fd_n = _per_point_max(fd)
-        scale = np.maximum(np.maximum(closed_n, fd_n), abs_floor / rel_tol)
+        scale = np.maximum(np.maximum(closed_n, fd_n), _ABS_FLOOR / LEMMA_REL_TOL)
         for i in range(points):
-            tol = max(abs_floor, rel_tol * scale[i])
+            tol = max(_ABS_FLOOR, LEMMA_REL_TOL * scale[i])
             reports.append(VariationReport(
                 quantity=quantity, order=order, point_index=i,
                 closed_norm=float(closed_n[i]), fd_norm=float(fd_n[i]),
@@ -346,14 +347,14 @@ def failing_quantities(reports: list[VariationReport]) -> set:
 # second oracle: classical conformal-change formulas at fixed s
 
 
-def conformal_change_mismatch(N: int, points: int, seed: int,
-                              s_values=(-0.1, -0.05, 0.05, 0.1)) -> float:
+def conformal_change_mismatch(N: int, points: int, seed: int) -> float:
     """Max mismatch between family geometry and e^{2u} conformal formulas.
 
-    u = (1/2) log(1 + s phi); compares Christoffel symbols, Ricci, and scalar
-    curvature.  Both sides are derived independently: the family geometry
-    differentiates the metric product directly, the conformal formulas use
-    only base-metric data and derivatives of u.
+    u = (1/2) log(1 + s phi) for s = -0.1, -0.05, 0.05, 0.1; compares
+    Christoffel symbols, Ricci, and scalar curvature.  Both sides are
+    derived independently: the family geometry differentiates the metric
+    product directly, the conformal formulas use only base-metric data and
+    derivatives of u.
     """
     w = sample_w(N, points, seed)
     n = 2 * N
@@ -362,7 +363,7 @@ def conformal_change_mismatch(N: int, points: int, seed: int,
     base = curvature_batch(w)
     pj = phi.jet_batch(0, w)
     worst = 0.0
-    for s in s_values:
+    for s in (-0.1, -0.05, 0.05, 0.1):
         u = ((pj * s) + 1.0).log() * 0.5
         u_hess, u_lap = hessian_and_laplacian(u, base)
         du_up = np.einsum("bkl,bl->bk", base.g_inv, u.grad)

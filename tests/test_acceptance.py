@@ -42,7 +42,7 @@ def test_criterion_1_einstein_certification():
     for N in (1, 2, 3):
         w = sample_w(N, 100, seed=7)
         geo = curvature_batch(w)
-        tau = einstein_tau(N, samples=20, seed=7, tol=1e-9)
+        tau = einstein_tau(N, seed=7)
         ok &= float(np.max(np.abs(geo.Ric - geo.g / (2 * tau.tau)))) < 1e-9
         scal = 2 * N / (2 * tau.tau)
         ok &= float(np.max(np.abs(geo.R - scal))) < 1e-9

@@ -143,6 +143,30 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert report2["config"]["points"] == 15
 
 
+def test_every_config_key_is_read_typed_and_overridden_by_its_flag(
+        capsys, tmp_path):
+    out = tmp_path / "report.json"
+    expected = {"N": 2, "points": 5, "seed": 3, "mc_samples": 20000,
+                "tol": 1e-7, "out": str(out), "n": "4", "orders": 5,
+                "mutate": "laplacian:1:grad"}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in expected.items()))
+    code, report = run(capsys, "eigen", "--config", str(cfg))
+    assert code == 0
+    assert report["config"] == expected
+    for key, value in expected.items():
+        assert type(report["config"][key]) is type(value), key
+    assert parse_report(out.read_text())["config"] == expected
+    code, report = run(capsys, "eigen", "--config", str(cfg), "--N", "3",
+                       "--tol", "1e-5")
+    assert code == 0
+    assert report["config"] == {**expected, "N": 3, "tol": 1e-5}
+    code, report = run(capsys, "algebra", "--config", str(cfg), "--n", "6",
+                       "--orders", "2")
+    assert code == 0
+    assert (report["config"]["n"], report["config"]["orders"]) == ("6", 2)
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wibble=3\n")

@@ -13,7 +13,8 @@ from cpn_entropy.entropy import (ConformalPerturbation, NotEigenError,
                                  third_variation_exact_rational, v_of)
 from cpn_entropy.eigenfunctions import (HermitianForm, basis_first_eigenspace,
                                         special_phi)
-from cpn_entropy.geometry import curvature_batch, einstein_tau
+from cpn_entropy.geometry import (curvature_batch, einstein_tau,
+                                  hessian_and_laplacian)
 
 F = Fraction
 
@@ -61,12 +62,15 @@ def test_n_tilde_of_zero_is_zero():
 
 
 def test_dropping_v_term_leaves_hessian_scale():
-    # the residual decomposition: without (1/2) Hess v the operator equals
-    # (1/2)(lap phi + phi/tau) g - Hess phi, i.e. a Hessian-sized quantity
+    # the residual decomposition: without (1/2) Hess v = Hess phi the
+    # operator equals (1/2)(lap phi + phi/tau) g - Hess phi, i.e. a
+    # Hessian-sized quantity
     h = ConformalPerturbation.special(2)
     w = sample_w(2, 20, seed=7)
-    mutated = n_tilde_batch(h, w, include_v_term=False)
-    assert np.max(np.abs(mutated)) > 0.1
+    geom = curvature_batch(w)
+    hess = hessian_and_laplacian(h.psi_jet(w), geom)[0]
+    without_v_term = n_tilde_batch(h, w, geom) - hess
+    assert np.max(np.abs(without_v_term)) > 0.1
 
 
 def test_n_tilde_residual_decomposition_term_by_term():
@@ -83,7 +87,7 @@ def test_n_tilde_residual_decomposition_term_by_term():
     hess = covariant_hessian_arrays(jet.grad, jet.hess, geom.Gamma)
     lap = np.einsum("bij,bij->b", geom.g_inv, hess)
     eigen_piece = 0.5 * (lap + jet.val / tau.tau)[:, None, None] * geom.g
-    v = v_of(h, tau, points=10, seed=7)
+    v = v_of(h, points=10, seed=7)
     v_jet = v.jet(w)
     v_hess = covariant_hessian_arrays(v_jet.grad, v_jet.hess, geom.Gamma)
     hess_piece = 0.5 * v_hess - hess

@@ -22,7 +22,7 @@ from cpn_entropy import entropy, geometry
 from cpn_entropy.charts import sample_w
 from cpn_entropy.cli import main
 from cpn_entropy.jets import Jet
-from cpn_entropy.report import parse_report, report_bytes
+from cpn_entropy.report import parse_report, report_bytes, strip_timings
 
 # three slabs, the last of them a single row
 ROWS = 2 * geometry._SLAB_ROWS + 1
@@ -100,8 +100,7 @@ def test_small_batches_start_no_pool_and_import_nothing():
 
 def _certify_bytes(capsys):
     assert main(["certify", "--N", "2"]) == 0
-    return report_bytes(parse_report(capsys.readouterr().out),
-                        with_timings=False)
+    return report_bytes(strip_timings(parse_report(capsys.readouterr().out)))
 
 
 def test_certificate_bytes_do_not_depend_on_the_pool(monkeypatch, capsys):

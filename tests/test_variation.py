@@ -31,7 +31,7 @@ def test_scalar_first_variation_reduces_via_eigen_equation():
     w = sample_w(N, 20, seed=3)
     tau = einstein_tau(N)
     phi = EigenFunction(special_phi(N), N)
-    data = prepare_point_data(N, w, phi, tau=tau)
+    data = prepare_point_data(N, w, phi)
     closed = closed_form_derivative("scalar", 1, data)
     reduced = (n - 2) / (2 * tau.tau) * data.phi.val
     assert np.max(np.abs(closed - reduced)) < 1e-9
@@ -58,8 +58,7 @@ def test_second_laplacian_variation_on_constant_is_zero():
     data = prepare_point_data(N, w, phi, u_form=const)
     closed = closed_form_derivative("laplacian", 2, data)
     assert np.max(np.abs(closed)) < 1e-12
-    fd = fd_derivative("laplacian", 2, VariationFamily(phi, N), w,
-                       data.u, step=1e-2)
+    fd = fd_derivative("laplacian", 2, VariationFamily(phi, N), w, data.u)
     assert np.max(np.abs(fd)) < 1e-7
 
 
@@ -69,7 +68,7 @@ def test_fd_inverse_matches_closed_form_tightly():
     phi = EigenFunction(special_phi(N), N)
     data = prepare_point_data(N, w, phi)
     closed = closed_form_derivative("inverse", 1, data)
-    fd = fd_derivative("inverse", 1, VariationFamily(phi, N), w, step=1e-2)
+    fd = fd_derivative("inverse", 1, VariationFamily(phi, N), w)
     assert np.max(np.abs(closed - fd)) < 1e-7
 
 
@@ -79,7 +78,7 @@ def test_fd_ricci_second_variation_matches_closed_form():
     phi = EigenFunction(special_phi(N), N)
     data = prepare_point_data(N, w, phi)
     closed = closed_form_derivative("ricci", 2, data)
-    fd = fd_derivative("ricci", 2, VariationFamily(phi, N), w, step=1e-2)
+    fd = fd_derivative("ricci", 2, VariationFamily(phi, N), w)
     scale = max(1.0, float(np.max(np.abs(closed))))
     assert np.max(np.abs(closed - fd)) / scale < 1e-5
 
@@ -98,7 +97,7 @@ def test_zero_direction_gives_zero_derivatives():
     for quantity, order in QUANTITIES:
         if order != 1:
             continue
-        fd = fd_derivative(quantity, 1, family, w, u_jet, step=1e-2)
+        fd = fd_derivative(quantity, 1, family, w, u_jet)
         assert np.max(np.abs(np.asarray(fd))) < 1e-9
 
 
