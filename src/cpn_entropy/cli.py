@@ -38,7 +38,7 @@ from .rewrite import (IntegralExpr, PHI3, confluence_check,
                       ricci_second_variation_coefficients,
                       second_variation_symbolic_zero, solve_f_second_integrals)
 from .variation import (LEMMA_REL_TOL, QUANTITIES, conformal_change_mismatch,
-                        default_coefficients, failing_quantities,
+                        default_coefficients, undetected_mutations,
                         verify_lemma_suite)
 
 EXIT_PASS = 0
@@ -335,15 +335,7 @@ def cmd_variation(cfg: RunConfig) -> tuple[list[dict], None]:
                             all(r.passed for r in rs), worst, LEMMA_REL_TOL,
                             "finite differences"))
     if not cfg.mutate:
-        defaults = default_coefficients(n)
-        undetected = []
-        for key, coefs in defaults.items():
-            for name, value in coefs.items():
-                mut = {key: {name: value + Fraction(1, 2)}}
-                reps = verify_lemma_suite(N, min(cfg.points, 4), cfg.seed,
-                                          mutations=mut)
-                if key not in failing_quantities(reps):
-                    undetected.append(f"{key[0]}:{key[1]}:{name}")
+        undetected = undetected_mutations(N, min(cfg.points, 4), cfg.seed)
         checks.append(check("mutation_sensitivity",
                             "every single-coefficient mutation is detected",
                             not undetected, provenance="finite differences",

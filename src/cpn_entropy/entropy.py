@@ -36,8 +36,9 @@ import numpy as np
 from .charts import sample_w
 from .eigenfunctions import (HermitianForm, identity_form, phi_jet_batch,
                              phi_values_batch, special_phi, verify_eigen)
-from .geometry import (curvature_batch, einstein_tau, hessian_and_laplacian,
-                       map_row_slabs)
+from .geometry import (_MAX_WORKERS, _SLAB_ROWS, curvature_batch, einstein_tau,
+                       hessian_and_laplacian, map_row_slabs)
+from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
 from .quadrature import adaptive_cpn_integral, chart_nodes, cpn_integral, level_orders
 from .report import check, gate
@@ -208,25 +209,46 @@ def _scalar_quad_levels(N: int) -> tuple[int, int]:
     return {2: (5, 7), 3: (5, 6)}.get(N, (5, 6))
 
 
+# Rows per block of the geometry sweep: one slab for each pool worker.  The
+# curvature stack of one block is the sweep's peak memory.
+_SWEEP_BLOCK_ROWS = _MAX_WORKERS * _SLAB_ROWS
+
+
+def _sweep_rows(psi: Jet, w: np.ndarray, shift: float):
+    """(<h, Ric>, R, <h, N(h)>) at the rows of one block; its curvature
+    stack is freed on return."""
+    geom = curvature_batch(w)
+    h_ij = psi.val[:, None, None] * geom.g
+    h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
+    ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
+    nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * geom.g)
+    return ric_h, geom.R, nh_h
+
+
 def _geometry_sweep(h: ConformalPerturbation, N: int,
                     n_u: int, n_theta: int) -> dict:
-    """One pass over quadrature nodes collecting the curvature integrals."""
+    """One pass over quadrature nodes collecting the curvature integrals.
+
+    Each ``chart_nodes`` chunk is summed with one ``np.dot`` per integral,
+    which fixes the bits.  The integrands are computed in blocks of
+    ``_SWEEP_BLOCK_ROWS`` rows, and every row's value is independent of its
+    block, so peak memory holds one block's curvature stack, not one
+    chunk's.
+    """
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
     shift = _trace_shift(h)
     for w, weights in chart_nodes(N, n_u, n_theta):
-        geom = curvature_batch(w)
         psi = h.psi_jet(w)
-        h_ij = psi.val[:, None, None] * geom.g
-        h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
-        ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-        nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * geom.g)
+        rows = len(weights)
+        ric_h, scal, nh_h = np.empty(rows), np.empty(rows), np.empty(rows)
+        for start in range(0, rows, _SWEEP_BLOCK_ROWS):
+            s = slice(start, start + _SWEEP_BLOCK_ROWS)
+            block = Jet(psi.val[s], psi.grad[s], psi.hess[s])
+            ric_h[s], scal[s], nh_h[s] = _sweep_rows(block, w[s], shift)
         acc["ric_h"] += float(np.dot(weights, ric_h))
-        acc["scal"] += float(np.dot(weights, geom.R))
+        acc["scal"] += float(np.dot(weights, scal))
         acc["nh_h"] += float(np.dot(weights, nh_h))
         acc["volume"] += float(np.sum(weights))
-        # free this batch's curvature arrays before the next batch builds its
-        # own, so that peak memory holds one batch, not two
-        del geom
     return acc
 
 

@@ -294,6 +294,42 @@ def _per_point_max(arr: np.ndarray) -> np.ndarray:
     return np.max(np.abs(arr.reshape(arr.shape[0], -1)), axis=1)
 
 
+def _suite_oracle(N: int, points: int, seed: int):
+    """Point data and the ten finite-difference derivatives, keyed by
+    (quantity, order), at ``points`` seeded sample points."""
+    if N < 2:
+        raise ValueError("the variation suite requires N >= 2")
+    if points < 1:
+        raise ValueError("points must be >= 1")
+    w = sample_w(N, points, seed)
+    phi = EigenFunction(special_phi(N), N)
+    data = prepare_point_data(N, w, phi, default_test_function(N))
+    family = VariationFamily(phi, N)
+    fds = {key: fd_derivative(*key, family, w, data.u) for key in QUANTITIES}
+    return data, fds
+
+
+def _compare(key, closed: np.ndarray, fd: np.ndarray) -> list[VariationReport]:
+    """One report per point of the closed form ``key`` against ``fd``."""
+    points = fd.shape[0]
+    closed = np.asarray(closed, dtype=float).reshape(points, -1)
+    fd = np.asarray(fd, dtype=float).reshape(points, -1)
+    resid = _per_point_max(closed - fd)
+    closed_n = _per_point_max(closed)
+    fd_n = _per_point_max(fd)
+    scale = np.maximum(np.maximum(closed_n, fd_n), _ABS_FLOOR / LEMMA_REL_TOL)
+    reports = []
+    for i in range(points):
+        tol = max(_ABS_FLOOR, LEMMA_REL_TOL * scale[i])
+        reports.append(VariationReport(
+            quantity=key[0], order=key[1], point_index=i,
+            closed_norm=float(closed_n[i]), fd_norm=float(fd_n[i]),
+            abs_residual=float(resid[i]),
+            rel_residual=float(resid[i] / scale[i]),
+            tolerance=tol, passed=bool(resid[i] < tol)))
+    return reports
+
+
 def verify_lemma_suite(N: int, points: int, seed: int,
                        mutations: dict | None = None) -> list[VariationReport]:
     """Closed forms vs finite differences for all ten variation formulas.
@@ -301,38 +337,34 @@ def verify_lemma_suite(N: int, points: int, seed: int,
     ``mutations`` maps (quantity, order) to coefficient overrides; the suite
     must fail on mutated formulas (mutation-sensitivity check).
     """
-    if N < 2:
-        raise ValueError("the variation suite requires N >= 2")
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    w = sample_w(N, points, seed)
-    phi = EigenFunction(special_phi(N), N)
-    u_form = default_test_function(N)
-    data = prepare_point_data(N, w, phi, u_form)
-    family = VariationFamily(phi, N)
+    data, fds = _suite_oracle(N, points, seed)
     coeffs = default_coefficients(2 * N)
-    if mutations:
-        for key, overrides in mutations.items():
-            coeffs[key] = {**coeffs[key], **overrides}
+    for key, overrides in (mutations or {}).items():
+        coeffs[key] = {**coeffs[key], **overrides}
     reports = []
-    for quantity, order in QUANTITIES:
-        closed = closed_form_derivative(quantity, order, data, coeffs)
-        fd = fd_derivative(quantity, order, family, w, data.u)
-        closed = np.asarray(closed, dtype=float).reshape(points, -1)
-        fd = np.asarray(fd, dtype=float).reshape(points, -1)
-        resid = _per_point_max(closed - fd)
-        closed_n = _per_point_max(closed)
-        fd_n = _per_point_max(fd)
-        scale = np.maximum(np.maximum(closed_n, fd_n), _ABS_FLOOR / LEMMA_REL_TOL)
-        for i in range(points):
-            tol = max(_ABS_FLOOR, LEMMA_REL_TOL * scale[i])
-            reports.append(VariationReport(
-                quantity=quantity, order=order, point_index=i,
-                closed_norm=float(closed_n[i]), fd_norm=float(fd_n[i]),
-                abs_residual=float(resid[i]),
-                rel_residual=float(resid[i] / scale[i]),
-                tolerance=tol, passed=bool(resid[i] < tol)))
+    for key in QUANTITIES:
+        closed = closed_form_derivative(*key, data, coeffs)
+        reports += _compare(key, closed, fds[key])
     return reports
+
+
+def undetected_mutations(N: int, points: int, seed: int) -> list[str]:
+    """Single-coefficient mutations (coefficient + 1/2) that the suite at
+    ``points`` points passes, as ``QUANTITY:ORDER:NAME``.
+
+    A closed form reads only its own coefficients, so each mutation is
+    checked against its own formula, and the finite differences are
+    computed once for all of them.
+    """
+    data, fds = _suite_oracle(N, points, seed)
+    undetected = []
+    for key, coefs in default_coefficients(2 * N).items():
+        for name, value in coefs.items():
+            mutated = {key: {**coefs, name: value + Fraction(1, 2)}}
+            closed = closed_form_derivative(*key, data, mutated)
+            if suite_passed(_compare(key, closed, fds[key])):
+                undetected.append(f"{key[0]}:{key[1]}:{name}")
+    return undetected
 
 
 def suite_passed(reports: list[VariationReport]) -> bool:

@@ -3,7 +3,9 @@
 The heavy curvature and Ntilde kernels run in ``_SLAB_ROWS``-row slabs on
 a thread pool of at most ``_MAX_WORKERS`` workers.  Each row must come out
 bit for bit as if computed alone, with any number of workers, and every
-function that a tracer may wrap must still run on the calling thread.
+function that a tracer may wrap must still run on the calling thread.  The
+entropy sweep builds its curvature in blocks of ``_SWEEP_BLOCK_ROWS`` rows,
+so its sums must not depend on the block and its memory holds one block.
 """
 
 import functools
@@ -12,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,9 +27,10 @@ from cpn_entropy.cli import main
 from cpn_entropy.jets import Jet
 from cpn_entropy.report import parse_report, report_bytes, strip_timings
 
+SLAB = geometry._SLAB_ROWS
 # three slabs, the last of them a single row
-ROWS = 2 * geometry._SLAB_ROWS + 1
-PROBE_ROWS = (0, 511, 512, 1023, 1024)
+ROWS = 2 * SLAB + 1
+PROBE_ROWS = (0, SLAB - 1, SLAB, 2 * SLAB - 1, 2 * SLAB)
 CURVATURE_FIELDS = ("g", "g_inv", "Gamma", "Riem", "Ric", "R")
 
 
@@ -150,3 +154,53 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
     expected = {name for names in SPIED.values() for name in names}
     assert {name for name, _ in calls} == expected | {"Jet.__mul__"}
     assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def _sweep_levels(N, fine):
+    """The fine or the coarse orders of the entropy sweep at N."""
+    n_u, n_theta = entropy._entropy_quad_levels(N)
+    return (n_u, n_theta) if fine else (max(n_u - 1, 2), max(n_theta - 1, 3))
+
+
+@pytest.mark.parametrize("fine", [True, False])
+@pytest.mark.parametrize("N", [2, 3])
+def test_sweep_sums_do_not_depend_on_the_block(N, fine, monkeypatch):
+    h = entropy.ConformalPerturbation.special(N)
+    levels = _sweep_levels(N, fine)
+    default = entropy._geometry_sweep(h, N, *levels)
+    # one slab per block, and one block per chart_nodes chunk
+    for rows in (SLAB, 1 << 20):
+        monkeypatch.setattr(entropy, "_SWEEP_BLOCK_ROWS", rows)
+        assert entropy._geometry_sweep(h, N, *levels) == default, rows
+
+
+def test_sweep_builds_curvature_one_block_at_a_time(monkeypatch):
+    rows = []
+
+    def spy(w):
+        rows.append(len(w))
+        return geometry.curvature_batch(w)
+
+    monkeypatch.setattr(entropy, "curvature_batch", spy)
+    levels = _sweep_levels(3, True)
+    chunks = [len(weights) for _, weights in entropy.chart_nodes(3, *levels)]
+    entropy._geometry_sweep(entropy.ConformalPerturbation.special(3), 3, *levels)
+    assert max(chunks) == 8000
+    assert max(rows) <= geometry._MAX_WORKERS * SLAB
+    assert sum(rows) == sum(chunks)
+
+
+def test_sweep_peak_memory_holds_one_block(monkeypatch):
+    # a pool of _MAX_WORKERS slabs in flight, the most any machine runs
+    h = entropy.ConformalPerturbation.special(3)
+    levels = _sweep_levels(3, True)
+    with ThreadPoolExecutor(max_workers=geometry._MAX_WORKERS) as pool:
+        monkeypatch.setattr(geometry, "_POOL", pool)
+        entropy._geometry_sweep(h, 3, *levels)
+        tracemalloc.start()
+        try:
+            entropy._geometry_sweep(h, 3, *levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 160 * 2 ** 20

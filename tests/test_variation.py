@@ -13,7 +13,9 @@ from cpn_entropy.variation import (PositivityError, QUANTITIES,
                                    failing_quantities, fd_derivative,
                                    prepare_point_data,
                                    gradient_free_second_order_coefficients,
-                                   suite_passed, verify_lemma_suite)
+                                   suite_passed, undetected_mutations,
+                                   verify_lemma_suite)
+from cpn_entropy import variation
 
 F = Fraction
 
@@ -117,6 +119,22 @@ def test_every_single_coefficient_mutation_is_detected():
             mutated = {key: {name: value + F(1, 2)}}
             reports = verify_lemma_suite(2, 4, seed=7, mutations=mutated)
             assert key in failing_quantities(reports), (key, name)
+    assert undetected_mutations(2, 4, seed=7) == []
+
+
+def test_undetected_mutations_names_a_mutation_the_suite_passes(monkeypatch):
+    # with the inverse scale off by -1/2, its +1/2 mutation is the true form
+    true_coefficients = default_coefficients
+
+    def off_by_half(n):
+        coeffs = true_coefficients(n)
+        coeffs[("inverse", 1)] = {"scale": F(-3, 2)}
+        return coeffs
+
+    monkeypatch.setattr(variation, "default_coefficients", off_by_half)
+    assert undetected_mutations(2, 4, seed=7) == ["inverse:1:scale"]
+    mutated = {("inverse", 1): {"scale": F(-1)}}
+    assert suite_passed(verify_lemma_suite(2, 4, seed=7, mutations=mutated))
 
 
 def test_gradient_free_second_order_variants_are_rejected():
