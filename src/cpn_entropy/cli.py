@@ -108,15 +108,19 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**values)
     if cfg.points < 1:
         raise UsageError("points must be >= 1")
+    if cfg.seed < 0:
+        raise UsageError("seed must be >= 0")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0):
         raise UsageError("tol must be positive and finite")
     if cfg.orders < 1:
         raise UsageError("orders must be >= 1")
     if cfg.n != "symbolic":
         try:
-            int(cfg.n)
+            n = int(cfg.n)
         except ValueError:
-            raise UsageError("--n must be 'symbolic' or an even integer")
+            n = 0
+        if n <= 0 or n % 2:
+            raise UsageError("--n must be 'symbolic' or a positive even integer")
     return cfg
 
 
@@ -441,7 +445,7 @@ VERBS = {
         ("--mutate", str, "QUANTITY:ORDER:COEFFICIENT to perturb by 1/2 "
                           "(the suite must then fail)"),)),
     "algebra": Verb("symbolic third-variation reduction", cmd_algebra, flags=(
-        ("--n", str, "'symbolic' or an even integer dimension"),
+        ("--n", str, "'symbolic' or a positive even integer dimension"),
         ("--orders", int, "random rule orders for the confluence check"))),
     "certify": Verb("emit the instability certificate", cmd_certify),
 }

@@ -47,9 +47,6 @@ class HermitianForm:
     def is_trace_free(self, tol: float = 0.0) -> bool:
         return abs(self.trace) <= tol
 
-    def operator_norm(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
-
     def scaled(self, c: float) -> "HermitianForm":
         exact = None
         if self.exact is not None and isinstance(c, (int, Fraction)):
@@ -202,10 +199,6 @@ class EigenFunction:
 
     def jet_batch(self, chart: int, w: np.ndarray) -> Jet:
         return phi_jet_batch(self.form, chart, w)
-
-    def max_abs_bound(self) -> float:
-        """sup |phi_A| <= largest |eigenvalue| of A (attained on CP^N)."""
-        return self.form.operator_norm()
 
 
 def verify_eigen(form: HermitianForm, tau: Tau, points: np.ndarray) -> float:

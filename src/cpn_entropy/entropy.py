@@ -36,8 +36,8 @@ import numpy as np
 from .charts import sample_w
 from .eigenfunctions import (HermitianForm, identity_form, phi_jet_batch,
                              phi_values_batch, special_phi, verify_eigen)
-from .geometry import (_MAX_WORKERS, _SLAB_ROWS, curvature_batch, einstein_tau,
-                       hessian_and_laplacian, map_row_slabs)
+from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
+                       einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
 from .quadrature import adaptive_cpn_integral, chart_nodes, cpn_integral, level_orders
@@ -133,23 +133,17 @@ def _n_tilde(psi, geom) -> np.ndarray:
     """Ntilde(psi g)_ij, all four terms explicit, from the jet of psi and the
     geometry at the same chart-0 points."""
     psi_hess, psi_lap = hessian_and_laplacian(psi, geom)
-    h_ij = psi.val[:, None, None] * geom.g
+    g, g_inv = geom.g, geom.g_inv
+    h_ij = psi.val[:, None, None] * g
 
     # (1/2)(Delta h)_ij: the rough Laplacian of psi g is (Delta psi) g.
-    term_lap = 0.5 * psi_lap[:, None, None] * geom.g
-    term_rm = np.empty_like(h_ij)
-    term_div = np.empty_like(h_ij)
-
-    def kernel(s):
-        g, g_inv = geom.g[s], geom.g_inv[s]
-        # Rm(h,*)_ij = R_kij^l g^{km} h_{ml}
-        term_rm[s] = np.einsum("blkij,bkm,bml->bij", geom.Riem[s], g_inv, h_ij[s])
-        # -(1/2) g^{kl} (grad_i grad_l h_kj + grad_j grad_l h_ki);
-        # grad_i grad_l h_kj = (Hess psi)_il g_kj for conformal h.
-        term_div[s] = -0.5 * (np.einsum("bkl,bil,bkj->bij", g_inv, psi_hess[s], g)
-                              + np.einsum("bkl,bjl,bki->bij", g_inv, psi_hess[s], g))
-
-    map_row_slabs(kernel, psi.val.shape[0])
+    term_lap = 0.5 * psi_lap[:, None, None] * g
+    # Rm(h,*)_ij = R_kij^l g^{km} h_{ml}
+    term_rm = np.einsum("blkij,bkm,bml->bij", geom.Riem, g_inv, h_ij)
+    # -(1/2) g^{kl} (grad_i grad_l h_kj + grad_j grad_l h_ki);
+    # grad_i grad_l h_kj = (Hess psi)_il g_kj for conformal h.
+    term_div = -0.5 * (np.einsum("bkl,bil,bkj->bij", g_inv, psi_hess, g)
+                       + np.einsum("bkl,bjl,bki->bij", g_inv, psi_hess, g))
     # the last term is (1/2) Hess v with v = 2 psi
     return term_lap + term_rm + term_div + psi_hess
 
@@ -209,19 +203,45 @@ def _scalar_quad_levels(N: int) -> tuple[int, int]:
     return {2: (5, 7), 3: (5, 6)}.get(N, (5, 6))
 
 
-# Rows per block of the geometry sweep: one slab for each pool worker.  The
-# curvature stack of one block is the sweep's peak memory.
-_SWEEP_BLOCK_ROWS = _MAX_WORKERS * _SLAB_ROWS
+# Rows per slab of the geometry sweep.  The slab bounds depend only on the
+# chunk size, never on the CPU count, so no result depends on the machine.
+# 512 rows keep the per-slab einsum temporaries small (peak memory) while
+# 256 to 2048 rows run equally fast.
+_SLAB_ROWS = 512
+
+# Most pool workers.  Each running slab holds its own curvature stack and
+# einsum temporaries, so the cap bounds peak memory on machines with many
+# CPUs.
+_MAX_WORKERS = 4
+
+_POOL = None
 
 
-def _sweep_rows(psi: Jet, w: np.ndarray, shift: float):
-    """(<h, Ric>, R, <h, N(h)>) at the rows of one block; its curvature
-    stack is freed on return."""
-    geom = curvature_batch(w)
-    h_ij = psi.val[:, None, None] * geom.g
+def _pool():
+    """The sweep's thread pool: the usable CPUs, at most ``_MAX_WORKERS``."""
+    global _POOL
+    if _POOL is None:
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        _POOL = ThreadPoolExecutor(max_workers=min(cpus or 1, _MAX_WORKERS),
+                                   thread_name_prefix="cpn-sweep")
+    return _POOL
+
+
+def _slab_integrands(g, dg, d2g, psi: Jet, shift: float):
+    """(<h, Ric>, R, <h, N(h)>) at one slab's rows from its metric arrays.
+
+    Runs on a pool worker, so it calls only numpy and private helpers,
+    never a function that may be wrapped for tracing.
+    """
+    geom = GeometryJet(g, *_curvature_rows(g, dg, d2g))
+    h_ij = psi.val[:, None, None] * g
     h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
     ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-    nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * geom.g)
+    nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * g)
     return ric_h, geom.R, nh_h
 
 
@@ -230,21 +250,30 @@ def _geometry_sweep(h: ConformalPerturbation, N: int,
     """One pass over quadrature nodes collecting the curvature integrals.
 
     Each ``chart_nodes`` chunk is summed with one ``np.dot`` per integral,
-    which fixes the bits.  The integrands are computed in blocks of
-    ``_SWEEP_BLOCK_ROWS`` rows, and every row's value is independent of its
-    block, so peak memory holds one block's curvature stack, not one
+    which fixes the bits.  The integrands are computed in slabs of
+    ``_SLAB_ROWS`` rows, and every row's value is independent of its slab:
+    the calling thread builds each slab's metric arrays and the pool turns
+    them into integrands.  At most one slab more than the pool has workers
+    is in flight, so peak memory holds that many slabs' curvature, not one
     chunk's.
     """
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
     shift = _trace_shift(h)
+    pool = _pool()
     for w, weights in chart_nodes(N, n_u, n_theta):
         psi = h.psi_jet(w)
-        rows = len(weights)
-        ric_h, scal, nh_h = np.empty(rows), np.empty(rows), np.empty(rows)
-        for start in range(0, rows, _SWEEP_BLOCK_ROWS):
-            s = slice(start, start + _SWEEP_BLOCK_ROWS)
-            block = Jet(psi.val[s], psi.grad[s], psi.hess[s])
-            ric_h[s], scal[s], nh_h[s] = _sweep_rows(block, w[s], shift)
+        parts, pending = [], []
+        for start in range(0, len(weights), _SLAB_ROWS):
+            # one slab waits while every worker runs one
+            if len(pending) > pool._max_workers:
+                parts.append(pending.pop(0).result())
+            s = slice(start, start + _SLAB_ROWS)
+            slab = Jet(psi.val[s], psi.grad[s], psi.hess[s])
+            pending.append(pool.submit(_slab_integrands, *metric_arrays(w[s]),
+                                       slab, shift))
+        # reading every result re-raises a worker's exception here
+        parts.extend(future.result() for future in pending)
+        ric_h, scal, nh_h = (np.concatenate(column) for column in zip(*parts))
         acc["ric_h"] += float(np.dot(weights, ric_h))
         acc["scal"] += float(np.dot(weights, scal))
         acc["nh_h"] += float(np.dot(weights, nh_h))

@@ -54,55 +54,6 @@ class Tau:
 
 
 # ---------------------------------------------------------------------------
-# row slabs
-
-# Rows per slab of the batch kernels.  The slab bounds depend only on the
-# batch size, never on the CPU count, so no result depends on the machine.
-# 512 rows keep the per-slab einsum temporaries small (peak memory) while
-# 256 to 2048 rows run equally fast.
-_SLAB_ROWS = 512
-
-# Most slabs in flight at once.  Each running slab holds its own einsum
-# temporaries (50 to 70 MB more peak memory per worker at N = 4), so the
-# cap bounds peak memory on machines with many CPUs.
-_MAX_WORKERS = 4
-
-_POOL = None
-
-
-def _pool():
-    """The one thread pool of the slab kernels: the usable CPUs, at most
-    ``_MAX_WORKERS``."""
-    global _POOL
-    if _POOL is None:
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count())
-        _POOL = ThreadPoolExecutor(max_workers=min(cpus or 1, _MAX_WORKERS),
-                                   thread_name_prefix="cpn-slab")
-    return _POOL
-
-
-def map_row_slabs(kernel, rows: int) -> None:
-    """Call ``kernel(s)`` for each slice ``s`` of ``_SLAB_ROWS`` rows.
-
-    Rows are independent, so the slabs may run in any order: a batch of at
-    most one slab runs inline, a larger one on the pool.  ``kernel`` writes
-    its rows into preallocated outputs; it runs on worker threads, so it
-    must call only numpy, never a function that may be wrapped for tracing.
-    """
-    if rows <= _SLAB_ROWS:
-        kernel(slice(0, rows))
-        return
-    slabs = [slice(start, start + _SLAB_ROWS)
-             for start in range(0, rows, _SLAB_ROWS)]
-    # reading every result re-raises a kernel's exception here
-    list(_pool().map(kernel, slabs))
-
-
-# ---------------------------------------------------------------------------
 # metric values and exact derivative arrays
 
 
@@ -171,26 +122,12 @@ def _assemble_real_blocks(hval, hgrad, hhess):
 
 
 def metric_arrays(w: np.ndarray):
-    """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc.
-
-    The jets are built one row slab at a time, serially on the calling
-    thread, and each slab's real blocks go straight into the full-batch
-    outputs; small jet arrays stay in cache, which is faster than one
-    batch-wide pass.
-    """
-    w = np.asarray(w, dtype=complex)
-    b, n = w.shape
-    d = 2 * n
-    g = np.empty((b, d, d))
-    dg = np.empty((b, d, d, d))
-    d2g = np.empty((b, d, d, d, d))
-    for start in range(0, b, _SLAB_ROWS):
-        s = slice(start, start + _SLAB_ROWS)
-        h = _hermitian_metric_jets(w[s])
-        for arr, part in ((g, "val"), (dg, "grad"), (d2g, "hess")):
-            src = np.array([[getattr(jet, part) for jet in row] for row in h])
-            _write_real_blocks(arr[s], np.moveaxis(src, 2, 0))
-    return g, dg, d2g
+    """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc."""
+    h = _hermitian_metric_jets(w)
+    parts = [np.moveaxis(np.array([[getattr(jet, part) for jet in row]
+                                   for row in h]), 2, 0)
+             for part in ("val", "grad", "hess")]
+    return _assemble_real_blocks(*parts)
 
 
 def metric_values(w: np.ndarray) -> np.ndarray:
@@ -224,6 +161,7 @@ def _curvature_rows(g, dg, d2g):
           - d2g.transpose(0, 3, 1, 2, 4))
     dgamma = (0.5 * np.einsum("bklm,blij->bmkij", dginv, t)
               + 0.5 * np.einsum("bkl,blijm->bmkij", g_inv, dt))
+    del dt  # one d2g-sized array fewer at the peak, in the Riemann sums
     a1 = dgamma.transpose(0, 2, 1, 3, 4)          # d_i Gamma^l_jk
     a2 = a1.transpose(0, 1, 3, 2, 4)              # d_j Gamma^l_ik
     quad1 = np.einsum("blim,bmjk->blijk", gamma, gamma)
@@ -235,24 +173,8 @@ def _curvature_rows(g, dg, d2g):
 
 
 def curvature_from_arrays(g, dg, d2g):
-    """Full curvature stack from metric derivative arrays.
-
-    The assembly runs in row slabs (``map_row_slabs``), each writing its
-    rows of the full-batch outputs.
-    """
-    b, d = g.shape[0], g.shape[1]
-    g_inv = np.empty((b, d, d))
-    gamma = np.empty((b, d, d, d))
-    riem = np.empty((b, d, d, d, d))
-    ric = np.empty((b, d, d))
-    scal = np.empty(b)
-
-    def kernel(s):
-        g_inv[s], gamma[s], riem[s], ric[s], scal[s] = _curvature_rows(
-            g[s], dg[s], d2g[s])
-
-    map_row_slabs(kernel, b)
-    return GeometryJet(g=g, g_inv=g_inv, Gamma=gamma, Riem=riem, Ric=ric, R=scal)
+    """Full curvature stack from metric derivative arrays."""
+    return GeometryJet(g, *_curvature_rows(g, dg, d2g))
 
 
 def curvature_batch(w: np.ndarray) -> GeometryJet:

