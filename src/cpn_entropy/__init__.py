@@ -9,34 +9,29 @@ shrinker entropy, emitting a machine-checkable instability certificate.
 __version__ = "0.1.0"
 
 from .charts import ChartPoint, OutsideChartError, sample_w, transition_map
-from .eigenfunctions import (EigenFunction, HermitianForm,
-                             basis_first_eigenspace, phi_value_at, special_phi,
-                             verify_eigen)
+from .eigenfunctions import (HermitianForm, basis_first_eigenspace,
+                             phi_value_at, special_phi, verify_eigen)
 from .entropy import (ConformalPerturbation, StabilityCertificate, certify,
                       first_variations, second_variation, third_variation,
                       v_of)
-from .geometry import GeometryJet, Tau, einstein_tau
+from .geometry import GeometryJet, einstein_tau
 from .moments import (cpn_average, cpn_volume, monomial_average,
                       monte_carlo_average, polynomial_average,
                       symmetry_vanishing)
 from .polynomials import (BihomogeneousPolynomial, harmonic_decomposition,
                           special_cubic_polynomial)
 from .rewrite import IntegralExpr, confluence_check, reduce_third_variation
-from .variation import (VariationFamily, closed_form_derivative, fd_derivative,
-                        verify_lemma_suite)
+from .variation import closed_form_derivative, fd_derivative, verify_lemma_suite
 
 __all__ = [
     "BihomogeneousPolynomial",
     "ChartPoint",
     "ConformalPerturbation",
-    "EigenFunction",
     "GeometryJet",
     "HermitianForm",
     "IntegralExpr",
     "OutsideChartError",
     "StabilityCertificate",
-    "Tau",
-    "VariationFamily",
     "basis_first_eigenspace",
     "certify",
     "closed_form_derivative",

@@ -50,10 +50,6 @@ class ChartPoint:
         z = self.homogeneous()
         return z / np.linalg.norm(z)
 
-    def xy(self) -> np.ndarray:
-        """Real coordinates (x_1..x_N, y_1..y_N)."""
-        return np.concatenate([self.w.real, self.w.imag])
-
 
 def transition_map(p: ChartPoint, target_chart: int) -> ChartPoint:
     """Re-express ``p`` in ``target_chart``; involutive up to roundoff."""

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .charts import ChartPoint, sample_w, transition_map
 from .eigenfunctions import basis_first_eigenspace, phi_values_batch, verify_eigen
-from .entropy import certify
+from .entropy import CERTIFICATE_CHECKS, certify
 from .geometry import (NormalizationError, curvature_batch, curvature_from_arrays,
                        einstein_tau, fd_metric_arrays, metric_arrays,
                        potential_metric_arrays, pullback_mismatch)
@@ -143,10 +143,10 @@ def cmd_geometry(cfg: RunConfig) -> tuple[list[dict], None]:
                         provenance="pointwise", detail={"min_eigenvalue": min_eig}))
     try:
         tau = einstein_tau(N, seed=cfg.seed)
-        ein = float(np.max(np.abs(geo.Ric - geo.g / (2 * tau.tau))))
+        ein = float(np.max(np.abs(geo.Ric - geo.g / (2 * tau))))
         checks.append(gate("einstein", "ric = g/(2 tau)", ein, 1e-9,
-                           "pointwise", detail={"tau": tau.tau}))
-        tau_dev = abs(tau.tau - 1 / (4 * (N + 1)))
+                           "pointwise", detail={"tau": tau}))
+        tau_dev = abs(tau - 1 / (4 * (N + 1)))
         checks.append(gate("tau_closed_form", "tau = 1/(4(N+1))", tau_dev,
                            1e-9, "pointwise",
                            detail={"closed_form": Fraction(1, 4 * (N + 1))}))
@@ -203,8 +203,9 @@ def cmd_eigen(cfg: RunConfig) -> tuple[list[dict], None]:
     checks.append(check("trace_free", "tr A = 0", traces == 0.0,
                         float(traces), 1e-300, "exact"))
     resid = max(verify_eigen(f, tau, w) for f in basis)
-    checks.append(gate("eigen_residual", "(lap + 1/tau) phi = 0", resid, 1e-8,
-                       "pointwise", detail={"eigenvalue": 1.0 / tau.tau}))
+    spec = CERTIFICATE_CHECKS["eigen_residual"]
+    checks.append(gate("eigen_residual", spec.identity, resid, spec.tolerance,
+                       spec.provenance, detail={"eigenvalue": 1.0 / tau}))
     vals = []
     weights_all = []
     for wq, wts in chart_nodes(N, 5, 6):
@@ -303,31 +304,26 @@ def cmd_moments(cfg: RunConfig) -> tuple[list[dict], None]:
     return checks, None
 
 
-def _parse_mutation(text: str):
+def _parse_mutation(text: str, n: int) -> dict:
+    """QUANTITY:ORDER:NAME as {(quantity, order): {name: default + 1/2}}."""
     try:
-        quantity, order, coef = text.split(":")
-        return {(quantity, int(order)): {coef: None}}
+        quantity, order, name = text.split(":")
+        key = (quantity, int(order))
     except ValueError:
         raise UsageError("--mutate expects QUANTITY:ORDER:COEFFICIENT")
+    defaults = default_coefficients(n)
+    if key not in defaults:
+        raise UsageError(f"unknown formula {key}")
+    if name not in defaults[key]:
+        raise UsageError(f"unknown coefficient {name!r} of {key}")
+    return {key: {name: defaults[key][name] + Fraction(1, 2)}}
 
 
 def cmd_variation(cfg: RunConfig) -> tuple[list[dict], None]:
     if cfg.N < 2:
         raise UsageError("variation requires N >= 2")
-    N, n = cfg.N, 2 * cfg.N
-    mutations = None
-    if cfg.mutate:
-        parsed = _parse_mutation(cfg.mutate)
-        defaults = default_coefficients(n)
-        mutations = {}
-        for key, coefs in parsed.items():
-            if key not in defaults:
-                raise UsageError(f"unknown formula {key}")
-            mutations[key] = {}
-            for name in coefs:
-                if name not in defaults[key]:
-                    raise UsageError(f"unknown coefficient {name!r} of {key}")
-                mutations[key][name] = defaults[key][name] + Fraction(1, 2)
+    N = cfg.N
+    mutations = _parse_mutation(cfg.mutate, 2 * N) if cfg.mutate else None
     reports = verify_lemma_suite(N, cfg.points, cfg.seed, mutations=mutations)
     checks = []
     for quantity, order in QUANTITIES:
@@ -501,14 +497,14 @@ def main(argv=None) -> int:
     try:
         cfg = make_config(args)
         report, code = run_command(args.command, cfg)
+        payload = report_bytes(report)
+        if cfg.out:
+            with open(cfg.out, "wb") as fh:
+                fh.write(payload)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = report_bytes(report)
     sys.stdout.write(payload.decode("utf-8"))
-    if cfg.out:
-        with open(cfg.out, "wb") as fh:
-            fh.write(payload)
     return code
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charts import ChartPoint
-from .geometry import Tau, curvature_batch, hessian_and_laplacian
+from .geometry import curvature_batch, hessian_and_laplacian
 from .jets import Jet
 
 
@@ -43,9 +43,6 @@ class HermitianForm:
     @property
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def is_trace_free(self, tol: float = 0.0) -> bool:
-        return abs(self.trace) <= tol
 
     def scaled(self, c: float) -> "HermitianForm":
         exact = None
@@ -186,25 +183,10 @@ def phi_values_batch(form: HermitianForm, chart: int, w: np.ndarray) -> np.ndarr
     return num.real / den.real
 
 
-class EigenFunction:
-    """A first-eigenspace eigenfunction with batched jets."""
-
-    def __init__(self, form: HermitianForm, N: int):
-        if form.size != N + 1:
-            raise ValueError("form size must be N+1")
-        if not form.is_trace_free(1e-12):
-            raise ValueError("eigenfunctions require a trace-free form")
-        self.form = form
-        self.N = N
-
-    def jet_batch(self, chart: int, w: np.ndarray) -> Jet:
-        return phi_jet_batch(self.form, chart, w)
-
-
-def verify_eigen(form: HermitianForm, tau: Tau, points: np.ndarray) -> float:
+def verify_eigen(form: HermitianForm, tau: float, points: np.ndarray) -> float:
     """Max |Delta phi + phi/tau| over a batch of chart-0 points."""
     w = np.asarray(points)
     geom = curvature_batch(w)
     jet = phi_jet_batch(form, 0, w)
     _, lap = hessian_and_laplacian(jet, geom)
-    return float(np.max(np.abs(lap + jet.val / tau.tau)))
+    return float(np.max(np.abs(lap + jet.val / tau)))

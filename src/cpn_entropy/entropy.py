@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .charts import sample_w
-from .eigenfunctions import (HermitianForm, identity_form, phi_jet_batch,
-                             phi_values_batch, special_phi, verify_eigen)
+from .eigenfunctions import (HermitianForm, phi_jet_batch, phi_values_batch,
+                             special_phi, verify_eigen)
 from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
                        einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
@@ -63,11 +63,6 @@ class ConformalPerturbation:
     def special(cls, N: int) -> "ConformalPerturbation":
         return cls(special_phi(N), N)
 
-    @classmethod
-    def constant_one(cls, N: int) -> "ConformalPerturbation":
-        """psi = 1 (trace Hbar = n); plumbing for the mean-trace term."""
-        return cls(identity_form(N), N)
-
     def psi_jet(self, w: np.ndarray):
         return phi_jet_batch(self.form, 0, w)
 
@@ -94,21 +89,9 @@ class ConformalPerturbation:
 # v of h
 
 
-@dataclass
-class VSolution:
-    """v = scale * psi, with the recorded residual of its defining equation."""
-
-    perturbation: ConformalPerturbation
-    scale: float
-    residual: float
-
-    def jet(self, w: np.ndarray):
-        return self.perturbation.psi_jet(w) * self.scale
-
-
 def v_of(h: ConformalPerturbation, points: int = 50, seed: int = 7,
-         tol: float = 1e-8) -> VSolution:
-    """Solve (Delta + 1/(2 tau)) v = div div h, zero mean, for eigen psi.
+         tol: float = 1e-8) -> float:
+    """Residual of v = 2 psi in (Delta + 1/(2 tau)) v = div div h, zero mean.
 
     For h = psi g_FS, div div h = Delta psi, and v = 2 psi satisfies the
     equation exactly when Delta psi = -psi/tau; the returned residual is the
@@ -118,11 +101,11 @@ def v_of(h: ConformalPerturbation, points: int = 50, seed: int = 7,
     w = sample_w(h.N, points, seed)
     jet = h.psi_jet(w)
     _, lap = hessian_and_laplacian(jet, curvature_batch(w))
-    resid = float(np.max(np.abs(2.0 * lap + jet.val / tau.tau - lap)))
+    resid = float(np.max(np.abs(2.0 * lap + jet.val / tau - lap)))
     if resid > tol:
         raise NotEigenError(
             f"eigen residual {resid:.3e} exceeds {tol:g}; v = 2 psi invalid")
-    return VSolution(perturbation=h, scale=2.0, residual=resid)
+    return resid
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +145,7 @@ def _trace_shift(h: ConformalPerturbation) -> float:
     n = 2 * h.N
     tau = einstein_tau(h.N)
     hbar = float(h.trace_mean_exact())
-    return hbar / (2 * n * tau.tau)
+    return hbar / (2 * n * tau)
 
 
 def n_operator_batch(h: ConformalPerturbation, w: np.ndarray,
@@ -295,7 +278,7 @@ def first_variations(h: ConformalPerturbation,
     tau = einstein_tau(N)
     if sweep is None:
         sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
-    tau_prime = tau.tau * sweep["ric_h"] / sweep["scal"]
+    tau_prime = tau * sweep["ric_h"] / sweep["scal"]
     psi_avg_exact = h.exact_average(1)
 
     def v_prime_integrand(w):
@@ -343,8 +326,8 @@ def second_variation(h: ConformalPerturbation,
     n_u, n_theta = _entropy_quad_levels(N)
     fine = sweep if sweep is not None else _geometry_sweep(h, N, n_u, n_theta)
     coarse = _geometry_sweep(h, N, max(n_u - 1, 2), max(n_theta - 1, 3))
-    value = tau.tau * fine["nh_h"] / fine["volume"]
-    value_coarse = tau.tau * coarse["nh_h"] / coarse["volume"]
+    value = tau * fine["nh_h"] / fine["volume"]
+    value_coarse = tau * coarse["nh_h"] / coarse["volume"]
     return value, abs(value - value_coarse)
 
 
@@ -379,7 +362,6 @@ class ThirdVariation:
     quadrature_rel_diff: float
     exact_rational: Fraction | None
     value: float                    # measured-tau float path
-    tau_used: float
 
 
 def third_variation(N: int, form: HermitianForm | None = None) -> ThirdVariation:
@@ -400,14 +382,14 @@ def third_variation(N: int, form: HermitianForm | None = None) -> ThirdVariation
     integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=_PHI3_QUAD_TOL,
                                              max_level=4)
     rel = abs(integral_quad - integral_exact) / max(abs(integral_exact), 1e-30)
-    value = (n - 2) * (4 * math.pi * tau.tau) ** (-N) * integral_exact
+    value = (n - 2) * (4 * math.pi * tau) ** (-N) * integral_exact
     exact_rational = None
-    if abs(tau.tau - 1 / (4 * (N + 1))) < 1e-9:
+    if abs(tau - 1 / (4 * (N + 1))) < 1e-9:
         exact_rational = _third_variation_rational(N, avg3)
     return ThirdVariation(
         N=N, phi3_average=avg3, phi3_integral_exact=integral_exact,
         phi3_integral_quadrature=integral_quad, quadrature_rel_diff=rel,
-        exact_rational=exact_rational, value=value, tau_used=tau.tau)
+        exact_rational=exact_rational, value=value)
 
 
 def minimizer_identity_coefficient() -> Fraction:
@@ -506,21 +488,21 @@ def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
     h = ConformalPerturbation.special(N)
     eigen_res = h.eigen_residual(points=points, seed=seed)
     # the v_solution record gates the residual, so v_of must not raise
-    v_sol = v_of(h, points=points, seed=seed, tol=math.inf)
+    v_res = v_of(h, points=points, seed=seed, tol=math.inf)
     nt_max = n_tilde_max(h, points=points, seed=seed)
     sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
     firsts = first_variations(h, sweep=sweep)
     nu2, nu2_err = second_variation(h, sweep=sweep)
     nu3 = third_variation(N)
     vol = cpn_volume_closed_form(N)
-    prefactor_ratio = vol / (4 * math.pi * tau.tau) ** (n / 2)
+    prefactor_ratio = vol / (4 * math.pi * tau) ** (n / 2)
     ident = minimizer_identity_coefficient()
 
     hbar_closed = firsts["hbar_prime_closed"]
     floor = CERTIFICATE_CHECKS["third_variation_nonzero"]
     checks = [
         _gate("eigen_residual", eigen_res),
-        _gate("v_solution", v_sol.residual),
+        _gate("v_solution", v_res),
         _gate("n_tilde_vanishes", nt_max),
         _gate("tau_prime", abs(firsts["tau_prime"])),
         _gate("volume_prime", abs(firsts["volume_prime"])),
@@ -540,7 +522,7 @@ def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
                         provenance=final.provenance,
                         detail={"verdict": verdict}))
     return StabilityCertificate(
-        N=N, tau=tau.tau, eigen_residual=eigen_res, v_residual=v_sol.residual,
+        N=N, tau=tau, eigen_residual=eigen_res, v_residual=v_res,
         n_tilde_max=nt_max, first_variations=firsts,
         second_variation=nu2, second_variation_error=nu2_err,
         third_variation=nu3, prefactor_ratio=prefactor_ratio,

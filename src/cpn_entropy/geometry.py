@@ -46,13 +46,6 @@ class GeometryJet:
     R: np.ndarray
 
 
-@dataclass
-class Tau:
-    """The shrinker scale tau = n / (2R) of the Einstein normalization."""
-
-    tau: float
-
-
 # ---------------------------------------------------------------------------
 # metric values and exact derivative arrays
 
@@ -213,7 +206,7 @@ class NormalizationError(RuntimeError):
 _SCALAR_SPREAD_TOL = 1e-9
 
 
-def einstein_tau(N: int, seed: int = 0) -> Tau:
+def einstein_tau(N: int, seed: int = 0) -> float:
     """tau = n/(2R), with R checked constant over 20 seeded sample points."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -226,7 +219,7 @@ def einstein_tau(N: int, seed: int = 0) -> Tau:
         raise NormalizationError(
             f"scalar curvature varies by {spread:.3e} over sample points")
     n = 2 * N
-    return Tau(tau=n / (2.0 * float(scal[0])))
+    return n / (2.0 * float(scal[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,8 @@ class Jet:
         self.hess = np.asarray(hess)
 
     @classmethod
-    def constant(cls, val, dim, batch=None):
+    def constant(cls, val, dim):
         val = np.asarray(val)
-        if batch is not None and val.ndim == 0:
-            val = np.broadcast_to(val, (batch,)).copy()
         b = val.shape[0]
         dtype = val.dtype if val.dtype.kind == "c" else np.float64
         return cls(val.astype(dtype),

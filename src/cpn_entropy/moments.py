@@ -19,7 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polynomials import BihomogeneousPolynomial
+from .polynomials import QC, QC_I, BihomogeneousPolynomial
+
+# i^k for k = 0..3: z_j -> i z_j multiplies z^a zbar^b by i^((a_j - b_j) % 4)
+_I_POWERS = (QC(Fraction(1)), QC_I, QC(Fraction(-1)),
+             QC(Fraction(0), Fraction(-1)))
 
 
 def monomial_average(m: int, a, b) -> Fraction:
@@ -59,26 +63,12 @@ def apply_symmetry(p: BihomogeneousPolynomial, sym) -> BihomogeneousPolynomial:
     """Transform P under z_j -> -z_j (kind 'negate') or z_j -> i z_j ('rotate')."""
     kind, j = sym
     out = BihomogeneousPolynomial(p.m)
-    i_pow = [1, 1j, -1, -1j]
     for (a, b), c in p.terms.items():
         if kind == "negate":
             sign = -1 if (a[j] + b[j]) % 2 else 1
             out._accumulate((a, b), c * sign)
         elif kind == "rotate":
-            # z_j -> i z_j multiplies the term by i^{a_j} (-i)^{b_j}
-            k = (a[j] - b[j]) % 4
-            factor = i_pow[k]
-            from .polynomials import QC, QC_I
-
-            if factor == 1:
-                fac = QC(Fraction(1))
-            elif factor == -1:
-                fac = QC(Fraction(-1))
-            elif factor == 1j:
-                fac = QC_I
-            else:
-                fac = QC(Fraction(0), Fraction(-1))
-            out._accumulate((a, b), c * fac)
+            out._accumulate((a, b), c * _I_POWERS[(a[j] - b[j]) % 4])
         else:
             raise ValueError(f"unknown symmetry kind {kind!r}")
     return out

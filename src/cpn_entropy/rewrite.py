@@ -450,12 +450,10 @@ def expected_checkpoint(route: str = "classical",
 
 @dataclass
 class ReductionResult:
-    route: str
     n_value: int | None
     checkpoint_matches: bool
     normal_form: IntegralExpr
     normal_form_text: str
-    phi3_integrand_coefficient: Coef   # inside -tau (4 pi tau)^{-n/2} int ...
     final_coefficient: Coef            # of (4 pi tau)^{-n/2} int phi^3 dV
     final_text: str
     phi2_coefficient_zero: bool
@@ -487,9 +485,8 @@ def reduce_third_variation(n="symbolic", route: str = "classical",
         rules = rules[:]
         random.Random(rule_order_seed).shuffle(rules)
     normal = reduce_to_fixed_point(expr, rules)
-    phi3 = normal.coefficient(PHI3)
     # fold the -tau of the prefactor: multiply by -1 and lower the it power.
-    final = phi3.mul_monomial(0, -1, -1)
+    final = normal.coefficient(PHI3).mul_monomial(0, -1, -1)
     expected = expected_final_coefficient(n_value)
     deviation = normal - IntegralExpr.single(
         PHI3, expected.mul_monomial(0, 1, -1))
@@ -501,12 +498,11 @@ def reduce_third_variation(n="symbolic", route: str = "classical",
     else:
         final_text = f"({final.canonical()}) * (4*pi*tau)^(-{n_value // 2}) * I[phi^3]"
     return ReductionResult(
-        route=route, n_value=n_value, checkpoint_matches=checkpoint_ok,
+        n_value=n_value, checkpoint_matches=checkpoint_ok,
         normal_form=normal, normal_form_text=normal.canonical(),
-        phi3_integrand_coefficient=phi3, final_coefficient=final,
-        final_text=final_text, phi2_coefficient_zero=phi2_zero,
-        tau2_absent=tau2_absent, matches_expected=matches,
-        deviation=deviation)
+        final_coefficient=final, final_text=final_text,
+        phi2_coefficient_zero=phi2_zero, tau2_absent=tau2_absent,
+        matches_expected=matches, deviation=deviation)
 
 
 def confluence_check(n="symbolic", route: str = "classical", orders: int = 100,

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charts import sample_w
-from .eigenfunctions import EigenFunction, HermitianForm, phi_jet_batch, special_phi
+from .eigenfunctions import HermitianForm, phi_jet_batch, special_phi
 from .geometry import (GeometryJet, curvature_batch, curvature_from_arrays,
                        einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
@@ -104,14 +104,14 @@ class VariationPointData:
         return np.einsum("bij,bi,bj->b", self.geom.g_inv, self.phi.grad, self.phi.grad)
 
 
-def prepare_point_data(N: int, w: np.ndarray, phi: EigenFunction,
+def prepare_point_data(N: int, w: np.ndarray, form: HermitianForm,
                        u_form: HermitianForm | None = None) -> VariationPointData:
     geom = curvature_batch(w)
-    pj = phi.jet_batch(0, w)
+    pj = phi_jet_batch(form, 0, w)
     p_hess, p_lap = hessian_and_laplacian(pj, geom)
     data = VariationPointData(
         n=2 * N,
-        tau=einstein_tau(N).tau,
+        tau=einstein_tau(N),
         geom=geom, phi=pj, phi_hess=p_hess, phi_lap=p_lap)
     if u_form is not None:
         uj = phi_jet_batch(u_form, 0, w)
@@ -199,39 +199,29 @@ def closed_form_derivative(quantity: str, order: int, data: VariationPointData,
 # the metric family and its finite-difference oracle
 
 
-class VariationFamily:
-    """The metric family (1 + s phi(x)) g_FS(x), with exact spatial jets."""
-
-    def __init__(self, phi: EigenFunction, N: int):
-        self.phi = phi
-        self.N = N
-
-    def metric_arrays_at(self, s: float, w: np.ndarray):
-        g, dg, d2g = metric_arrays(w)
-        pj = self.phi.jet_batch(0, w)
-        c = 1.0 + s * pj.val
-        cg = s * pj.grad
-        ch = s * pj.hess
-        gs = c[:, None, None] * g
-        dgs = (c[:, None, None, None] * dg
-               + np.einsum("bk,bij->bijk", cg, g))
-        d2gs = (c[:, None, None, None, None] * d2g
-                + np.einsum("bk,bijl->bijkl", cg, dg)
-                + np.einsum("bl,bijk->bijkl", cg, dg)
-                + np.einsum("bkl,bij->bijkl", ch, g))
-        return gs, dgs, d2gs
-
-    def geometry_at(self, s: float, w: np.ndarray) -> GeometryJet:
-        gs, dgs, d2gs = self.metric_arrays_at(s, w)
-        if np.min(np.linalg.eigvalsh(gs)) <= 0.0:
-            raise PositivityError(f"metric not positive definite at s={s}")
-        return curvature_from_arrays(gs, dgs, d2gs)
+def family_geometry(form: HermitianForm, s: float, w: np.ndarray) -> GeometryJet:
+    """Geometry of (1 + s phi_A) g_FS at chart-0 points, from exact jets."""
+    g, dg, d2g = metric_arrays(w)
+    pj = phi_jet_batch(form, 0, w)
+    c = 1.0 + s * pj.val
+    cg = s * pj.grad
+    ch = s * pj.hess
+    gs = c[:, None, None] * g
+    dgs = (c[:, None, None, None] * dg
+           + np.einsum("bk,bij->bijk", cg, g))
+    d2gs = (c[:, None, None, None, None] * d2g
+            + np.einsum("bk,bijl->bijkl", cg, dg)
+            + np.einsum("bl,bijk->bijkl", cg, dg)
+            + np.einsum("bkl,bij->bijkl", ch, g))
+    if np.min(np.linalg.eigvalsh(gs)) <= 0.0:
+        raise PositivityError(f"metric not positive definite at s={s}")
+    return curvature_from_arrays(gs, dgs, d2gs)
 
 
-def _extractor(quantity: str, family: VariationFamily, w: np.ndarray,
+def _extractor(quantity: str, form: HermitianForm, w: np.ndarray,
                u_jet: Jet | None):
     def value(s: float):
-        geom = family.geometry_at(s, w)
+        geom = family_geometry(form, s, w)
         if quantity == "inverse":
             return geom.g_inv
         if quantity == "christoffel":
@@ -251,11 +241,12 @@ def _extractor(quantity: str, family: VariationFamily, w: np.ndarray,
     return value
 
 
-def fd_derivative(quantity: str, order: int, family: VariationFamily,
+def fd_derivative(quantity: str, order: int, form: HermitianForm,
                   w: np.ndarray, u_jet: Jet | None = None) -> np.ndarray:
-    """Richardson-extrapolated central s-derivative at s = 0; O(step^4)."""
+    """Richardson-extrapolated central s-derivative at s = 0 along
+    (1 + s phi_A) g_FS; O(step^4)."""
     step = 1e-2
-    value = _extractor(quantity, family, w, u_jet)
+    value = _extractor(quantity, form, w, u_jet)
     if order == 1:
         def d1(h):
             return (value(h) - value(-h)) / (2.0 * h)
@@ -300,10 +291,9 @@ def _suite_oracle(N: int, points: int, seed: int):
     if points < 1:
         raise ValueError("points must be >= 1")
     w = sample_w(N, points, seed)
-    phi = EigenFunction(special_phi(N), N)
-    data = prepare_point_data(N, w, phi, default_test_function(N))
-    family = VariationFamily(phi, N)
-    fds = {key: fd_derivative(*key, family, w, data.u) for key in QUANTITIES}
+    form = special_phi(N)
+    data = prepare_point_data(N, w, form, default_test_function(N))
+    fds = {key: fd_derivative(*key, form, w, data.u) for key in QUANTITIES}
     return data, fds
 
 
@@ -388,10 +378,9 @@ def conformal_change_mismatch(N: int, points: int, seed: int) -> float:
     """
     w = sample_w(N, points, seed)
     n = 2 * N
-    phi = EigenFunction(special_phi(N), N)
-    family = VariationFamily(phi, N)
+    form = special_phi(N)
     base = curvature_batch(w)
-    pj = phi.jet_batch(0, w)
+    pj = phi_jet_batch(form, 0, w)
     worst = 0.0
     for s in (-0.1, -0.05, 0.05, 0.1):
         u = ((pj * s) + 1.0).log() * 0.5
@@ -408,7 +397,7 @@ def conformal_change_mismatch(N: int, points: int, seed: int) -> float:
                     - (u_lap + (n - 2) * du_sq)[:, None, None] * base.g)
         e2u = 1.0 + s * pj.val
         scal_conf = (base.R - 2 * (n - 1) * u_lap - (n - 1) * (n - 2) * du_sq) / e2u
-        direct = family.geometry_at(s, w)
+        direct = family_geometry(form, s, w)
         worst = max(worst,
                     float(np.max(np.abs(direct.Gamma - gamma_conf))),
                     float(np.max(np.abs(direct.Ric - ric_conf))),

@@ -55,7 +55,7 @@ def _hbar_off(fv):
 # gated record -> (stage, the recorded stage value pushed past tolerance)
 GATE_CASES = {
     "eigen_residual": ("eigen_residual", lambda _: _past("eigen_residual")),
-    "v_solution": ("v_of", lambda v: replace(v, residual=_past("v_solution"))),
+    "v_solution": ("v_of", lambda _: _past("v_solution")),
     "n_tilde_vanishes": ("n_tilde_max", lambda _: _past("n_tilde_vanishes")),
     "tau_prime": ("first_variations",
                   lambda fv: {**fv, "tau_prime": _past("tau_prime")}),

@@ -82,6 +82,18 @@ def test_variation_mutation_flag_fails_named_formula(capsys):
     assert failing == ["laplacian_order1"]
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("foo:1:x", "error: unknown formula ('foo', 1)"),
+    ("laplacian:1:nope", "error: unknown coefficient 'nope' of ('laplacian', 1)"),
+    ("laplacian:one:grad", "error: --mutate expects QUANTITY:ORDER:COEFFICIENT"),
+])
+def test_variation_bad_mutation_is_usage_error(spec, message, capsys):
+    assert main(["variation", "--N", "2", "--points", "2", "--mutate", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_algebra_symbolic_and_numeric(capsys):
     code, report = run(capsys, "algebra", "--orders", "25")
     assert code == 0
@@ -108,6 +120,16 @@ def test_certify_n2_certificate(capsys, tmp_path):
     # the written file carries the same payload
     on_disk = parse_report(out.read_text())
     assert dumps(strip_timings(on_disk)) == dumps(strip_timings(report))
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_is_usage_error(where, capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    assert main(["eigen", "--N", "2", "--points", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(out) in captured.err
 
 
 def test_certify_n1_fails_with_reason(capsys):
@@ -220,6 +242,18 @@ def test_nonfinite_eigen_residual_is_a_failing_record(capsys, monkeypatch):
     by_name["eigen_residual"]["status"] = "pass"
     report["status"] = "pass"
     assert not reverify(report)
+
+
+def test_eigen_residual_gate_reads_the_certificate_table(capsys, monkeypatch):
+    from cpn_entropy.entropy import CERTIFICATE_CHECKS, Gate
+
+    monkeypatch.setitem(CERTIFICATE_CHECKS, "eigen_residual",
+                        Gate("phi = 0", 1e-300, "table"))
+    code, report = run(capsys, "eigen", "--N", "2", "--points", "5")
+    record = {c["name"]: c for c in report["checks"]}["eigen_residual"]
+    assert code == 1 and record["status"] == "fail"
+    assert (record["identity"], record["tolerance"], record["provenance"]) == (
+        "phi = 0", 1e-300, "table")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

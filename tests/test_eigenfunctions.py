@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cpn_entropy.charts import ChartPoint, sample_w, transition_map
-from cpn_entropy.eigenfunctions import (EigenFunction, HermitianForm,
-                                        basis_first_eigenspace, identity_form,
-                                        phi_value_at, phi_values_batch,
-                                        special_phi, verify_eigen)
+from cpn_entropy.eigenfunctions import (HermitianForm, basis_first_eigenspace,
+                                        identity_form, phi_value_at,
+                                        phi_values_batch, special_phi,
+                                        verify_eigen)
 from cpn_entropy.geometry import einstein_tau
 from cpn_entropy.moments import polynomial_average
 from cpn_entropy.polynomials import BihomogeneousPolynomial
@@ -72,7 +72,7 @@ def test_eigen_residual_over_basis(N):
 
 def test_special_phi_eigen_residual_and_eigenvalue():
     tau = einstein_tau(2, seed=1)
-    assert abs(1.0 / tau.tau - 12.0) < 1e-9
+    assert abs(1.0 / tau - 12.0) < 1e-9
     w = sample_w(2, 100, seed=7)
     assert verify_eigen(special_phi(2), tau, w) < 1e-8
 
@@ -88,11 +88,6 @@ def test_nonzero_trace_is_not_an_eigenfunction():
     tau = einstein_tau(2, seed=1)
     resid = verify_eigen(identity_form(2), tau, sample_w(2, 20, seed=7))
     assert resid > 1.0
-
-
-def test_eigenfunction_requires_trace_free_form():
-    with pytest.raises(ValueError, match="trace-free"):
-        EigenFunction(identity_form(2), 2)
 
 
 def test_zero_mean_is_exact_for_every_basis_form():

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from cpn_entropy.charts import ChartPoint, sample_w
 from cpn_entropy.eigenfunctions import phi_jet_batch, phi_value_at, special_phi
-from cpn_entropy.geometry import (NormalizationError, Tau, curvature_batch,
+from cpn_entropy.geometry import (NormalizationError, curvature_batch,
                                   curvature_from_arrays, einstein_tau,
                                   fd_metric_arrays, hessian_and_laplacian,
                                   metric_arrays, metric_values,
@@ -55,14 +55,14 @@ def test_einstein_condition(N):
     # ric = g/(2 tau) with tau = n/(2R)
     geo = curvature_batch(sample_w(N, 100, seed=7))
     tau = einstein_tau(N, seed=7)
-    assert np.max(np.abs(geo.Ric - geo.g / (2 * tau.tau))) < 1e-9
+    assert np.max(np.abs(geo.Ric - geo.g / (2 * tau))) < 1e-9
 
 
 @pytest.mark.parametrize("N,tau_expected", [(1, 1 / 8), (2, 1 / 12), (3, 1 / 16)])
 def test_einstein_tau_values(N, tau_expected):
     tau = einstein_tau(N, seed=1)
-    assert isinstance(tau, Tau)
-    assert abs(tau.tau - tau_expected) < 1e-12
+    assert type(tau) is float
+    assert abs(tau - tau_expected) < 1e-12
 
 
 def test_einstein_tau_rejects_bad_dimension():
@@ -132,7 +132,7 @@ def test_hessian_trace_gives_eigenvalue():
     hess, lap = hessian_and_laplacian(phi_jet_batch(form, 0, w), geo)
     trace = np.einsum("ij,ij->", geo.g_inv[0], hess[0])
     assert abs(trace - lap[0]) < 1e-12
-    assert abs(trace + phi_value_at(form, p) / tau.tau) < 1e-8
+    assert abs(trace + phi_value_at(form, p) / tau) < 1e-8
 
 
 def test_laplacian_chart_invariance():

@@ -151,6 +151,6 @@ def test_volume_constraint_ratio_is_not_one():
     # reports the ratio instead of assuming the two prefactors agree.
     from cpn_entropy.geometry import einstein_tau
 
-    tau = einstein_tau(2).tau
+    tau = einstein_tau(2)
     ratio = cpn_volume_closed_form(2) / (4 * math.pi * tau) ** 2
     assert abs(ratio - 4.5) < 1e-9

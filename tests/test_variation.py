@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from cpn_entropy.charts import sample_w
-from cpn_entropy.eigenfunctions import EigenFunction, HermitianForm, special_phi
+from cpn_entropy.eigenfunctions import HermitianForm, special_phi
 from cpn_entropy.geometry import einstein_tau
 from cpn_entropy.variation import (PositivityError, QUANTITIES,
-                                   VariationFamily, closed_form_derivative,
+                                   closed_form_derivative,
                                    conformal_change_mismatch,
                                    default_coefficients, default_test_function,
-                                   failing_quantities, fd_derivative,
+                                   failing_quantities, family_geometry,
+                                   fd_derivative,
                                    prepare_point_data,
                                    gradient_free_second_order_coefficients,
                                    suite_passed, undetected_mutations,
@@ -32,10 +33,10 @@ def test_scalar_first_variation_reduces_via_eigen_equation():
     N, n = 2, 4
     w = sample_w(N, 20, seed=3)
     tau = einstein_tau(N)
-    phi = EigenFunction(special_phi(N), N)
+    phi = special_phi(N)
     data = prepare_point_data(N, w, phi)
     closed = closed_form_derivative("scalar", 1, data)
-    reduced = (n - 2) / (2 * tau.tau) * data.phi.val
+    reduced = (n - 2) / (2 * tau) * data.phi.val
     assert np.max(np.abs(closed - reduced)) < 1e-9
 
 
@@ -43,7 +44,7 @@ def test_inverse_first_variation_vanishes_where_phi_does():
     # the special phi vanishes at the chart origin
     N = 2
     w = np.zeros((1, N), dtype=complex)
-    phi = EigenFunction(special_phi(N), N)
+    phi = special_phi(N)
     data = prepare_point_data(N, w, phi)
     closed = closed_form_derivative("inverse", 1, data)
     assert np.max(np.abs(closed)) < 1e-15
@@ -52,7 +53,7 @@ def test_inverse_first_variation_vanishes_where_phi_does():
 def test_second_laplacian_variation_on_constant_is_zero():
     N = 2
     w = sample_w(N, 5, seed=4)
-    phi = EigenFunction(special_phi(N), N)
+    phi = special_phi(N)
     const = HermitianForm(np.eye(N + 1, dtype=complex),
                           tuple(tuple((F(int(i == j)), F(0))
                                       for j in range(N + 1))
@@ -60,27 +61,27 @@ def test_second_laplacian_variation_on_constant_is_zero():
     data = prepare_point_data(N, w, phi, u_form=const)
     closed = closed_form_derivative("laplacian", 2, data)
     assert np.max(np.abs(closed)) < 1e-12
-    fd = fd_derivative("laplacian", 2, VariationFamily(phi, N), w, data.u)
+    fd = fd_derivative("laplacian", 2, phi, w, data.u)
     assert np.max(np.abs(fd)) < 1e-7
 
 
 def test_fd_inverse_matches_closed_form_tightly():
     N = 2
     w = sample_w(N, 10, seed=5)
-    phi = EigenFunction(special_phi(N), N)
+    phi = special_phi(N)
     data = prepare_point_data(N, w, phi)
     closed = closed_form_derivative("inverse", 1, data)
-    fd = fd_derivative("inverse", 1, VariationFamily(phi, N), w)
+    fd = fd_derivative("inverse", 1, phi, w)
     assert np.max(np.abs(closed - fd)) < 1e-7
 
 
 def test_fd_ricci_second_variation_matches_closed_form():
     N = 2
     w = sample_w(N, 10, seed=5)
-    phi = EigenFunction(special_phi(N), N)
+    phi = special_phi(N)
     data = prepare_point_data(N, w, phi)
     closed = closed_form_derivative("ricci", 2, data)
-    fd = fd_derivative("ricci", 2, VariationFamily(phi, N), w)
+    fd = fd_derivative("ricci", 2, phi, w)
     scale = max(1.0, float(np.max(np.abs(closed))))
     assert np.max(np.abs(closed - fd)) / scale < 1e-5
 
@@ -90,8 +91,7 @@ def test_zero_direction_gives_zero_derivatives():
     w = sample_w(N, 5, seed=6)
     from cpn_entropy.eigenfunctions import zero_form
 
-    zero = EigenFunction(zero_form(N), N)
-    family = VariationFamily(zero, N)
+    zero = zero_form(N)
     u = default_test_function(N)
     from cpn_entropy.eigenfunctions import phi_jet_batch
 
@@ -99,7 +99,7 @@ def test_zero_direction_gives_zero_derivatives():
     for quantity, order in QUANTITIES:
         if order != 1:
             continue
-        fd = fd_derivative(quantity, 1, family, w, u_jet)
+        fd = fd_derivative(quantity, 1, zero, w, u_jet)
         assert np.max(np.abs(np.asarray(fd))) < 1e-9
 
 
@@ -152,11 +152,9 @@ def test_conformal_change_oracle(N):
 
 def test_family_positivity_guard():
     N = 2
-    phi = EigenFunction(special_phi(N), N)
-    family = VariationFamily(phi, N)
     w = sample_w(N, 30, seed=8)
     with pytest.raises(PositivityError):
-        family.geometry_at(-0.9, w)
+        family_geometry(special_phi(N), -0.9, w)
 
 
 def test_suite_input_validation():
