@@ -319,8 +319,7 @@ def _elliptic_identity_times_phi(route: str) -> IntegralExpr:
     return e
 
 
-def solve_f_second_integrals(route: str = "classical",
-                             n_value: int | None = None) -> tuple[IntegralExpr, IntegralExpr]:
+def solve_f_second_integrals(route: str = "classical") -> tuple[IntegralExpr, IntegralExpr]:
     """Return (int phi f'', int phi lap f'') as pure-phi expressions.
 
     Multiplies the elliptic identity by phi, integrates, rewrites the left
@@ -328,8 +327,6 @@ def solve_f_second_integrals(route: str = "classical",
     relation; the pivot must be a nonzero monomial.
     """
     rhs = _elliptic_identity_times_phi(route)
-    if n_value is not None:
-        rhs = rhs.substitute_n(n_value)
     rhs = rule_zero_mean(rule_gradient_reduction(rule_eigen(rhs)))
     for key in rhs.terms:
         if key.f2 or key.lapf2 or key.lap or key.grad:
@@ -341,12 +338,11 @@ def solve_f_second_integrals(route: str = "classical",
     return phi_f2, phi_lap_f2
 
 
-def eliminate_f_second(e: IntegralExpr, route: str = "classical",
-                       n_value: int | None = None) -> IntegralExpr:
+def eliminate_f_second(e: IntegralExpr, route: str = "classical") -> IntegralExpr:
     """Replace int phi f'' and int phi lap f'' by their phi-power values."""
     if not any(key.f2 or key.lapf2 for key in e.terms):
         return e
-    phi_f2, phi_lap_f2 = solve_f_second_integrals(route, n_value)
+    phi_f2, phi_lap_f2 = solve_f_second_integrals(route)
     out = IntegralExpr()
     for key, coef in e.terms.items():
         if key == GenExp(phi=1, f2=1):
@@ -358,9 +354,8 @@ def eliminate_f_second(e: IntegralExpr, route: str = "classical",
     return out
 
 
-def rule_set(route: str = "classical",
-             n_value: int | None = None) -> list[Callable[[IntegralExpr], IntegralExpr]]:
-    elim = lambda e: eliminate_f_second(e, route, n_value)
+def rule_set(route: str = "classical") -> list[Callable[[IntegralExpr], IntegralExpr]]:
+    elim = lambda e: eliminate_f_second(e, route)
     elim.__name__ = "eliminate_f_second"
     return [rule_eigen, rule_self_adjoint, rule_gradient_reduction,
             rule_zero_mean, elim]
@@ -402,7 +397,6 @@ def ricci_second_variation_coefficients(route: str) -> dict:
 
 
 def assemble_third_variation_integrand(route: str = "classical",
-                                       n_value: int | None = None,
                                        ric_overrides: dict | None = None) -> IntegralExpr:
     """<h, Ric'' + (Hess f)'' - ((1/(2 tau)) g)''> for h = phi g.
 
@@ -425,13 +419,10 @@ def assemble_third_variation_integrand(route: str = "classical",
                   - Coef.from_n_linear(1, -2))
     # phi * trace(-((1/(2 tau)) g)'') = +(n/(2 tau^2)) tau'' phi
     e._accumulate(GenExp(phi=1, tau2=1), n.mul_monomial(0, 2, Fraction(1, 2)))
-    if n_value is not None:
-        e = e.substitute_n(n_value)
     return e
 
 
-def expected_checkpoint(route: str = "classical",
-                        n_value: int | None = None) -> IntegralExpr:
+def expected_checkpoint(route: str = "classical") -> IntegralExpr:
     """The integrand after zero-mean only: the classical intermediate line.
 
     classical: 2(n-1) int phi^2 lap phi + int phi lap f''
@@ -443,14 +434,11 @@ def expected_checkpoint(route: str = "classical",
     if route == "corrected":
         e._accumulate(GenExp(phi=1, grad=1),
                       Coef.from_n_linear(3, -2) * Fraction(1, 2))
-    if n_value is not None:
-        e = e.substitute_n(n_value)
     return e
 
 
 @dataclass
 class ReductionResult:
-    n_value: int | None
     checkpoint_matches: bool
     normal_form: IntegralExpr
     normal_form_text: str
@@ -458,13 +446,9 @@ class ReductionResult:
     final_text: str
     phi2_coefficient_zero: bool
     tau2_absent: bool
+    expected_normal_form: IntegralExpr  # -(n-2) it I[phi^3]
     matches_expected: bool
     deviation: IntegralExpr
-
-
-def expected_final_coefficient(n_value: int | None) -> Coef:
-    coef = Coef.from_n_linear(1, -2)      # n - 2
-    return coef if n_value is None else coef.substitute_n(n_value)
 
 
 def reduce_third_variation(n="symbolic", route: str = "classical",
@@ -475,21 +459,29 @@ def reduce_third_variation(n="symbolic", route: str = "classical",
     The third variation is -tau (4 pi tau)^{-n/2} times the assembled
     integral; folding the prefactor's -tau into the integrand coefficient
     must leave exactly (n-2) (4 pi tau)^{-n/2} int phi^3 dV.
+
+    The reduction runs with symbolic n; a numeric n is substituted into its
+    results.  No rule's firing depends on a coefficient's value, so the two
+    commute.
     """
     n_value = None if n == "symbolic" else int(n)
-    expr = assemble_third_variation_integrand(route, n_value, ric_overrides)
-    checkpoint = rule_zero_mean(expr)
-    checkpoint_ok = checkpoint == expected_checkpoint(route, n_value)
-    rules = rule_set(route, n_value)
+
+    def at_n(e: IntegralExpr) -> IntegralExpr:
+        return e if n_value is None else e.substitute_n(n_value)
+
+    expr = assemble_third_variation_integrand(route, ric_overrides)
+    checkpoint_ok = (at_n(rule_zero_mean(expr))
+                     == at_n(expected_checkpoint(route)))
+    rules = rule_set(route)
     if rule_order_seed is not None:
         rules = rules[:]
         random.Random(rule_order_seed).shuffle(rules)
-    normal = reduce_to_fixed_point(expr, rules)
+    normal = at_n(reduce_to_fixed_point(expr, rules))
     # fold the -tau of the prefactor: multiply by -1 and lower the it power.
     final = normal.coefficient(PHI3).mul_monomial(0, -1, -1)
-    expected = expected_final_coefficient(n_value)
-    deviation = normal - IntegralExpr.single(
-        PHI3, expected.mul_monomial(0, 1, -1))
+    expected = at_n(IntegralExpr.single(
+        PHI3, Coef.from_n_linear(1, -2).mul_monomial(0, 1, -1)))
+    deviation = normal - expected
     tau2_absent = all(key.tau2 == 0 for key in normal.terms)
     phi2_zero = normal.coefficient(PHI2).is_zero()
     matches = deviation.is_zero()
@@ -498,11 +490,12 @@ def reduce_third_variation(n="symbolic", route: str = "classical",
     else:
         final_text = f"({final.canonical()}) * (4*pi*tau)^(-{n_value // 2}) * I[phi^3]"
     return ReductionResult(
-        n_value=n_value, checkpoint_matches=checkpoint_ok,
+        checkpoint_matches=checkpoint_ok,
         normal_form=normal, normal_form_text=normal.canonical(),
         final_coefficient=final, final_text=final_text,
         phi2_coefficient_zero=phi2_zero, tau2_absent=tau2_absent,
-        matches_expected=matches, deviation=deviation)
+        expected_normal_form=expected, matches_expected=matches,
+        deviation=deviation)
 
 
 def confluence_check(n="symbolic", route: str = "classical", orders: int = 100,

@@ -1,5 +1,6 @@
 import pytest
 
+import cpn_entropy.cli as cli
 from cpn_entropy.cli import main
 from cpn_entropy.report import dumps, parse_report, reverify, strip_timings
 
@@ -130,6 +131,30 @@ def test_unwritable_out_is_usage_error(where, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert str(out) in captured.err
+
+
+def test_unwritable_out_is_found_before_the_verb_runs(monkeypatch, capsys,
+                                                     tmp_path):
+    calls = []
+
+    def spy(cfg):
+        calls.append(cfg)
+        return [], None
+
+    monkeypatch.setitem(cli.VERBS, "certify",
+                        cli.VERBS["certify"]._replace(run=spy))
+    out = tmp_path / "missing" / "x.json"
+    assert main(["certify", "--N", "4", "--out", str(out)]) == 2
+    assert calls == []
+    assert str(out) in capsys.readouterr().err
+
+
+def test_failed_run_leaves_an_existing_out_file_unchanged(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"earlier report\n")
+    assert main(["moments", "--mc-samples", "5", "--out", str(out)]) == 2
+    assert out.read_bytes() == b"earlier report\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_certify_n1_fails_with_reason(capsys):

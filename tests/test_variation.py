@@ -14,8 +14,7 @@ from cpn_entropy.variation import (PositivityError, QUANTITIES,
                                    fd_derivative,
                                    prepare_point_data,
                                    gradient_free_second_order_coefficients,
-                                   suite_passed, undetected_mutations,
-                                   verify_lemma_suite)
+                                   undetected_mutations, verify_lemma_suite)
 from cpn_entropy import variation
 
 F = Fraction
@@ -23,9 +22,9 @@ F = Fraction
 
 @pytest.mark.parametrize("N,points", [(2, 50), (3, 20)])
 def test_lemma_suite_passes(N, points):
-    reports = verify_lemma_suite(N, points, seed=7)
-    assert len(reports) == len(QUANTITIES) * points
-    assert suite_passed(reports)
+    results = verify_lemma_suite(N, points, seed=7)
+    assert list(results) == list(QUANTITIES)
+    assert not failing_quantities(results)
 
 
 def test_scalar_first_variation_reduces_via_eigen_equation():
@@ -34,8 +33,8 @@ def test_scalar_first_variation_reduces_via_eigen_equation():
     w = sample_w(N, 20, seed=3)
     tau = einstein_tau(N)
     phi = special_phi(N)
-    data = prepare_point_data(N, w, phi)
-    closed = closed_form_derivative("scalar", 1, data)
+    data = prepare_point_data(N, w, phi, default_test_function(N))
+    closed = closed_form_derivative("scalar", 1, data, default_coefficients(n))
     reduced = (n - 2) / (2 * tau) * data.phi.val
     assert np.max(np.abs(closed - reduced)) < 1e-9
 
@@ -45,8 +44,9 @@ def test_inverse_first_variation_vanishes_where_phi_does():
     N = 2
     w = np.zeros((1, N), dtype=complex)
     phi = special_phi(N)
-    data = prepare_point_data(N, w, phi)
-    closed = closed_form_derivative("inverse", 1, data)
+    data = prepare_point_data(N, w, phi, default_test_function(N))
+    closed = closed_form_derivative("inverse", 1, data,
+                                    default_coefficients(2 * N))
     assert np.max(np.abs(closed)) < 1e-15
 
 
@@ -58,8 +58,9 @@ def test_second_laplacian_variation_on_constant_is_zero():
                           tuple(tuple((F(int(i == j)), F(0))
                                       for j in range(N + 1))
                                 for i in range(N + 1)))
-    data = prepare_point_data(N, w, phi, u_form=const)
-    closed = closed_form_derivative("laplacian", 2, data)
+    data = prepare_point_data(N, w, phi, const)
+    closed = closed_form_derivative("laplacian", 2, data,
+                                    default_coefficients(2 * N))
     assert np.max(np.abs(closed)) < 1e-12
     fd = fd_derivative("laplacian", 2, phi, w, data.u)
     assert np.max(np.abs(fd)) < 1e-7
@@ -69,9 +70,10 @@ def test_fd_inverse_matches_closed_form_tightly():
     N = 2
     w = sample_w(N, 10, seed=5)
     phi = special_phi(N)
-    data = prepare_point_data(N, w, phi)
-    closed = closed_form_derivative("inverse", 1, data)
-    fd = fd_derivative("inverse", 1, phi, w)
+    data = prepare_point_data(N, w, phi, default_test_function(N))
+    closed = closed_form_derivative("inverse", 1, data,
+                                    default_coefficients(2 * N))
+    fd = fd_derivative("inverse", 1, phi, w, data.u)
     assert np.max(np.abs(closed - fd)) < 1e-7
 
 
@@ -79,9 +81,10 @@ def test_fd_ricci_second_variation_matches_closed_form():
     N = 2
     w = sample_w(N, 10, seed=5)
     phi = special_phi(N)
-    data = prepare_point_data(N, w, phi)
-    closed = closed_form_derivative("ricci", 2, data)
-    fd = fd_derivative("ricci", 2, phi, w)
+    data = prepare_point_data(N, w, phi, default_test_function(N))
+    closed = closed_form_derivative("ricci", 2, data,
+                                    default_coefficients(2 * N))
+    fd = fd_derivative("ricci", 2, phi, w, data.u)
     scale = max(1.0, float(np.max(np.abs(closed))))
     assert np.max(np.abs(closed - fd)) / scale < 1e-5
 
@@ -107,8 +110,8 @@ def test_gradient_coefficient_mutation_fails_only_laplacian_first_order():
     # perturbing the gradient coefficient (n-2)/2 -> (n-1)/2
     n = 4
     mutation = {("laplacian", 1): {"grad": F(n - 1, 2)}}
-    reports = verify_lemma_suite(2, 6, seed=7, mutations=mutation)
-    assert failing_quantities(reports) == {("laplacian", 1)}
+    results = verify_lemma_suite(2, 6, seed=7, mutations=mutation)
+    assert failing_quantities(results) == {("laplacian", 1)}
 
 
 def test_every_single_coefficient_mutation_is_detected():
@@ -117,8 +120,8 @@ def test_every_single_coefficient_mutation_is_detected():
     for key, coeffs in defaults.items():
         for name, value in coeffs.items():
             mutated = {key: {name: value + F(1, 2)}}
-            reports = verify_lemma_suite(2, 4, seed=7, mutations=mutated)
-            assert key in failing_quantities(reports), (key, name)
+            results = verify_lemma_suite(2, 4, seed=7, mutations=mutated)
+            assert key in failing_quantities(results), (key, name)
     assert undetected_mutations(2, 4, seed=7) == []
 
 
@@ -134,15 +137,16 @@ def test_undetected_mutations_names_a_mutation_the_suite_passes(monkeypatch):
     monkeypatch.setattr(variation, "default_coefficients", off_by_half)
     assert undetected_mutations(2, 4, seed=7) == ["inverse:1:scale"]
     mutated = {("inverse", 1): {"scale": F(-1)}}
-    assert suite_passed(verify_lemma_suite(2, 4, seed=7, mutations=mutated))
+    assert not failing_quantities(
+        verify_lemma_suite(2, 4, seed=7, mutations=mutated))
 
 
 def test_gradient_free_second_order_variants_are_rejected():
     # dropping the gradient cross terms from the two second-order formulas
     # leaves forms the finite-difference oracle refuses
     variants = gradient_free_second_order_coefficients(4)
-    reports = verify_lemma_suite(2, 6, seed=7, mutations=variants)
-    assert failing_quantities(reports) == {("laplacian", 2), ("ricci", 2)}
+    results = verify_lemma_suite(2, 6, seed=7, mutations=variants)
+    assert failing_quantities(results) == {("laplacian", 2), ("ricci", 2)}
 
 
 @pytest.mark.parametrize("N", [2, 3])
