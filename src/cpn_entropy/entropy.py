@@ -188,9 +188,11 @@ def _scalar_quad_levels(N: int) -> tuple[int, int]:
 
 # Rows per slab of the geometry sweep.  The slab bounds depend only on the
 # chunk size, never on the CPU count, so no result depends on the machine.
-# 512 rows keep the per-slab einsum temporaries small (peak memory) while
-# 256 to 2048 rows run equally fast.
-_SLAB_ROWS = 512
+# 256 to 2048 rows run equally fast.  256 rows keep the per-slab einsum
+# temporaries small (at N = 4 a (2N)^4 array is 8 MiB) and peak memory
+# steady: with 512 rows the peak of `certify --N 4` moved by up to 35 MB
+# from run to run with the timing of the pool's slabs.
+_SLAB_ROWS = 256
 
 # Most pool workers.  Each running slab holds its own curvature stack and
 # einsum temporaries, so the cap bounds peak memory on machines with many
