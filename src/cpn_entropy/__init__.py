@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .charts import ChartPoint, OutsideChartError, sample_w, transition_map
 from .eigenfunctions import (HermitianForm, basis_first_eigenspace,
                              phi_value_at, special_phi, verify_eigen)
-from .entropy import (ConformalPerturbation, StabilityCertificate, certify,
-                      first_variations, second_variation, third_variation,
-                      v_of)
+from .entropy import (ConformalPerturbation, certify, first_variations,
+                      second_variation, third_variation, v_of)
 from .geometry import GeometryJet, einstein_tau
 from .moments import (cpn_average, cpn_volume, monomial_average,
                       monte_carlo_average, polynomial_average,
@@ -31,7 +30,6 @@ __all__ = [
     "HermitianForm",
     "IntegralExpr",
     "OutsideChartError",
-    "StabilityCertificate",
     "basis_first_eigenspace",
     "certify",
     "closed_form_derivative",

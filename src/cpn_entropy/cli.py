@@ -33,7 +33,7 @@ from .moments import (cpn_volume, cpn_volume_closed_form, monomial_average,
 from .polynomials import (BihomogeneousPolynomial, full_harmonic_expansion,
                           special_cubic_polynomial)
 from .quadrature import chart_nodes
-from .report import build_report, certificate_to_dict, check, gate, report_bytes
+from .report import build_report, check, gate, report_bytes
 from .rewrite import (IntegralExpr, PHI3, confluence_check, reduce_third_variation,
                       ricci_second_variation_coefficients,
                       second_variation_symbolic_zero, solve_f_second_integrals)
@@ -400,10 +400,9 @@ def cmd_algebra(cfg: RunConfig) -> tuple[list[dict], None]:
 
 
 def cmd_certify(cfg: RunConfig) -> tuple[list[dict], dict | None]:
-    """Serialize ``certify``, which builds every record and the verdict."""
+    """``certify``'s records and certificate tree; it decides the verdict."""
     try:
-        cert = certify(cfg.N, points=cfg.points, seed=cfg.seed)
-        return cert.checks, certificate_to_dict(cert)
+        return certify(cfg.N, points=cfg.points, seed=cfg.seed)
     except ValueError as exc:
         return [check("certify", "instability certificate", False,
                       provenance="pipeline", detail={"reason": str(exc)})], None

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .charts import ChartPoint
-from .geometry import curvature_batch, hessian_and_laplacian
+from .geometry import (curvature_batch, hessian_and_laplacian,
+                       homogeneous_jets)
 from .jets import Jet
 
 
@@ -123,26 +124,10 @@ def special_phi(N: int) -> HermitianForm:
 # evaluation
 
 
-def _homogeneous_jets(chart: int, w: np.ndarray) -> list[Jet]:
-    from .geometry import coordinate_jets
-
-    wj = coordinate_jets(w)
-    b = w.shape[0]
-    n = w.shape[1]
-    z = []
-    for idx in range(n + 1):
-        if idx == chart:
-            z.append(Jet.constant(np.ones(b, dtype=complex), 2 * n))
-        else:
-            pos = idx if idx < chart else idx - 1
-            z.append(wj[pos])
-    return z
-
-
 def phi_jet_batch(form: HermitianForm, chart: int, w: np.ndarray) -> Jet:
     """Jet (value, gradient, Hessian) of phi_A over a batch of chart points."""
     w = np.asarray(w, dtype=complex)
-    z = _homogeneous_jets(chart, w)
+    z = homogeneous_jets(chart, w)
     m = form.size
     if m != w.shape[1] + 1:
         raise ValueError("form size does not match chart dimension")

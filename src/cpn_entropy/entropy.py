@@ -15,8 +15,8 @@ For a conformal perturbation h = psi * g_FS the module evaluates:
   with the integral supplied exactly by the moments engine and
   cross-checked by chart quadrature;
 * ``certify``, which gates every stage against the one table
-  ``CERTIFICATE_CHECKS`` and packages the records and the verdict into a
-  machine-checkable instability certificate.
+  ``CERTIFICATE_CHECKS`` and returns the records with the report's
+  certificate tree: a machine-checkable instability certificate.
 
 Documentation note: on trace-free divergence-free tensors the stability
 operator satisfies 2 N = lap_L - 1/tau, where lap_L is the Lichnerowicz
@@ -27,7 +27,7 @@ is handled directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -42,10 +42,6 @@ from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
 from .quadrature import adaptive_cpn_integral, chart_nodes, cpn_integral, level_orders
 from .report import check, gate
-
-
-class NotEigenError(RuntimeError):
-    """psi fails the eigen-equation, so v = 2 psi is not valid."""
 
 
 @dataclass
@@ -89,23 +85,19 @@ class ConformalPerturbation:
 # v of h
 
 
-def v_of(h: ConformalPerturbation, points: int = 50, seed: int = 7,
-         tol: float = 1e-8) -> float:
+def v_of(h: ConformalPerturbation, points: int = 50, seed: int = 7) -> float:
     """Residual of v = 2 psi in (Delta + 1/(2 tau)) v = div div h, zero mean.
 
     For h = psi g_FS, div div h = Delta psi, and v = 2 psi satisfies the
     equation exactly when Delta psi = -psi/tau; the returned residual is the
     max over sample points of |(Delta + 1/(2 tau))(2 psi) - Delta psi|.
+    The certificate's ``v_solution`` record gates it.
     """
     tau = einstein_tau(h.N)
     w = sample_w(h.N, points, seed)
     jet = h.psi_jet(w)
     _, lap = hessian_and_laplacian(jet, curvature_batch(w))
-    resid = float(np.max(np.abs(2.0 * lap + jet.val / tau - lap)))
-    if resid > tol:
-        raise NotEigenError(
-            f"eigen residual {resid:.3e} exceeds {tol:g}; v = 2 psi invalid")
-    return resid
+    return float(np.max(np.abs(2.0 * lap + jet.val / tau - lap)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +273,6 @@ def first_variations(h: ConformalPerturbation,
     if sweep is None:
         sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
     tau_prime = tau * sweep["ric_h"] / sweep["scal"]
-    psi_avg_exact = h.exact_average(1)
 
     def v_prime_integrand(w):
         return (n / 2.0) * h.psi_values(w)
@@ -311,7 +302,6 @@ def first_variations(h: ConformalPerturbation,
         "volume_prime": volume_prime,
         "hbar_prime_closed": hbar_prime_closed,
         "hbar_prime_fd": hbar_prime_fd,
-        "psi_mean_exact": psi_avg_exact,
     }
 
 
@@ -355,27 +345,21 @@ def third_variation_exact_rational(N: int) -> Fraction:
     return _third_variation_rational(N, cpn_average(3, special_phi(N), N))
 
 
-@dataclass
-class ThirdVariation:
-    N: int
-    phi3_average: Fraction
-    phi3_integral_exact: float      # avg * V (V = pi^N/N!)
-    phi3_integral_quadrature: float
-    quadrature_rel_diff: float
-    exact_rational: Fraction | None
-    value: float                    # measured-tau float path
+def third_variation(N: int, form: HermitianForm | None = None) -> dict:
+    """Third variation along h = phi g_FS, exact and quadrature paths.
 
-
-def third_variation(N: int, form: HermitianForm | None = None) -> ThirdVariation:
-    """Third variation along h = phi g_FS, exact and quadrature paths."""
+    Returns the certificate's ``phi3_average``, ``phi3_integral`` (the
+    exact average times V = pi^N/N!, against quadrature) and
+    ``third_variation`` (the measured-tau float value and, when tau has its
+    closed form, the exact rational) entries, in report order.
+    """
     if N < 2:
         raise ValueError("third_variation requires N >= 2")
     form = form if form is not None else special_phi(N)
     n = 2 * N
     tau = einstein_tau(N)
     avg3 = cpn_average(3, form, N)
-    vol = cpn_volume_closed_form(N)
-    integral_exact = float(avg3) * vol
+    integral_exact = float(avg3) * cpn_volume_closed_form(N)
     pert = ConformalPerturbation(form, N)
 
     def phi3(w):
@@ -384,14 +368,21 @@ def third_variation(N: int, form: HermitianForm | None = None) -> ThirdVariation
     integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=_PHI3_QUAD_TOL,
                                              max_level=4)
     rel = abs(integral_quad - integral_exact) / max(abs(integral_exact), 1e-30)
-    value = (n - 2) * (4 * math.pi * tau) ** (-N) * integral_exact
     exact_rational = None
     if abs(tau - 1 / (4 * (N + 1))) < 1e-9:
         exact_rational = _third_variation_rational(N, avg3)
-    return ThirdVariation(
-        N=N, phi3_average=avg3, phi3_integral_exact=integral_exact,
-        phi3_integral_quadrature=integral_quad, quadrature_rel_diff=rel,
-        exact_rational=exact_rational, value=value)
+    return {
+        "phi3_average": {"exact": avg3, "float": float(avg3),
+                         "provenance": "exact"},
+        "phi3_integral": {"exact_times_volume": integral_exact,
+                          "quadrature": integral_quad, "rel_diff": rel,
+                          "provenance": "both"},
+        "third_variation": {
+            "value": (n - 2) * (4 * math.pi * tau) ** (-N) * integral_exact,
+            "exact_rational": exact_rational,
+            "identity": "nu''' = (n-2) (4 pi tau)^(-n/2) int phi^3 dV",
+            "provenance": "both"},
+    }
 
 
 def minimizer_identity_coefficient() -> Fraction:
@@ -445,28 +436,6 @@ CERTIFICATE_CHECKS = {
 }
 
 
-@dataclass
-class StabilityCertificate:
-    N: int
-    tau: float
-    eigen_residual: float
-    v_residual: float
-    n_tilde_max: float
-    first_variations: dict
-    second_variation: float
-    second_variation_error: float
-    third_variation: ThirdVariation
-    prefactor_ratio: float
-    minimizer_identity: Fraction
-    verdict: str
-    failures: list = field(default_factory=list)
-    thresholds: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    normalization: str = (
-        "metric from the potential log(1+|w|^2) with identity chart-origin "
-        "metric; phi is the unit-coefficient form restriction")
-
-
 def _gate(name: str, residual: float, scale: float = 1.0) -> dict:
     """Record ``name``: passes iff residual < its tolerance times ``scale``."""
     spec = CERTIFICATE_CHECKS[name]
@@ -474,14 +443,23 @@ def _gate(name: str, residual: float, scale: float = 1.0) -> dict:
                 spec.provenance)
 
 
-def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
+def _entry(name: str, value: float) -> dict:
+    """Certificate entry: ``value`` with record ``name``'s identity and
+    provenance."""
+    spec = CERTIFICATE_CHECKS[name]
+    return {"value": value, "identity": spec.identity,
+            "provenance": spec.provenance}
+
+
+def certify(N: int, points: int = 100, seed: int = 7) -> tuple[list, dict]:
     """Run the full stability pipeline and decide the certificate.
 
-    Builds one check record per entry of ``CERTIFICATE_CHECKS``, in its
-    order.  The verdict is ``not_local_max`` iff every gated record passes;
-    ``failures`` names the records that fail, and the last record restates
-    the verdict.  The fine geometry sweep is computed once and shared by
-    the first and second variations.
+    Returns ``(checks, certificate)``: one check record per entry of
+    ``CERTIFICATE_CHECKS``, in its order, and the report's ordered
+    certificate tree.  The verdict is ``not_local_max`` iff every gated
+    record passes; ``failures`` names the records that fail, and the last
+    record restates the verdict.  The fine geometry sweep is computed once
+    and shared by the first and second variations.
     """
     if N < 2:
         raise ValueError("requires N >= 2")
@@ -489,19 +467,16 @@ def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
     tau = einstein_tau(N)
     h = ConformalPerturbation.special(N)
     eigen_res = h.eigen_residual(points=points, seed=seed)
-    # the v_solution record gates the residual, so v_of must not raise
-    v_res = v_of(h, points=points, seed=seed, tol=math.inf)
+    v_res = v_of(h, points=points, seed=seed)
     nt_max = n_tilde_max(h, points=points, seed=seed)
     sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
     firsts = first_variations(h, sweep=sweep)
     nu2, nu2_err = second_variation(h, sweep=sweep)
     nu3 = third_variation(N)
-    vol = cpn_volume_closed_form(N)
-    prefactor_ratio = vol / (4 * math.pi * tau) ** (n / 2)
-    ident = minimizer_identity_coefficient()
 
     hbar_closed = firsts["hbar_prime_closed"]
     floor = CERTIFICATE_CHECKS["third_variation_nonzero"]
+    tv = nu3["third_variation"]
     checks = [
         _gate("eigen_residual", eigen_res),
         _gate("v_solution", v_res),
@@ -511,11 +486,11 @@ def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
         _gate("hbar_prime", abs(firsts["hbar_prime_fd"] - hbar_closed),
               scale=max(1.0, abs(hbar_closed))),
         _gate("second_variation", abs(nu2)),
-        _gate("third_variation_cross_check", nu3.quadrature_rel_diff),
+        _gate("third_variation_cross_check", nu3["phi3_integral"]["rel_diff"]),
         check("third_variation_nonzero", floor.identity,
-              abs(nu3.value) > floor.tolerance, provenance=floor.provenance,
-              detail={"value": nu3.value,
-                      "exact_rational": nu3.exact_rational}),
+              abs(tv["value"]) > floor.tolerance, provenance=floor.provenance,
+              detail={"value": tv["value"],
+                      "exact_rational": tv["exact_rational"]}),
     ]
     failures = [rec["name"] for rec in checks if rec["status"] == "fail"]
     verdict = "inconclusive" if failures else "not_local_max"
@@ -523,15 +498,47 @@ def certify(N: int, points: int = 100, seed: int = 7) -> StabilityCertificate:
     checks.append(check("verdict", final.identity, not failures,
                         provenance=final.provenance,
                         detail={"verdict": verdict}))
-    return StabilityCertificate(
-        N=N, tau=tau, eigen_residual=eigen_res, v_residual=v_res,
-        n_tilde_max=nt_max, first_variations=firsts,
-        second_variation=nu2, second_variation_error=nu2_err,
-        third_variation=nu3, prefactor_ratio=prefactor_ratio,
-        minimizer_identity=ident, verdict=verdict, failures=failures,
-        thresholds={
+    certificate = {
+        "N": N,
+        "n": n,
+        "normalization": (
+            "metric from the potential log(1+|w|^2) with identity "
+            "chart-origin metric; phi is the unit-coefficient form "
+            "restriction"),
+        "verdict": verdict,
+        "tau": {"value": tau, "closed_form": Fraction(1, 4 * (N + 1)),
+                "provenance": "n/(2R) at seeded sample points"},
+        "eigen_residual": _entry("eigen_residual", eigen_res),
+        "v_residual": {"value": v_res,
+                       "identity": "(lap + 1/(2 tau)) v = div div h, v = 2 phi",
+                       "provenance": "pointwise"},
+        "n_tilde_max": _entry("n_tilde_vanishes", nt_max),
+        "first_variations": {
+            "tau_prime": _entry("tau_prime", firsts["tau_prime"]),
+            "volume_prime": _entry("volume_prime", firsts["volume_prime"]),
+            "hbar_prime_closed": {
+                "value": hbar_closed,
+                "identity": CERTIFICATE_CHECKS["hbar_prime"].identity,
+                "provenance": "exact"},
+            "hbar_prime_fd": {"value": firsts["hbar_prime_fd"],
+                              "provenance": "quadrature finite differences"},
+        },
+        "second_variation": {"value": nu2, "error_estimate": nu2_err,
+                             "identity": "(tau/V) int <N(h), h> dV = 0",
+                             "provenance": "quadrature"},
+        **nu3,
+        "prefactor_ratio": {
+            "value": cpn_volume_closed_form(N) / (4 * math.pi * tau) ** (n / 2),
+            "identity": "V / (4 pi tau)^(n/2)",
+            "provenance": "exact"},
+        "minimizer_identity": {"coefficient": minimizer_identity_coefficient(),
+                               "identity": "-2 f' + H = 2 phi = v",
+                               "provenance": "exact"},
+        "thresholds": {
             "eigen": CERTIFICATE_CHECKS["eigen_residual"].tolerance,
             "nu2": CERTIFICATE_CHECKS["second_variation"].tolerance,
             "nu3_floor": floor.tolerance,
         },
-        checks=checks)
+        "failures": failures,
+    }
+    return checks, certificate

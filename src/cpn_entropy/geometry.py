@@ -64,6 +64,15 @@ def coordinate_jets(w: np.ndarray) -> list[Jet]:
     return jets
 
 
+def homogeneous_jets(chart: int, w: np.ndarray) -> list[Jet]:
+    """Jets of the N+1 homogeneous coordinates of chart points ``w``: the
+    chart coordinates with the constant 1 inserted at index ``chart``."""
+    wj = coordinate_jets(w)
+    b, n = w.shape
+    one = Jet.constant(np.ones(b, dtype=complex), 2 * n)
+    return wj[:chart] + [one] + wj[chart:]
+
+
 def _hermitian_metric_jets(w: np.ndarray) -> list[list[Jet]]:
     """Jets of H_ab = delta_ab/sigma - wbar_a w_b/sigma^2."""
     wj = coordinate_jets(w)
@@ -323,14 +332,7 @@ def transition_jacobian(w: np.ndarray, source: int, target: int):
     w = np.asarray(w, dtype=complex)
     b, n = w.shape
     d = 2 * n
-    wj = coordinate_jets(w)
-    z = []
-    for idx in range(n + 1):
-        if idx == source:
-            z.append(Jet.constant(np.ones(b, dtype=complex), d))
-        else:
-            pos = idx if idx < source else idx - 1
-            z.append(wj[pos])
+    z = homogeneous_jets(source, w)
     pivot_inv = z[target].reciprocal()
     new = [z[idx] * pivot_inv for idx in range(n + 1) if idx != target]
     jac = np.empty((b, d, d))

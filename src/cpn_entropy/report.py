@@ -180,71 +180,3 @@ def reverify(report: dict) -> bool:
                 ok = False
     return ok
 
-
-# ---------------------------------------------------------------------------
-# certificate serialization
-
-
-def _rational(fr: Fraction | None):
-    return None if fr is None else Fraction(fr)
-
-
-def certificate_to_dict(cert) -> dict:
-    """StabilityCertificate -> ordered report tree with provenance tags."""
-    tv = cert.third_variation
-    return {
-        "N": cert.N,
-        "n": 2 * cert.N,
-        "normalization": cert.normalization,
-        "verdict": cert.verdict,
-        "tau": {"value": cert.tau,
-                "closed_form": Fraction(1, 4 * (cert.N + 1)),
-                "provenance": "n/(2R) at seeded sample points"},
-        "eigen_residual": {"value": cert.eigen_residual,
-                           "identity": "(lap + 1/tau) phi = 0",
-                           "provenance": "pointwise"},
-        "v_residual": {"value": cert.v_residual,
-                       "identity": "(lap + 1/(2 tau)) v = div div h, v = 2 phi",
-                       "provenance": "pointwise"},
-        "n_tilde_max": {"value": cert.n_tilde_max,
-                        "identity": "Ntilde(phi g) = 0",
-                        "provenance": "pointwise"},
-        "first_variations": {
-            "tau_prime": {"value": cert.first_variations["tau_prime"],
-                          "identity": "tau' = 0",
-                          "provenance": "quadrature"},
-            "volume_prime": {"value": cert.first_variations["volume_prime"],
-                             "identity": "V' = 0",
-                             "provenance": "quadrature"},
-            "hbar_prime_closed": {
-                "value": cert.first_variations["hbar_prime_closed"],
-                "identity": "Hbar' = n(n-2)/(2V) ||phi||^2",
-                "provenance": "exact"},
-            "hbar_prime_fd": {"value": cert.first_variations["hbar_prime_fd"],
-                              "provenance": "quadrature finite differences"},
-        },
-        "second_variation": {"value": cert.second_variation,
-                             "error_estimate": cert.second_variation_error,
-                             "identity": "(tau/V) int <N(h), h> dV = 0",
-                             "provenance": "quadrature"},
-        "phi3_average": {"exact": _rational(tv.phi3_average),
-                         "float": float(tv.phi3_average),
-                         "provenance": "exact"},
-        "phi3_integral": {"exact_times_volume": tv.phi3_integral_exact,
-                          "quadrature": tv.phi3_integral_quadrature,
-                          "rel_diff": tv.quadrature_rel_diff,
-                          "provenance": "both"},
-        "third_variation": {"value": tv.value,
-                            "exact_rational": _rational(tv.exact_rational),
-                            "identity":
-                                "nu''' = (n-2) (4 pi tau)^(-n/2) int phi^3 dV",
-                            "provenance": "both"},
-        "prefactor_ratio": {"value": cert.prefactor_ratio,
-                            "identity": "V / (4 pi tau)^(n/2)",
-                            "provenance": "exact"},
-        "minimizer_identity": {"coefficient": _rational(cert.minimizer_identity),
-                               "identity": "-2 f' + H = 2 phi = v",
-                               "provenance": "exact"},
-        "thresholds": cert.thresholds,
-        "failures": list(cert.failures),
-    }

@@ -5,8 +5,6 @@ tests replay those values with one stage pushed just past its tolerance,
 so each case costs no recomputation.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from cpn_entropy import entropy
@@ -38,8 +36,8 @@ def recorded():
         for stage in STAGES + ("eigen_residual",):
             mp.setattr(_owner(stage), stage,
                        recorder(stage, getattr(_owner(stage), stage)))
-        cert = entropy.certify(2)
-    return cert, outputs
+        checks, cert = entropy.certify(2)
+    return checks, cert, outputs
 
 
 def _past(name, scale=1.0):
@@ -50,6 +48,11 @@ def _hbar_off(fv):
     closed = fv["hbar_prime_closed"]
     return {**fv, "hbar_prime_fd": closed + _past("hbar_prime",
                                                   max(1.0, abs(closed)))}
+
+
+def _entry_off(entries, key, **values):
+    """``third_variation``'s entries with ``values`` set in entry ``key``."""
+    return {**entries, key: {**entries[key], **values}}
 
 
 # gated record -> (stage, the recorded stage value pushed past tolerance)
@@ -66,12 +69,12 @@ GATE_CASES = {
                          lambda nu2: (-_past("second_variation"), nu2[1])),
     "third_variation_cross_check": (
         "third_variation",
-        lambda tv: replace(tv, quadrature_rel_diff=_past(
+        lambda tv: _entry_off(tv, "phi3_integral", rel_diff=_past(
             "third_variation_cross_check"))),
     "third_variation_nonzero": (
         "third_variation",
-        lambda tv: replace(tv, value=0.99 * CERTIFICATE_CHECKS[
-            "third_variation_nonzero"].tolerance)),
+        lambda tv: _entry_off(tv, "third_variation", value=0.99 * (
+            CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance))),
 }
 
 
@@ -92,35 +95,93 @@ def test_gate_cases_cover_every_gated_record():
 
 
 def test_certify_shares_the_fine_sweep(recorded):
-    cert, outputs = recorded
+    checks, cert, outputs = recorded
     # fine (shared by tau' and nu'') and coarse (nu'' error estimate)
     assert len(outputs["_geometry_sweep"]) == 2
     assert all(len(outputs[stage]) == 1 for stage in STAGES
                if stage != "_geometry_sweep")
-    assert cert.verdict == "not_local_max" and cert.failures == []
-    assert [rec["name"] for rec in cert.checks] == list(CERTIFICATE_CHECKS)
-    assert all(rec["status"] == "pass" for rec in cert.checks)
-    assert cert.thresholds == {"eigen": 1e-8, "nu2": 1e-7, "nu3_floor": 1e-3}
+    assert cert["verdict"] == "not_local_max" and cert["failures"] == []
+    assert [rec["name"] for rec in checks] == list(CERTIFICATE_CHECKS)
+    assert all(rec["status"] == "pass" for rec in checks)
+    assert cert["thresholds"] == {"eigen": 1e-8, "nu2": 1e-7, "nu3_floor": 1e-3}
+
+
+# The report's certificate tree, every nested key in print order.
+CERTIFICATE_KEY_PATHS = [
+    "N", "n", "normalization", "verdict",
+    "tau", "tau.value", "tau.closed_form", "tau.provenance",
+    "eigen_residual", "eigen_residual.value", "eigen_residual.identity",
+    "eigen_residual.provenance",
+    "v_residual", "v_residual.value", "v_residual.identity",
+    "v_residual.provenance",
+    "n_tilde_max", "n_tilde_max.value", "n_tilde_max.identity",
+    "n_tilde_max.provenance",
+    "first_variations",
+    "first_variations.tau_prime", "first_variations.tau_prime.value",
+    "first_variations.tau_prime.identity",
+    "first_variations.tau_prime.provenance",
+    "first_variations.volume_prime", "first_variations.volume_prime.value",
+    "first_variations.volume_prime.identity",
+    "first_variations.volume_prime.provenance",
+    "first_variations.hbar_prime_closed",
+    "first_variations.hbar_prime_closed.value",
+    "first_variations.hbar_prime_closed.identity",
+    "first_variations.hbar_prime_closed.provenance",
+    "first_variations.hbar_prime_fd", "first_variations.hbar_prime_fd.value",
+    "first_variations.hbar_prime_fd.provenance",
+    "second_variation", "second_variation.value",
+    "second_variation.error_estimate", "second_variation.identity",
+    "second_variation.provenance",
+    "phi3_average", "phi3_average.exact", "phi3_average.float",
+    "phi3_average.provenance",
+    "phi3_integral", "phi3_integral.exact_times_volume",
+    "phi3_integral.quadrature", "phi3_integral.rel_diff",
+    "phi3_integral.provenance",
+    "third_variation", "third_variation.value",
+    "third_variation.exact_rational", "third_variation.identity",
+    "third_variation.provenance",
+    "prefactor_ratio", "prefactor_ratio.value", "prefactor_ratio.identity",
+    "prefactor_ratio.provenance",
+    "minimizer_identity", "minimizer_identity.coefficient",
+    "minimizer_identity.identity", "minimizer_identity.provenance",
+    "thresholds", "thresholds.eigen", "thresholds.nu2", "thresholds.nu3_floor",
+    "failures",
+]
+
+
+def _key_paths(tree, prefix=""):
+    for key, value in tree.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + key + ".")
+
+
+def test_certificate_key_order():
+    # the report prints keys in insertion order; this holds on every build,
+    # where the byte digests of tests/test_report_bytes.py skip
+    assert list(_key_paths(entropy.certify(2, points=5)[1])) \
+        == CERTIFICATE_KEY_PATHS
 
 
 def test_replayed_stages_reproduce_the_certificate(recorded, monkeypatch,
                                                    capsys):
-    cert, outputs = recorded
+    checks, cert, outputs = recorded
     _replay(monkeypatch, outputs)
-    assert entropy.certify(2).checks == cert.checks
+    assert entropy.certify(2) == (checks, cert)
     assert main(["certify", "--N", "2"]) == 0
     report = parse_report(capsys.readouterr().out)
-    assert dumps(report["checks"]) == dumps(cert.checks)
+    assert dumps(report["checks"]) == dumps(checks)
+    assert dumps(report["certificate"]) == dumps(cert)
     assert reverify(report)
 
 
 @pytest.mark.parametrize("record", list(GATE_CASES))
 def test_each_gate_flips_the_verdict(record, recorded, monkeypatch, capsys):
-    _, outputs = recorded
+    *_, outputs = recorded
     _replay(monkeypatch, outputs, record)
-    cert = entropy.certify(2)
-    assert cert.verdict == "inconclusive"
-    assert cert.failures == [record]
+    _, cert = entropy.certify(2)
+    assert cert["verdict"] == "inconclusive"
+    assert cert["failures"] == [record]
     assert main(["certify", "--N", "2"]) == 1
     report = parse_report(capsys.readouterr().out)
     failing = [rec["name"] for rec in report["checks"]
@@ -133,13 +194,13 @@ def test_each_gate_flips_the_verdict(record, recorded, monkeypatch, capsys):
 
 def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,
                                                   capsys):
-    _, outputs = recorded
+    *_, outputs = recorded
     _replay(monkeypatch, outputs)
     monkeypatch.setattr(entropy, "n_tilde_max",
                         lambda *args, **kwargs: float("nan"))
-    cert = entropy.certify(2)
-    assert cert.verdict == "inconclusive"
-    assert cert.failures == ["n_tilde_vanishes"]
+    _, cert = entropy.certify(2)
+    assert cert["verdict"] == "inconclusive"
+    assert cert["failures"] == ["n_tilde_vanishes"]
     assert main(["certify", "--N", "2"]) == 1
     text = capsys.readouterr().out
     assert "NaN" not in text and "Infinity" not in text
@@ -161,7 +222,7 @@ def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,
 
 def test_reverify_rejects_a_verdict_the_records_contradict(recorded,
                                                           monkeypatch, capsys):
-    _, outputs = recorded
+    *_, outputs = recorded
     _replay(monkeypatch, outputs)
     assert main(["certify", "--N", "2"]) == 0
     report = parse_report(capsys.readouterr().out)
@@ -176,7 +237,7 @@ def test_reverify_rejects_a_verdict_the_records_contradict(recorded,
 
 def test_reverify_rechecks_the_third_variation_floor(recorded, monkeypatch,
                                                      capsys):
-    _, outputs = recorded
+    *_, outputs = recorded
     _replay(monkeypatch, outputs)
     assert main(["certify", "--N", "2"]) == 0
     report = parse_report(capsys.readouterr().out)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cpn_entropy.charts import sample_w
-from cpn_entropy.entropy import (ConformalPerturbation, NotEigenError,
-                                 StabilityCertificate, certify,
-                                 first_variations, minimizer_identity_coefficient,
+from cpn_entropy.entropy import (CERTIFICATE_CHECKS, ConformalPerturbation,
+                                 certify, first_variations,
+                                 minimizer_identity_coefficient,
                                  n_operator_batch, n_tilde_batch, n_tilde_max,
                                  second_variation, third_variation,
                                  third_variation_exact_rational, v_of)
@@ -32,12 +32,14 @@ def test_v_of_zero_perturbation():
 
 
 def test_v_of_rejects_non_eigenfunction():
-    with pytest.raises(NotEigenError):
-        v_of(ConformalPerturbation(identity_form(2), 2))
+    # phi = 1 is harmonic, so the residual is |phi/tau| = 1/tau = 12 at N = 2
+    resid = v_of(ConformalPerturbation(identity_form(2), 2))
+    assert abs(resid - 1 / einstein_tau(2)) < 1e-9
+    assert abs(resid - 12.0) < 1e-9
 
 
 def test_v_has_zero_mean_exactly():
-    for form in basis_first_eigenspace(2):
+    for form in basis_first_eigenspace(2) + [special_phi(2)]:
         h = ConformalPerturbation(form, 2)
         assert h.exact_average(1) == 0
 
@@ -152,7 +154,6 @@ def test_first_variations_vanish_and_match():
     assert abs(fv["volume_prime"]) < 1e-8
     assert abs(fv["hbar_prime_closed"] - 2.0) < 1e-12
     assert abs(fv["hbar_prime_fd"] - fv["hbar_prime_closed"]) < 1e-5
-    assert fv["psi_mean_exact"] == 0
 
 
 def test_second_variation_vanishes_for_eigen_direction():
@@ -185,18 +186,21 @@ def test_third_variation_exact_rational(N, expected):
 
 
 def test_third_variation_n2_value():
-    tv = third_variation(2)
-    assert tv.exact_rational == F(9, 5)
-    assert abs(tv.value - 1.8) < 1e-12
-    assert tv.quadrature_rel_diff < 1e-5
-    assert abs(tv.phi3_integral_exact - math.pi ** 2 / 10) < 1e-12
+    entries = third_variation(2)
+    assert list(entries) == ["phi3_average", "phi3_integral", "third_variation"]
+    tv = entries["third_variation"]
+    assert tv["exact_rational"] == F(9, 5)
+    assert abs(tv["value"] - 1.8) < 1e-12
+    assert entries["phi3_integral"]["rel_diff"] < 1e-5
+    assert abs(entries["phi3_integral"]["exact_times_volume"]
+               - math.pi ** 2 / 10) < 1e-12
 
 
 def test_third_variation_flips_sign_with_phi():
-    tv_plus = third_variation(2)
-    tv_minus = third_variation(2, form=special_phi(2).scaled(-1))
-    assert tv_minus.exact_rational == -tv_plus.exact_rational
-    assert abs(tv_minus.value + tv_plus.value) < 1e-12
+    tv_plus = third_variation(2)["third_variation"]
+    tv_minus = third_variation(2, form=special_phi(2).scaled(-1))["third_variation"]
+    assert tv_minus["exact_rational"] == -tv_plus["exact_rational"]
+    assert abs(tv_minus["value"] + tv_plus["value"]) < 1e-12
 
 
 def test_second_variation_invariant_under_sign_flip():
@@ -221,15 +225,15 @@ def test_minimizer_identity_is_two():
 
 
 def test_certificate_n2():
-    cert = certify(2, points=100, seed=7)
-    assert isinstance(cert, StabilityCertificate)
-    assert cert.verdict == "not_local_max"
-    assert not cert.failures
-    assert abs(cert.third_variation.value - 1.8) < 1e-5 * 1.8
-    assert abs(cert.tau - 1 / 12) < 1e-9
-    assert abs(cert.prefactor_ratio - 4.5) < 1e-9
-    assert cert.eigen_residual < 1e-8
-    assert abs(cert.second_variation) < 1e-7
+    checks, cert = certify(2, points=100, seed=7)
+    assert [rec["name"] for rec in checks] == list(CERTIFICATE_CHECKS)
+    assert cert["verdict"] == "not_local_max"
+    assert not cert["failures"]
+    assert abs(cert["third_variation"]["value"] - 1.8) < 1e-5 * 1.8
+    assert abs(cert["tau"]["value"] - 1 / 12) < 1e-9
+    assert abs(cert["prefactor_ratio"]["value"] - 4.5) < 1e-9
+    assert cert["eigen_residual"]["value"] < 1e-8
+    assert abs(cert["second_variation"]["value"]) < 1e-7
 
 
 def test_certify_rejects_n1():
