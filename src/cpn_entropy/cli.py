@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .charts import ChartPoint, sample_w, transition_map
 from .eigenfunctions import basis_first_eigenspace, phi_values_batch, verify_eigen
-from .entropy import CERTIFICATE_CHECKS, certify
+from .entropy import _SLAB_ROWS, CERTIFICATE_CHECKS, certify
 from .geometry import (NormalizationError, curvature_batch, curvature_from_arrays,
                        einstein_tau, fd_metric_arrays, metric_arrays,
                        potential_metric_arrays, pullback_mismatch)
@@ -44,6 +44,14 @@ from .variation import (LEMMA_REL_TOL, conformal_change_mismatch,
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# Bytes one curvature batch may take, whatever the machine.  A batch has the
+# larger of --points and the sweep's slab rows.  Per row it peaks at about
+# 9.2 arrays of (2N)^4 floats in the variation suite and 4.6 in a sweep slab
+# (tracemalloc, N = 3..5), so the estimate counts 10.
+_BATCH_BYTES_LIMIT = 2 ** 30
+_BATCH_PEAK_ARRAYS = 10
+_CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
 
 SPHERE_NOTE = ("sphere averages are taken over the unit sphere S^(2N+1) of "
                "C^(N+1), the total space of the circle bundle over CP^N")
@@ -128,7 +136,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 # command implementations
 
 
-def cmd_geometry(cfg: RunConfig) -> tuple[list[dict], None]:
+def cmd_geometry(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     if cfg.N < 1:
         raise UsageError("geometry requires N >= 1")
     N, n = cfg.N, 2 * cfg.N
@@ -187,7 +195,7 @@ def cmd_geometry(cfg: RunConfig) -> tuple[list[dict], None]:
     return checks, None
 
 
-def cmd_eigen(cfg: RunConfig) -> tuple[list[dict], None]:
+def cmd_eigen(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     if cfg.N < 1:
         raise UsageError("eigen requires N >= 1")
     N = cfg.N
@@ -235,7 +243,7 @@ def cmd_eigen(cfg: RunConfig) -> tuple[list[dict], None]:
     return checks, None
 
 
-def cmd_moments(cfg: RunConfig) -> tuple[list[dict], None]:
+def cmd_moments(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     if cfg.N < 2:
         raise UsageError("moments requires N >= 2")
     if cfg.mc_samples < 10_000:
@@ -319,7 +327,7 @@ def _parse_mutation(text: str, n: int) -> dict:
     return {key: {name: defaults[key][name] + Fraction(1, 2)}}
 
 
-def cmd_variation(cfg: RunConfig) -> tuple[list[dict], None]:
+def cmd_variation(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     if cfg.N < 2:
         raise UsageError("variation requires N >= 2")
     N = cfg.N
@@ -344,7 +352,7 @@ def cmd_variation(cfg: RunConfig) -> tuple[list[dict], None]:
     return checks, None
 
 
-def cmd_algebra(cfg: RunConfig) -> tuple[list[dict], None]:
+def cmd_algebra(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     n_mode = "symbolic" if cfg.n == "symbolic" else int(cfg.n)
     checks = []
     result = reduce_third_variation(n_mode, "classical")
@@ -399,10 +407,13 @@ def cmd_algebra(cfg: RunConfig) -> tuple[list[dict], None]:
     return checks, None
 
 
-def cmd_certify(cfg: RunConfig) -> tuple[list[dict], dict | None]:
-    """``certify``'s records and certificate tree; it decides the verdict."""
+def cmd_certify(cfg: RunConfig,
+                timings: dict) -> tuple[list[dict], dict | None]:
+    """``certify``'s records and certificate tree; it decides the verdict
+    and records its stage seconds in ``timings``."""
     try:
-        return certify(cfg.N, points=cfg.points, seed=cfg.seed)
+        return certify(cfg.N, points=cfg.points, seed=cfg.seed,
+                       timings=timings)
     except ValueError as exc:
         return [check("certify", "instability certificate", False,
                       provenance="pipeline", detail={"reason": str(exc)})], None
@@ -415,12 +426,13 @@ def cmd_certify(cfg: RunConfig) -> tuple[list[dict], dict | None]:
 class Verb(NamedTuple):
     """A subcommand: help line, suite, own flags and report notes.
 
-    ``run`` returns the check records and the certificate (None except for
-    certify); ``flags`` holds (flag, type, help) of the flags only this
-    verb takes."""
+    ``run`` takes the config and the report's ``timings`` dict, where it
+    may record the wall seconds of its stages, and returns the check
+    records and the certificate (None except for certify); ``flags`` holds
+    (flag, type, help) of the flags only this verb takes."""
 
     help: str
-    run: Callable[[RunConfig], tuple[list[dict], dict | None]]
+    run: Callable[[RunConfig, dict], tuple[list[dict], dict | None]]
     flags: tuple = ()
     notes: tuple = ()
 
@@ -476,13 +488,25 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(command: str, cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     verb = VERBS[command]
-    checks, certificate = verb.run(cfg)
-    timings = {"total_seconds": time.perf_counter() - t0}
+    stages: dict = {}
+    checks, certificate = verb.run(cfg, stages)
+    timings = {"total_seconds": time.perf_counter() - t0, **stages}
     report = build_report(command, asdict(cfg), checks,
                           certificate=certificate, notes=list(verb.notes),
                           timings=timings)
     code = EXIT_PASS if report["status"] == "pass" else EXIT_FAIL
     return report, code
+
+
+def _check_batch_bytes(cfg: RunConfig) -> None:
+    """Refuse a run whose largest curvature batch cannot fit the limit."""
+    rows = max(cfg.points, _SLAB_ROWS)
+    need = rows * (2 * max(cfg.N, 0)) ** 4 * 8 * _BATCH_PEAK_ARRAYS
+    if need > _BATCH_BYTES_LIMIT:
+        raise UsageError(
+            f"a curvature batch of {rows} rows at N = {cfg.N} needs about "
+            f"{need / 2 ** 30:.3g} GiB, more than the "
+            f"{_BATCH_BYTES_LIMIT / 2 ** 30:.3g} GiB limit")
 
 
 def main(argv=None) -> int:
@@ -493,6 +517,8 @@ def main(argv=None) -> int:
         if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(
                 os.path.dirname(os.path.abspath(cfg.out)))):
             raise UsageError(f"cannot write the report to {cfg.out}")
+        if args.command in _CURVATURE_VERBS:
+            _check_batch_bytes(cfg)
         report, code = run_command(args.command, cfg)
         payload = report_bytes(report)
         if cfg.out:

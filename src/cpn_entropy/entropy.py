@@ -27,6 +27,8 @@ is handled directly.
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -34,13 +36,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .charts import sample_w
-from .eigenfunctions import (HermitianForm, phi_jet_batch, phi_values_batch,
-                             special_phi, verify_eigen)
+from .eigenfunctions import (HermitianForm, _phi_values, phi_jet_batch,
+                             phi_values_batch, special_phi, verify_eigen)
 from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
                        einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
-from .quadrature import adaptive_cpn_integral, chart_nodes, cpn_integral, level_orders
+from .quadrature import (_ordered, adaptive_cpn_integral, chart_nodes,
+                         cpn_integral, level_orders)
 from .report import check, gate
 
 
@@ -186,27 +189,6 @@ def _scalar_quad_levels(N: int) -> tuple[int, int]:
 # from run to run with the timing of the pool's slabs.
 _SLAB_ROWS = 256
 
-# Most pool workers.  Each running slab holds its own curvature stack and
-# einsum temporaries, so the cap bounds peak memory on machines with many
-# CPUs.
-_MAX_WORKERS = 4
-
-_POOL = None
-
-
-def _pool():
-    """The sweep's thread pool: the usable CPUs, at most ``_MAX_WORKERS``."""
-    global _POOL
-    if _POOL is None:
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count())
-        _POOL = ThreadPoolExecutor(max_workers=min(cpus or 1, _MAX_WORKERS),
-                                   thread_name_prefix="cpn-sweep")
-    return _POOL
-
 
 def _slab_integrands(g, dg, d2g, psi: Jet, shift: float):
     """(<h, Ric>, R, <h, N(h)>) at one slab's rows from its metric arrays.
@@ -222,35 +204,43 @@ def _slab_integrands(g, dg, d2g, psi: Jet, shift: float):
     return ric_h, geom.R, nh_h
 
 
+def _sweep_slabs(h: ConformalPerturbation, N: int, n_u: int, n_theta: int):
+    """The sweep's slabs in node order, as ``_ordered`` tasks.
+
+    A slab's key is its chunk's weights when it ends the chunk, else None.
+    Its arguments are its metric arrays and psi jet, built here on the
+    calling thread: ``metric_arrays`` and ``Jet`` arithmetic may be traced.
+    """
+    shift = _trace_shift(h)
+    for w, weights in chart_nodes(N, n_u, n_theta):
+        for start in range(0, len(weights), _SLAB_ROWS):
+            slab = w[start:start + _SLAB_ROWS]
+            last = start + _SLAB_ROWS >= len(weights)
+            yield (weights if last else None,
+                   (*metric_arrays(slab), h.psi_jet(slab), shift))
+
+
 def _geometry_sweep(h: ConformalPerturbation, N: int,
                     n_u: int, n_theta: int) -> dict:
     """One pass over quadrature nodes collecting the curvature integrals.
 
     Each ``chart_nodes`` chunk is summed with one ``np.dot`` per integral,
     which fixes the bits.  The integrands are computed in slabs of
-    ``_SLAB_ROWS`` rows, and every row's value is independent of its slab:
-    the calling thread builds each slab's metric arrays and the pool turns
-    them into integrands.  At most one slab more than the pool has workers
-    is in flight, so peak memory holds that many slabs' curvature, not one
-    chunk's.
+    ``_SLAB_ROWS`` rows, and every row's value is independent of its slab.
+    The slabs of all chunks form one stream on the pool, so no worker
+    waits at a chunk boundary; at most one slab more than the pool has
+    workers is in flight, so peak memory holds that many slabs' curvature,
+    not one chunk's.
     """
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
-    shift = _trace_shift(h)
-    pool = _pool()
-    for w, weights in chart_nodes(N, n_u, n_theta):
-        psi = h.psi_jet(w)
-        parts, pending = [], []
-        for start in range(0, len(weights), _SLAB_ROWS):
-            # one slab waits while every worker runs one
-            if len(pending) > pool._max_workers:
-                parts.append(pending.pop(0).result())
-            s = slice(start, start + _SLAB_ROWS)
-            slab = Jet(psi.val[s], psi.grad[s], psi.hess[s])
-            pending.append(pool.submit(_slab_integrands, *metric_arrays(w[s]),
-                                       slab, shift))
-        # reading every result re-raises a worker's exception here
-        parts.extend(future.result() for future in pending)
+    parts = []
+    for weights, part in _ordered(_slab_integrands,
+                                  _sweep_slabs(h, N, n_u, n_theta)):
+        parts.append(part)
+        if weights is None:
+            continue
         ric_h, scal, nh_h = (np.concatenate(column) for column in zip(*parts))
+        parts = []
         acc["ric_h"] += float(np.dot(weights, ric_h))
         acc["scal"] += float(np.dot(weights, scal))
         acc["nh_h"] += float(np.dot(weights, nh_h))
@@ -275,7 +265,7 @@ def first_variations(h: ConformalPerturbation,
     tau_prime = tau * sweep["ric_h"] / sweep["scal"]
 
     def v_prime_integrand(w):
-        return (n / 2.0) * h.psi_values(w)
+        return (n / 2.0) * _phi_values(h.form, 0, w)
 
     # V' = 0 exactly, which no relative stopping rule can reach: one level
     volume_prime = cpn_integral(v_prime_integrand, N, *level_orders(3))
@@ -360,10 +350,9 @@ def third_variation(N: int, form: HermitianForm | None = None) -> dict:
     tau = einstein_tau(N)
     avg3 = cpn_average(3, form, N)
     integral_exact = float(avg3) * cpn_volume_closed_form(N)
-    pert = ConformalPerturbation(form, N)
 
     def phi3(w):
-        return pert.psi_values(w) ** 3
+        return _phi_values(form, 0, w) ** 3
 
     integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=_PHI3_QUAD_TOL,
                                              max_level=4)
@@ -451,7 +440,16 @@ def _entry(name: str, value: float) -> dict:
             "provenance": spec.provenance}
 
 
-def certify(N: int, points: int = 100, seed: int = 7) -> tuple[list, dict]:
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Record the wall seconds of the ``with`` block in ``timings[name]``."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
+
+
+def certify(N: int, points: int = 100, seed: int = 7, *,
+            timings: dict) -> tuple[list, dict]:
     """Run the full stability pipeline and decide the certificate.
 
     Returns ``(checks, certificate)``: one check record per entry of
@@ -459,20 +457,28 @@ def certify(N: int, points: int = 100, seed: int = 7) -> tuple[list, dict]:
     certificate tree.  The verdict is ``not_local_max`` iff every gated
     record passes; ``failures`` names the records that fail, and the last
     record restates the verdict.  The fine geometry sweep is computed once
-    and shared by the first and second variations.
+    and shared by the first and second variations.  The wall seconds of
+    each stage go into ``timings`` only, outside the byte contract.
     """
     if N < 2:
         raise ValueError("requires N >= 2")
     n = 2 * N
     tau = einstein_tau(N)
     h = ConformalPerturbation.special(N)
-    eigen_res = h.eigen_residual(points=points, seed=seed)
-    v_res = v_of(h, points=points, seed=seed)
-    nt_max = n_tilde_max(h, points=points, seed=seed)
-    sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
-    firsts = first_variations(h, sweep=sweep)
-    nu2, nu2_err = second_variation(h, sweep=sweep)
-    nu3 = third_variation(N)
+    with _stage(timings, "eigen"):
+        eigen_res = h.eigen_residual(points=points, seed=seed)
+    with _stage(timings, "v"):
+        v_res = v_of(h, points=points, seed=seed)
+    with _stage(timings, "n_tilde"):
+        nt_max = n_tilde_max(h, points=points, seed=seed)
+    with _stage(timings, "sweep"):
+        sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
+    with _stage(timings, "first"):
+        firsts = first_variations(h, sweep=sweep)
+    with _stage(timings, "second"):
+        nu2, nu2_err = second_variation(h, sweep=sweep)
+    with _stage(timings, "third"):
+        nu3 = third_variation(N)
 
     hbar_closed = firsts["hbar_prime_closed"]
     floor = CERTIFICATE_CHECKS["third_variation_nonzero"]

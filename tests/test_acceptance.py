@@ -140,7 +140,7 @@ def test_criterion_7_end_to_end_certificates(capsys):
     ok &= cert["third_variation"]["exact_rational"] == {"num": "9", "den": "5"}
     ok &= cert["phi3_integral"]["rel_diff"] < 1e-5
     for N in (3, 4):
-        _, cert_n = certify(N, points=60, seed=7)
+        _, cert_n = certify(N, points=60, seed=7, timings={})
         ok &= cert_n["verdict"] == "not_local_max"
     elapsed = time.time() - t0
     ok &= elapsed < 300.0

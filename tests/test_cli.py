@@ -1,3 +1,7 @@
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 import cpn_entropy.cli as cli
@@ -137,7 +141,7 @@ def test_unwritable_out_is_found_before_the_verb_runs(monkeypatch, capsys,
                                                      tmp_path):
     calls = []
 
-    def spy(cfg):
+    def spy(cfg, timings):
         calls.append(cfg)
         return [], None
 
@@ -147,6 +151,83 @@ def test_unwritable_out_is_found_before_the_verb_runs(monkeypatch, capsys,
     assert main(["certify", "--N", "4", "--out", str(out)]) == 2
     assert calls == []
     assert str(out) in capsys.readouterr().err
+
+
+def _verb_spy(monkeypatch, verb):
+    """Replace ``verb``'s suite by a spy that records its configs."""
+    calls = []
+
+    def spy(cfg, timings):
+        calls.append(cfg)
+        return [], None
+
+    monkeypatch.setitem(cli.VERBS, verb, cli.VERBS[verb]._replace(run=spy))
+    return calls
+
+
+@pytest.mark.parametrize("verb", ["geometry", "eigen", "variation", "certify"])
+def test_oversized_batch_is_found_before_the_verb_runs(verb, monkeypatch,
+                                                       capsys):
+    calls = _verb_spy(monkeypatch, verb)
+    # one N = 4 batch of the default rows just fits; one more row does not
+    fits = cli._SLAB_ROWS * 8 ** 4 * 8 * cli._BATCH_PEAK_ARRAYS
+    monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", fits)
+    assert main([verb, "--N", "4"]) == 0
+    assert len(calls) == 1
+    assert main([verb, "--N", "4", "--points", str(cli._SLAB_ROWS + 1)]) == 2
+    assert main([verb, "--N", "5"]) == 2
+    assert len(calls) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a curvature batch of 257 rows")
+    assert "GiB limit" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["certify", "--N", "50"],
+                                  ["geometry", "--N", "4", "--points",
+                                   "1000000"]])
+def test_runs_that_cannot_fit_exit_2(argv, monkeypatch, capsys):
+    calls = _verb_spy(monkeypatch, argv[0])
+    assert main(argv) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a curvature batch of ")
+
+
+def test_suites_without_curvature_have_no_batch_limit(monkeypatch):
+    calls = _verb_spy(monkeypatch, "moments")
+    monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", 0)
+    assert main(["moments", "--N", "4"]) == 0
+    assert len(calls) == 1
+
+
+STAGES = ["eigen", "v", "n_tilde", "sweep", "first", "second", "third"]
+
+
+def test_certify_times_each_stage_outside_the_digest():
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import worker
+
+    argv = ["certify", "--N", "2", "--seed", "1"]
+    call = worker.run_call(cli, argv)
+    problems, digest = worker.check_call(call, reverify)
+    assert problems == []
+    timings = parse_report(call["text"])["timings"]
+    assert list(timings) == ["total_seconds"] + STAGES
+    assert all(seconds >= 0 for seconds in timings.values())
+    assert sum(timings[name] for name in STAGES) <= timings["total_seconds"]
+    # the report up to ``timings`` is the benchmark baseline's, byte for byte
+    baseline = json.loads((bench / "results" / "baseline.json").read_text())
+    running = worker.environment()
+    for key in ("python", "numpy", "blas"):
+        if baseline["environment"][key] != running[key]:
+            pytest.skip(f"{key} build {running[key]!r} is not the baseline's")
+    recorded = {call["digest"]
+                for run in baseline["workloads"]["certify-small"]["runs"]
+                for call in run["calls"] if call["argv"] == argv}
+    assert recorded == {digest}
 
 
 def test_failed_run_leaves_an_existing_out_file_unchanged(capsys, tmp_path):

@@ -225,7 +225,7 @@ def test_minimizer_identity_is_two():
 
 
 def test_certificate_n2():
-    checks, cert = certify(2, points=100, seed=7)
+    checks, cert = certify(2, points=100, seed=7, timings={})
     assert [rec["name"] for rec in checks] == list(CERTIFICATE_CHECKS)
     assert cert["verdict"] == "not_local_max"
     assert not cert["failures"]
@@ -238,4 +238,4 @@ def test_certificate_n2():
 
 def test_certify_rejects_n1():
     with pytest.raises(ValueError, match="N >= 2"):
-        certify(1)
+        certify(1, timings={})

@@ -1,13 +1,16 @@
-"""Row slabs of the entropy sweep: no bit depends on slabs or threads.
+"""Row slabs of the entropy sweep and the pool: no bit depends on threads.
 
 The geometry kernels are plain batch functions: each row must come out bit
-for bit as if computed alone.  The entropy sweep is the one caller of the
-thread pool (at most ``entropy._MAX_WORKERS`` workers): it builds each
-``entropy._SLAB_ROWS``-row slab's metric arrays on the calling thread and
-the pool turns them into the slab's integrands.  Its sums must not depend on
-the slab size or the number of workers, every function that a tracer may
-wrap must still run on the calling thread, and its memory holds a few slabs,
-not a chunk.
+for bit as if computed alone.  The thread pool (``quadrature._pool``, at
+most ``quadrature._MAX_WORKERS`` workers) has two callers, both through the
+ordered window ``quadrature._ordered``.  ``cpn_integral`` sends one
+``chart_nodes`` chunk's integrand per task.  The entropy sweep builds each
+``entropy._SLAB_ROWS``-row slab's metric arrays and psi jet on the calling
+thread, and the pool turns them into the slab's integrands.  No sum may
+depend on the slab size or the number of workers, at most one task more
+than the workers may be in flight, a worker's exception must reach the
+caller, every function that a tracer may wrap must still run on the calling
+thread, and the sweep's memory holds a few slabs, not a chunk.
 """
 
 import functools
@@ -23,9 +26,10 @@ import numpy as np
 import pytest
 
 import cpn_entropy
-from cpn_entropy import entropy, geometry
+from cpn_entropy import entropy, geometry, quadrature
 from cpn_entropy.charts import sample_w
 from cpn_entropy.cli import main
+from cpn_entropy.eigenfunctions import _phi_values, special_phi
 from cpn_entropy.jets import Jet
 from cpn_entropy.report import parse_report, report_bytes, strip_timings
 
@@ -43,6 +47,8 @@ def _slab_outputs(w):
                    geometry.metric_arrays(w)))
     out.update({name: getattr(geom, name) for name in CURVATURE_FIELDS})
     out["n_tilde"] = entropy.n_tilde_batch(h, w)
+    psi = h.psi_jet(w)
+    out.update(psi_val=psi.val, psi_grad=psi.grad, psi_hess=psi.hess)
     return out
 
 
@@ -73,17 +79,35 @@ def _default_sweep(N, fine):
     return entropy._geometry_sweep(h, N, *_sweep_levels(N, fine))
 
 
+def _v_prime_n3():
+    """V' at N = 3 as ``first_variations`` integrates it: 28 chunks."""
+    form = special_phi(3)
+    return quadrature.cpn_integral(lambda w: 3.0 * _phi_values(form, 0, w), 3,
+                                   *quadrature.level_orders(3))
+
+
+@functools.lru_cache(maxsize=None)
+def _default_v_prime():
+    return _v_prime_n3()
+
+
+def _pool_passes():
+    """The sweep sums and V' at N = 3, on whatever pool is installed."""
+    h = entropy.ConformalPerturbation.special(3)
+    return (entropy._geometry_sweep(h, 3, *_sweep_levels(3, True)),
+            _v_prime_n3())
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_rows_do_not_depend_on_the_pool(workers, monkeypatch):
-    # every sweep row is computed on a pool worker
-    h = entropy.ConformalPerturbation.special(3)
-    default = _default_sweep(3, True)
+    # every sweep row and integrand chunk is computed on a pool worker
+    default = (_default_sweep(3, True), _default_v_prime())
     switch = sys.getswitchinterval()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        monkeypatch.setattr(entropy, "_POOL", pool)
+        monkeypatch.setattr(quadrature, "_POOL", pool)
         sys.setswitchinterval(1e-6)
         try:
-            other = entropy._geometry_sweep(h, 3, *_sweep_levels(3, True))
+            other = _pool_passes()
         finally:
             sys.setswitchinterval(switch)
     assert other == default
@@ -112,37 +136,59 @@ class CountingPool(ThreadPoolExecutor):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_sweep_holds_one_slab_more_than_the_workers(workers, monkeypatch):
-    # the largest N = 3 chunk has 16 slabs, more than any window
+    # the N = 3 sweep has 32 slabs and V' 28 chunks, more than any window
     h = entropy.ConformalPerturbation.special(3)
+    sweep = functools.partial(entropy._geometry_sweep, h, 3,
+                              *_sweep_levels(3, True))
     with CountingPool(workers) as pool:
-        monkeypatch.setattr(entropy, "_POOL", pool)
-        entropy._geometry_sweep(h, 3, *_sweep_levels(3, True))
-    assert pool.most_in_flight == workers + 1
-    assert pool.in_flight == 0
+        monkeypatch.setattr(quadrature, "_POOL", pool)
+        for one_pass in (sweep, _v_prime_n3):
+            pool.most_in_flight = 0
+            one_pass()
+            assert pool.most_in_flight == workers + 1, one_pass
+            assert pool.in_flight == 0
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_worker_exception_reaches_the_caller(workers, monkeypatch):
+    calls = []
+
+    def integrand(w):
+        calls.append(w)
+        if len(calls) == 3:
+            raise FloatingPointError("chunk 3")
+        return np.ones(w.shape[0])
+
+    with CountingPool(workers) as pool:
+        monkeypatch.setattr(quadrature, "_POOL", pool)
+        with pytest.raises(FloatingPointError, match="chunk 3"):
+            quadrature.cpn_integral(integrand, 3, *quadrature.level_orders(3))
+        assert pool.in_flight == 0
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
 def test_pool_has_the_usable_cpus_at_most_the_cap(cpus, monkeypatch):
     # the pool starts no thread before its first task
-    monkeypatch.setattr(entropy, "_POOL", None)
+    monkeypatch.setattr(quadrature, "_POOL", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    pool = entropy._pool()
+    pool = quadrature._pool()
     try:
-        assert pool._max_workers == min(cpus, entropy._MAX_WORKERS)
+        assert pool._max_workers == min(cpus, quadrature._MAX_WORKERS)
     finally:
         pool.shutdown()
 
 
 def test_small_batches_start_no_pool_and_import_nothing():
     code = ("import sys; import cpn_entropy.cli; "
-            "from cpn_entropy import entropy, geometry; "
+            "from cpn_entropy import entropy, geometry, quadrature; "
             "from cpn_entropy.charts import sample_w; "
             "w = sample_w(3, 4 * entropy._SLAB_ROWS, 1); "
             "geometry.einstein_tau(3); geometry.curvature_batch(w); "
             "entropy.n_tilde_batch(entropy.ConformalPerturbation.special(3), w); "
-            "print(entropy._POOL is None, 'concurrent.futures' in sys.modules)")
+            "print(quadrature._POOL is None, "
+            "'concurrent.futures' in sys.modules)")
     src = os.path.dirname(os.path.dirname(cpn_entropy.__file__))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120,
@@ -158,7 +204,7 @@ def _certify_bytes(capsys):
 def test_certificate_bytes_do_not_depend_on_the_pool(monkeypatch, capsys):
     default = _certify_bytes(capsys)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        monkeypatch.setattr(entropy, "_POOL", pool)
+        monkeypatch.setattr(quadrature, "_POOL", pool)
         single = _certify_bytes(capsys)
     assert single == default
 
@@ -198,7 +244,7 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
     for attr in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Jet, attr, spy("Jet.__mul__", Jet.__dict__[attr]))
 
-    entropy.certify(2)
+    entropy.certify(2, timings={})
     expected = {name for names in SPIED.values() for name in names}
     assert {name for name, _ in calls} == expected | {"Jet.__mul__"}
     assert {ident for _, ident in calls} == {threading.get_ident()}
@@ -236,8 +282,8 @@ def test_sweep_peak_memory_holds_one_block(monkeypatch):
     # a pool of _MAX_WORKERS workers, the most any machine runs
     h = entropy.ConformalPerturbation.special(3)
     levels = _sweep_levels(3, True)
-    with ThreadPoolExecutor(max_workers=entropy._MAX_WORKERS) as pool:
-        monkeypatch.setattr(entropy, "_POOL", pool)
+    with ThreadPoolExecutor(max_workers=quadrature._MAX_WORKERS) as pool:
+        monkeypatch.setattr(quadrature, "_POOL", pool)
         entropy._geometry_sweep(h, 3, *levels)
         tracemalloc.start()
         try:
