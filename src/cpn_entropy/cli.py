@@ -32,7 +32,7 @@ from .moments import (cpn_volume, cpn_volume_closed_form, monomial_average,
                       monte_carlo_average, polynomial_average, symmetry_vanishing)
 from .polynomials import (BihomogeneousPolynomial, full_harmonic_expansion,
                           special_cubic_polynomial)
-from .quadrature import chart_nodes
+from .quadrature import chart_nodes, level_orders
 from .report import build_report, check, gate, report_bytes
 from .rewrite import (IntegralExpr, PHI3, confluence_check, reduce_third_variation,
                       ricci_second_variation_coefficients,
@@ -52,6 +52,14 @@ EXIT_USAGE = 2
 _BATCH_BYTES_LIMIT = 2 ** 30
 _BATCH_PEAK_ARRAYS = 10
 _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
+# (n_u, n_theta) of eigen's Gram quadrature.  Its node matrix, phi of every
+# basis form at every node, is held twice (the chunks and their
+# concatenation) and counts against the same byte limit.
+_GRAM_ORDERS = (5, 6)
+# Nodes the volume quadrature of moments may take.  It always evaluates
+# levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5 (2.4 s on a 2-vCPU
+# Xeon VM), 4.3e9 at N = 6.
+_VOLUME_NODES_LIMIT = 10 ** 9
 
 SPHERE_NOTE = ("sphere averages are taken over the unit sphere S^(2N+1) of "
                "C^(N+1), the total space of the circle bundle over CP^N")
@@ -81,7 +89,11 @@ class RunConfig:
 def _load_config_file(path: str) -> dict:
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise UsageError(f"config file {path} is not UTF-8")
+        for raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -216,7 +228,7 @@ def cmd_eigen(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
                        spec.provenance, detail={"eigenvalue": 1.0 / tau}))
     vals = []
     weights_all = []
-    for wq, wts in chart_nodes(N, 5, 6):
+    for wq, wts in chart_nodes(N, *_GRAM_ORDERS):
         vals.append(np.stack([phi_values_batch(f, 0, wq) for f in basis], axis=1))
         weights_all.append(wts)
     v = np.concatenate(vals, axis=0)
@@ -498,15 +510,33 @@ def run_command(command: str, cfg: RunConfig) -> tuple[dict, int]:
     return report, code
 
 
-def _check_batch_bytes(cfg: RunConfig) -> None:
-    """Refuse a run whose largest curvature batch cannot fit the limit."""
-    rows = max(cfg.points, _SLAB_ROWS)
-    need = rows * (2 * max(cfg.N, 0)) ** 4 * 8 * _BATCH_PEAK_ARRAYS
+def _check_bytes(what: str, N: int, need: int) -> None:
     if need > _BATCH_BYTES_LIMIT:
         raise UsageError(
-            f"a curvature batch of {rows} rows at N = {cfg.N} needs about "
-            f"{need / 2 ** 30:.3g} GiB, more than the "
-            f"{_BATCH_BYTES_LIMIT / 2 ** 30:.3g} GiB limit")
+            f"{what} at N = {N} needs about {need / 2 ** 30:.3g} GiB, more "
+            f"than the {_BATCH_BYTES_LIMIT / 2 ** 30:.3g} GiB limit")
+
+
+def _check_size(command: str, cfg: RunConfig) -> None:
+    """Refuse a run whose largest array or quadrature cannot fit its limit."""
+    N = max(cfg.N, 0)
+    if command in _CURVATURE_VERBS:
+        rows = max(cfg.points, _SLAB_ROWS)
+        _check_bytes(f"a curvature batch of {rows} rows", cfg.N,
+                     rows * (2 * N) ** 4 * 8 * _BATCH_PEAK_ARRAYS)
+    if command == "eigen":  # N < 8 here: the curvature batch refuses more
+        _check_bytes("the Gram node matrix", cfg.N,
+                     2 * math.prod(_GRAM_ORDERS) ** N * N * (N + 2) * 8)
+    if command == "moments":
+        try:
+            nodes = sum(float(math.prod(level_orders(level))) ** N
+                        for level in (1, 2))
+        except OverflowError:
+            nodes = math.inf
+        if nodes > _VOLUME_NODES_LIMIT:
+            raise UsageError(
+                f"the volume quadrature at N = {cfg.N} needs {nodes:.3g} "
+                f"nodes, more than the {_VOLUME_NODES_LIMIT:.3g} node limit")
 
 
 def main(argv=None) -> int:
@@ -517,8 +547,7 @@ def main(argv=None) -> int:
         if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(
                 os.path.dirname(os.path.abspath(cfg.out)))):
             raise UsageError(f"cannot write the report to {cfg.out}")
-        if args.command in _CURVATURE_VERBS:
-            _check_batch_bytes(cfg)
+        _check_size(args.command, cfg)
         report, code = run_command(args.command, cfg)
         payload = report_bytes(report)
         if cfg.out:

@@ -62,22 +62,19 @@ def polynomial_average(m: int, p: BihomogeneousPolynomial) -> Fraction:
 def apply_symmetry(p: BihomogeneousPolynomial, sym) -> BihomogeneousPolynomial:
     """Transform P under z_j -> -z_j (kind 'negate') or z_j -> i z_j ('rotate')."""
     kind, j = sym
-    out = BihomogeneousPolynomial(p.m)
-    for (a, b), c in p.terms.items():
-        if kind == "negate":
-            sign = -1 if (a[j] + b[j]) % 2 else 1
-            out._accumulate((a, b), c * sign)
-        elif kind == "rotate":
-            out._accumulate((a, b), c * _I_POWERS[(a[j] - b[j]) % 4])
-        else:
-            raise ValueError(f"unknown symmetry kind {kind!r}")
-    return out
+    if kind == "negate":
+        return p.map_terms(lambda key, c: (
+            (key, c * (-1 if (key[0][j] + key[1][j]) % 2 else 1)),))
+    if kind == "rotate":
+        return p.map_terms(lambda key, c: (
+            (key, c * _I_POWERS[(key[0][j] - key[1][j]) % 4]),))
+    raise ValueError(f"unknown symmetry kind {kind!r}")
 
 
 def symmetry_vanishing(p: BihomogeneousPolynomial, sym) -> bool:
     """True iff P is odd under the sphere isometry, forcing zero average."""
     transformed = apply_symmetry(p, sym)
-    return transformed == p.scaled(Fraction(-1))
+    return transformed == -p
 
 
 def cpn_average(q: int, form, N: int) -> Fraction:

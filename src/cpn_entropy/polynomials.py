@@ -3,12 +3,19 @@
 A polynomial of bidegree (k, k) is a sum of monomials z^a zbar^b with
 |a| = |b| = k; restricted to the unit sphere these descend to CP^{m-1}.
 All arithmetic is exact: coefficients are pairs of ``fractions.Fraction``.
+
+``LinearCombination`` is the package's one exact sparse sum: a dict of
+nonzero coefficients with one zero rule, ``_accumulate``.  The polynomials
+here and the coefficients and integral expressions of ``rewrite`` subclass
+it and only normalize their keys and coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import add
 
 import numpy as np
 
@@ -61,8 +68,8 @@ class QC:
     def conj(self) -> "QC":
         return QC(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def __bool__(self):
+        return bool(self.re or self.im)
 
     def to_complex(self) -> complex:
         return float(self.re) + 1j * float(self.im)
@@ -76,28 +83,117 @@ QC_ONE = QC(Fraction(1))
 QC_I = QC(Fraction(0), Fraction(1))
 
 
-class BihomogeneousPolynomial:
+class LinearCombination:
+    """A sparse exact sum, stored as ``terms: {key: coefficient}``.
+
+    ``_accumulate`` is the one zero rule: a term whose coefficient cancels
+    leaves ``terms``, and one that comes back is appended at the end.  The
+    insertion order is kept because ``BihomogeneousPolynomial.evaluate``
+    sums terms in that order.  Subclasses normalize the terms given to the
+    constructor (``_normalize``) and say which sums combine (``_matching``).
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {}
+        for key, coef in (terms or {}).items():
+            self._accumulate(*self._normalize(key, coef))
+
+    def _normalize(self, key, coef):
+        return key, coef
+
+    def _new(self):
+        """An empty sum of the same kind."""
+        return type(self)()
+
+    def _matching(self, o):
+        """``o``, if it may be added to or multiplied with this sum."""
+        if type(o) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(o).__name__}")
+        return o
+
+    def _accumulate(self, key, coef):
+        if not coef:
+            return
+        cur = self.terms.get(key)
+        new = coef if cur is None else cur + coef
+        if new:
+            self.terms[key] = new
+        else:
+            del self.terms[key]
+
+    def map_terms(self, fn):
+        """The sum of the ``(key, coef)`` terms ``fn(key, coef)`` yields for
+        each term, in order."""
+        out = self._new()
+        for key, coef in self.terms.items():
+            for new_key, new_coef in fn(key, coef):
+                out._accumulate(new_key, new_coef)
+        return out
+
+    def scale(self, c):
+        return self.map_terms(lambda key, coef: ((key, coef * c),))
+
+    def __add__(self, o):
+        out = self._new()
+        out.terms = dict(self.terms)
+        for key, coef in self._matching(o).terms.items():
+            out._accumulate(key, coef)
+        return out
+
+    def __neg__(self):
+        return self.map_terms(lambda key, coef: ((key, -coef),))
+
+    def __sub__(self, o):
+        return self + -self._matching(o)
+
+    def _product(self, o, combine_keys):
+        """The product of two sums whose keys multiply by ``combine_keys``."""
+        out = self._new()
+        other = self._matching(o).terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other:
+                out._accumulate(combine_keys(k1, k2), c1 * c2)
+        return out
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, o):
+        return type(o) is type(self) and self.terms == o.terms
+
+
+def _add_exponents(k1, k2):
+    return (tuple(map(add, k1[0], k2[0])), tuple(map(add, k1[1], k2[1])))
+
+
+class BihomogeneousPolynomial(LinearCombination):
     """Exact polynomial in z, zbar on C^m, stored as {(a, b): QC}."""
+
+    __slots__ = ("m",)
 
     def __init__(self, m: int, terms: dict | None = None):
         self.m = m
-        self.terms: dict[tuple[tuple[int, ...], tuple[int, ...]], QC] = {}
-        if terms:
-            for key, coeff in terms.items():
-                self._accumulate(key, QC.of(coeff))
+        super().__init__(terms)
 
-    def _accumulate(self, key, coeff: QC):
-        if coeff.is_zero():
-            return
+    def _normalize(self, key, coef):
         a, b = key
         if len(a) != self.m or len(b) != self.m:
             raise ValueError("exponent length must equal m")
-        cur = self.terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        return key, QC.of(coef)
+
+    def _new(self):
+        return BihomogeneousPolynomial(self.m)
+
+    def _matching(self, o):
+        if super()._matching(o).m != self.m:
+            raise ValueError("polynomials live on different C^m")
+        return o
 
     # -- constructors ------------------------------------------------------
 
@@ -115,12 +211,8 @@ class BihomogeneousPolynomial:
 
     @classmethod
     def radius_squared(cls, m: int) -> "BihomogeneousPolynomial":
-        p = cls.zero(m)
-        for j in range(m):
-            e = [0] * m
-            e[j] = 1
-            p = p + cls.monomial(m, e, e, 1)
-        return p
+        units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        return cls(m, {(e, e): 1 for e in units})
 
     @classmethod
     def from_form(cls, form) -> "BihomogeneousPolynomial":
@@ -128,46 +220,20 @@ class BihomogeneousPolynomial:
         if form.exact is None:
             raise ValueError("HermitianForm carries no exact entries")
         m = form.size
-        p = cls.zero(m)
+        terms = {}
         for i in range(m):
             for j in range(m):
-                re, im = form.exact[i][j]
-                c = QC(re, im)
-                if c.is_zero():
-                    continue
                 a = [0] * m
                 b = [0] * m
                 a[j] += 1   # z_j
                 b[i] += 1   # zbar_i
-                p = p + cls.monomial(m, a, b, c)
-        return p
+                terms[(tuple(a), tuple(b))] = QC(*form.exact[i][j])
+        return cls(m, terms)
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, o: "BihomogeneousPolynomial"):
-        out = BihomogeneousPolynomial(self.m, dict(self.terms))
-        for key, c in o.terms.items():
-            out._accumulate(key, c)
-        return out
-
-    def __sub__(self, o):
-        return self + o.scaled(QC(Fraction(-1)))
-
-    def scaled(self, c) -> "BihomogeneousPolynomial":
-        c = QC.of(c)
-        out = BihomogeneousPolynomial(self.m)
-        for key, coeff in self.terms.items():
-            out._accumulate(key, coeff * c)
-        return out
-
     def __mul__(self, o: "BihomogeneousPolynomial"):
-        out = BihomogeneousPolynomial(self.m)
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in o.terms.items():
-                key = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
-                out._accumulate(key, c1 * c2)
-        return out
+        return self._product(o, _add_exponents)
 
     def power(self, q: int) -> "BihomogeneousPolynomial":
         if q < 0:
@@ -190,12 +256,6 @@ class BihomogeneousPolynomial:
         if not degs:
             return (0, 0)
         return degs.pop() if len(degs) == 1 else None
-
-    def __eq__(self, o):
-        return isinstance(o, BihomogeneousPolynomial) and self.terms == o.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- evaluation ---------------------------------------------------------
 
@@ -237,33 +297,19 @@ class UnsupportedDegreeError(ValueError):
 
 def flat_laplacian(p: BihomogeneousPolynomial) -> BihomogeneousPolynomial:
     """Euclidean Laplacian on C^m = R^{2m}: 4 sum_j d2/dz_j dzbar_j."""
-    out = BihomogeneousPolynomial(p.m)
-    for (a, b), c in p.terms.items():
+    def lap(key, c):
+        a, b = key
         for j in range(p.m):
             if a[j] and b[j]:
-                na = list(a)
-                nb = list(b)
-                na[j] -= 1
-                nb[j] -= 1
-                out._accumulate((tuple(na), tuple(nb)),
-                                c * (4 * a[j] * b[j]))
-    return out
+                yield ((a[:j] + (a[j] - 1,) + a[j + 1:],
+                        b[:j] + (b[j] - 1,) + b[j + 1:]), c * (4 * a[j] * b[j]))
+
+    return p.map_terms(lap)
 
 
 def _monomial_basis(m: int, k: int) -> list[tuple[int, ...]]:
-    if k == 0:
-        return [(0,) * m]
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], k, m)
-    return out
+    """Exponents of total degree k on C^m, in lexicographic order."""
+    return [e for e in product(range(k + 1), repeat=m) if sum(e) == k]
 
 
 def _solve_qc(matrix: list[list[QC]], rhs: list[QC]) -> list[QC]:
@@ -271,14 +317,14 @@ def _solve_qc(matrix: list[list[QC]], rhs: list[QC]) -> list[QC]:
     n = len(matrix)
     aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise ArithmeticError("singular system in harmonic decomposition")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = QC_ONE / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
-            if r != col and not aug[r][col].is_zero():
+            if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
@@ -304,32 +350,21 @@ def harmonic_decomposition(p: BihomogeneousPolynomial, k: int):
     #   lap P = lap(r^2 Q) = 4(m + 2(k-1)) Q + r^2 lap Q,
     # a linear system for Q over the bidegree (k-1, k-1) monomials.
     mono = _monomial_basis(m, k - 1)
-    index = {}
-    keys = []
-    for a in mono:
-        for b in mono:
-            index[(a, b)] = len(keys)
-            keys.append((a, b))
-    dim = len(keys)
+    keys = [(a, b) for a in mono for b in mono]
     const = 4 * (m + 2 * (k - 1))
     r2 = BihomogeneousPolynomial.radius_squared(m)
+
+    def dense(poly):
+        # every term of a bidegree (k-1, k-1) polynomial has a key here
+        return [poly.terms.get(key, QC_ZERO) for key in keys]
+
     cols = []
     for key in keys:
-        q_basis = BihomogeneousPolynomial.monomial(m, key[0], key[1], 1)
-        image = q_basis.scaled(const) + r2 * flat_laplacian(q_basis)
-        col = [QC_ZERO] * dim
-        for kk, c in image.terms.items():
-            col[index[kk]] = c
-        cols.append(col)
-    matrix = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    lap_p = flat_laplacian(p)
-    rhs = [QC_ZERO] * dim
-    for kk, c in lap_p.terms.items():
-        rhs[index[kk]] = c
-    sol = _solve_qc(matrix, rhs)
-    q = BihomogeneousPolynomial(m)
-    for key, c in zip(keys, sol):
-        q._accumulate(key, c)
+        q_basis = BihomogeneousPolynomial(m, {key: 1})
+        cols.append(dense(q_basis.scale(const) + r2 * flat_laplacian(q_basis)))
+    matrix = [list(row) for row in zip(*cols)]
+    sol = _solve_qc(matrix, dense(flat_laplacian(p)))
+    q = BihomogeneousPolynomial(m, dict(zip(keys, sol)))
     h = p - r2 * q
     if not flat_laplacian(h).is_zero():
         raise ArithmeticError("decomposition failed: residue not harmonic")

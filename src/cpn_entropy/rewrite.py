@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .polynomials import LinearCombination
+
 
 class RuleError(RuntimeError):
     """A rewrite step hit a structural problem (rule bug)."""
@@ -42,18 +44,17 @@ class RuleError(RuntimeError):
 # coefficients: Laurent in it = 1/tau, polynomial in n
 
 
-class Coef:
-    """dict {(n_power, it_power): Fraction}, normalized (no zero entries)."""
+def _add_powers(k1, k2):
+    return (k1[0] + k2[0], k1[1] + k2[1])
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for key, val in terms.items():
-                val = Fraction(val)
-                if val:
-                    self.terms[key] = val
+class Coef(LinearCombination):
+    """{(n_power, it_power): Fraction}, normalized (no zero entries)."""
+
+    __slots__ = ()
+
+    def _normalize(self, key, coef):
+        return key, Fraction(coef)
 
     @classmethod
     def zero(cls) -> "Coef":
@@ -76,33 +77,17 @@ class Coef:
         """a*n + b."""
         return cls({(1, 0): Fraction(a), (0, 0): Fraction(b)})
 
-    def __add__(self, o: "Coef") -> "Coef":
-        out = dict(self.terms)
-        for key, val in o.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return Coef(out)
-
-    def __neg__(self) -> "Coef":
-        return Coef({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, o: "Coef") -> "Coef":
-        return self + (-o)
-
     def __mul__(self, o) -> "Coef":
-        if not isinstance(o, Coef):
-            return Coef({k: v * Fraction(o) for k, v in self.terms.items()})
-        out: dict = {}
-        for (na, ia), va in self.terms.items():
-            for (nb, ib), vb in o.terms.items():
-                key = (na + nb, ia + ib)
-                out[key] = out.get(key, Fraction(0)) + va * vb
-        return Coef(out)
+        if isinstance(o, Coef):
+            return self._product(o, _add_powers)
+        return self.scale(Fraction(o))
 
     __rmul__ = __mul__
 
     def mul_monomial(self, dn: int, dit: int, c=1) -> "Coef":
-        return Coef({(np + dn, ip + dit): v * Fraction(c)
-                     for (np, ip), v in self.terms.items()})
+        c = Fraction(c)
+        return self.map_terms(lambda key, v: (
+            ((key[0] + dn, key[1] + dit), v * c),))
 
     def divide_by(self, o: "Coef") -> "Coef":
         """Division by a monomial coefficient; anything else is a rule bug."""
@@ -110,23 +95,12 @@ class Coef:
             raise RuleError("pivot is not a monomial; elimination would need "
                             "rational-function arithmetic")
         ((dn, dit), c), = o.terms.items()
-        if c == 0:
-            raise RuleError("singular pivot in elimination")
-        return Coef({(np - dn, ip - dit): v / c
-                     for (np, ip), v in self.terms.items()})
+        return self.map_terms(lambda key, v: (
+            ((key[0] - dn, key[1] - dit), v / c),))
 
     def substitute_n(self, n: int) -> "Coef":
-        out: dict = {}
-        for (np, ip), v in self.terms.items():
-            key = (0, ip)
-            out[key] = out.get(key, Fraction(0)) + v * Fraction(n) ** np
-        return Coef(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, Coef) and self.terms == o.terms
+        return self.map_terms(lambda key, v: (
+            ((0, key[1]), v * Fraction(n) ** key[0]),))
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -171,59 +145,23 @@ PHI1 = GenExp(phi=1)
 ONE = GenExp()
 
 
-class IntegralExpr:
+class IntegralExpr(LinearCombination):
     """Formal sum of Coef * int(generator monomial) dV."""
 
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict[GenExp, Coef] = {}
-        if terms:
-            for key, coef in terms.items():
-                self._accumulate(GenExp(*key) if not isinstance(key, GenExp) else key,
-                                 coef)
+    __slots__ = ()
 
-    def _accumulate(self, key: GenExp, coef: Coef):
-        if coef.is_zero():
-            return
-        cur = self.terms.get(key)
-        new = coef if cur is None else cur + coef
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+    def _normalize(self, key, coef):
+        return (key if isinstance(key, GenExp) else GenExp(*key)), coef
 
     @classmethod
     def single(cls, key: GenExp, coef: Coef) -> "IntegralExpr":
         return cls({key: coef})
 
-    def __add__(self, o: "IntegralExpr") -> "IntegralExpr":
-        out = IntegralExpr(dict(self.terms))
-        for key, coef in o.terms.items():
-            out._accumulate(key, coef)
-        return out
-
-    def __sub__(self, o: "IntegralExpr") -> "IntegralExpr":
-        return self + o.scale(Coef.constant(-1))
-
-    def scale(self, c: Coef) -> "IntegralExpr":
-        out = IntegralExpr()
-        for key, coef in self.terms.items():
-            out._accumulate(key, coef * c)
-        return out
-
     def coefficient(self, key: GenExp) -> Coef:
         return self.terms.get(key, Coef.zero())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, IntegralExpr) and self.terms == o.terms
-
     def substitute_n(self, n: int) -> "IntegralExpr":
-        out = IntegralExpr()
-        for key, coef in self.terms.items():
-            out._accumulate(key, coef.substitute_n(n))
-        return out
+        return self.map_terms(lambda key, coef: ((key, coef.substitute_n(n)),))
 
     def canonical(self) -> str:
         if not self.terms:
@@ -247,29 +185,28 @@ class IntegralExpr:
 
 def rule_eigen(e: IntegralExpr) -> IntegralExpr:
     """lap phi -> -(1/tau) phi, exact, applied to every power."""
-    out = IntegralExpr()
-    for key, coef in e.terms.items():
+    def fire(key, coef):
         if key.lap:
-            new = key._replace(phi=key.phi + key.lap, lap=0)
-            out._accumulate(new, coef.mul_monomial(0, key.lap, Fraction(-1) ** key.lap))
+            yield (key._replace(phi=key.phi + key.lap, lap=0),
+                   coef.mul_monomial(0, key.lap, Fraction(-1) ** key.lap))
         else:
-            out._accumulate(key, coef)
-    return out
+            yield key, coef
+
+    return e.map_terms(fire)
 
 
 def rule_self_adjoint(e: IntegralExpr) -> IntegralExpr:
     """int phi lap f'' -> -(1/tau) int phi f''; int lap f'' -> 0."""
-    out = IntegralExpr()
-    for key, coef in e.terms.items():
+    def fire(key, coef):
         if key.lapf2 == 1 and key.lap == 0 and key.grad == 0 and key.f2 == 0 \
                 and key.phi <= 1:
-            if key.phi == 0:
-                continue  # divergence theorem on a closed manifold
-            new = key._replace(lapf2=0, f2=1)
-            out._accumulate(new, coef.mul_monomial(0, 1, -1))
+            # phi = 0 drops the term: divergence theorem on a closed manifold
+            if key.phi:
+                yield key._replace(lapf2=0, f2=1), coef.mul_monomial(0, 1, -1)
         else:
-            out._accumulate(key, coef)
-    return out
+            yield key, coef
+
+    return e.map_terms(fire)
 
 
 def rule_gradient_reduction(e: IntegralExpr) -> IntegralExpr:
@@ -278,26 +215,25 @@ def rule_gradient_reduction(e: IntegralExpr) -> IntegralExpr:
     From int lap(phi^{k+2}) dV = 0 combined with the eigen-equation; fires
     only on pure gradient terms (single |grad phi|^2 factor, no f'' factors).
     """
-    out = IntegralExpr()
-    for key, coef in e.terms.items():
+    def fire(key, coef):
         if key.grad == 1 and key.lap == 0 and key.f2 == 0 and key.lapf2 == 0:
             k = key.phi
-            new = key._replace(phi=k + 2, grad=0)
-            out._accumulate(new, coef.mul_monomial(0, 1, Fraction(1, k + 1)))
+            yield (key._replace(phi=k + 2, grad=0),
+                   coef.mul_monomial(0, 1, Fraction(1, k + 1)))
         else:
-            out._accumulate(key, coef)
-    return out
+            yield key, coef
+
+    return e.map_terms(fire)
 
 
 def rule_zero_mean(e: IntegralExpr) -> IntegralExpr:
     """Drop every term proportional to int phi dV (any tau'' power)."""
-    out = IntegralExpr()
-    for key, coef in e.terms.items():
-        if key.phi == 1 and key.lap == 0 and key.grad == 0 and key.f2 == 0 \
-                and key.lapf2 == 0:
-            continue
-        out._accumulate(key, coef)
-    return out
+    def fire(key, coef):
+        if not (key.phi == 1 and key.lap == 0 and key.grad == 0
+                and key.f2 == 0 and key.lapf2 == 0):
+            yield key, coef
+
+    return e.map_terms(fire)
 
 
 def _elliptic_identity_times_phi(route: str) -> IntegralExpr:
@@ -343,15 +279,15 @@ def eliminate_f_second(e: IntegralExpr, route: str = "classical") -> IntegralExp
     if not any(key.f2 or key.lapf2 for key in e.terms):
         return e
     phi_f2, phi_lap_f2 = solve_f_second_integrals(route)
-    out = IntegralExpr()
-    for key, coef in e.terms.items():
-        if key == GenExp(phi=1, f2=1):
-            out = out + phi_f2.scale(coef)
-        elif key == GenExp(phi=1, lapf2=1):
-            out = out + phi_lap_f2.scale(coef)
+    values = {GenExp(phi=1, f2=1): phi_f2, GenExp(phi=1, lapf2=1): phi_lap_f2}
+
+    def fire(key, coef):
+        if key in values:
+            yield from values[key].scale(coef).terms.items()
         else:
-            out._accumulate(key, coef)
-    return out
+            yield key, coef
+
+    return e.map_terms(fire)
 
 
 def rule_set(route: str = "classical") -> list[Callable[[IntegralExpr], IntegralExpr]]:

@@ -172,6 +172,8 @@ def test_oversized_batch_is_found_before_the_verb_runs(verb, monkeypatch,
     # one N = 4 batch of the default rows just fits; one more row does not
     fits = cli._SLAB_ROWS * 8 ** 4 * 8 * cli._BATCH_PEAK_ARRAYS
     monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", fits)
+    # a one-node Gram quadrature keeps eigen's node matrix out of the way
+    monkeypatch.setattr(cli, "_GRAM_ORDERS", (1, 1))
     assert main([verb, "--N", "4"]) == 0
     assert len(calls) == 1
     assert main([verb, "--N", "4", "--points", str(cli._SLAB_ROWS + 1)]) == 2
@@ -192,6 +194,34 @@ def test_runs_that_cannot_fit_exit_2(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: a curvature batch of ")
+
+
+def test_eigen_gram_matrix_that_cannot_fit_exits_2(monkeypatch, capsys):
+    calls = _verb_spy(monkeypatch, "eigen")
+    assert main(["eigen", "--N", "5"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(
+        "error: the Gram node matrix at N = 5 needs about 12.7 GiB")
+    # phi of the 24 basis forms at 30^4 nodes, held twice, just fits
+    monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", 2 * 30 ** 4 * 24 * 8)
+    assert main(["eigen", "--N", "4"]) == 0
+    monkeypatch.setattr(cli, "_GRAM_ORDERS", (5, 7))
+    assert main(["eigen", "--N", "4"]) == 2
+    assert len(calls) == 1
+
+
+def test_moments_volume_quadrature_that_cannot_fit_exits_2(monkeypatch,
+                                                          capsys):
+    calls = _verb_spy(monkeypatch, "moments")
+    assert main(["moments", "--N", "50", "--mc-samples", "10000"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(
+        "error: the volume quadrature at N = 50 needs 1.27e+80 nodes")
+    # levels 1 and 2 at N = 4: 4^4 6^4 + 5^4 8^4 nodes just fit
+    monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT", 24 ** 4 + 40 ** 4)
+    assert main(["moments", "--N", "4"]) == 0
+    assert main(["moments", "--N", "5"]) == 2
+    assert len(calls) == 1
 
 
 def test_suites_without_curvature_have_no_batch_limit(monkeypatch):
@@ -306,6 +336,13 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys):
     cfg.write_text("tol=abc\n")
     assert main(["eigen", "--config", str(cfg)]) == 2
     assert "error: bad value 'abc' for config key 'tol'" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"N=2\n\xff\xfe=3\n")
+    assert main(["geometry", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config file {cfg} is not UTF-8\n"
 
 
 def test_missing_config_file_is_usage_error():

@@ -4,8 +4,8 @@
 digests were taken the same way, with ``perfbench/worker.py``'s
 ``run_call`` and ``check_call``: the SHA-256 of the report up to its
 ``timings`` field.  The ``algebra`` reports hold exact arithmetic only; the
-``variation`` report holds floats, so it skips on any other Python, numpy
-or BLAS build than the baseline's.
+``variation`` and ``moments`` reports hold floats, so they skip on any other
+Python, numpy or BLAS build than the baseline's.
 """
 
 from __future__ import annotations
@@ -38,13 +38,25 @@ def test_numeric_n_algebra_digest(n, digest):
     assert _exit_and_digest(["algebra", "--n", n]) == (0, digest)
 
 
-def test_mutated_variation_digest():
+def _skip_unless_baseline_build():
     recorded = json.loads((BENCH / "results" / "baseline.json").read_text())
     running = worker.environment()
     for key in ("python", "numpy", "blas"):
         if recorded["environment"][key] != running[key]:
             pytest.skip(f"{key} build {running[key]!r} is not the baseline's")
+
+
+def test_mutated_variation_digest():
+    _skip_unless_baseline_build()
     argv = ["variation", "--N", "2", "--seed", "1",
             "--mutate", "laplacian:1:grad"]
     assert _exit_and_digest(argv) == (
         1, "aa3490e1fcec9c3fce0f47ceb2557f539440512ce9ad6e83a16f11c8373b1b00")
+
+
+def test_moments_n3_digest():
+    # the m = 4 harmonic expansion, _solve_qc and a Monte Carlo estimate
+    _skip_unless_baseline_build()
+    argv = ["moments", "--N", "3", "--mc-samples", "100000", "--seed", "1"]
+    assert _exit_and_digest(argv) == (
+        0, "7fc114417cae952a59e87135f686b5d96d0dad867ecd3be7d9385fae8e403c30")

@@ -59,7 +59,7 @@ def test_harmonic_decomposition_of_z1_squared(N):
     e1 = tuple([1] + [0] * N)
     p = BihomogeneousPolynomial.monomial(m, e1, e1, 1)
     h, q = harmonic_decomposition(p, 1)
-    expected_h = p - BihomogeneousPolynomial.radius_squared(m).scaled(F(1, m))
+    expected_h = p - BihomogeneousPolynomial.radius_squared(m).scale(F(1, m))
     assert h == expected_h
     assert q == BihomogeneousPolynomial.constant(m, F(1, m))
     assert flat_laplacian(h).is_zero()
@@ -112,3 +112,22 @@ def test_from_form_requires_exact_entries():
     form = HermitianForm(np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="exact"):
         BihomogeneousPolynomial.from_form(form)
+
+
+def test_a_term_that_cancels_and_returns_is_appended_last():
+    x = BihomogeneousPolynomial.monomial(2, (1, 0), (1, 0), 1)
+    y = BihomogeneousPolynomial.monomial(2, (0, 1), (0, 1), 2)
+    p = x + y
+    assert list(p.terms) == [((1, 0), (1, 0)), ((0, 1), (0, 1))]
+    p = p - x
+    assert list(p.terms) == [((0, 1), (0, 1))]
+    p = p + x
+    assert list(p.terms) == [((0, 1), (0, 1)), ((1, 0), (1, 0))]
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_polynomials_on_different_spaces_do_not_combine(op):
+    p = BihomogeneousPolynomial.monomial(3, (1, 0, 0), (1, 0, 0), 3)
+    q = BihomogeneousPolynomial.monomial(4, (1, 0, 0, 0), (0, 1, 0, 0), 4)
+    with pytest.raises(ValueError):
+        {"add": p.__add__, "sub": p.__sub__, "mul": p.__mul__}[op](q)
