@@ -65,20 +65,6 @@ def _form_from_int(re_mat, im_mat) -> HermitianForm:
     return HermitianForm(m, _exact_from_int_matrices(re_mat, im_mat))
 
 
-def identity_form(N: int) -> HermitianForm:
-    """A = I, inducing the constant function 1 (plumbing, not an eigenfunction)."""
-    m = N + 1
-    re = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    im = [[0] * m for _ in range(m)]
-    return _form_from_int(re, im)
-
-
-def zero_form(N: int) -> HermitianForm:
-    m = N + 1
-    zeros = [[0] * m for _ in range(m)]
-    return _form_from_int(zeros, zeros)
-
-
 def basis_first_eigenspace(N: int) -> list[HermitianForm]:
     """N(N+2) trace-free forms: off-diagonal pairs plus diagonal differences."""
     if N < 1:

@@ -143,15 +143,6 @@ def _trace_shift(h: ConformalPerturbation) -> float:
     return hbar / (2 * n * tau)
 
 
-def n_operator_batch(h: ConformalPerturbation, w: np.ndarray,
-                     geom=None) -> np.ndarray:
-    """N(h) = Ntilde(h) - (Hbar / (2 n tau)) g."""
-    w = np.asarray(w, dtype=complex)
-    if geom is None:
-        geom = curvature_batch(w)
-    return n_tilde_batch(h, w, geom) - _trace_shift(h) * geom.g
-
-
 def n_tilde_max(h: ConformalPerturbation, points: int = 100,
                 seed: int = 7) -> float:
     w = sample_w(h.N, points, seed)
@@ -328,11 +319,6 @@ def _third_variation_rational(N: int, avg3: Fraction) -> Fraction:
     rational number (2N-2) (N+1)^N avg(phi^3) / N!.
     """
     return Fraction(2 * N - 2) * Fraction((N + 1) ** N, math.factorial(N)) * avg3
-
-
-def third_variation_exact_rational(N: int) -> Fraction:
-    """The third variation along the special phi, in closed form."""
-    return _third_variation_rational(N, cpn_average(3, special_phi(N), N))
 
 
 def third_variation(N: int, form: HermitianForm | None = None) -> dict:

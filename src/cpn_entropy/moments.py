@@ -122,14 +122,14 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
     if p.m != m:
         raise ValueError("polynomial lives on a different C^m")
     seq = np.random.SeedSequence(seed)
-    n_chunks = (samples + chunk - 1) // chunk
-    children = seq.spawn(n_chunks)
     total = 0.0
     total_sq = 0.0
     count = 0
-    for i in range(n_chunks):
+    while count < samples:
         size = min(chunk, samples - count)
-        rng = np.random.default_rng(children[i])
+        # one child per shard, spawned when needed: the same streams as
+        # spawning them all at once, without holding them all
+        rng = np.random.default_rng(seq.spawn(1)[0])
         g = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
         z = g / np.linalg.norm(g, axis=1, keepdims=True)
         # free each shard's arrays once used: they set the peak memory

@@ -19,6 +19,11 @@ from operator import add
 
 import numpy as np
 
+# rows per block of ``BihomogeneousPolynomial.evaluate``
+_BLOCK_ROWS = 8192
+# numpy's temporary elision threshold, 256 KiB, in complex128 elements
+_ELIDE_ROWS = 16384
+
 
 @dataclass(frozen=True)
 class QC:
@@ -243,13 +248,6 @@ class BihomogeneousPolynomial(LinearCombination):
             out = out * self
         return out
 
-    def is_real_valued(self) -> bool:
-        for (a, b), c in self.terms.items():
-            other = self.terms.get((b, a), QC_ZERO)
-            if other != c.conj():
-                return False
-        return True
-
     def bidegree(self) -> tuple[int, int] | None:
         """(k, l) if all terms share total degrees, else None."""
         degs = {(sum(a), sum(b)) for (a, b) in self.terms}
@@ -260,20 +258,42 @@ class BihomogeneousPolynomial(LinearCombination):
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate at rows of a complex array z of shape (..., m)."""
+        """Evaluate at rows of a complex array z of shape (..., m).
+
+        The rows are taken ``_BLOCK_ROWS`` at a time.  In each block every
+        power z_j^e and zbar_j^e that some term uses is computed once; each
+        term is the product of its factors in exponent order (z before
+        zbar, j ascending), a fresh array per product, and is added to the
+        block's slice of the output in term order.  The bits, up to the sign
+        of a zero, are those of one whole-array pass that multiplied each
+        factor into a running term of ones: numpy computed ``term * power``
+        as ``power * term`` (temporary elision) when the array had at least
+        ``_ELIDE_ROWS`` elements, and complex products are not bitwise
+        commutative, so the operand order follows the total row count.
+        """
         z = np.asarray(z, dtype=complex)
-        zc = np.conj(z)
-        out = np.zeros(z.shape[:-1], dtype=complex)
-        for (a, b), c in self.terms.items():
-            term = np.ones(z.shape[:-1], dtype=complex)
-            for j, e in enumerate(a):
-                if e:
-                    term = term * z[..., j] ** e
-            for j, e in enumerate(b):
-                if e:
-                    term = term * zc[..., j] ** e
-            out += c.to_complex() * term
-        return out
+        rows = z.reshape(-1, z.shape[-1])
+        out = np.zeros(len(rows), dtype=complex)
+        plan = [(c.to_complex(),
+                 [(0, j, e) for j, e in enumerate(a) if e]
+                 + [(1, j, e) for j, e in enumerate(b) if e])
+                for (a, b), c in self.terms.items()]
+        used = {key for _, factors in plan for key in factors}
+        power_first = len(rows) >= _ELIDE_ROWS
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            s = slice(start, start + _BLOCK_ROWS)
+            bases = (rows[s], np.conj(rows[s]))
+            powers = {(i, j, e): bases[i][:, j] ** e for i, j, e in used}
+            for c, factors in plan:
+                if not factors:
+                    out[s] += c
+                    continue
+                term = powers[factors[0]]
+                for key in factors[1:]:
+                    term = (powers[key] * term if power_first
+                            else term * powers[key])
+                out[s] += c * term
+        return out.reshape(z.shape[:-1])
 
     def __repr__(self):
         n = len(self.terms)
@@ -369,10 +389,6 @@ def harmonic_decomposition(p: BihomogeneousPolynomial, k: int):
     if not flat_laplacian(h).is_zero():
         raise ArithmeticError("decomposition failed: residue not harmonic")
     return h, q
-
-
-def recompose(h: BihomogeneousPolynomial, q: BihomogeneousPolynomial):
-    return h + BihomogeneousPolynomial.radius_squared(h.m) * q
 
 
 def full_harmonic_expansion(p: BihomogeneousPolynomial, k: int):

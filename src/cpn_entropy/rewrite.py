@@ -69,10 +69,6 @@ class Coef(LinearCombination):
         return cls({(1, 0): Fraction(1)})
 
     @classmethod
-    def it_var(cls) -> "Coef":
-        return cls({(0, 1): Fraction(1)})
-
-    @classmethod
     def from_n_linear(cls, a, b) -> "Coef":
         """a*n + b."""
         return cls({(1, 0): Fraction(a), (0, 0): Fraction(b)})

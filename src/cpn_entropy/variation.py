@@ -323,10 +323,6 @@ def undetected_mutations(N: int, points: int, seed: int) -> list[str]:
     return undetected
 
 
-def failing_quantities(results: dict) -> set:
-    return {key for key, (_, passed) in results.items() if not passed}
-
-
 # ---------------------------------------------------------------------------
 # second oracle: classical conformal-change formulas at fixed s
 

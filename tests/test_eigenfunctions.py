@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cpn_entropy.charts import ChartPoint, sample_w, transition_map
-from cpn_entropy.eigenfunctions import (HermitianForm, basis_first_eigenspace,
-                                        identity_form, phi_value_at,
+from cpn_entropy.eigenfunctions import (HermitianForm, _form_from_int,
+                                        basis_first_eigenspace, phi_value_at,
                                         phi_values_batch, special_phi,
                                         verify_eigen)
 from cpn_entropy.geometry import einstein_tau
@@ -86,7 +86,9 @@ def test_zero_form_has_zero_residual():
 def test_nonzero_trace_is_not_an_eigenfunction():
     # the constant component sits at eigenvalue 0, so the residual is ~1/tau
     tau = einstein_tau(2, seed=1)
-    resid = verify_eigen(identity_form(2), tau, sample_w(2, 20, seed=7))
+    identity = _form_from_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                              [[0] * 3] * 3)
+    resid = verify_eigen(identity, tau, sample_w(2, 20, seed=7))
     assert resid > 1.0
 
 

@@ -6,17 +6,41 @@ import pytest
 
 from cpn_entropy.charts import sample_w
 from cpn_entropy.entropy import (CERTIFICATE_CHECKS, ConformalPerturbation,
+                                 _third_variation_rational, _trace_shift,
                                  certify, first_variations,
                                  minimizer_identity_coefficient,
-                                 n_operator_batch, n_tilde_batch, n_tilde_max,
-                                 second_variation, third_variation,
-                                 third_variation_exact_rational, v_of)
-from cpn_entropy.eigenfunctions import (HermitianForm, basis_first_eigenspace,
-                                        identity_form, special_phi)
+                                 n_tilde_batch, n_tilde_max,
+                                 second_variation, third_variation, v_of)
+from cpn_entropy.eigenfunctions import (HermitianForm, _form_from_int,
+                                        basis_first_eigenspace, special_phi)
 from cpn_entropy.geometry import (curvature_batch, einstein_tau,
                                   hessian_and_laplacian)
+from cpn_entropy.moments import cpn_average
 
 F = Fraction
+
+
+def identity_form(N: int) -> HermitianForm:
+    """A = I, inducing the constant function 1 (not an eigenfunction)."""
+    eye = [[int(i == j) for j in range(N + 1)] for i in range(N + 1)]
+    return _form_from_int(eye, [[0] * (N + 1)] * (N + 1))
+
+
+def zero_form(N: int) -> HermitianForm:
+    zeros = [[0] * (N + 1)] * (N + 1)
+    return _form_from_int(zeros, zeros)
+
+
+def n_operator_batch(h: ConformalPerturbation, w, geom=None):
+    """N(h) = Ntilde(h) - (Hbar / (2 n tau)) g."""
+    if geom is None:
+        geom = curvature_batch(w)
+    return n_tilde_batch(h, w, geom) - _trace_shift(h) * geom.g
+
+
+def third_variation_exact_rational(N: int) -> Fraction:
+    """The third variation along the special phi, in closed form."""
+    return _third_variation_rational(N, cpn_average(3, special_phi(N), N))
 
 
 def test_v_is_twice_phi_with_small_residual():
@@ -25,8 +49,6 @@ def test_v_is_twice_phi_with_small_residual():
 
 
 def test_v_of_zero_perturbation():
-    from cpn_entropy.eigenfunctions import zero_form
-
     zero = ConformalPerturbation(zero_form(2), 2)
     assert v_of(zero) == 0.0
 
@@ -50,8 +72,6 @@ def test_n_tilde_vanishes_pointwise():
 
 
 def test_n_tilde_of_zero_is_zero():
-    from cpn_entropy.eigenfunctions import zero_form
-
     zero = ConformalPerturbation(zero_form(2), 2)
     w = sample_w(2, 10, seed=7)
     assert np.max(np.abs(n_tilde_batch(zero, w))) == 0.0
@@ -163,8 +183,6 @@ def test_second_variation_vanishes_for_eigen_direction():
 
 
 def test_second_variation_of_zero_is_zero():
-    from cpn_entropy.eigenfunctions import zero_form
-
     zero = ConformalPerturbation(zero_form(2), 2)
     nu2, _ = second_variation(zero)
     assert nu2 == 0.0

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cpn_entropy.eigenfunctions import special_phi
@@ -131,6 +133,61 @@ def test_monte_carlo_deterministic_for_fixed_seed():
     a = monte_carlo_average(f.power(2), 3, 50_000, seed=9)
     b = monte_carlo_average(f.power(2), 3, 50_000, seed=9)
     assert a == b
+
+
+def all_shard_seeds_at_once(p, m, samples, seed):
+    """``monte_carlo_average`` as it was when it spawned every shard's seed
+    before the first draw."""
+    chunk = 200_000
+    children = np.random.SeedSequence(seed).spawn(-(-samples // chunk))
+    total = total_sq = 0.0
+    count = 0
+    for child in children:
+        size = min(chunk, samples - count)
+        rng = np.random.default_rng(child)
+        g = (rng.standard_normal((size, m))
+             + 1j * rng.standard_normal((size, m)))
+        z = g / np.linalg.norm(g, axis=1, keepdims=True)
+        vals = np.real(p.evaluate(z))
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals ** 2))
+        count += size
+    mean = total / count
+    return mean, math.sqrt(max(total_sq / count - mean ** 2, 0.0) / count)
+
+
+def test_monte_carlo_shard_seeds_are_the_streams_spawned_at_once():
+    # three shards, the last one 10001 rows long
+    p = special_cubic_polynomial(2).power(3)
+    assert (monte_carlo_average(p, 3, 410_001, seed=5)
+            == all_shard_seeds_at_once(p, 3, 410_001, seed=5))
+
+
+def test_monte_carlo_spawns_one_shard_seed_at_a_time(monkeypatch):
+    asked = []
+
+    class SpySeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            asked.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+    f = special_cubic_polynomial(2)
+    monte_carlo_average(f, 3, 410_001, seed=5)
+    assert asked == [1, 1, 1]
+
+
+def test_monte_carlo_peak_memory_holds_one_shard():
+    # the shard's arrays and one row block of powers: about 25 MiB, where
+    # powers cached over the whole 200000-row shard take 86 MiB
+    p = special_cubic_polynomial(2).power(3)
+    tracemalloc.start()
+    try:
+        monte_carlo_average(p, 3, 1_000_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * 2 ** 20
 
 
 def test_cpn_volume_n1_is_pi():

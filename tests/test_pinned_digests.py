@@ -60,3 +60,12 @@ def test_moments_n3_digest():
     argv = ["moments", "--N", "3", "--mc-samples", "100000", "--seed", "1"]
     assert _exit_and_digest(argv) == (
         0, "7fc114417cae952a59e87135f686b5d96d0dad867ecd3be7d9385fae8e403c30")
+
+
+def test_moments_n2_short_last_shard_digest():
+    # a last shard of 10001 rows, below numpy's temporary elision
+    # threshold, after one of 200000 rows above it
+    _skip_unless_baseline_build()
+    argv = ["moments", "--N", "2", "--mc-samples", "210001", "--seed", "1"]
+    assert _exit_and_digest(argv) == (
+        0, "841115a777a3df2eb0f5188df563d65a672b95169f01b82e645447890c32e2f6")

@@ -3,13 +3,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpn_entropy.polynomials import (QC, BihomogeneousPolynomial,
+from cpn_entropy import polynomials
+from cpn_entropy.polynomials import (QC, QC_ZERO, BihomogeneousPolynomial,
                                      UnsupportedDegreeError, flat_laplacian,
                                      full_harmonic_expansion,
-                                     harmonic_decomposition, recompose,
+                                     harmonic_decomposition,
                                      special_cubic_polynomial)
 
 F = Fraction
+
+
+def is_real_valued(p: BihomogeneousPolynomial) -> bool:
+    return all(p.terms.get((b, a), QC_ZERO) == c.conj()
+               for (a, b), c in p.terms.items())
+
+
+def recompose(h: BihomogeneousPolynomial, q: BihomogeneousPolynomial):
+    return h + BihomogeneousPolynomial.radius_squared(h.m) * q
 
 
 def test_qc_field_operations():
@@ -41,7 +51,7 @@ def test_polynomial_evaluation_matches_terms():
 
 def test_special_polynomial_is_real_and_bidegree_one():
     f = special_cubic_polynomial(2)
-    assert f.is_real_valued()
+    assert is_real_valued(f)
     assert f.bidegree() == (1, 1)
     assert len(f.terms) == 6
 
@@ -131,3 +141,55 @@ def test_polynomials_on_different_spaces_do_not_combine(op):
     q = BihomogeneousPolynomial.monomial(4, (1, 0, 0, 0), (0, 1, 0, 0), 4)
     with pytest.raises(ValueError):
         {"add": p.__add__, "sub": p.__sub__, "mul": p.__mul__}[op](q)
+
+
+def whole_array_evaluate(p: BihomogeneousPolynomial, z) -> np.ndarray:
+    """The one-pass loop ``evaluate`` replaced: each factor multiplied into
+    a running term of ones over the whole array."""
+    z = np.asarray(z, dtype=complex)
+    zc = np.conj(z)
+    out = np.zeros(z.shape[:-1], dtype=complex)
+    for (a, b), c in p.terms.items():
+        term = np.ones(z.shape[:-1], dtype=complex)
+        for j, e in enumerate(a):
+            if e:
+                term = term * z[..., j] ** e
+        for j, e in enumerate(b):
+            if e:
+                term = term * zc[..., j] ** e
+        out += c.to_complex() * term
+    return out
+
+
+def _same_bits(p, shape, seed):
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal(shape + (p.m,))
+         + 1j * rng.standard_normal(shape + (p.m,)))
+    new, old = p.evaluate(z), whole_array_evaluate(p, z)
+    assert new.shape == old.shape == shape
+    return np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+BLOCK = polynomials._BLOCK_ROWS
+# 16383 to 16385 straddle numpy's temporary elision threshold
+ROW_COUNTS = [1, 2, 3, 7, 8, 9, 17, BLOCK - 1, BLOCK, BLOCK + 1, 10000,
+              16383, 16384, 16385, 2 * BLOCK + 1, 200000]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_evaluate_keeps_the_bits_of_the_whole_array_loop(N):
+    p = special_cubic_polynomial(N).power(3)
+    for rows in ROW_COUNTS:
+        assert _same_bits(p, (rows,), seed=rows), rows
+    for shape in [(3, 7000), (2, 4000), (2, 3, 5)]:
+        assert _same_bits(p, shape, seed=N), shape
+
+
+@pytest.mark.parametrize("rows", [1, 9, BLOCK + 1, 16385])
+def test_evaluate_keeps_the_bits_of_constant_and_zero_polynomials(rows):
+    f = special_cubic_polynomial(2)
+    with_constant = f.power(2) + BihomogeneousPolynomial.constant(3, F(-2, 3))
+    assert _same_bits(with_constant, (rows,), seed=rows)
+    assert _same_bits(BihomogeneousPolynomial.constant(3, QC(F(1), F(2))),
+                      (rows,), seed=rows)
+    assert _same_bits(BihomogeneousPolynomial.zero(3), (rows,), seed=rows)
