@@ -24,12 +24,14 @@ import numpy as np
 from . import __version__
 from .charts import ChartPoint, sample_w, transition_map
 from .eigenfunctions import basis_first_eigenspace, phi_values_batch, verify_eigen
-from .entropy import _SLAB_ROWS, CERTIFICATE_CHECKS, certify
+from .entropy import (_SLAB_ROWS, CERTIFICATE_CHECKS, _certify_quadratures,
+                      certify)
 from .geometry import (NormalizationError, curvature_batch, curvature_from_arrays,
                        einstein_tau, fd_metric_arrays, metric_arrays,
                        potential_metric_arrays, pullback_mismatch)
-from .moments import (cpn_volume, cpn_volume_closed_form, monomial_average,
-                      monte_carlo_average, polynomial_average, symmetry_vanishing)
+from .moments import (_VOLUME_LEVELS, cpn_volume, cpn_volume_closed_form,
+                      monomial_average, monte_carlo_average,
+                      polynomial_average, symmetry_vanishing)
 from .polynomials import (BihomogeneousPolynomial, full_harmonic_expansion,
                           special_cubic_polynomial)
 from .quadrature import chart_nodes, level_orders
@@ -56,9 +58,10 @@ _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
 # basis form at every node, is held twice (the chunks and their
 # concatenation) and counts against the same byte limit.
 _GRAM_ORDERS = (5, 6)
-# Nodes the volume quadrature of moments may take.  It always evaluates
-# levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5 (2.4 s on a 2-vCPU
-# Xeon VM), 4.3e9 at N = 6.
+# Nodes the fixed quadratures of a run may take.  The volume quadrature of
+# moments evaluates levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5
+# (2.4 s on a 2-vCPU Xeon VM), 4.3e9 at N = 6.  Those of certify, V' the
+# largest, take 9.1e8 nodes at N = 5 and 5.2e10 at N = 6.
 _VOLUME_NODES_LIMIT = 10 ** 9
 
 SPHERE_NOTE = ("sphere averages are taken over the unit sphere S^(2N+1) of "
@@ -303,7 +306,7 @@ def cmd_moments(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     checks.append(check("square_average", "avg f^2 = 6/((N+1)(N+2))",
                         avg2 == expected2, provenance="exact",
                         detail={"value": avg2, "expected": expected2}))
-    vol, vol_err = cpn_volume(N, tol=cfg.tol)
+    vol, vol_err = cpn_volume(N)
     vol_closed = cpn_volume_closed_form(N)
     vol_rel = abs(vol - vol_closed) / vol_closed
     checks.append(gate("volume_quadrature", "Vol(CP^N) = pi^N/N!",
@@ -517,6 +520,19 @@ def _check_bytes(what: str, N: int, need: int) -> None:
             f"than the {_BATCH_BYTES_LIMIT / 2 ** 30:.3g} GiB limit")
 
 
+def _check_nodes(what: str, N: int, orders) -> None:
+    """Refuse chart quadratures at ``orders``, (n_u, n_theta) pairs, whose
+    nodes at N exceed the node limit."""
+    try:
+        nodes = sum(float(math.prod(pair)) ** N for pair in orders)
+    except OverflowError:
+        nodes = math.inf
+    if nodes > _VOLUME_NODES_LIMIT:
+        raise UsageError(
+            f"{what} at N = {N} needs {nodes:.3g} nodes, more than the "
+            f"{_VOLUME_NODES_LIMIT:.3g} node limit")
+
+
 def _check_size(command: str, cfg: RunConfig) -> None:
     """Refuse a run whose largest array or quadrature cannot fit its limit."""
     N = max(cfg.N, 0)
@@ -528,15 +544,11 @@ def _check_size(command: str, cfg: RunConfig) -> None:
         _check_bytes("the Gram node matrix", cfg.N,
                      2 * math.prod(_GRAM_ORDERS) ** N * N * (N + 2) * 8)
     if command == "moments":
-        try:
-            nodes = sum(float(math.prod(level_orders(level))) ** N
-                        for level in (1, 2))
-        except OverflowError:
-            nodes = math.inf
-        if nodes > _VOLUME_NODES_LIMIT:
-            raise UsageError(
-                f"the volume quadrature at N = {cfg.N} needs {nodes:.3g} "
-                f"nodes, more than the {_VOLUME_NODES_LIMIT:.3g} node limit")
+        _check_nodes("the volume quadrature", N, map(
+            level_orders, range(1, _VOLUME_LEVELS + 1)))
+    if command == "certify":
+        _check_nodes("the fixed quadrature of certify", N,
+                     _certify_quadratures(N))
 
 
 def main(argv=None) -> int:

@@ -45,14 +45,6 @@ class HermitianForm:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def scaled(self, c: float) -> "HermitianForm":
-        exact = None
-        if self.exact is not None and isinstance(c, (int, Fraction)):
-            cf = Fraction(c)
-            exact = tuple(tuple((re * cf, im * cf) for re, im in row)
-                          for row in self.exact)
-        return HermitianForm(self.matrix * c, exact)
-
 
 def _exact_from_int_matrices(re_mat, im_mat):
     n = len(re_mat)

@@ -76,10 +76,7 @@ class ConformalPerturbation:
         """Hbar = mean of tr_g h = n * avg(psi), exact."""
         return 2 * self.N * self.exact_average(1)
 
-    def scaled(self, c) -> "ConformalPerturbation":
-        return ConformalPerturbation(self.form.scaled(c), self.N)
-
-    def eigen_residual(self, points: int = 50, seed: int = 7) -> float:
+    def eigen_residual(self, points: int, seed: int) -> float:
         return verify_eigen(self.form, einstein_tau(self.N),
                             sample_w(self.N, points, seed))
 
@@ -88,7 +85,7 @@ class ConformalPerturbation:
 # v of h
 
 
-def v_of(h: ConformalPerturbation, points: int = 50, seed: int = 7) -> float:
+def v_of(h: ConformalPerturbation, points: int, seed: int) -> float:
     """Residual of v = 2 psi in (Delta + 1/(2 tau)) v = div div h, zero mean.
 
     For h = psi g_FS, div div h = Delta psi, and v = 2 psi satisfies the
@@ -127,11 +124,8 @@ def _n_tilde(psi, geom) -> np.ndarray:
 
 
 def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
-                  geom=None) -> np.ndarray:
-    """Ntilde(h)_ij over a batch of chart-0 points."""
-    w = np.asarray(w, dtype=complex)
-    if geom is None:
-        geom = curvature_batch(w)
+                  geom: GeometryJet) -> np.ndarray:
+    """Ntilde(h)_ij over a batch of chart-0 points with geometry ``geom``."""
     return _n_tilde(h.psi_jet(w), geom)
 
 
@@ -143,10 +137,9 @@ def _trace_shift(h: ConformalPerturbation) -> float:
     return hbar / (2 * n * tau)
 
 
-def n_tilde_max(h: ConformalPerturbation, points: int = 100,
-                seed: int = 7) -> float:
+def n_tilde_max(h: ConformalPerturbation, points: int, seed: int) -> float:
     w = sample_w(h.N, points, seed)
-    return float(np.max(np.abs(n_tilde_batch(h, w))))
+    return float(np.max(np.abs(n_tilde_batch(h, w, curvature_batch(w)))))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +147,8 @@ def n_tilde_max(h: ConformalPerturbation, points: int = 100,
 
 # Central-difference step of the Richardson-extrapolated Hbar' estimate.
 _HBAR_FD_STEP = 1e-3
+# V' = 0 exactly, which no relative stopping rule can reach: one level
+_V_PRIME_LEVEL = 3
 
 
 def _entropy_quad_levels(N: int) -> tuple[int, int]:
@@ -170,6 +165,20 @@ def _entropy_quad_levels(N: int) -> tuple[int, int]:
 def _scalar_quad_levels(N: int) -> tuple[int, int]:
     """Orders that integrate the (1 + s psi)^N family exactly."""
     return {2: (5, 7), 3: (5, 6)}.get(N, (5, 6))
+
+
+def _coarse_levels(n_u: int, n_theta: int) -> tuple[int, int]:
+    """One level below the sweep's orders: the nu'' error estimate."""
+    return max(n_u - 1, 2), max(n_theta - 1, 3)
+
+
+def _certify_quadratures(N: int) -> tuple:
+    """(n_u, n_theta) of every quadrature ``certify`` runs at N whatever
+    its integrands: V', Hbar', the fine and coarse sweeps and the first two
+    levels of the adaptive int phi^3.  Each takes (n_u * n_theta)^N nodes."""
+    fine = _entropy_quad_levels(N)
+    return (level_orders(_V_PRIME_LEVEL), _scalar_quad_levels(N), fine,
+            _coarse_levels(*fine), level_orders(1), level_orders(2))
 
 
 # Rows per slab of the geometry sweep.  The slab bounds depend only on the
@@ -239,27 +248,24 @@ def _geometry_sweep(h: ConformalPerturbation, N: int,
     return acc
 
 
-def first_variations(h: ConformalPerturbation,
-                     sweep: dict | None = None) -> dict:
+def first_variations(h: ConformalPerturbation, sweep: dict) -> dict:
     """tau', V', Hbar' along g(s) = g_FS + s h.
 
     tau' and V' come from quadrature (both must vanish for eigen psi);
     Hbar' is computed from the closed form n(n-2)/(2V) ||psi||^2 and by
     finite differences of (int H dV)/V in s.  ``sweep`` is the fine
-    ``_geometry_sweep`` of ``h`` when the caller has already computed it.
+    ``_geometry_sweep`` of ``h``.
     """
     N = h.N
     n = 2 * N
     tau = einstein_tau(N)
-    if sweep is None:
-        sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
     tau_prime = tau * sweep["ric_h"] / sweep["scal"]
 
     def v_prime_integrand(w):
         return (n / 2.0) * _phi_values(h.form, 0, w)
 
-    # V' = 0 exactly, which no relative stopping rule can reach: one level
-    volume_prime = cpn_integral(v_prime_integrand, N, *level_orders(3))
+    volume_prime = cpn_integral(v_prime_integrand, N,
+                                *level_orders(_V_PRIME_LEVEL))
     hbar_prime_closed = float(n * (n - 2) * Fraction(1, 2) * h.exact_average(2))
     # psi at the nodes, shared by the four hbar_at calls
     psi_nodes = [(h.psi_values(w), weights)
@@ -287,19 +293,16 @@ def first_variations(h: ConformalPerturbation,
 
 
 def second_variation(h: ConformalPerturbation,
-                     sweep: dict | None = None) -> tuple[float, float]:
+                     sweep: dict) -> tuple[float, float]:
     """(tau/V) int <N(h), h> dV by quadrature; returns (value, error_estimate).
 
-    The error estimate is the difference against one coarser level.
-    ``sweep`` is the fine ``_geometry_sweep`` of ``h`` when the caller has
-    already computed it.
+    ``sweep`` is the fine ``_geometry_sweep`` of ``h``.  The error estimate
+    is the difference against one coarser level.
     """
     N = h.N
     tau = einstein_tau(N)
-    n_u, n_theta = _entropy_quad_levels(N)
-    fine = sweep if sweep is not None else _geometry_sweep(h, N, n_u, n_theta)
-    coarse = _geometry_sweep(h, N, max(n_u - 1, 2), max(n_theta - 1, 3))
-    value = tau * fine["nh_h"] / fine["volume"]
+    coarse = _geometry_sweep(h, N, *_coarse_levels(*_entropy_quad_levels(N)))
+    value = tau * sweep["nh_h"] / sweep["volume"]
     value_coarse = tau * coarse["nh_h"] / coarse["volume"]
     return value, abs(value - value_coarse)
 
@@ -321,7 +324,7 @@ def _third_variation_rational(N: int, avg3: Fraction) -> Fraction:
     return Fraction(2 * N - 2) * Fraction((N + 1) ** N, math.factorial(N)) * avg3
 
 
-def third_variation(N: int, form: HermitianForm | None = None) -> dict:
+def third_variation(N: int, form: HermitianForm) -> dict:
     """Third variation along h = phi g_FS, exact and quadrature paths.
 
     Returns the certificate's ``phi3_average``, ``phi3_integral`` (the
@@ -331,7 +334,6 @@ def third_variation(N: int, form: HermitianForm | None = None) -> dict:
     """
     if N < 2:
         raise ValueError("third_variation requires N >= 2")
-    form = form if form is not None else special_phi(N)
     n = 2 * N
     tau = einstein_tau(N)
     avg3 = cpn_average(3, form, N)
@@ -434,7 +436,7 @@ def _stage(timings: dict, name: str):
     timings[name] = time.perf_counter() - start
 
 
-def certify(N: int, points: int = 100, seed: int = 7, *,
+def certify(N: int, points: int, seed: int, *,
             timings: dict) -> tuple[list, dict]:
     """Run the full stability pipeline and decide the certificate.
 
@@ -464,7 +466,7 @@ def certify(N: int, points: int = 100, seed: int = 7, *,
     with _stage(timings, "second"):
         nu2, nu2_err = second_variation(h, sweep=sweep)
     with _stage(timings, "third"):
-        nu3 = third_variation(N)
+        nu3 = third_variation(N, h.form)
 
     hbar_closed = firsts["hbar_prime_closed"]
     floor = CERTIFICATE_CHECKS["third_variation_nonzero"]

@@ -63,15 +63,6 @@ class Jet:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.val - other.val, self.grad - other.grad,
-                       self.hess - other.hess)
-        return Jet(self.val - other, self.grad, self.hess)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return Jet(-self.val, -self.grad, -self.hess)
 
@@ -94,9 +85,6 @@ class Jet:
             return self * other.reciprocal()
         return self * (1.0 / other)
 
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
     def reciprocal(self):
         iv = 1.0 / self.val
         iv2 = iv * iv
@@ -118,10 +106,6 @@ class Jet:
     @property
     def real(self):
         return Jet(self.val.real, self.grad.real, self.hess.real)
-
-    @property
-    def imag(self):
-        return Jet(self.val.imag, self.grad.imag, self.hess.imag)
 
 
 class Dual2:
@@ -148,20 +132,16 @@ class Dual2:
         return cls(value, g, h, dim)
 
     @classmethod
-    def variable(cls, value, index, dim):
+    def variable(cls, value: float, index, dim):
+        """Seed coordinate ``index`` at a float ``value``; ``nested_variable``
+        seeds the nested level."""
         d = cls.constant(value, dim)
-        one = 1.0 if not isinstance(value, Dual2) else value.one_like()
-        d.g[index] = one
+        d.g[index] = 1.0
         return d
 
     def zero_like(self):
         return Dual2.constant(self.v * 0.0 if not isinstance(self.v, Dual2)
                               else self.v.zero_like(), self.dim)
-
-    def one_like(self):
-        z = self.zero_like()
-        z.v = 1.0 if not isinstance(self.v, Dual2) else self.v.one_like()
-        return z
 
     def _lift(self, other):
         if isinstance(other, Dual2):
@@ -184,9 +164,6 @@ class Dual2:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._lift(other)
         g = [self.v * o.g[i] + o.v * self.g[i] for i in range(self.dim)]
@@ -205,12 +182,6 @@ class Dual2:
         h = [[-self.h[i][j] * iv2 + 2.0 * self.g[i] * self.g[j] * iv3
               for j in range(self.dim)] for i in range(self.dim)]
         return Dual2(iv, g, h, self.dim)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
 
     def log(self):
         iv = _inv(self.v)

@@ -203,7 +203,7 @@ class BihomogeneousPolynomial(LinearCombination):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, m: int, a, b, coeff=1) -> "BihomogeneousPolynomial":
+    def monomial(cls, m: int, a, b, coeff) -> "BihomogeneousPolynomial":
         return cls(m, {(tuple(a), tuple(b)): QC.of(coeff)})
 
     @classmethod

@@ -155,7 +155,7 @@ def level_orders(level: int) -> tuple[int, int]:
     return 3 + level, 4 + 2 * level
 
 
-def adaptive_cpn_integral(func, N: int, tol: float = 1e-6, max_level: int = 6):
+def adaptive_cpn_integral(func, N: int, tol: float, max_level: int):
     """Refine from level 1 until two consecutive levels agree to ``tol``.
 
     Returns (value, error_estimate); the estimate is the achieved relative

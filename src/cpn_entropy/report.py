@@ -94,9 +94,8 @@ def gate(name: str, identity: str, residual: float, tol: float,
 
 
 def build_report(command: str, config: dict, checks: list,
-                 certificate: dict | None = None,
-                 notes: list | None = None,
-                 timings: dict | None = None) -> dict:
+                 certificate: dict | None, notes: list,
+                 timings: dict) -> dict:
     report = {
         "version": __version__,
         "command": command,
@@ -108,7 +107,7 @@ def build_report(command: str, config: dict, checks: list,
         report["notes"] = notes
     if certificate is not None:
         report["certificate"] = certificate
-    report["timings"] = timings or {}
+    report["timings"] = timings
     return report
 
 

@@ -80,7 +80,7 @@ class Coef(LinearCombination):
 
     __rmul__ = __mul__
 
-    def mul_monomial(self, dn: int, dit: int, c=1) -> "Coef":
+    def mul_monomial(self, dn: int, dit: int, c) -> "Coef":
         c = Fraction(c)
         return self.map_terms(lambda key, v: (
             ((key[0] + dn, key[1] + dit), v * c),))
@@ -137,8 +137,6 @@ class GenExp(NamedTuple):
 
 PHI3 = GenExp(phi=3)
 PHI2 = GenExp(phi=2)
-PHI1 = GenExp(phi=1)
-ONE = GenExp()
 
 
 class IntegralExpr(LinearCombination):
@@ -251,7 +249,7 @@ def _elliptic_identity_times_phi(route: str) -> IntegralExpr:
     return e
 
 
-def solve_f_second_integrals(route: str = "classical") -> tuple[IntegralExpr, IntegralExpr]:
+def solve_f_second_integrals(route: str) -> tuple[IntegralExpr, IntegralExpr]:
     """Return (int phi f'', int phi lap f'') as pure-phi expressions.
 
     Multiplies the elliptic identity by phi, integrates, rewrites the left
@@ -270,7 +268,7 @@ def solve_f_second_integrals(route: str = "classical") -> tuple[IntegralExpr, In
     return phi_f2, phi_lap_f2
 
 
-def eliminate_f_second(e: IntegralExpr, route: str = "classical") -> IntegralExpr:
+def eliminate_f_second(e: IntegralExpr, route: str) -> IntegralExpr:
     """Replace int phi f'' and int phi lap f'' by their phi-power values."""
     if not any(key.f2 or key.lapf2 for key in e.terms):
         return e
@@ -286,7 +284,7 @@ def eliminate_f_second(e: IntegralExpr, route: str = "classical") -> IntegralExp
     return e.map_terms(fire)
 
 
-def rule_set(route: str = "classical") -> list[Callable[[IntegralExpr], IntegralExpr]]:
+def rule_set(route: str) -> list[Callable[[IntegralExpr], IntegralExpr]]:
     elim = lambda e: eliminate_f_second(e, route)
     elim.__name__ = "eliminate_f_second"
     return [rule_eigen, rule_self_adjoint, rule_gradient_reduction,
@@ -328,8 +326,8 @@ def ricci_second_variation_coefficients(route: str) -> dict:
     raise ValueError(f"unknown route {route!r}")
 
 
-def assemble_third_variation_integrand(route: str = "classical",
-                                       ric_overrides: dict | None = None) -> IntegralExpr:
+def assemble_third_variation_integrand(route: str,
+                                       ric_overrides: dict | None) -> IntegralExpr:
     """<h, Ric'' + (Hess f)'' - ((1/(2 tau)) g)''> for h = phi g.
 
     Tracing each tensor against h = phi g turns the assembly into pure
@@ -354,7 +352,7 @@ def assemble_third_variation_integrand(route: str = "classical",
     return e
 
 
-def expected_checkpoint(route: str = "classical") -> IntegralExpr:
+def expected_checkpoint(route: str) -> IntegralExpr:
     """The integrand after zero-mean only: the classical intermediate line.
 
     classical: 2(n-1) int phi^2 lap phi + int phi lap f''
@@ -383,7 +381,7 @@ class ReductionResult:
     deviation: IntegralExpr
 
 
-def reduce_third_variation(n="symbolic", route: str = "classical",
+def reduce_third_variation(n, route: str = "classical",
                            rule_order_seed: int | None = None,
                            ric_overrides: dict | None = None) -> ReductionResult:
     """Reduce the assembled integrand to its normal form and check it.
@@ -430,8 +428,8 @@ def reduce_third_variation(n="symbolic", route: str = "classical",
         deviation=deviation)
 
 
-def confluence_check(n="symbolic", route: str = "classical", orders: int = 100,
-                     seed: int = 7) -> bool:
+def confluence_check(n, route: str = "classical", *, orders: int,
+                     seed: int) -> bool:
     """Reduce under ``orders`` random rule orders; all must agree."""
     reference = reduce_third_variation(n, route).normal_form_text
     rng = random.Random(seed)
@@ -449,4 +447,4 @@ def second_variation_symbolic_zero() -> bool:
     e = IntegralExpr()
     e._accumulate(GenExp(phi=1, lap=1), n * Fraction(1, 2))
     e._accumulate(GenExp(phi=2), n.mul_monomial(0, 1, Fraction(1, 2)))
-    return reduce_to_fixed_point(e, rule_set()).is_zero()
+    return reduce_to_fixed_point(e, rule_set("classical")).is_zero()

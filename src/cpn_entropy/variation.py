@@ -20,7 +20,7 @@ The two second-order formulas carry gradient cross terms:
 
 Both are forced by the Leibniz expansion in the (independently verified)
 first-order pieces and are confirmed by both oracles; variants that drop the
-gradient terms fail the suite (see ``gradient_free_second_order_coefficients``).
+gradient terms fail the suite.
 """
 
 from __future__ import annotations
@@ -67,21 +67,6 @@ def default_coefficients(n: int) -> dict:
         ("laplacian", 2): {"lap": f(2), "grad": f(-2 * (n - 2))},
         ("ricci", 2): {"g_lap": f(1), "g_grad": f(-(n - 4), 2),
                        "hess": f(n - 2), "grad_grad": f(3 * (n - 2), 2)},
-    }
-
-
-def gradient_free_second_order_coefficients(n: int) -> dict:
-    """The uncorrected variants of the two second-order formulas.
-
-    Kept only so the suite can demonstrate that the finite-difference oracle
-    rejects them: the true derivatives carry the extra gradient terms (see
-    ``default_coefficients``), which these variants drop.
-    """
-    f = Fraction
-    return {
-        ("laplacian", 2): {"lap": f(2), "grad": f(0)},
-        ("ricci", 2): {"g_lap": f(1), "g_grad": f(-(n - 2), 2),
-                       "hess": f(n - 2), "grad_grad": f(n - 2)},
     }
 
 
@@ -288,7 +273,7 @@ def _compare(closed: np.ndarray, fd: np.ndarray) -> tuple[float, bool]:
 
 
 def verify_lemma_suite(N: int, points: int, seed: int,
-                       mutations: dict | None = None) -> dict:
+                       mutations: dict | None) -> dict:
     """Closed forms vs finite differences for all ten variation formulas,
     as {(quantity, order): (worst relative residual, passed)} in
     ``QUANTITIES`` order.

@@ -13,9 +13,9 @@ import pytest
 from cpn_entropy.charts import sample_w
 from cpn_entropy.cli import main
 from cpn_entropy.eigenfunctions import basis_first_eigenspace, verify_eigen
-from cpn_entropy.entropy import (ConformalPerturbation, certify,
-                                 first_variations, n_tilde_max,
-                                 second_variation, v_of)
+from cpn_entropy.entropy import (ConformalPerturbation, _entropy_quad_levels,
+                                 _geometry_sweep, certify, first_variations,
+                                 n_tilde_max, second_variation, v_of)
 from cpn_entropy.geometry import curvature_batch, einstein_tau
 from cpn_entropy.moments import monte_carlo_average, polynomial_average
 from cpn_entropy.polynomials import special_cubic_polynomial
@@ -92,7 +92,8 @@ def test_criterion_4_lemma_suite():
 
     ok = True
     for N, points in ((2, 50), (3, 50)):
-        ok &= not failing_quantities(verify_lemma_suite(N, points, seed=7))
+        ok &= not failing_quantities(verify_lemma_suite(N, points, seed=7,
+                                                        mutations=None))
     defaults = default_coefficients(4)
     for key, coeffs in defaults.items():
         for name, value in coeffs.items():
@@ -107,9 +108,10 @@ def test_criterion_5_stability_operators():
     h = ConformalPerturbation.special(2)
     ok = n_tilde_max(h, points=100, seed=7) < 1e-7
     ok &= v_of(h, points=100, seed=7) < 1e-8
-    nu2, _ = second_variation(h)
+    sweep = _geometry_sweep(h, 2, *_entropy_quad_levels(2))
+    nu2, _ = second_variation(h, sweep)
     ok &= abs(nu2) < 1e-7
-    fv = first_variations(h)
+    fv = first_variations(h, sweep)
     ok &= abs(fv["tau_prime"]) < 1e-8
     ok &= abs(fv["volume_prime"]) < 1e-8
     ok &= abs(fv["hbar_prime_fd"] - fv["hbar_prime_closed"]) < 1e-5
@@ -123,7 +125,8 @@ def test_criterion_6_symbolic_reduction():
     ok = result.matches_expected
     ok &= result.final_coefficient == Coef.from_n_linear(1, -2)
     ok &= result.phi2_coefficient_zero and result.tau2_absent
-    checkpoint = rule_zero_mean(assemble_third_variation_integrand("classical"))
+    checkpoint = rule_zero_mean(
+        assemble_third_variation_integrand("classical", None))
     ok &= checkpoint == expected_checkpoint("classical")
     ok &= confluence_check("symbolic", "classical", orders=100, seed=7)
     _criterion(6, "symbolic reduction yields (n-2)(4 pi tau)^(-n/2) with zero "

@@ -8,12 +8,18 @@ so each case costs no recomputation.
 import pytest
 
 from cpn_entropy import entropy
-from cpn_entropy.cli import main
+from cpn_entropy.cli import RunConfig, main
 from cpn_entropy.entropy import CERTIFICATE_CHECKS, ConformalPerturbation
 from cpn_entropy.report import dumps, parse_report, reverify
 
 STAGES = ("v_of", "n_tilde_max", "_geometry_sweep", "first_variations",
           "second_variation", "third_variation")
+
+
+def certify_n2(**config):
+    """certify(2) at the CLI defaults of ``RunConfig``, unless overridden."""
+    cfg = RunConfig(N=2, **config)
+    return entropy.certify(cfg.N, cfg.points, cfg.seed, timings={})
 
 
 def _owner(stage):
@@ -36,7 +42,7 @@ def recorded():
         for stage in STAGES + ("eigen_residual",):
             mp.setattr(_owner(stage), stage,
                        recorder(stage, getattr(_owner(stage), stage)))
-        checks, cert = entropy.certify(2, timings={})
+        checks, cert = certify_n2()
     return checks, cert, outputs
 
 
@@ -159,7 +165,7 @@ def _key_paths(tree, prefix=""):
 def test_certificate_key_order():
     # the report prints keys in insertion order; this holds on every build,
     # where the byte digests of tests/test_report_bytes.py skip
-    assert list(_key_paths(entropy.certify(2, points=5, timings={})[1])) \
+    assert list(_key_paths(certify_n2(points=5)[1])) \
         == CERTIFICATE_KEY_PATHS
 
 
@@ -167,7 +173,7 @@ def test_replayed_stages_reproduce_the_certificate(recorded, monkeypatch,
                                                    capsys):
     checks, cert, outputs = recorded
     _replay(monkeypatch, outputs)
-    assert entropy.certify(2, timings={}) == (checks, cert)
+    assert certify_n2() == (checks, cert)
     assert main(["certify", "--N", "2"]) == 0
     report = parse_report(capsys.readouterr().out)
     assert dumps(report["checks"]) == dumps(checks)
@@ -179,7 +185,7 @@ def test_replayed_stages_reproduce_the_certificate(recorded, monkeypatch,
 def test_each_gate_flips_the_verdict(record, recorded, monkeypatch, capsys):
     *_, outputs = recorded
     _replay(monkeypatch, outputs, record)
-    _, cert = entropy.certify(2, timings={})
+    _, cert = certify_n2()
     assert cert["verdict"] == "inconclusive"
     assert cert["failures"] == [record]
     assert main(["certify", "--N", "2"]) == 1
@@ -198,7 +204,7 @@ def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,
     _replay(monkeypatch, outputs)
     monkeypatch.setattr(entropy, "n_tilde_max",
                         lambda *args, **kwargs: float("nan"))
-    _, cert = entropy.certify(2, timings={})
+    _, cert = certify_n2()
     assert cert["verdict"] == "inconclusive"
     assert cert["failures"] == ["n_tilde_vanishes"]
     assert main(["certify", "--N", "2"]) == 1

@@ -184,16 +184,39 @@ def test_oversized_batch_is_found_before_the_verb_runs(verb, monkeypatch,
     assert "GiB limit" in captured.err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("argv", [["certify", "--N", "50"],
-                                  ["geometry", "--N", "4", "--points",
-                                   "1000000"]])
+# argv -> the start of its error line
+CANNOT_FIT = {
+    ("certify", "--N", "50"): "a curvature batch of ",
+    ("geometry", "--N", "4", "--points", "1000000"): "a curvature batch of ",
+    # V' alone takes 60^N nodes, hours at N = 6
+    ("certify", "--N", "6"):
+        "the fixed quadrature of certify at N = 6 needs 5.17e+10 nodes",
+    ("certify", "--N", "7"):
+        "the fixed quadrature of certify at N = 7 needs 2.99e+12 nodes",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in CANNOT_FIT])
 def test_runs_that_cannot_fit_exit_2(argv, monkeypatch, capsys):
     calls = _verb_spy(monkeypatch, argv[0])
     assert main(argv) == 2
     assert calls == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: a curvature batch of ")
+    assert captured.err.startswith("error: " + CANNOT_FIT[tuple(argv)])
+
+
+def test_certify_quadratures_at_n5_fit(monkeypatch):
+    # 9.1e8 nodes, under the limit
+    calls = _verb_spy(monkeypatch, "certify")
+    assert main(["certify", "--N", "5"]) == 0
+    assert len(calls) == 1
+    # the same limit refuses them once it is one node lower
+    monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT",
+                        60 ** 5 + 30 ** 5 + 12 ** 5 + 6 ** 5 + 24 ** 5
+                        + 40 ** 5 - 1)
+    assert main(["certify", "--N", "5"]) == 2
+    assert len(calls) == 1
 
 
 def test_eigen_gram_matrix_that_cannot_fit_exits_2(monkeypatch, capsys):
@@ -222,6 +245,28 @@ def test_moments_volume_quadrature_that_cannot_fit_exits_2(monkeypatch,
     assert main(["moments", "--N", "4"]) == 0
     assert main(["moments", "--N", "5"]) == 2
     assert len(calls) == 1
+
+
+def test_moments_tol_sets_only_the_volume_gate(monkeypatch, capsys):
+    # the volume quadrature runs the two levels the node limit counts,
+    # whatever --tol asks
+    from cpn_entropy import quadrature
+
+    levels = []
+    original = quadrature.cpn_integral
+
+    def spy(func, N, n_u, n_theta):
+        levels.append((n_u, n_theta))
+        return original(func, N, n_u, n_theta)
+
+    monkeypatch.setattr(quadrature, "cpn_integral", spy)
+    code, report = run(capsys, "moments", "--N", "4", "--mc-samples", "10000",
+                       "--tol", "1e-300")
+    assert code == 0
+    assert levels == [quadrature.level_orders(1), quadrature.level_orders(2)]
+    volume = next(rec for rec in report["checks"]
+                  if rec["name"] == "volume_quadrature")
+    assert volume["status"] == "pass" and volume["tolerance"] == 1e-6
 
 
 def test_suites_without_curvature_have_no_batch_limit(monkeypatch):

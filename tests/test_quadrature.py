@@ -51,7 +51,7 @@ def test_phi_cubed_integral_matches_exact_value():
     def phi3(w):
         return phi_values_batch(form, 0, w) ** 3
 
-    value, err = adaptive_cpn_integral(phi3, 2, tol=1e-8)
+    value, err = adaptive_cpn_integral(phi3, 2, tol=1e-8, max_level=4)
     exact = 0.2 * cpn_volume_closed_form(2)
     assert abs(value - exact) / exact < 1e-12
     assert err < 1e-8

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cpn_entropy.rewrite import (Coef, GenExp, IntegralExpr, PHI1, PHI2, PHI3,
+from cpn_entropy.rewrite import (Coef, GenExp, IntegralExpr, PHI2, PHI3,
                                  RuleError, confluence_check,
                                  expected_checkpoint,
                                  reduce_third_variation, reduce_to_fixed_point,
@@ -15,6 +15,7 @@ from cpn_entropy.rewrite import (Coef, GenExp, IntegralExpr, PHI1, PHI2, PHI3,
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
+PHI1 = GenExp(phi=1)
 
 
 def golden(name: str) -> str:
@@ -92,7 +93,7 @@ def test_f_second_elimination_solutions():
     from cpn_entropy.rewrite import eliminate_f_second
 
     plain = one(PHI3, Coef.constant(5))
-    assert eliminate_f_second(plain) == plain
+    assert eliminate_f_second(plain, "classical") == plain
 
 
 def test_corrected_route_f_second_solution():
@@ -137,7 +138,7 @@ def test_numeric_normal_forms():
 def test_assembled_integrand_carries_tau_second_before_reduction():
     from cpn_entropy.rewrite import assemble_third_variation_integrand
 
-    raw = assemble_third_variation_integrand("classical")
+    raw = assemble_third_variation_integrand("classical", None)
     assert any(key.tau2 for key in raw.terms)
     reduced = reduce_third_variation("symbolic", "classical")
     assert reduced.tau2_absent

@@ -46,7 +46,7 @@ def _slab_outputs(w):
     out = dict(zip(("metric_g", "metric_dg", "metric_d2g"),
                    geometry.metric_arrays(w)))
     out.update({name: getattr(geom, name) for name in CURVATURE_FIELDS})
-    out["n_tilde"] = entropy.n_tilde_batch(h, w)
+    out["n_tilde"] = entropy.n_tilde_batch(h, w, geom)
     psi = h.psi_jet(w)
     out.update(psi_val=psi.val, psi_grad=psi.grad, psi_hess=psi.hess)
     return out
@@ -186,7 +186,8 @@ def test_small_batches_start_no_pool_and_import_nothing():
             "from cpn_entropy.charts import sample_w; "
             "w = sample_w(3, 4 * entropy._SLAB_ROWS, 1); "
             "geometry.einstein_tau(3); geometry.curvature_batch(w); "
-            "entropy.n_tilde_batch(entropy.ConformalPerturbation.special(3), w); "
+            "entropy.n_tilde_batch(entropy.ConformalPerturbation.special(3), "
+            "w, geometry.curvature_batch(w)); "
             "print(quadrature._POOL is None, "
             "'concurrent.futures' in sys.modules)")
     src = os.path.dirname(os.path.dirname(cpn_entropy.__file__))
@@ -244,7 +245,7 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
     for attr in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Jet, attr, spy("Jet.__mul__", Jet.__dict__[attr]))
 
-    entropy.certify(2, timings={})
+    entropy.certify(2, points=100, seed=7, timings={})
     expected = {name for names in SPIED.values() for name in names}
     assert {name for name, _ in calls} == expected | {"Jet.__mul__"}
     assert {ident for _, ident in calls} == {threading.get_ident()}
