@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .charts import ChartPoint, sample_w, transition_map
 from .eigenfunctions import basis_first_eigenspace, phi_values_batch, verify_eigen
-from .entropy import (_SLAB_ROWS, CERTIFICATE_CHECKS, _certify_quadratures,
+from .entropy import (CERTIFICATE_CHECKS, _certify_quadratures, _slab_rows,
                       certify)
 from .geometry import (NormalizationError, curvature_batch, curvature_from_arrays,
                        einstein_tau, fd_metric_arrays, metric_arrays,
@@ -48,9 +48,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # Bytes one curvature batch may take, whatever the machine.  A batch has the
-# larger of --points and the sweep's slab rows.  Per row it peaks at about
-# 9.2 arrays of (2N)^4 floats in the variation suite and 4.6 in a sweep slab
-# (tracemalloc, N = 3..5), so the estimate counts 10.
+# larger of --points and the sweep's slab rows at N (``entropy._slab_rows``).
+# Per row it peaks at about 9.3 arrays of (2N)^4 floats in the variation
+# suite (8.9 to 9.9) and 4.6 in a sweep slab, its buffers included (4.5 to
+# 4.8; tracemalloc, N = 3..5), so the estimate counts 10.
 _BATCH_BYTES_LIMIT = 2 ** 30
 _BATCH_PEAK_ARRAYS = 10
 _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
@@ -63,6 +64,10 @@ _GRAM_ORDERS = (5, 6)
 # (2.4 s on a 2-vCPU Xeon VM), 4.3e9 at N = 6.  Those of certify, V' the
 # largest, take 9.1e8 nodes at N = 5 and 5.2e10 at N = 6.
 _VOLUME_NODES_LIMIT = 10 ** 9
+# Bytes per cell of geometry's nested-dual oracle (potential_metric_arrays),
+# which holds (2N)^4 fourth-order cells at one point whatever --points:
+# about 700 (peak RSS at N = 10 and 12, 152 and 273 MB), counted as 1024.
+_DUAL_CELL_BYTES = 1024
 
 SPHERE_NOTE = ("sphere averages are taken over the unit sphere S^(2N+1) of "
                "C^(N+1), the total space of the circle bundle over CP^N")
@@ -225,7 +230,9 @@ def cmd_eigen(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     traces = max(abs(f.trace) for f in basis)
     checks.append(check("trace_free", "tr A = 0", traces == 0.0,
                         float(traces), 1e-300, "exact"))
-    resid = max(verify_eigen(f, tau, w) for f in basis)
+    geom = curvature_batch(w)
+    resid = max(verify_eigen(f, tau, w, geom) for f in basis)
+    del geom  # the Gram quadrature below sets the peak: free it first
     spec = CERTIFICATE_CHECKS["eigen_residual"]
     checks.append(gate("eigen_residual", spec.identity, resid, spec.tolerance,
                        spec.provenance, detail={"eigenvalue": 1.0 / tau}))
@@ -536,11 +543,14 @@ def _check_nodes(what: str, N: int, orders) -> None:
 def _check_size(command: str, cfg: RunConfig) -> None:
     """Refuse a run whose largest array or quadrature cannot fit its limit."""
     N = max(cfg.N, 0)
-    if command in _CURVATURE_VERBS:
-        rows = max(cfg.points, _SLAB_ROWS)
+    if command in _CURVATURE_VERBS and N:  # the verb itself refuses N < 1
+        rows = max(cfg.points, _slab_rows(N))
         _check_bytes(f"a curvature batch of {rows} rows", cfg.N,
                      rows * (2 * N) ** 4 * 8 * _BATCH_PEAK_ARRAYS)
-    if command == "eigen":  # N < 8 here: the curvature batch refuses more
+    if command == "geometry":
+        _check_bytes("the nested-dual metric oracle", cfg.N,
+                     (2 * N) ** 4 * _DUAL_CELL_BYTES)
+    if command == "eigen":  # N <= 30 here: the curvature batch refuses more
         _check_bytes("the Gram node matrix", cfg.N,
                      2 * math.prod(_GRAM_ORDERS) ** N * N * (N + 2) * 8)
     if command == "moments":

@@ -17,8 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .charts import ChartPoint
-from .geometry import (curvature_batch, hessian_and_laplacian,
-                       homogeneous_jets)
+# curvature_batch is bound here only for perfbench's tracer test, which
+# checks that the tracer patches every module binding it.
+from .geometry import (GeometryJet, curvature_batch,  # noqa: F401
+                       hessian_and_laplacian, homogeneous_jets)
 from .jets import Jet
 
 
@@ -152,10 +154,10 @@ def _phi_values(form: HermitianForm, chart: int, w: np.ndarray) -> np.ndarray:
     return num.real / den.real
 
 
-def verify_eigen(form: HermitianForm, tau: float, points: np.ndarray) -> float:
-    """Max |Delta phi + phi/tau| over a batch of chart-0 points."""
-    w = np.asarray(points)
-    geom = curvature_batch(w)
+def verify_eigen(form: HermitianForm, tau: float, w: np.ndarray,
+                 geom: GeometryJet) -> float:
+    """Max |Delta phi + phi/tau| over a batch of chart-0 points ``w`` whose
+    geometry is ``geom = curvature_batch(w)``."""
     jet = phi_jet_batch(form, 0, w)
     _, lap = hessian_and_laplacian(jet, geom)
     return float(np.max(np.abs(lap + jet.val / tau)))

@@ -38,12 +38,13 @@ import numpy as np
 from .charts import sample_w
 from .eigenfunctions import (HermitianForm, _phi_values, phi_jet_batch,
                              phi_values_batch, special_phi, verify_eigen)
-from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
-                       einstein_tau, hessian_and_laplacian, metric_arrays)
+from .geometry import (GeometryJet, _assemble_real_blocks, _curvature_rows,
+                       _CurvatureWorkspace, _hermitian_parts, _metric_buffers,
+                       curvature_batch, einstein_tau, hessian_and_laplacian)
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
-from .quadrature import (_ordered, adaptive_cpn_integral, chart_nodes,
-                         cpn_integral, level_orders)
+from .quadrature import (_ordered, _window, adaptive_cpn_integral,
+                         chart_nodes, cpn_integral, level_orders)
 from .report import check, gate
 
 
@@ -76,27 +77,29 @@ class ConformalPerturbation:
         """Hbar = mean of tr_g h = n * avg(psi), exact."""
         return 2 * self.N * self.exact_average(1)
 
-    def eigen_residual(self, points: int, seed: int) -> float:
-        return verify_eigen(self.form, einstein_tau(self.N),
-                            sample_w(self.N, points, seed))
+    def eigen_residual(self, tau: float, w: np.ndarray,
+                       geom: GeometryJet) -> float:
+        """Max |Delta psi + psi/tau| at chart-0 points ``w`` with geometry
+        ``geom``."""
+        return verify_eigen(self.form, tau, w, geom)
 
 
 # ---------------------------------------------------------------------------
 # v of h
 
 
-def v_of(h: ConformalPerturbation, points: int, seed: int) -> float:
+def v_of(h: ConformalPerturbation, tau: float, w: np.ndarray,
+         geom: GeometryJet) -> float:
     """Residual of v = 2 psi in (Delta + 1/(2 tau)) v = div div h, zero mean.
 
     For h = psi g_FS, div div h = Delta psi, and v = 2 psi satisfies the
     equation exactly when Delta psi = -psi/tau; the returned residual is the
-    max over sample points of |(Delta + 1/(2 tau))(2 psi) - Delta psi|.
-    The certificate's ``v_solution`` record gates it.
+    max over the chart-0 points ``w``, with geometry ``geom``, of
+    |(Delta + 1/(2 tau))(2 psi) - Delta psi|.  The certificate's
+    ``v_solution`` record gates it.
     """
-    tau = einstein_tau(h.N)
-    w = sample_w(h.N, points, seed)
     jet = h.psi_jet(w)
-    _, lap = hessian_and_laplacian(jet, curvature_batch(w))
+    _, lap = hessian_and_laplacian(jet, geom)
     return float(np.max(np.abs(2.0 * lap + jet.val / tau - lap)))
 
 
@@ -129,17 +132,17 @@ def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
     return _n_tilde(h.psi_jet(w), geom)
 
 
-def _trace_shift(h: ConformalPerturbation) -> float:
-    """Hbar / (2 n tau): N(h) = Ntilde(h) - _trace_shift(h) g."""
+def _trace_shift(h: ConformalPerturbation, tau: float) -> float:
+    """Hbar / (2 n tau): N(h) = Ntilde(h) - _trace_shift(h, tau) g."""
     n = 2 * h.N
-    tau = einstein_tau(h.N)
     hbar = float(h.trace_mean_exact())
     return hbar / (2 * n * tau)
 
 
-def n_tilde_max(h: ConformalPerturbation, points: int, seed: int) -> float:
-    w = sample_w(h.N, points, seed)
-    return float(np.max(np.abs(n_tilde_batch(h, w, curvature_batch(w)))))
+def n_tilde_max(h: ConformalPerturbation, w: np.ndarray,
+                geom: GeometryJet) -> float:
+    """Max |Ntilde(h)_ij| at the chart-0 points ``w`` with geometry ``geom``."""
+    return float(np.max(np.abs(n_tilde_batch(h, w, geom))))
 
 
 # ---------------------------------------------------------------------------
@@ -181,61 +184,109 @@ def _certify_quadratures(N: int) -> tuple:
             _coarse_levels(*fine), level_orders(1), level_orders(2))
 
 
-# Rows per slab of the geometry sweep.  The slab bounds depend only on the
-# chunk size, never on the CPU count, so no result depends on the machine.
-# 256 to 2048 rows run equally fast.  256 rows keep the per-slab einsum
-# temporaries small (at N = 4 a (2N)^4 array is 8 MiB) and peak memory
-# steady: with 512 rows the peak of `certify --N 4` moved by up to 35 MB
-# from run to run with the timing of the pool's slabs.
-_SLAB_ROWS = 256
+# Bytes of one (2N)^4 float64 array of a geometry sweep slab, which sets
+# the slab's rows: 1024, 202, 64, 26 and 12 at N = 2..6.  The rows depend
+# only on N, never on the CPU count, so no result depends on the machine.
+# A worker's slab holds about three such arrays of curvature workspace, so
+# peak memory no longer grows with N.  Arrays this small are under numpy's
+# 4 MiB hugepage threshold, where glibc returns freed temporaries to the OS
+# and the next slab faults them back in, so the sweep reuses its buffers.
+_SLAB_BYTES = 2 * 2 ** 20
 
 
-def _slab_integrands(g, dg, d2g, psi: Jet, shift: float):
+def _slab_rows(N: int) -> int:
+    """Rows of a geometry sweep slab at N: its (2N)^4 float64 arrays take
+    at most ``_SLAB_BYTES``."""
+    return max(1, _SLAB_BYTES // ((2 * N) ** 4 * 8))
+
+
+class _Workspaces:
+    """The curvature workspaces of one sweep, one per running slab task.
+
+    A task takes one from the free list, or makes one if the list is
+    empty, and returns it when done; ``list.pop`` and ``list.append`` are
+    atomic, so workers share the list without a lock.  The workspaces die
+    with the sweep.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.free = []
+
+    @contextmanager
+    def take(self):
+        try:
+            work = self.free.pop()
+        except IndexError:
+            work = _CurvatureWorkspace(self.rows)
+        try:
+            yield work
+        finally:
+            self.free.append(work)
+
+
+def _slab_integrands(g, dg, d2g, psi: Jet, shift: float,
+                     workspaces: _Workspaces):
     """(<h, Ric>, R, <h, N(h)>) at one slab's rows from its metric arrays.
 
     Runs on a pool worker, so it calls only numpy and private helpers,
-    never a function that may be wrapped for tracing.
+    never a function that may be wrapped for tracing.  The curvature lives
+    in a workspace of ``workspaces`` and does not leave the task: the
+    three returned vectors are fresh arrays.
     """
-    geom = GeometryJet(g, *_curvature_rows(g, dg, d2g))
-    h_ij = psi.val[:, None, None] * g
-    h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
-    ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-    nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * g)
-    return ric_h, geom.R, nh_h
+    with workspaces.take() as work:
+        geom = GeometryJet(g, *_curvature_rows(g, dg, d2g, work.array))
+        h_ij = psi.val[:, None, None] * g
+        h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
+        ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
+        nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * g)
+        return ric_h, geom.R, nh_h
 
 
-def _sweep_slabs(h: ConformalPerturbation, N: int, n_u: int, n_theta: int):
+def _sweep_slabs(h: ConformalPerturbation, tau: float, n_u: int,
+                 n_theta: int):
     """The sweep's slabs in node order, as ``_ordered`` tasks.
 
     A slab's key is its chunk's weights when it ends the chunk, else None.
     Its arguments are its metric arrays and psi jet, built here on the
-    calling thread: ``metric_arrays`` and ``Jet`` arithmetic may be traced.
+    calling thread: ``Jet`` arithmetic and ``phi_jet_batch`` may be traced.
+    The metric arrays go into one of ``_window() + 1`` slots of buffers in
+    turn.  A slot is rewritten only after its last task was collected,
+    since ``_ordered`` holds at most ``_window()`` tasks.
     """
-    shift = _trace_shift(h)
+    N = h.N
+    rows = _slab_rows(N)
+    shift = _trace_shift(h, tau)
+    workspaces = _Workspaces(rows)
+    slots = [_metric_buffers(rows, 2 * N) for _ in range(_window() + 1)]
+    count = 0
     for w, weights in chart_nodes(N, n_u, n_theta):
-        for start in range(0, len(weights), _SLAB_ROWS):
-            slab = w[start:start + _SLAB_ROWS]
-            last = start + _SLAB_ROWS >= len(weights)
+        for start in range(0, len(weights), rows):
+            slab = w[start:start + rows]
+            arrays = _assemble_real_blocks(*_hermitian_parts(slab),
+                                           slots[count % len(slots)])
+            count += 1
+            last = start + rows >= len(weights)
             yield (weights if last else None,
-                   (*metric_arrays(slab), h.psi_jet(slab), shift))
+                   (*arrays, h.psi_jet(slab), shift, workspaces))
 
 
-def _geometry_sweep(h: ConformalPerturbation, N: int,
+def _geometry_sweep(h: ConformalPerturbation, tau: float,
                     n_u: int, n_theta: int) -> dict:
     """One pass over quadrature nodes collecting the curvature integrals.
 
     Each ``chart_nodes`` chunk is summed with one ``np.dot`` per integral,
     which fixes the bits.  The integrands are computed in slabs of
-    ``_SLAB_ROWS`` rows, and every row's value is independent of its slab.
-    The slabs of all chunks form one stream on the pool, so no worker
-    waits at a chunk boundary; at most one slab more than the pool has
-    workers is in flight, so peak memory holds that many slabs' curvature,
-    not one chunk's.
+    ``_slab_rows(N)`` rows, and every row's value is independent of its
+    slab.  The slabs of all chunks form one stream on the pool, so no
+    worker waits at a chunk boundary.  Peak memory holds the slabs' buffer
+    slots and one curvature workspace per worker, not one chunk's
+    curvature, and the buffers are reused from slab to slab.
     """
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
     parts = []
     for weights, part in _ordered(_slab_integrands,
-                                  _sweep_slabs(h, N, n_u, n_theta)):
+                                  _sweep_slabs(h, tau, n_u, n_theta)):
         parts.append(part)
         if weights is None:
             continue
@@ -248,17 +299,17 @@ def _geometry_sweep(h: ConformalPerturbation, N: int,
     return acc
 
 
-def first_variations(h: ConformalPerturbation, sweep: dict) -> dict:
+def first_variations(h: ConformalPerturbation, tau: float,
+                     sweep: dict) -> dict:
     """tau', V', Hbar' along g(s) = g_FS + s h.
 
     tau' and V' come from quadrature (both must vanish for eigen psi);
     Hbar' is computed from the closed form n(n-2)/(2V) ||psi||^2 and by
-    finite differences of (int H dV)/V in s.  ``sweep`` is the fine
-    ``_geometry_sweep`` of ``h``.
+    finite differences of (int H dV)/V in s.  ``tau`` is the Einstein scale
+    and ``sweep`` the fine ``_geometry_sweep`` of ``h``.
     """
     N = h.N
     n = 2 * N
-    tau = einstein_tau(N)
     tau_prime = tau * sweep["ric_h"] / sweep["scal"]
 
     def v_prime_integrand(w):
@@ -292,16 +343,15 @@ def first_variations(h: ConformalPerturbation, sweep: dict) -> dict:
     }
 
 
-def second_variation(h: ConformalPerturbation,
+def second_variation(h: ConformalPerturbation, tau: float,
                      sweep: dict) -> tuple[float, float]:
     """(tau/V) int <N(h), h> dV by quadrature; returns (value, error_estimate).
 
     ``sweep`` is the fine ``_geometry_sweep`` of ``h``.  The error estimate
     is the difference against one coarser level.
     """
-    N = h.N
-    tau = einstein_tau(N)
-    coarse = _geometry_sweep(h, N, *_coarse_levels(*_entropy_quad_levels(N)))
+    coarse = _geometry_sweep(h, tau, *_coarse_levels(
+        *_entropy_quad_levels(h.N)))
     value = tau * sweep["nh_h"] / sweep["volume"]
     value_coarse = tau * coarse["nh_h"] / coarse["volume"]
     return value, abs(value - value_coarse)
@@ -324,7 +374,7 @@ def _third_variation_rational(N: int, avg3: Fraction) -> Fraction:
     return Fraction(2 * N - 2) * Fraction((N + 1) ** N, math.factorial(N)) * avg3
 
 
-def third_variation(N: int, form: HermitianForm) -> dict:
+def third_variation(N: int, form: HermitianForm, tau: float) -> dict:
     """Third variation along h = phi g_FS, exact and quadrature paths.
 
     Returns the certificate's ``phi3_average``, ``phi3_integral`` (the
@@ -335,7 +385,6 @@ def third_variation(N: int, form: HermitianForm) -> dict:
     if N < 2:
         raise ValueError("third_variation requires N >= 2")
     n = 2 * N
-    tau = einstein_tau(N)
     avg3 = cpn_average(3, form, N)
     integral_exact = float(avg3) * cpn_volume_closed_form(N)
 
@@ -444,8 +493,10 @@ def certify(N: int, points: int, seed: int, *,
     ``CERTIFICATE_CHECKS``, in its order, and the report's ordered
     certificate tree.  The verdict is ``not_local_max`` iff every gated
     record passes; ``failures`` names the records that fail, and the last
-    record restates the verdict.  The fine geometry sweep is computed once
-    and shared by the first and second variations.  The wall seconds of
+    record restates the verdict.  Tau, the ``points`` sample points and
+    their curvature batch are computed once and passed to every stage that
+    needs them, and the fine geometry sweep is shared by the first and
+    second variations.  The wall seconds of
     each stage go into ``timings`` only, outside the byte contract.
     """
     if N < 2:
@@ -454,19 +505,21 @@ def certify(N: int, points: int, seed: int, *,
     tau = einstein_tau(N)
     h = ConformalPerturbation.special(N)
     with _stage(timings, "eigen"):
-        eigen_res = h.eigen_residual(points=points, seed=seed)
+        w = sample_w(N, points, seed)
+        geom = curvature_batch(w)
+        eigen_res = h.eigen_residual(tau, w, geom)
     with _stage(timings, "v"):
-        v_res = v_of(h, points=points, seed=seed)
+        v_res = v_of(h, tau, w, geom)
     with _stage(timings, "n_tilde"):
-        nt_max = n_tilde_max(h, points=points, seed=seed)
+        nt_max = n_tilde_max(h, w, geom)
     with _stage(timings, "sweep"):
-        sweep = _geometry_sweep(h, N, *_entropy_quad_levels(N))
+        sweep = _geometry_sweep(h, tau, *_entropy_quad_levels(N))
     with _stage(timings, "first"):
-        firsts = first_variations(h, sweep=sweep)
+        firsts = first_variations(h, tau, sweep)
     with _stage(timings, "second"):
-        nu2, nu2_err = second_variation(h, sweep=sweep)
+        nu2, nu2_err = second_variation(h, tau, sweep)
     with _stage(timings, "third"):
-        nu3 = third_variation(N, h.form)
+        nu3 = third_variation(N, h.form, tau)
 
     hbar_closed = firsts["hbar_prime_closed"]
     floor = CERTIFICATE_CHECKS["third_variation_nonzero"]

@@ -108,28 +108,40 @@ def _write_real_blocks(out, src):
     out[:, n:, :n] = -s_im
 
 
-def _assemble_real_blocks(hval, hgrad, hhess):
-    """Real metric arrays from complex Hermitian data.
+def _metric_buffers(rows: int, d: int):
+    """Uninitialised (g, dg, d2g) arrays for ``rows`` points in dimension d."""
+    return np.empty((rows, d, d)), np.empty((rows, d, d, d)), \
+        np.empty((rows, d, d, d, d))
 
-    ``hval (B,N,N)``, ``hgrad (B,N,N,D)``, ``hhess (B,N,N,D,D)`` complex.
+
+def _assemble_real_blocks(hval, hgrad, hhess, out):
+    """Real metric arrays from complex Hermitian data, written into ``out``.
+
+    ``hval (B,N,N)``, ``hgrad (B,N,N,D)``, ``hhess (B,N,N,D,D)`` complex;
+    ``out`` is (g, dg, d2g) with at least B rows, and the first B rows of
+    each are filled and returned.
     """
-    b, n = hval.shape[0], hval.shape[1]
-    d = 2 * n
-    g = np.empty((b, d, d))
-    dg = np.empty((b, d, d, d))
-    d2g = np.empty((b, d, d, d, d))
-    for arr, src in ((g, hval), (dg, hgrad), (d2g, hhess)):
+    b = hval.shape[0]
+    arrays = tuple(arr[:b] for arr in out)
+    for arr, src in zip(arrays, (hval, hgrad, hhess)):
         _write_real_blocks(arr, src)
-    return g, dg, d2g
+    return arrays
+
+
+def _hermitian_parts(w: np.ndarray):
+    """Complex H, dH and d2H at chart points ``w``, batch axis first, for
+    ``_assemble_real_blocks``."""
+    h = _hermitian_metric_jets(w)
+    return [np.moveaxis(np.array([[getattr(jet, part) for jet in row]
+                                  for row in h]), 2, 0)
+            for part in ("val", "grad", "hess")]
 
 
 def metric_arrays(w: np.ndarray):
     """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc."""
-    h = _hermitian_metric_jets(w)
-    parts = [np.moveaxis(np.array([[getattr(jet, part) for jet in row]
-                                   for row in h]), 2, 0)
-             for part in ("val", "grad", "hess")]
-    return _assemble_real_blocks(*parts)
+    parts = _hermitian_parts(w)
+    b, n = parts[0].shape[:2]
+    return _assemble_real_blocks(*parts, _metric_buffers(b, 2 * n))
 
 
 def metric_values(w: np.ndarray) -> np.ndarray:
@@ -149,26 +161,65 @@ def metric_values(w: np.ndarray) -> np.ndarray:
 # curvature assembly
 
 
-def _curvature_rows(g, dg, d2g):
+# The (B, D, D, D, D) intermediates of ``_curvature_rows`` in order: dt, the
+# two dgamma terms, quad1 and Riem.  A workspace holds three buffers: quad1
+# takes dt's once dt is used up, and Riem the second dgamma term's.
+_WORKSPACE_BUFFERS = (0, 1, 2, 0, 2)
+
+
+def _fresh_array(k: int, shape: tuple) -> np.ndarray:
+    """A new array for intermediate ``k`` of ``_curvature_rows``."""
+    return np.empty(shape)
+
+
+class _CurvatureWorkspace:
+    """Reused buffers for the intermediates of ``_curvature_rows``, for
+    batches of up to ``rows`` rows; each is allocated at its first use."""
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.arrays = [None, None, None]
+
+    def array(self, k: int, shape: tuple) -> np.ndarray:
+        """Intermediate ``k`` of ``shape``: the first rows of its buffer."""
+        slot = _WORKSPACE_BUFFERS[k]
+        if self.arrays[slot] is None:
+            self.arrays[slot] = np.empty((self.rows,) + shape[1:])
+        return self.arrays[slot][:shape[0]]
+
+
+def _curvature_rows(g, dg, d2g, array):
     """(g_inv, Gamma, Riem, Ric, R) from metric derivative arrays.
 
-    Every output row depends only on the same input row.
+    Every output row depends only on the same input row.  ``array(k,
+    shape)`` gives the array for (2N)^4-sized intermediate k:
+    ``_fresh_array``, or a ``_CurvatureWorkspace``'s ``array``, in which
+    case Riem is valid until the workspace is used again.
     """
+    shape = d2g.shape
     g_inv = np.linalg.inv(g)
     t = (dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3)
          - dg.transpose(0, 3, 1, 2))
     gamma = 0.5 * np.einsum("bkl,blij->bkij", g_inv, t)
     dginv = -np.einsum("bka,bacm,bcl->bklm", g_inv, dg, g_inv)
-    dt = (d2g.transpose(0, 2, 3, 1, 4) + d2g.transpose(0, 2, 1, 3, 4)
-          - d2g.transpose(0, 3, 1, 2, 4))
-    dgamma = (0.5 * np.einsum("bklm,blij->bmkij", dginv, t)
-              + 0.5 * np.einsum("bkl,blijm->bmkij", g_inv, dt))
-    del dt  # one d2g-sized array fewer at the peak, in the Riemann sums
+    dt = np.add(d2g.transpose(0, 2, 3, 1, 4), d2g.transpose(0, 2, 1, 3, 4),
+                out=array(0, shape))
+    dt -= d2g.transpose(0, 3, 1, 2, 4)
+    # dgamma = 0.5 * (dginv . t) + 0.5 * (g_inv . dt)
+    dgamma = np.einsum("bklm,blij->bmkij", dginv, t, out=array(1, shape))
+    dgamma *= 0.5
+    term = np.einsum("bkl,blijm->bmkij", g_inv, dt, out=array(2, shape))
+    term *= 0.5
+    dgamma += term
+    del dt, term  # two d2g-sized arrays fewer at the peak of fresh arrays
     a1 = dgamma.transpose(0, 2, 1, 3, 4)          # d_i Gamma^l_jk
     a2 = a1.transpose(0, 1, 3, 2, 4)              # d_j Gamma^l_ik
-    quad1 = np.einsum("blim,bmjk->blijk", gamma, gamma)
+    quad1 = np.einsum("blim,bmjk->blijk", gamma, gamma, out=array(3, shape))
     quad2 = quad1.transpose(0, 1, 3, 2, 4)
-    riem = a1 - a2 + quad1 - quad2
+    # riem = a1 - a2 + quad1 - quad2
+    riem = np.subtract(a1, a2, out=array(4, shape))
+    riem += quad1
+    riem -= quad2
     ric = np.einsum("biijk->bjk", riem)
     scal = np.einsum("bjk,bjk->b", g_inv, ric)
     return g_inv, gamma, riem, ric, scal
@@ -176,7 +227,7 @@ def _curvature_rows(g, dg, d2g):
 
 def curvature_from_arrays(g, dg, d2g):
     """Full curvature stack from metric derivative arrays."""
-    return GeometryJet(g, *_curvature_rows(g, dg, d2g))
+    return GeometryJet(g, *_curvature_rows(g, dg, d2g, _fresh_array))
 
 
 def curvature_batch(w: np.ndarray) -> GeometryJet:
@@ -320,7 +371,7 @@ def potential_metric_arrays(w_point: np.ndarray):
             hval[0, a, c] = wirt(k2, a, c)
             hgrad[0, a, c] = wirt(k3, a, c)
             hhess[0, a, c] = wirt(k4, a, c)
-    return _assemble_real_blocks(hval, hgrad, hhess)
+    return _assemble_real_blocks(hval, hgrad, hhess, _metric_buffers(1, d))
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,12 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
         # one child per shard, spawned when needed: the same streams as
         # spawning them all at once, without holding them all
         rng = np.random.default_rng(seq.spawn(1)[0])
-        g = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
-        z = g / np.linalg.norm(g, axis=1, keepdims=True)
-        # free each shard's arrays once used: they set the peak memory
-        del g
+        # z in place, one real draw at a time: the bits of g / |g| for
+        # g = a + 1j * b, without g's two complex temporaries
+        z = np.empty((size, m), dtype=complex)
+        z.real = rng.standard_normal((size, m))
+        z.imag = rng.standard_normal((size, m))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
         vals = np.real(p.evaluate(z))
         del z
         total += float(np.sum(vals))

@@ -28,8 +28,9 @@ from contextlib import suppress
 import numpy as np
 
 # Most pool workers.  Each running task holds its own temporaries (a sweep
-# slab its curvature stack), so the cap bounds peak memory on machines with
-# many CPUs.
+# slab its curvature workspace, about 6 MiB whatever N, and the sweep one
+# more slab buffer slot, 2.1 to 2.6 MiB), so the cap bounds peak memory on
+# machines with many CPUs.
 _MAX_WORKERS = 4
 
 _POOL = None
@@ -49,22 +50,30 @@ def _pool():
     return _POOL
 
 
+def _window() -> int:
+    """Most tasks ``_ordered`` holds submitted and not yet collected: one
+    waits while every worker runs one."""
+    return _pool()._max_workers + 1
+
+
 def _ordered(kernel, tasks):
     """Yield ``(key, kernel(*args))`` for each ``(key, args)`` of ``tasks``,
     in task order, with ``kernel`` run on the pool.
 
-    ``tasks`` is iterated on the calling thread.  At most one task more
-    than the pool has workers is submitted and not yet collected, so memory
-    holds that many tasks' results, not the stream's.  Reading each result
-    re-raises a worker's exception here; an abandoned or failed stream
-    cancels its queued tasks and waits for the running ones.
+    ``tasks`` is iterated on the calling thread.  At most ``_window()``
+    tasks are submitted and not yet collected, so memory holds that many
+    tasks' results, not the stream's; while ``tasks`` yields the next
+    task, the task ``_window() + 1`` places back has been collected.
+    Reading each result re-raises a worker's exception here; an abandoned
+    or failed stream cancels its queued tasks and waits for the running
+    ones.
     """
     pool = _pool()
+    window = _window()
     pending = deque()
     try:
         for key, args in tasks:
-            # one task waits while every worker runs one
-            if len(pending) > pool._max_workers:
+            if len(pending) >= window:
                 done_key, future = pending.popleft()
                 yield done_key, future.result()
             pending.append((key, pool.submit(kernel, *args)))

@@ -60,7 +60,8 @@ def test_criterion_2_eigenspace():
         ok &= len(basis) == N * (N + 2)
         tau = einstein_tau(N, seed=7)
         w = sample_w(N, 100, seed=7)
-        worst = max(verify_eigen(form, tau, w) for form in basis)
+        geom = curvature_batch(w)
+        worst = max(verify_eigen(form, tau, w, geom) for form in basis)
         ok &= worst < 1e-8
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
@@ -106,12 +107,15 @@ def test_criterion_4_lemma_suite():
 
 def test_criterion_5_stability_operators():
     h = ConformalPerturbation.special(2)
-    ok = n_tilde_max(h, points=100, seed=7) < 1e-7
-    ok &= v_of(h, points=100, seed=7) < 1e-8
-    sweep = _geometry_sweep(h, 2, *_entropy_quad_levels(2))
-    nu2, _ = second_variation(h, sweep)
+    tau = einstein_tau(2)
+    w = sample_w(2, 100, seed=7)
+    geom = curvature_batch(w)
+    ok = n_tilde_max(h, w, geom) < 1e-7
+    ok &= v_of(h, tau, w, geom) < 1e-8
+    sweep = _geometry_sweep(h, tau, *_entropy_quad_levels(2))
+    nu2, _ = second_variation(h, tau, sweep)
     ok &= abs(nu2) < 1e-7
-    fv = first_variations(h, sweep)
+    fv = first_variations(h, tau, sweep)
     ok &= abs(fv["tau_prime"]) < 1e-8
     ok &= abs(fv["volume_prime"]) < 1e-8
     ok &= abs(fv["hbar_prime_fd"] - fv["hbar_prime_closed"]) < 1e-5

@@ -5,9 +5,11 @@ tests replay those values with one stage pushed just past its tolerance,
 so each case costs no recomputation.
 """
 
+import sys
+
 import pytest
 
-from cpn_entropy import entropy
+from cpn_entropy import entropy, geometry
 from cpn_entropy.cli import RunConfig, main
 from cpn_entropy.entropy import CERTIFICATE_CHECKS, ConformalPerturbation
 from cpn_entropy.report import dumps, parse_report, reverify
@@ -110,6 +112,32 @@ def test_certify_shares_the_fine_sweep(recorded):
     assert [rec["name"] for rec in checks] == list(CERTIFICATE_CHECKS)
     assert all(rec["status"] == "pass" for rec in checks)
     assert cert["thresholds"] == {"eigen": 1e-8, "nu2": 1e-7, "nu3_floor": 1e-3}
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_certify_builds_each_curvature_batch_and_tau_once(N, monkeypatch):
+    calls = {"curvature_batch": [], "einstein_tau": []}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name].append(args[0].tobytes() if name == "curvature_batch"
+                               else args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    package = [module for key, module in list(sys.modules.items())
+               if key.startswith("cpn_entropy.")]
+    for name in calls:
+        original = getattr(geometry, name)
+        for module in package:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy(name, original))
+    entropy.certify(N, 100, 7, timings={})
+    # the 100 sample points, and tau's 20 points
+    assert len(calls["curvature_batch"]) == 2
+    assert len(set(calls["curvature_batch"])) == 2
+    assert len(calls["einstein_tau"]) == 1
 
 
 # The report's certificate tree, every nested key in print order.

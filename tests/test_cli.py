@@ -170,24 +170,41 @@ def test_oversized_batch_is_found_before_the_verb_runs(verb, monkeypatch,
                                                        capsys):
     calls = _verb_spy(monkeypatch, verb)
     # one N = 4 batch of the default rows just fits; one more row does not
-    fits = cli._SLAB_ROWS * 8 ** 4 * 8 * cli._BATCH_PEAK_ARRAYS
+    rows = max(cli.RunConfig().points, cli._slab_rows(4))
+    fits = rows * 8 ** 4 * 8 * cli._BATCH_PEAK_ARRAYS
     monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", fits)
     # a one-node Gram quadrature keeps eigen's node matrix out of the way
     monkeypatch.setattr(cli, "_GRAM_ORDERS", (1, 1))
     assert main([verb, "--N", "4"]) == 0
     assert len(calls) == 1
-    assert main([verb, "--N", "4", "--points", str(cli._SLAB_ROWS + 1)]) == 2
+    assert main([verb, "--N", "4", "--points", str(rows + 1)]) == 2
     assert main([verb, "--N", "5"]) == 2
     assert len(calls) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: a curvature batch of 257 rows")
+    assert captured.err.startswith(f"error: a curvature batch of {rows + 1} rows")
     assert "GiB limit" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("N,points,rows", [(2, 100, 1024), (4, 100, 100),
+                                            (6, 1, 12)])
+def test_curvature_estimate_reads_the_sweep_slab_rows(N, points, rows,
+                                                      monkeypatch, capsys):
+    # the larger of --points and the entropy sweep's slab rows at N
+    calls = _verb_spy(monkeypatch, "certify")
+    monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", 0)
+    assert main(["certify", "--N", str(N), "--points", str(points)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(
+        f"error: a curvature batch of {rows} rows at N = {N}")
 
 
 # argv -> the start of its error line
 CANNOT_FIT = {
     ("certify", "--N", "50"): "a curvature batch of ",
     ("geometry", "--N", "4", "--points", "1000000"): "a curvature batch of ",
+    # one point fits the curvature batch; the oracle's 40^4 cells do not
+    ("geometry", "--N", "20", "--points", "1"):
+        "the nested-dual metric oracle at N = 20 needs about 2.44 GiB",
     # V' alone takes 60^N nodes, hours at N = 6
     ("certify", "--N", "6"):
         "the fixed quadrature of certify at N = 6 needs 5.17e+10 nodes",

@@ -6,7 +6,7 @@ from cpn_entropy.eigenfunctions import (HermitianForm, _form_from_int,
                                         basis_first_eigenspace, phi_value_at,
                                         phi_values_batch, special_phi,
                                         verify_eigen)
-from cpn_entropy.geometry import einstein_tau
+from cpn_entropy.geometry import curvature_batch, einstein_tau
 from cpn_entropy.moments import polynomial_average
 from cpn_entropy.polynomials import BihomogeneousPolynomial
 
@@ -66,21 +66,23 @@ def test_phi_values_batch_matches_pointwise():
 def test_eigen_residual_over_basis(N):
     tau = einstein_tau(N, seed=1)
     w = sample_w(N, 100, seed=7)
+    geom = curvature_batch(w)
     for form in basis_first_eigenspace(N):
-        assert verify_eigen(form, tau, w) < 1e-8
+        assert verify_eigen(form, tau, w, geom) < 1e-8
 
 
 def test_special_phi_eigen_residual_and_eigenvalue():
     tau = einstein_tau(2, seed=1)
     assert abs(1.0 / tau - 12.0) < 1e-9
     w = sample_w(2, 100, seed=7)
-    assert verify_eigen(special_phi(2), tau, w) < 1e-8
+    assert verify_eigen(special_phi(2), tau, w, curvature_batch(w)) < 1e-8
 
 
 def test_zero_form_has_zero_residual():
     tau = einstein_tau(2, seed=1)
     zero = HermitianForm(np.zeros((3, 3), dtype=complex))
-    assert verify_eigen(zero, tau, sample_w(2, 10, seed=7)) == 0.0
+    w = sample_w(2, 10, seed=7)
+    assert verify_eigen(zero, tau, w, curvature_batch(w)) == 0.0
 
 
 def test_nonzero_trace_is_not_an_eigenfunction():
@@ -88,7 +90,8 @@ def test_nonzero_trace_is_not_an_eigenfunction():
     tau = einstein_tau(2, seed=1)
     identity = _form_from_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                               [[0] * 3] * 3)
-    resid = verify_eigen(identity, tau, sample_w(2, 20, seed=7))
+    w = sample_w(2, 20, seed=7)
+    resid = verify_eigen(identity, tau, w, curvature_batch(w))
     assert resid > 1.0
 
 

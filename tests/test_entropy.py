@@ -44,12 +44,18 @@ def scaled(h: ConformalPerturbation, c: int) -> ConformalPerturbation:
 
 def fine_sweep(h: ConformalPerturbation) -> dict:
     """The fine geometry sweep that ``certify`` shares between stages."""
-    return _geometry_sweep(h, h.N, *_entropy_quad_levels(h.N))
+    return _geometry_sweep(h, einstein_tau(h.N), *_entropy_quad_levels(h.N))
+
+
+def sampled(N: int, points: int, seed: int):
+    """``(w, curvature_batch(w))`` at ``sample_w(N, points, seed)``."""
+    w = sample_w(N, points, seed)
+    return w, curvature_batch(w)
 
 
 def n_operator_batch(h: ConformalPerturbation, w, geom):
     """N(h) = Ntilde(h) - (Hbar / (2 n tau)) g."""
-    return n_tilde_batch(h, w, geom) - _trace_shift(h) * geom.g
+    return n_tilde_batch(h, w, geom) - _trace_shift(h, einstein_tau(h.N)) * geom.g
 
 
 def third_variation_exact_rational(N: int) -> Fraction:
@@ -59,17 +65,18 @@ def third_variation_exact_rational(N: int) -> Fraction:
 
 def test_v_is_twice_phi_with_small_residual():
     h = ConformalPerturbation.special(2)
-    assert v_of(h, points=100, seed=7) < 1e-8
+    assert v_of(h, einstein_tau(2), *sampled(2, 100, 7)) < 1e-8
 
 
 def test_v_of_zero_perturbation():
     zero = ConformalPerturbation(zero_form(2), 2)
-    assert v_of(zero, points=50, seed=7) == 0.0
+    assert v_of(zero, einstein_tau(2), *sampled(2, 50, 7)) == 0.0
 
 
 def test_v_of_rejects_non_eigenfunction():
     # phi = 1 is harmonic, so the residual is |phi/tau| = 1/tau = 12 at N = 2
-    resid = v_of(ConformalPerturbation(identity_form(2), 2), points=50, seed=7)
+    resid = v_of(ConformalPerturbation(identity_form(2), 2), einstein_tau(2),
+                 *sampled(2, 50, 7))
     assert abs(resid - 1 / einstein_tau(2)) < 1e-9
     assert abs(resid - 12.0) < 1e-9
 
@@ -82,7 +89,7 @@ def test_v_has_zero_mean_exactly():
 
 def test_n_tilde_vanishes_pointwise():
     h = ConformalPerturbation.special(2)
-    assert n_tilde_max(h, points=100, seed=7) < 1e-7
+    assert n_tilde_max(h, *sampled(2, 100, 7)) < 1e-7
 
 
 def test_n_tilde_of_zero_is_zero():
@@ -117,7 +124,7 @@ def test_n_tilde_residual_decomposition_term_by_term():
     hess = covariant_hessian_arrays(jet.grad, jet.hess, geom.Gamma)
     lap = np.einsum("bij,bij->b", geom.g_inv, hess)
     eigen_piece = 0.5 * (lap + jet.val / tau)[:, None, None] * geom.g
-    assert v_of(h, points=10, seed=7) < 1e-8
+    assert v_of(h, tau, *sampled(N, 10, 7)) < 1e-8
     v_jet = jet * 2.0
     v_hess = covariant_hessian_arrays(v_jet.grad, v_jet.hess, geom.Gamma)
     hess_piece = 0.5 * v_hess - hess
@@ -185,7 +192,7 @@ def test_n_operator_is_linear():
 
 def test_first_variations_vanish_and_match():
     h = ConformalPerturbation.special(2)
-    fv = first_variations(h, fine_sweep(h))
+    fv = first_variations(h, einstein_tau(2), fine_sweep(h))
     assert abs(fv["tau_prime"]) < 1e-8
     assert abs(fv["volume_prime"]) < 1e-8
     assert abs(fv["hbar_prime_closed"] - 2.0) < 1e-12
@@ -194,13 +201,13 @@ def test_first_variations_vanish_and_match():
 
 def test_second_variation_vanishes_for_eigen_direction():
     h = ConformalPerturbation.special(2)
-    nu2, err = second_variation(h, fine_sweep(h))
+    nu2, err = second_variation(h, einstein_tau(2), fine_sweep(h))
     assert abs(nu2) < 1e-7
 
 
 def test_second_variation_of_zero_is_zero():
     zero = ConformalPerturbation(zero_form(2), 2)
-    nu2, _ = second_variation(zero, fine_sweep(zero))
+    nu2, _ = second_variation(zero, einstein_tau(2), fine_sweep(zero))
     assert nu2 == 0.0
 
 
@@ -208,9 +215,9 @@ def test_second_variation_quadratic_scaling():
     # doubling h scales the quadrature functional by exactly 4 (powers of
     # two commute with floating-point rounding)
     h = ConformalPerturbation.special(2)
-    nu2, _ = second_variation(h, fine_sweep(h))
+    nu2, _ = second_variation(h, einstein_tau(2), fine_sweep(h))
     double = scaled(h, 2)
-    nu2_scaled, _ = second_variation(double, fine_sweep(double))
+    nu2_scaled, _ = second_variation(double, einstein_tau(2), fine_sweep(double))
     assert abs(nu2_scaled - 4.0 * nu2) <= 1e-10 * max(abs(nu2), 1e-30) + 1e-18
 
 
@@ -221,7 +228,7 @@ def test_third_variation_exact_rational(N, expected):
 
 
 def test_third_variation_n2_value():
-    entries = third_variation(2, special_phi(2))
+    entries = third_variation(2, special_phi(2), einstein_tau(2))
     assert list(entries) == ["phi3_average", "phi3_integral", "third_variation"]
     tv = entries["third_variation"]
     assert tv["exact_rational"] == F(9, 5)
@@ -232,17 +239,18 @@ def test_third_variation_n2_value():
 
 
 def test_third_variation_flips_sign_with_phi():
-    tv_plus = third_variation(2, special_phi(2))["third_variation"]
-    tv_minus = third_variation(2, scaled_form(special_phi(2), -1))["third_variation"]
+    tv_plus = third_variation(2, special_phi(2), einstein_tau(2))["third_variation"]
+    tv_minus = third_variation(2, scaled_form(special_phi(2), -1),
+                               einstein_tau(2))["third_variation"]
     assert tv_minus["exact_rational"] == -tv_plus["exact_rational"]
     assert abs(tv_minus["value"] + tv_plus["value"]) < 1e-12
 
 
 def test_second_variation_invariant_under_sign_flip():
     h = ConformalPerturbation.special(2)
-    nu2, _ = second_variation(h, fine_sweep(h))
+    nu2, _ = second_variation(h, einstein_tau(2), fine_sweep(h))
     flip = scaled(h, -1)
-    nu2_flip, _ = second_variation(flip, fine_sweep(flip))
+    nu2_flip, _ = second_variation(flip, einstein_tau(2), fine_sweep(flip))
     assert nu2_flip == nu2  # quadratic functional, exact under negation
 
 
@@ -253,7 +261,7 @@ def test_third_variation_positive_for_all_small_n():
 
 def test_third_variation_requires_n_at_least_two():
     with pytest.raises(ValueError):
-        third_variation(1, identity_form(1))
+        third_variation(1, identity_form(1), einstein_tau(1))
 
 
 def test_minimizer_identity_is_two():

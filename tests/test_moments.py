@@ -190,6 +190,27 @@ def test_monte_carlo_peak_memory_holds_one_shard():
     assert peak < 27 * 2 ** 20
 
 
+def test_monte_carlo_shards_match_the_two_draw_construction():
+    # z is built in place; the old g = a + 1j * b, z = g / |g| gives the
+    # same bits
+    p = special_cubic_polynomial(2).power(3)
+    for seed, samples in ((1, 10_000), (7, 250_000)):
+        seq = np.random.SeedSequence(seed)
+        total = total_sq = 0.0
+        for count in range(0, samples, 200_000):
+            size = min(200_000, samples - count)
+            rng = np.random.default_rng(seq.spawn(1)[0])
+            g = (rng.standard_normal((size, 3))
+                 + 1j * rng.standard_normal((size, 3)))
+            vals = np.real(p.evaluate(g / np.linalg.norm(g, axis=1,
+                                                         keepdims=True)))
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals ** 2))
+        mean = total / samples
+        stderr = math.sqrt(max(total_sq / samples - mean ** 2, 0.0) / samples)
+        assert monte_carlo_average(p, 3, samples, seed) == (mean, stderr)
+
+
 def test_cpn_volume_n1_is_pi():
     value, err = cpn_volume(1)
     assert abs(value - math.pi) < 1e-10

@@ -1,12 +1,14 @@
 """Row slabs of the entropy sweep and the pool: no bit depends on threads.
 
 The geometry kernels are plain batch functions: each row must come out bit
-for bit as if computed alone.  The thread pool (``quadrature._pool``, at
-most ``quadrature._MAX_WORKERS`` workers) has two callers, both through the
-ordered window ``quadrature._ordered``.  ``cpn_integral`` sends one
+for bit as if computed alone, and as the unbuffered kernels computed it
+before the sweep reused its buffers.  The thread pool (``quadrature._pool``,
+at most ``quadrature._MAX_WORKERS`` workers) has two callers, both through
+the ordered window ``quadrature._ordered``.  ``cpn_integral`` sends one
 ``chart_nodes`` chunk's integrand per task.  The entropy sweep builds each
-``entropy._SLAB_ROWS``-row slab's metric arrays and psi jet on the calling
-thread, and the pool turns them into the slab's integrands.  No sum may
+``entropy._slab_rows(N)``-row slab's metric arrays, into one of its reused
+buffer slots, and psi jet on the calling thread, and the pool turns them
+into the slab's integrands in a reused curvature workspace.  No sum may
 depend on the slab size or the number of workers, at most one task more
 than the workers may be in flight, a worker's exception must reach the
 caller, every function that a tracer may wrap must still run on the calling
@@ -33,11 +35,15 @@ from cpn_entropy.eigenfunctions import _phi_values, special_phi
 from cpn_entropy.jets import Jet
 from cpn_entropy.report import parse_report, report_bytes, strip_timings
 
-SLAB = entropy._SLAB_ROWS
+SLAB = entropy._slab_rows(3)
 # three slabs, the last of them a single row
 ROWS = 2 * SLAB + 1
 PROBE_ROWS = (0, SLAB - 1, SLAB, 2 * SLAB - 1, 2 * SLAB)
 CURVATURE_FIELDS = ("g", "g_inv", "Gamma", "Riem", "Ric", "R")
+# Bound on the tracemalloc peak of the N = 3 fine sweep on a pool of
+# _MAX_WORKERS workers, measured at 45.3 to 46.6 MiB: (4 + 2) buffer slots
+# of 202 rows and 4 curvature workspaces, about 40 MiB, and the chunk.
+PEAK_BOUND = 64 * 2 ** 20
 
 
 def _slab_outputs(w):
@@ -72,11 +78,17 @@ def _sweep_levels(N, fine):
     return (n_u, n_theta) if fine else (max(n_u - 1, 2), max(n_theta - 1, 3))
 
 
+def _sweep(N, fine):
+    """The entropy sweep sums of the special phi at N."""
+    h = entropy.ConformalPerturbation.special(N)
+    return entropy._geometry_sweep(h, geometry.einstein_tau(N),
+                                   *_sweep_levels(N, fine))
+
+
 @functools.lru_cache(maxsize=None)
 def _default_sweep(N, fine):
     """The sweep sums with the default slab and pool."""
-    h = entropy.ConformalPerturbation.special(N)
-    return entropy._geometry_sweep(h, N, *_sweep_levels(N, fine))
+    return _sweep(N, fine)
 
 
 def _v_prime_n3():
@@ -93,9 +105,7 @@ def _default_v_prime():
 
 def _pool_passes():
     """The sweep sums and V' at N = 3, on whatever pool is installed."""
-    h = entropy.ConformalPerturbation.special(3)
-    return (entropy._geometry_sweep(h, 3, *_sweep_levels(3, True)),
-            _v_prime_n3())
+    return _sweep(3, True), _v_prime_n3()
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -136,17 +146,26 @@ class CountingPool(ThreadPoolExecutor):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_sweep_holds_one_slab_more_than_the_workers(workers, monkeypatch):
-    # the N = 3 sweep has 32 slabs and V' 28 chunks, more than any window
-    h = entropy.ConformalPerturbation.special(3)
-    sweep = functools.partial(entropy._geometry_sweep, h, 3,
-                              *_sweep_levels(3, True))
+    # the N = 3 sweep has 40 slabs and V' 28 chunks, more than any window
+    sweep = functools.partial(_sweep, 3, True)
+    workspaces = []
+
+    def counted(rows):
+        workspaces.append(rows)
+        return geometry._CurvatureWorkspace(rows)
+
+    monkeypatch.setattr(entropy, "_CurvatureWorkspace", counted)
     with CountingPool(workers) as pool:
         monkeypatch.setattr(quadrature, "_POOL", pool)
+        assert quadrature._window() == workers + 1
         for one_pass in (sweep, _v_prime_n3):
             pool.most_in_flight = 0
             one_pass()
             assert pool.most_in_flight == workers + 1, one_pass
             assert pool.in_flight == 0
+    # one curvature workspace per running task at most, of the slab rows
+    assert 1 <= len(workspaces) <= workers
+    assert set(workspaces) == {SLAB}
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -184,7 +203,7 @@ def test_small_batches_start_no_pool_and_import_nothing():
     code = ("import sys; import cpn_entropy.cli; "
             "from cpn_entropy import entropy, geometry, quadrature; "
             "from cpn_entropy.charts import sample_w; "
-            "w = sample_w(3, 4 * entropy._SLAB_ROWS, 1); "
+            "w = sample_w(3, 4 * entropy._slab_rows(3), 1); "
             "geometry.einstein_tau(3); geometry.curvature_batch(w); "
             "entropy.n_tilde_batch(entropy.ConformalPerturbation.special(3), "
             "w, geometry.curvature_batch(w)); "
@@ -251,45 +270,158 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("fine", [True, False])
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N,fine", [(2, True), (2, False), (3, True),
+                                     (3, False), (4, False)])
 def test_sweep_sums_do_not_depend_on_the_block(N, fine, monkeypatch):
-    h = entropy.ConformalPerturbation.special(N)
-    levels = _sweep_levels(N, fine)
     default = _default_sweep(N, fine)
     # 7-row slabs, and one slab per chart_nodes chunk
-    for rows in (7, 1 << 20):
-        monkeypatch.setattr(entropy, "_SLAB_ROWS", rows)
-        assert entropy._geometry_sweep(h, N, *levels) == default, rows
+    chunk = max(len(weights) for _, weights in
+                quadrature.chart_nodes(N, *_sweep_levels(N, fine)))
+    for rows in (7, chunk):
+        monkeypatch.setattr(entropy, "_SLAB_BYTES", rows * (2 * N) ** 4 * 8)
+        assert entropy._slab_rows(N) == rows
+        assert _sweep(N, fine) == default, rows
+
+
+def _slab_spy(monkeypatch):
+    """Record (points, buffer slot) of every slab whose metric arrays the
+    sweep builds."""
+    points, slots = [], []
+
+    def parts(w):
+        points.append(w)
+        return geometry._hermitian_parts(w)
+
+    def assemble(hval, hgrad, hhess, out):
+        slots.append(out)
+        return geometry._assemble_real_blocks(hval, hgrad, hhess, out)
+
+    monkeypatch.setattr(entropy, "_hermitian_parts", parts)
+    monkeypatch.setattr(entropy, "_assemble_real_blocks", assemble)
+    return points, slots
 
 
 def test_sweep_builds_curvature_one_block_at_a_time(monkeypatch):
-    slabs = []
-
-    def spy(w):
-        slabs.append(w)
-        return geometry.metric_arrays(w)
-
-    monkeypatch.setattr(entropy, "metric_arrays", spy)
+    points, slots = _slab_spy(monkeypatch)
     levels = _sweep_levels(3, True)
     chunks = [w for w, _ in entropy.chart_nodes(3, *levels)]
-    entropy._geometry_sweep(entropy.ConformalPerturbation.special(3), 3, *levels)
+    _sweep(3, True)
     assert max(len(w) for w in chunks) == 8000
-    assert max(len(w) for w in slabs) <= SLAB
-    assert np.array_equal(np.concatenate(slabs), np.concatenate(chunks))
+    assert max(len(w) for w in points) == SLAB
+    assert np.array_equal(np.concatenate(points), np.concatenate(chunks))
+    # the slabs take turns in window + 1 buffer slots of the slab rows
+    assert len(slots) == len(points)
+    window = quadrature._window()
+    assert len({id(out) for out in slots}) == window + 1
+    assert all(slot is slots[k % (window + 1)] for k, slot in enumerate(slots))
+    assert {len(arr) for out in slots for arr in out} == {SLAB}
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_slab_rows_fill_the_byte_budget_and_depend_only_on_n(N):
+    rows = entropy._slab_rows(N)
+    array_bytes = (2 * N) ** 4 * 8
+    assert rows * array_bytes <= entropy._SLAB_BYTES < (rows + 1) * array_bytes
+    assert rows == {2: 1024, 3: 202, 4: 64, 5: 26, 6: 12, 7: 6, 8: 4}[N]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_slabs_do_not_depend_on_the_workers(workers, monkeypatch):
+    points, _ = _slab_spy(monkeypatch)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        monkeypatch.setattr(quadrature, "_POOL", pool)
+        _sweep(3, False)
+    chunks = [len(w) for w, _ in entropy.chart_nodes(3, *_sweep_levels(3, False))]
+    expected = [min(SLAB, size - start) for size in chunks
+                for start in range(0, size, SLAB)]
+    assert [len(w) for w in points] == expected
 
 
 def test_sweep_peak_memory_holds_one_block(monkeypatch):
     # a pool of _MAX_WORKERS workers, the most any machine runs
-    h = entropy.ConformalPerturbation.special(3)
-    levels = _sweep_levels(3, True)
     with ThreadPoolExecutor(max_workers=quadrature._MAX_WORKERS) as pool:
         monkeypatch.setattr(quadrature, "_POOL", pool)
-        entropy._geometry_sweep(h, 3, *levels)
+        _sweep(3, True)
         tracemalloc.start()
         try:
-            entropy._geometry_sweep(h, 3, *levels)
+            _sweep(3, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 120 * 2 ** 20
+    assert peak < PEAK_BOUND
+
+
+# ---------------------------------------------------------------------------
+# the buffered kernels against the unbuffered ones they replaced
+
+
+def _oracle_metric_arrays(w):
+    """``geometry.metric_arrays`` as it was before it could fill buffers."""
+    h = geometry._hermitian_metric_jets(w)
+    hval, hgrad, hhess = [
+        np.moveaxis(np.array([[getattr(jet, part) for jet in row]
+                              for row in h]), 2, 0)
+        for part in ("val", "grad", "hess")]
+    b, n = hval.shape[0], hval.shape[1]
+    d = 2 * n
+    g = np.empty((b, d, d))
+    dg = np.empty((b, d, d, d))
+    d2g = np.empty((b, d, d, d, d))
+    for arr, src in ((g, hval), (dg, hgrad), (d2g, hhess)):
+        geometry._write_real_blocks(arr, src)
+    return g, dg, d2g
+
+
+def _oracle_curvature_rows(g, dg, d2g):
+    """``geometry._curvature_rows`` as it was before it used a workspace."""
+    g_inv = np.linalg.inv(g)
+    t = (dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3)
+         - dg.transpose(0, 3, 1, 2))
+    gamma = 0.5 * np.einsum("bkl,blij->bkij", g_inv, t)
+    dginv = -np.einsum("bka,bacm,bcl->bklm", g_inv, dg, g_inv)
+    dt = (d2g.transpose(0, 2, 3, 1, 4) + d2g.transpose(0, 2, 1, 3, 4)
+          - d2g.transpose(0, 3, 1, 2, 4))
+    dgamma = (0.5 * np.einsum("bklm,blij->bmkij", dginv, t)
+              + 0.5 * np.einsum("bkl,blijm->bmkij", g_inv, dt))
+    del dt
+    a1 = dgamma.transpose(0, 2, 1, 3, 4)
+    a2 = a1.transpose(0, 1, 3, 2, 4)
+    quad1 = np.einsum("blim,bmjk->blijk", gamma, gamma)
+    quad2 = quad1.transpose(0, 1, 3, 2, 4)
+    riem = a1 - a2 + quad1 - quad2
+    ric = np.einsum("biijk->bjk", riem)
+    scal = np.einsum("bjk,bjk->b", g_inv, ric)
+    return g_inv, gamma, riem, ric, scal
+
+
+def _assert_bits_equal(expected, actual, what):
+    assert len(expected) == len(actual)
+    for k, (a, b) in enumerate(zip(expected, actual)):
+        assert a.shape == b.shape, (what, k)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (what, k)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_buffered_kernels_match_the_unbuffered_ones(N):
+    budget = entropy._slab_rows(N)
+    d = 2 * N
+    slot = geometry._metric_buffers(budget + 1, d)
+    work = geometry._CurvatureWorkspace(budget + 1)
+    # the second pass reuses the slot and the workspace with stale rows
+    for second_use in (False, True):
+        for rows in (1, 7, budget, budget + 1):
+            w = sample_w(N, rows, seed=rows + 17 * N)
+            arrays = _oracle_metric_arrays(w)
+            curvature = _oracle_curvature_rows(*arrays)
+            what = (N, rows, second_use)
+            _assert_bits_equal(arrays, geometry.metric_arrays(w), what)
+            buffered = geometry._assemble_real_blocks(
+                *geometry._hermitian_parts(w), slot)
+            _assert_bits_equal(arrays, buffered, what)
+            _assert_bits_equal(curvature,
+                               geometry._curvature_rows(*buffered, work.array),
+                               what)
+            fresh = geometry.curvature_from_arrays(*arrays)
+            _assert_bits_equal(arrays[:1] + curvature,
+                               [getattr(fresh, name)
+                                for name in CURVATURE_FIELDS], what)
