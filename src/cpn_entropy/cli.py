@@ -56,8 +56,8 @@ _BATCH_BYTES_LIMIT = 2 ** 30
 _BATCH_PEAK_ARRAYS = 10
 _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
 # (n_u, n_theta) of eigen's Gram quadrature.  Its node matrix, phi of every
-# basis form at every node, is held twice (the chunks and their
-# concatenation) and counts against the same byte limit.
+# basis form at every node, is held once (each chunk's columns are written
+# in place) and counts against the same byte limit.
 _GRAM_ORDERS = (5, 6)
 # Nodes the fixed quadratures of a run may take.  The volume quadrature of
 # moments evaluates levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5
@@ -236,13 +236,16 @@ def cmd_eigen(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     spec = CERTIFICATE_CHECKS["eigen_residual"]
     checks.append(gate("eigen_residual", spec.identity, resid, spec.tolerance,
                        spec.provenance, detail={"eigenvalue": 1.0 / tau}))
-    vals = []
-    weights_all = []
-    for wq, wts in chart_nodes(N, *_GRAM_ORDERS):
-        vals.append(np.stack([phi_values_batch(f, 0, wq) for f in basis], axis=1))
-        weights_all.append(wts)
-    v = np.concatenate(vals, axis=0)
-    wts = np.concatenate(weights_all)
+    nodes = math.prod(_GRAM_ORDERS) ** N
+    v = np.empty((nodes, dim))
+    wts = np.empty(nodes)
+    start = 0
+    for wq, chunk_wts in chart_nodes(N, *_GRAM_ORDERS):
+        s = slice(start, start + len(wq))
+        for k, f in enumerate(basis):
+            v[s, k] = phi_values_batch(f, 0, wq)
+        wts[s] = chunk_wts
+        start = s.stop
     gram = np.einsum("bi,b,bj->ij", v, wts, v) / np.sum(wts)
     min_gram = float(np.min(np.linalg.eigvalsh(gram)))
     checks.append(check("gram_rank", "quadrature Gram matrix has full rank",
@@ -552,7 +555,7 @@ def _check_size(command: str, cfg: RunConfig) -> None:
                      (2 * N) ** 4 * _DUAL_CELL_BYTES)
     if command == "eigen":  # N <= 30 here: the curvature batch refuses more
         _check_bytes("the Gram node matrix", cfg.N,
-                     2 * math.prod(_GRAM_ORDERS) ** N * N * (N + 2) * 8)
+                     math.prod(_GRAM_ORDERS) ** N * N * (N + 2) * 8)
     if command == "moments":
         _check_nodes("the volume quadrature", N, map(
             level_orders, range(1, _VOLUME_LEVELS + 1)))

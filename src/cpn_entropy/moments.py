@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polynomials import QC, QC_I, BihomogeneousPolynomial
+from .polynomials import QC, QC_I, BihomogeneousPolynomial, _row_blocks
 
 # i^k for k = 0..3: z_j -> i z_j multiplies z^a zbar^b by i^((a_j - b_j) % 4)
 _I_POWERS = (QC(Fraction(1)), QC_I, QC(Fraction(-1)),
@@ -122,6 +122,16 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
 
     Returns (mean, standard_error).  Per-shard seeds are spawned from the
     master seed, so the estimate is deterministic for a fixed seed.
+
+    A shard of up to 200000 samples holds only its real parts and its
+    values, in two float buffers reused shard after shard; the complex
+    points exist one row block (``polynomials._row_blocks``) at a time.
+    Four properties fix the bits, those of g / |g| for g = a + 1j * b over
+    the whole shard: one spawned child per shard, drawing all of the
+    shard's real parts and then its imaginary parts (split draws continue
+    one stream); per-row normalisation; blocks on which ``evaluate`` takes
+    the operand order of one call on the whole shard; and one ``np.sum``
+    per shard of the values and one of their squares.
     """
     chunk = 200_000     # samples per shard
     if samples < 10_000:
@@ -129,6 +139,8 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
     if p.m != m:
         raise ValueError("polynomial lives on a different C^m")
     seq = np.random.SeedSequence(seed)
+    reals = np.empty((min(chunk, samples), m))
+    vals = np.empty(len(reals))
     total = 0.0
     total_sq = 0.0
     count = 0
@@ -137,16 +149,16 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
         # one child per shard, spawned when needed: the same streams as
         # spawning them all at once, without holding them all
         rng = np.random.default_rng(seq.spawn(1)[0])
-        # z in place, one real draw at a time: the bits of g / |g| for
-        # g = a + 1j * b, without g's two complex temporaries
-        z = np.empty((size, m), dtype=complex)
-        z.real = rng.standard_normal((size, m))
-        z.imag = rng.standard_normal((size, m))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        vals = np.real(p.evaluate(z))
-        del z
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals ** 2))
+        rng.standard_normal(out=reals[:size])
+        for s in _row_blocks(size):
+            z = np.empty((s.stop - s.start, m), dtype=complex)
+            z.real = reals[s]
+            z.imag = rng.standard_normal(z.shape)
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            vals[s] = np.real(p.evaluate(z))
+        v = vals[:size]
+        total += float(np.sum(v))
+        total_sq += float(np.sum(np.square(v, out=v)))
         count += size
     mean = total / count
     var = max(total_sq / count - mean ** 2, 0.0)

@@ -25,6 +25,22 @@ _BLOCK_ROWS = 8192
 _ELIDE_ROWS = 16384
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Cut n rows into consecutive blocks that ``evaluate`` can take one at a
+    time with the bits of one call on all n rows.
+
+    Each block but the last has ``_ELIDE_ROWS`` rows, a multiple of
+    ``_BLOCK_ROWS``, and the last takes the tail.  So each call's own row
+    blocks fall where the whole call's would, and every block has at least
+    ``_ELIDE_ROWS`` rows whenever n does: each call then picks the operand
+    order that the whole call would.  Fewer than ``_ELIDE_ROWS`` rows stay
+    one block.
+    """
+    k = max(1, n // _ELIDE_ROWS)
+    return [slice(i * _ELIDE_ROWS, n if i == k - 1 else (i + 1) * _ELIDE_ROWS)
+            for i in range(k)]
+
+
 @dataclass(frozen=True)
 class QC:
     """A Gaussian rational re + i*im."""

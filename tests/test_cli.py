@@ -241,9 +241,9 @@ def test_eigen_gram_matrix_that_cannot_fit_exits_2(monkeypatch, capsys):
     assert main(["eigen", "--N", "5"]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith(
-        "error: the Gram node matrix at N = 5 needs about 12.7 GiB")
-    # phi of the 24 basis forms at 30^4 nodes, held twice, just fits
-    monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", 2 * 30 ** 4 * 24 * 8)
+        "error: the Gram node matrix at N = 5 needs about 6.34 GiB")
+    # phi of the 24 basis forms at 30^4 nodes, held once, just fits
+    monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", 30 ** 4 * 24 * 8)
     assert main(["eigen", "--N", "4"]) == 0
     monkeypatch.setattr(cli, "_GRAM_ORDERS", (5, 7))
     assert main(["eigen", "--N", "4"]) == 2

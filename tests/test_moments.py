@@ -178,8 +178,9 @@ def test_monte_carlo_spawns_one_shard_seed_at_a_time(monkeypatch):
 
 
 def test_monte_carlo_peak_memory_holds_one_shard():
-    # the shard's arrays and one row block of powers: about 25 MiB, where
-    # powers cached over the whole 200000-row shard take 86 MiB
+    # a shard's real parts and values, one row block of complex points and
+    # its powers: about 14 MiB, where a whole complex shard and its draws
+    # took 24.4 MiB and powers cached over the whole shard 86 MiB
     p = special_cubic_polynomial(2).power(3)
     tracemalloc.start()
     try:
@@ -187,14 +188,18 @@ def test_monte_carlo_peak_memory_holds_one_shard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 27 * 2 ** 20
+    assert peak < 18 * 2 ** 20
 
 
 def test_monte_carlo_shards_match_the_two_draw_construction():
     # z is built in place; the old g = a + 1j * b, z = g / |g| gives the
     # same bits
     p = special_cubic_polynomial(2).power(3)
-    for seed, samples in ((1, 10_000), (7, 250_000)):
+    # 16383 to 32768 rows sit at the edges of the row-block rule; 216383
+    # rows are one full shard and then a 16383-row shard
+    for seed, samples in ((1, 10_000), (7, 250_000), (3, 16_383),
+                          (3, 16_384), (3, 32_767), (3, 32_768),
+                          (3, 216_383)):
         seq = np.random.SeedSequence(seed)
         total = total_sq = 0.0
         for count in range(0, samples, 200_000):

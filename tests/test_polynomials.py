@@ -185,6 +185,26 @@ def test_evaluate_keeps_the_bits_of_the_whole_array_loop(N):
         assert _same_bits(p, shape, seed=N), shape
 
 
+@pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 32767, 32768, 200000])
+def test_row_blocks_tile_the_rows_at_block_boundaries(n):
+    blocks = polynomials._row_blocks(n)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert all(s.start % BLOCK == 0 for s in blocks)
+    elide = polynomials._ELIDE_ROWS
+    assert all(s.stop - s.start >= min(n, elide) for s in blocks)
+
+
+def test_row_blocks_evaluate_with_the_bits_of_one_call():
+    p = special_cubic_polynomial(2).power(3)
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((200000, 3)) + 1j * rng.standard_normal((200000, 3))
+    blocks = np.concatenate([p.evaluate(z[s])
+                             for s in polynomials._row_blocks(len(z))])
+    assert np.array_equal(blocks.view(np.uint64),
+                          p.evaluate(z).view(np.uint64))
+
+
 @pytest.mark.parametrize("rows", [1, 9, BLOCK + 1, 16385])
 def test_evaluate_keeps_the_bits_of_constant_and_zero_polynomials(rows):
     f = special_cubic_polynomial(2)
