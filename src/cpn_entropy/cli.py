@@ -50,8 +50,8 @@ EXIT_USAGE = 2
 # Bytes one curvature batch may take, whatever the machine.  A batch has the
 # larger of --points and the sweep's slab rows at N (``entropy._slab_rows``).
 # Per row it peaks at about 9.3 arrays of (2N)^4 floats in the variation
-# suite (8.9 to 9.9) and 4.6 in a sweep slab, its buffers included (4.5 to
-# 4.8; tracemalloc, N = 3..5), so the estimate counts 10.
+# suite (8.9 to 9.9) and 4.6 in a sweep slab, its metric arrays included
+# (4.4 to 4.8; tracemalloc, N = 3..5), so the estimate counts 10.
 _BATCH_BYTES_LIMIT = 2 ** 30
 _BATCH_PEAK_ARRAYS = 10
 _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
@@ -62,7 +62,8 @@ _GRAM_ORDERS = (5, 6)
 # Nodes the fixed quadratures of a run may take.  The volume quadrature of
 # moments evaluates levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5
 # (2.4 s on a 2-vCPU Xeon VM), 4.3e9 at N = 6.  Those of certify, V' the
-# largest, take 9.1e8 nodes at N = 5 and 5.2e10 at N = 6.
+# largest, take 9.1e8 nodes at N = 5 and 5.2e10 at N = 6.  The Monte Carlo
+# samples of moments count against the same limit.
 _VOLUME_NODES_LIMIT = 10 ** 9
 # Bytes per cell of geometry's nested-dual oracle (potential_metric_arrays),
 # which holds (2N)^4 fourth-order cells at one point whatever --points:
@@ -559,6 +560,9 @@ def _check_size(command: str, cfg: RunConfig) -> None:
     if command == "moments":
         _check_nodes("the volume quadrature", N, map(
             level_orders, range(1, _VOLUME_LEVELS + 1)))
+        if cfg.mc_samples > _VOLUME_NODES_LIMIT:
+            raise UsageError(
+                f"mc_samples must be <= {_VOLUME_NODES_LIMIT:.3g}")
     if command == "certify":
         _check_nodes("the fixed quadrature of certify", N,
                      _certify_quadratures(N))

@@ -38,13 +38,12 @@ import numpy as np
 from .charts import sample_w
 from .eigenfunctions import (HermitianForm, _phi_values, phi_jet_batch,
                              phi_values_batch, special_phi, verify_eigen)
-from .geometry import (GeometryJet, _assemble_real_blocks, _curvature_rows,
-                       _CurvatureWorkspace, _hermitian_parts, _metric_buffers,
-                       curvature_batch, einstein_tau, hessian_and_laplacian)
+from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
+                       einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
-from .quadrature import (_ordered, _window, adaptive_cpn_integral,
-                         chart_nodes, cpn_integral, level_orders)
+from .quadrature import (_ordered, adaptive_cpn_integral, chart_nodes,
+                         cpn_integral, level_orders)
 from .report import check, gate
 
 
@@ -187,10 +186,13 @@ def _certify_quadratures(N: int) -> tuple:
 # Bytes of one (2N)^4 float64 array of a geometry sweep slab, which sets
 # the slab's rows: 1024, 202, 64, 26 and 12 at N = 2..6.  The rows depend
 # only on N, never on the CPU count, so no result depends on the machine.
-# A worker's slab holds about three such arrays of curvature workspace, so
-# peak memory no longer grows with N.  Arrays this small are under numpy's
-# 4 MiB hugepage threshold, where glibc returns freed temporaries to the OS
-# and the next slab faults them back in, so the sweep reuses its buffers.
+# A slab task peaks at about 4.6 such arrays, so peak memory does not grow
+# with N.  The slabs allocate fresh arrays, like every other caller, and
+# that has a price: glibc returns each freed temporary to the OS and the
+# next slab faults it back in.  ``certify --N 4`` in process takes about
+# 590 000 minor page faults and 1.4 to 1.7 s of system time, where buffers
+# reused across slabs took 18 000 and 0.15 s.  Its median wall time is
+# about 5 % higher and its peak the same (20 benchmark runs each, 2 vCPU).
 _SLAB_BYTES = 2 * 2 ** 20
 
 
@@ -200,47 +202,18 @@ def _slab_rows(N: int) -> int:
     return max(1, _SLAB_BYTES // ((2 * N) ** 4 * 8))
 
 
-class _Workspaces:
-    """The curvature workspaces of one sweep, one per running slab task.
-
-    A task takes one from the free list, or makes one if the list is
-    empty, and returns it when done; ``list.pop`` and ``list.append`` are
-    atomic, so workers share the list without a lock.  The workspaces die
-    with the sweep.
-    """
-
-    def __init__(self, rows: int):
-        self.rows = rows
-        self.free = []
-
-    @contextmanager
-    def take(self):
-        try:
-            work = self.free.pop()
-        except IndexError:
-            work = _CurvatureWorkspace(self.rows)
-        try:
-            yield work
-        finally:
-            self.free.append(work)
-
-
-def _slab_integrands(g, dg, d2g, psi: Jet, shift: float,
-                     workspaces: _Workspaces):
+def _slab_integrands(g, dg, d2g, psi: Jet, shift: float):
     """(<h, Ric>, R, <h, N(h)>) at one slab's rows from its metric arrays.
 
     Runs on a pool worker, so it calls only numpy and private helpers,
-    never a function that may be wrapped for tracing.  The curvature lives
-    in a workspace of ``workspaces`` and does not leave the task: the
-    three returned vectors are fresh arrays.
+    never a function that may be wrapped for tracing.
     """
-    with workspaces.take() as work:
-        geom = GeometryJet(g, *_curvature_rows(g, dg, d2g, work.array))
-        h_ij = psi.val[:, None, None] * g
-        h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
-        ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-        nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * g)
-        return ric_h, geom.R, nh_h
+    geom = GeometryJet(g, *_curvature_rows(g, dg, d2g))
+    h_ij = psi.val[:, None, None] * g
+    h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
+    ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
+    nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * g)
+    return ric_h, geom.R, nh_h
 
 
 def _sweep_slabs(h: ConformalPerturbation, tau: float, n_u: int,
@@ -249,26 +222,17 @@ def _sweep_slabs(h: ConformalPerturbation, tau: float, n_u: int,
 
     A slab's key is its chunk's weights when it ends the chunk, else None.
     Its arguments are its metric arrays and psi jet, built here on the
-    calling thread: ``Jet`` arithmetic and ``phi_jet_batch`` may be traced.
-    The metric arrays go into one of ``_window() + 1`` slots of buffers in
-    turn.  A slot is rewritten only after its last task was collected,
-    since ``_ordered`` holds at most ``_window()`` tasks.
+    calling thread: ``metric_arrays``, ``Jet`` arithmetic and
+    ``phi_jet_batch`` may be traced.
     """
-    N = h.N
-    rows = _slab_rows(N)
+    rows = _slab_rows(h.N)
     shift = _trace_shift(h, tau)
-    workspaces = _Workspaces(rows)
-    slots = [_metric_buffers(rows, 2 * N) for _ in range(_window() + 1)]
-    count = 0
-    for w, weights in chart_nodes(N, n_u, n_theta):
+    for w, weights in chart_nodes(h.N, n_u, n_theta):
         for start in range(0, len(weights), rows):
             slab = w[start:start + rows]
-            arrays = _assemble_real_blocks(*_hermitian_parts(slab),
-                                           slots[count % len(slots)])
-            count += 1
             last = start + rows >= len(weights)
             yield (weights if last else None,
-                   (*arrays, h.psi_jet(slab), shift, workspaces))
+                   (*metric_arrays(slab), h.psi_jet(slab), shift))
 
 
 def _geometry_sweep(h: ConformalPerturbation, tau: float,
@@ -279,9 +243,8 @@ def _geometry_sweep(h: ConformalPerturbation, tau: float,
     which fixes the bits.  The integrands are computed in slabs of
     ``_slab_rows(N)`` rows, and every row's value is independent of its
     slab.  The slabs of all chunks form one stream on the pool, so no
-    worker waits at a chunk boundary.  Peak memory holds the slabs' buffer
-    slots and one curvature workspace per worker, not one chunk's
-    curvature, and the buffers are reused from slab to slab.
+    worker waits at a chunk boundary.  Peak memory holds a few slabs'
+    arrays, not one chunk's curvature.
     """
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
     parts = []

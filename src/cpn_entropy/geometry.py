@@ -108,40 +108,24 @@ def _write_real_blocks(out, src):
     out[:, n:, :n] = -s_im
 
 
-def _metric_buffers(rows: int, d: int):
-    """Uninitialised (g, dg, d2g) arrays for ``rows`` points in dimension d."""
-    return np.empty((rows, d, d)), np.empty((rows, d, d, d)), \
-        np.empty((rows, d, d, d, d))
-
-
-def _assemble_real_blocks(hval, hgrad, hhess, out):
-    """Real metric arrays from complex Hermitian data, written into ``out``.
-
-    ``hval (B,N,N)``, ``hgrad (B,N,N,D)``, ``hhess (B,N,N,D,D)`` complex;
-    ``out`` is (g, dg, d2g) with at least B rows, and the first B rows of
-    each are filled and returned.
-    """
-    b = hval.shape[0]
-    arrays = tuple(arr[:b] for arr in out)
-    for arr, src in zip(arrays, (hval, hgrad, hhess)):
-        _write_real_blocks(arr, src)
-    return arrays
-
-
-def _hermitian_parts(w: np.ndarray):
-    """Complex H, dH and d2H at chart points ``w``, batch axis first, for
-    ``_assemble_real_blocks``."""
-    h = _hermitian_metric_jets(w)
-    return [np.moveaxis(np.array([[getattr(jet, part) for jet in row]
-                                  for row in h]), 2, 0)
-            for part in ("val", "grad", "hess")]
+def _assemble_real_blocks(hval, hgrad, hhess):
+    """Real (g, dg, d2g) from complex Hermitian data ``hval (B,N,N)``,
+    ``hgrad (B,N,N,D)`` and ``hhess (B,N,N,D,D)``."""
+    arrays = []
+    for src in (hval, hgrad, hhess):
+        b, n = src.shape[:2]
+        arrays.append(np.empty((b, 2 * n, 2 * n) + src.shape[3:]))
+        _write_real_blocks(arrays[-1], src)
+    return tuple(arrays)
 
 
 def metric_arrays(w: np.ndarray):
     """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc."""
-    parts = _hermitian_parts(w)
-    b, n = parts[0].shape[:2]
-    return _assemble_real_blocks(*parts, _metric_buffers(b, 2 * n))
+    h = _hermitian_metric_jets(w)
+    return _assemble_real_blocks(*[
+        np.moveaxis(np.array([[getattr(jet, part) for jet in row]
+                              for row in h]), 2, 0)
+        for part in ("val", "grad", "hess")])
 
 
 def metric_values(w: np.ndarray) -> np.ndarray:
@@ -161,63 +145,31 @@ def metric_values(w: np.ndarray) -> np.ndarray:
 # curvature assembly
 
 
-# The (B, D, D, D, D) intermediates of ``_curvature_rows`` in order: dt, the
-# two dgamma terms, quad1 and Riem.  A workspace holds three buffers: quad1
-# takes dt's once dt is used up, and Riem the second dgamma term's.
-_WORKSPACE_BUFFERS = (0, 1, 2, 0, 2)
-
-
-def _fresh_array(k: int, shape: tuple) -> np.ndarray:
-    """A new array for intermediate ``k`` of ``_curvature_rows``."""
-    return np.empty(shape)
-
-
-class _CurvatureWorkspace:
-    """Reused buffers for the intermediates of ``_curvature_rows``, for
-    batches of up to ``rows`` rows; each is allocated at its first use."""
-
-    def __init__(self, rows: int):
-        self.rows = rows
-        self.arrays = [None, None, None]
-
-    def array(self, k: int, shape: tuple) -> np.ndarray:
-        """Intermediate ``k`` of ``shape``: the first rows of its buffer."""
-        slot = _WORKSPACE_BUFFERS[k]
-        if self.arrays[slot] is None:
-            self.arrays[slot] = np.empty((self.rows,) + shape[1:])
-        return self.arrays[slot][:shape[0]]
-
-
-def _curvature_rows(g, dg, d2g, array):
+def _curvature_rows(g, dg, d2g):
     """(g_inv, Gamma, Riem, Ric, R) from metric derivative arrays.
 
-    Every output row depends only on the same input row.  ``array(k,
-    shape)`` gives the array for (2N)^4-sized intermediate k:
-    ``_fresh_array``, or a ``_CurvatureWorkspace``'s ``array``, in which
-    case Riem is valid until the workspace is used again.
+    Every output row depends only on the same input row.
     """
-    shape = d2g.shape
     g_inv = np.linalg.inv(g)
     t = (dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3)
          - dg.transpose(0, 3, 1, 2))
     gamma = 0.5 * np.einsum("bkl,blij->bkij", g_inv, t)
     dginv = -np.einsum("bka,bacm,bcl->bklm", g_inv, dg, g_inv)
-    dt = np.add(d2g.transpose(0, 2, 3, 1, 4), d2g.transpose(0, 2, 1, 3, 4),
-                out=array(0, shape))
+    dt = np.add(d2g.transpose(0, 2, 3, 1, 4), d2g.transpose(0, 2, 1, 3, 4))
     dt -= d2g.transpose(0, 3, 1, 2, 4)
     # dgamma = 0.5 * (dginv . t) + 0.5 * (g_inv . dt)
-    dgamma = np.einsum("bklm,blij->bmkij", dginv, t, out=array(1, shape))
+    dgamma = np.einsum("bklm,blij->bmkij", dginv, t)
     dgamma *= 0.5
-    term = np.einsum("bkl,blijm->bmkij", g_inv, dt, out=array(2, shape))
+    term = np.einsum("bkl,blijm->bmkij", g_inv, dt)
     term *= 0.5
     dgamma += term
     del dt, term  # two d2g-sized arrays fewer at the peak of fresh arrays
     a1 = dgamma.transpose(0, 2, 1, 3, 4)          # d_i Gamma^l_jk
     a2 = a1.transpose(0, 1, 3, 2, 4)              # d_j Gamma^l_ik
-    quad1 = np.einsum("blim,bmjk->blijk", gamma, gamma, out=array(3, shape))
+    quad1 = np.einsum("blim,bmjk->blijk", gamma, gamma)
     quad2 = quad1.transpose(0, 1, 3, 2, 4)
     # riem = a1 - a2 + quad1 - quad2
-    riem = np.subtract(a1, a2, out=array(4, shape))
+    riem = np.subtract(a1, a2)
     riem += quad1
     riem -= quad2
     ric = np.einsum("biijk->bjk", riem)
@@ -227,7 +179,7 @@ def _curvature_rows(g, dg, d2g, array):
 
 def curvature_from_arrays(g, dg, d2g):
     """Full curvature stack from metric derivative arrays."""
-    return GeometryJet(g, *_curvature_rows(g, dg, d2g, _fresh_array))
+    return GeometryJet(g, *_curvature_rows(g, dg, d2g))
 
 
 def curvature_batch(w: np.ndarray) -> GeometryJet:
@@ -371,7 +323,7 @@ def potential_metric_arrays(w_point: np.ndarray):
             hval[0, a, c] = wirt(k2, a, c)
             hgrad[0, a, c] = wirt(k3, a, c)
             hhess[0, a, c] = wirt(k4, a, c)
-    return _assemble_real_blocks(hval, hgrad, hhess, _metric_buffers(1, d))
+    return _assemble_real_blocks(hval, hgrad, hhess)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ from contextlib import suppress
 import numpy as np
 
 # Most pool workers.  Each running task holds its own temporaries (a sweep
-# slab its curvature workspace, about 6 MiB whatever N, and the sweep one
-# more slab buffer slot, 2.1 to 2.6 MiB), so the cap bounds peak memory on
-# machines with many CPUs.
+# slab up to about 4.8 of its (2N)^4 arrays, at most 2 MiB each whatever
+# N), so the cap bounds peak memory on machines with many CPUs.
 _MAX_WORKERS = 4
 
 _POOL = None
@@ -50,26 +49,19 @@ def _pool():
     return _POOL
 
 
-def _window() -> int:
-    """Most tasks ``_ordered`` holds submitted and not yet collected: one
-    waits while every worker runs one."""
-    return _pool()._max_workers + 1
-
-
 def _ordered(kernel, tasks):
     """Yield ``(key, kernel(*args))`` for each ``(key, args)`` of ``tasks``,
     in task order, with ``kernel`` run on the pool.
 
-    ``tasks`` is iterated on the calling thread.  At most ``_window()``
-    tasks are submitted and not yet collected, so memory holds that many
-    tasks' results, not the stream's; while ``tasks`` yields the next
-    task, the task ``_window() + 1`` places back has been collected.
+    ``tasks`` is iterated on the calling thread.  At most one task more
+    than the pool has workers is submitted and not yet collected, so
+    memory holds that many tasks' results, not the stream's.
     Reading each result re-raises a worker's exception here; an abandoned
     or failed stream cancels its queued tasks and waits for the running
     ones.
     """
     pool = _pool()
-    window = _window()
+    window = pool._max_workers + 1  # one waits while every worker runs one
     pending = deque()
     try:
         for key, args in tasks:

@@ -210,6 +210,9 @@ CANNOT_FIT = {
         "the fixed quadrature of certify at N = 6 needs 5.17e+10 nodes",
     ("certify", "--N", "7"):
         "the fixed quadrature of certify at N = 7 needs 2.99e+12 nodes",
+    # the Monte Carlo samples count against the node limit
+    ("moments", "--N", "2", "--mc-samples", "10000000000"):
+        "mc_samples must be <= 1e+09",
 }
 
 

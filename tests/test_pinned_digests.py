@@ -1,11 +1,13 @@
-"""Report digests of calls the benchmark does not make.
+"""Report digests, pinned by exact equality.
 
-``perfbench/results/baseline.json`` holds only the benchmark's calls.  These
-digests were taken the same way, with ``perfbench/worker.py``'s
-``run_call`` and ``check_call``: the SHA-256 of the report up to its
-``timings`` field.  The ``algebra`` reports hold exact arithmetic only; the
-``variation`` and ``moments`` reports hold floats, so they skip on any other
-Python, numpy or BLAS build than the baseline's.
+Each digest is taken with ``perfbench/worker.py``'s ``run_call`` and
+``check_call``: the SHA-256 of the report up to its ``timings`` field.  The
+table holds the seed-1 calls of the benchmark's workloads and calls the
+benchmark does not make.  A change that moves a report byte edits the
+table here; ``perfbench/results/baseline.json`` only records what a
+benchmark run measured.  The numeric ``algebra`` reports hold exact
+arithmetic only; the others hold floats, so they skip on any other Python,
+numpy or BLAS build than the baseline's.
 """
 
 from __future__ import annotations
@@ -44,6 +46,35 @@ def _skip_unless_baseline_build():
     for key in ("python", "numpy", "blas"):
         if recorded["environment"][key] != running[key]:
             pytest.skip(f"{key} build {running[key]!r} is not the baseline's")
+
+
+# The seed-1 calls of the certify-small, suites and certify-n4 workloads.
+SEED1_DIGESTS = {
+    ("certify", "--N", "2", "--seed", "1"):
+        "11916b45c63a4ec54e3187997fc01f046476b585b4907e34abb03065a5802d60",
+    ("certify", "--N", "3", "--seed", "1"):
+        "fa562e16cd13fc95d5b137ac0e73baeb0b3a4de4e04be94aed4a99e98ac8addd",
+    ("geometry", "--N", "3", "--seed", "1"):
+        "0ddc69533009419dcdaa217289faf8e01e722d3a8d4caa678f06dad70cb0d3f3",
+    ("eigen", "--N", "3", "--seed", "1"):
+        "79cbf8c6e0d0e58f83131688db12315aeb0da1133a0af71fad1012ba784ff4b3",
+    ("variation", "--N", "2", "--seed", "1"):
+        "22aa2747e7d7174c9b908eb41c4817a81b21541576f6bf22f4e3ad735b58d060",
+    ("algebra", "--n", "symbolic", "--orders", "100", "--seed", "1"):
+        "3b5948d315c14e540f794a33a3fff789683b3e7f7e4f0df46bfb073b04ea9ed9",
+    ("moments", "--N", "2", "--mc-samples", "1000000", "--seed", "1"):
+        "80867aa2910f88c7b5b3cfecf8f5b76c15a7692931ea7aff79bef4fbafedc3ef",
+    # the headline N, about 8 s
+    ("certify", "--N", "4", "--seed", "1"):
+        "68148e9279ee7f7740179d1e278638d66febe244a9d83e56a7899bf42bff5b5d",
+}
+
+
+@pytest.mark.parametrize("argv", list(SEED1_DIGESTS), ids=" ".join)
+def test_seed1_digest(argv):
+    _skip_unless_baseline_build()
+    call = worker.run_call(cli, list(argv))
+    assert worker.check_call(call, reverify) == ([], SEED1_DIGESTS[argv])
 
 
 def test_mutated_variation_digest():

@@ -1,18 +1,17 @@
 """Row slabs of the entropy sweep and the pool: no bit depends on threads.
 
 The geometry kernels are plain batch functions: each row must come out bit
-for bit as if computed alone, and as the unbuffered kernels computed it
-before the sweep reused its buffers.  The thread pool (``quadrature._pool``,
-at most ``quadrature._MAX_WORKERS`` workers) has two callers, both through
-the ordered window ``quadrature._ordered``.  ``cpn_integral`` sends one
+for bit as if computed alone, and as the reference kernels below compute
+it.  The thread pool (``quadrature._pool``, at most
+``quadrature._MAX_WORKERS`` workers) has two callers, both through the
+ordered window ``quadrature._ordered``.  ``cpn_integral`` sends one
 ``chart_nodes`` chunk's integrand per task.  The entropy sweep builds each
-``entropy._slab_rows(N)``-row slab's metric arrays, into one of its reused
-buffer slots, and psi jet on the calling thread, and the pool turns them
-into the slab's integrands in a reused curvature workspace.  No sum may
-depend on the slab size or the number of workers, at most one task more
-than the workers may be in flight, a worker's exception must reach the
-caller, every function that a tracer may wrap must still run on the calling
-thread, and the sweep's memory holds a few slabs, not a chunk.
+``entropy._slab_rows(N)``-row slab's metric arrays and psi jet on the
+calling thread, and the pool turns them into the slab's integrands.  No sum
+may depend on the slab size or the number of workers, at most one task
+more than the workers may be in flight, a worker's exception must reach
+the caller, every function that a tracer may wrap must still run on the
+calling thread, and the sweep's memory holds a few slabs, not a chunk.
 """
 
 import functools
@@ -41,9 +40,10 @@ ROWS = 2 * SLAB + 1
 PROBE_ROWS = (0, SLAB - 1, SLAB, 2 * SLAB - 1, 2 * SLAB)
 CURVATURE_FIELDS = ("g", "g_inv", "Gamma", "Riem", "Ric", "R")
 # Bound on the tracemalloc peak of the N = 3 fine sweep on a pool of
-# _MAX_WORKERS workers, measured at 45.3 to 46.6 MiB: (4 + 2) buffer slots
-# of 202 rows and 4 curvature workspaces, about 40 MiB, and the chunk.
-PEAK_BOUND = 64 * 2 ** 20
+# _MAX_WORKERS workers, measured at 25.9 to 33.8 MiB in 10 runs on 2 CPUs:
+# the running slabs' arrays of 202 rows, about 9.5 MiB each at their peak,
+# the waiting slabs' metric arrays and the chunk.
+PEAK_BOUND = 40 * 2 ** 20
 
 
 def _slab_outputs(w):
@@ -148,24 +148,13 @@ class CountingPool(ThreadPoolExecutor):
 def test_sweep_holds_one_slab_more_than_the_workers(workers, monkeypatch):
     # the N = 3 sweep has 40 slabs and V' 28 chunks, more than any window
     sweep = functools.partial(_sweep, 3, True)
-    workspaces = []
-
-    def counted(rows):
-        workspaces.append(rows)
-        return geometry._CurvatureWorkspace(rows)
-
-    monkeypatch.setattr(entropy, "_CurvatureWorkspace", counted)
     with CountingPool(workers) as pool:
         monkeypatch.setattr(quadrature, "_POOL", pool)
-        assert quadrature._window() == workers + 1
         for one_pass in (sweep, _v_prime_n3):
             pool.most_in_flight = 0
             one_pass()
             assert pool.most_in_flight == workers + 1, one_pass
             assert pool.in_flight == 0
-    # one curvature workspace per running task at most, of the slab rows
-    assert 1 <= len(workspaces) <= workers
-    assert set(workspaces) == {SLAB}
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -284,37 +273,26 @@ def test_sweep_sums_do_not_depend_on_the_block(N, fine, monkeypatch):
 
 
 def _slab_spy(monkeypatch):
-    """Record (points, buffer slot) of every slab whose metric arrays the
-    sweep builds."""
-    points, slots = [], []
+    """Record the points of every slab whose metric arrays the sweep
+    builds."""
+    points = []
 
-    def parts(w):
+    def spied(w):
         points.append(w)
-        return geometry._hermitian_parts(w)
+        return geometry.metric_arrays(w)
 
-    def assemble(hval, hgrad, hhess, out):
-        slots.append(out)
-        return geometry._assemble_real_blocks(hval, hgrad, hhess, out)
-
-    monkeypatch.setattr(entropy, "_hermitian_parts", parts)
-    monkeypatch.setattr(entropy, "_assemble_real_blocks", assemble)
-    return points, slots
+    monkeypatch.setattr(entropy, "metric_arrays", spied)
+    return points
 
 
 def test_sweep_builds_curvature_one_block_at_a_time(monkeypatch):
-    points, slots = _slab_spy(monkeypatch)
+    points = _slab_spy(monkeypatch)
     levels = _sweep_levels(3, True)
     chunks = [w for w, _ in entropy.chart_nodes(3, *levels)]
     _sweep(3, True)
     assert max(len(w) for w in chunks) == 8000
     assert max(len(w) for w in points) == SLAB
     assert np.array_equal(np.concatenate(points), np.concatenate(chunks))
-    # the slabs take turns in window + 1 buffer slots of the slab rows
-    assert len(slots) == len(points)
-    window = quadrature._window()
-    assert len({id(out) for out in slots}) == window + 1
-    assert all(slot is slots[k % (window + 1)] for k, slot in enumerate(slots))
-    assert {len(arr) for out in slots for arr in out} == {SLAB}
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -327,7 +305,7 @@ def test_slab_rows_fill_the_byte_budget_and_depend_only_on_n(N):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_slabs_do_not_depend_on_the_workers(workers, monkeypatch):
-    points, _ = _slab_spy(monkeypatch)
+    points = _slab_spy(monkeypatch)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         monkeypatch.setattr(quadrature, "_POOL", pool)
         _sweep(3, False)
@@ -352,11 +330,11 @@ def test_sweep_peak_memory_holds_one_block(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the buffered kernels against the unbuffered ones they replaced
+# the kernels against reference implementations
 
 
 def _oracle_metric_arrays(w):
-    """``geometry.metric_arrays`` as it was before it could fill buffers."""
+    """``geometry.metric_arrays`` from the Hermitian jets, written plainly."""
     h = geometry._hermitian_metric_jets(w)
     hval, hgrad, hhess = [
         np.moveaxis(np.array([[getattr(jet, part) for jet in row]
@@ -373,7 +351,7 @@ def _oracle_metric_arrays(w):
 
 
 def _oracle_curvature_rows(g, dg, d2g):
-    """``geometry._curvature_rows`` as it was before it used a workspace."""
+    """``geometry._curvature_rows`` as expressions, with no in-place step."""
     g_inv = np.linalg.inv(g)
     t = (dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3)
          - dg.transpose(0, 3, 1, 2))
@@ -401,27 +379,19 @@ def _assert_bits_equal(expected, actual, what):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (what, k)
 
 
+# The package kernels write into their intermediates in place, where the
+# references build a new array for every step; every bit must agree.
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_buffered_kernels_match_the_unbuffered_ones(N):
     budget = entropy._slab_rows(N)
-    d = 2 * N
-    slot = geometry._metric_buffers(budget + 1, d)
-    work = geometry._CurvatureWorkspace(budget + 1)
-    # the second pass reuses the slot and the workspace with stale rows
-    for second_use in (False, True):
-        for rows in (1, 7, budget, budget + 1):
-            w = sample_w(N, rows, seed=rows + 17 * N)
-            arrays = _oracle_metric_arrays(w)
-            curvature = _oracle_curvature_rows(*arrays)
-            what = (N, rows, second_use)
-            _assert_bits_equal(arrays, geometry.metric_arrays(w), what)
-            buffered = geometry._assemble_real_blocks(
-                *geometry._hermitian_parts(w), slot)
-            _assert_bits_equal(arrays, buffered, what)
-            _assert_bits_equal(curvature,
-                               geometry._curvature_rows(*buffered, work.array),
-                               what)
-            fresh = geometry.curvature_from_arrays(*arrays)
-            _assert_bits_equal(arrays[:1] + curvature,
-                               [getattr(fresh, name)
-                                for name in CURVATURE_FIELDS], what)
+    for rows in (1, 7, budget, budget + 1):
+        w = sample_w(N, rows, seed=rows + 17 * N)
+        arrays = _oracle_metric_arrays(w)
+        curvature = _oracle_curvature_rows(*arrays)
+        what = (N, rows)
+        _assert_bits_equal(arrays, geometry.metric_arrays(w), what)
+        _assert_bits_equal(curvature, geometry._curvature_rows(*arrays), what)
+        fresh = geometry.curvature_from_arrays(*arrays)
+        _assert_bits_equal(arrays[:1] + curvature,
+                           [getattr(fresh, name) for name in CURVATURE_FIELDS],
+                           what)
