@@ -34,7 +34,7 @@ from .moments import (_VOLUME_LEVELS, cpn_volume, cpn_volume_closed_form,
                       polynomial_average, symmetry_vanishing)
 from .polynomials import (BihomogeneousPolynomial, full_harmonic_expansion,
                           special_cubic_polynomial)
-from .quadrature import chart_nodes, level_orders
+from .quadrature import chart_nodes, exact_orders, level_orders
 from .report import build_report, check, gate, report_bytes
 from .rewrite import (IntegralExpr, PHI3, confluence_check, reduce_third_variation,
                       ricci_second_variation_coefficients,
@@ -55,15 +55,16 @@ EXIT_USAGE = 2
 _BATCH_BYTES_LIMIT = 2 ** 30
 _BATCH_PEAK_ARRAYS = 10
 _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
-# (n_u, n_theta) of eigen's Gram quadrature.  Its node matrix, phi of every
-# basis form at every node, is held once (each chunk's columns are written
-# in place) and counts against the same byte limit.
-_GRAM_ORDERS = (5, 6)
+# (n_u, n_theta) of eigen's Gram quadrature: phi_A phi_B has degree 2, so
+# the rule is exact.  Its node matrix, phi of every basis form at every
+# node, is held once (each chunk's columns are written in place) and counts
+# against the same byte limit.
+_GRAM_ORDERS = exact_orders(2)
 # Nodes the fixed quadratures of a run may take.  The volume quadrature of
 # moments evaluates levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5
-# (2.4 s on a 2-vCPU Xeon VM), 4.3e9 at N = 6.  Those of certify, V' the
-# largest, take 9.1e8 nodes at N = 5 and 5.2e10 at N = 6.  The Monte Carlo
-# samples of moments count against the same limit.
+# (2.4 s on a 2-vCPU Xeon VM), 4.3e9 at N = 6.  Those of certify, levels 1
+# and 2 of int phi^3 the largest, take 1.3e8 nodes at N = 5 and 5.8e9 at
+# N = 6.  The Monte Carlo samples of moments count against the same limit.
 _VOLUME_NODES_LIMIT = 10 ** 9
 # Bytes per cell of geometry's nested-dual oracle (potential_metric_arrays),
 # which holds (2N)^4 fourth-order cells at one point whatever --points:

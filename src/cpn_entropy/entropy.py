@@ -43,7 +43,7 @@ from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
 from .quadrature import (_ordered, adaptive_cpn_integral, chart_nodes,
-                         cpn_integral, level_orders)
+                         cpn_integral, exact_orders, level_orders)
 from .report import check, gate
 
 
@@ -149,38 +149,22 @@ def n_tilde_max(h: ConformalPerturbation, w: np.ndarray,
 
 # Central-difference step of the Richardson-extrapolated Hbar' estimate.
 _HBAR_FD_STEP = 1e-3
-# V' = 0 exactly, which no relative stopping rule can reach: one level
-_V_PRIME_LEVEL = 3
-
-
-def _entropy_quad_levels(N: int) -> tuple[int, int]:
-    """Fixed (simplex, torus) orders for geometry-heavy integrals.
-
-    These integrals either verify quantities that vanish pointwise (the
-    nu'' integrand) or are exactly integrated at low order (psi against the
-    constant scalar curvature), so modest orders suffice; runtime scales as
-    (n_u * n_theta)^N.
-    """
-    return {2: (8, 8), 3: (4, 5)}.get(N, (3, 4))
-
-
-def _scalar_quad_levels(N: int) -> tuple[int, int]:
-    """Orders that integrate the (1 + s psi)^N family exactly."""
-    return {2: (5, 7), 3: (5, 6)}.get(N, (5, 6))
-
-
-def _coarse_levels(n_u: int, n_theta: int) -> tuple[int, int]:
-    """One level below the sweep's orders: the nu'' error estimate."""
-    return max(n_u - 1, 2), max(n_theta - 1, 3)
+# Degree in psi of the sweep's integrands <h, Ric>, R and <h, N(h)>, and of
+# the V' integrand (n/2) psi.  The Hbar' family (1 + s psi)^N has degree N.
+# Each runs on ``exact_orders`` of its degree, and again one degree higher
+# as its witness.
+_SWEEP_DEGREE = 2
+_V_PRIME_DEGREE = 1
 
 
 def _certify_quadratures(N: int) -> tuple:
     """(n_u, n_theta) of every quadrature ``certify`` runs at N whatever
-    its integrands: V', Hbar', the fine and coarse sweeps and the first two
-    levels of the adaptive int phi^3.  Each takes (n_u * n_theta)^N nodes."""
-    fine = _entropy_quad_levels(N)
-    return (level_orders(_V_PRIME_LEVEL), _scalar_quad_levels(N), fine,
-            _coarse_levels(*fine), level_orders(1), level_orders(2))
+    its integrands: the sweep, V' and the Hbar' family, each on its exact
+    rule and its witness, and the first two levels of the adaptive
+    int phi^3.  Each takes (n_u * n_theta)^N nodes."""
+    return (*(exact_orders(d + extra)
+              for d in (_SWEEP_DEGREE, _V_PRIME_DEGREE, N) for extra in (0, 1)),
+            level_orders(1), level_orders(2))
 
 
 # Bytes of one (2N)^4 float64 array of a geometry sweep slab, which sets
@@ -263,61 +247,68 @@ def _geometry_sweep(h: ConformalPerturbation, tau: float,
 
 
 def first_variations(h: ConformalPerturbation, tau: float,
-                     sweep: dict) -> dict:
+                     sweeps: tuple) -> dict:
     """tau', V', Hbar' along g(s) = g_FS + s h.
 
     tau' and V' come from quadrature (both must vanish for eigen psi);
     Hbar' is computed from the closed form n(n-2)/(2V) ||psi||^2 and by
     finite differences of (int H dV)/V in s.  ``tau`` is the Einstein scale
-    and ``sweep`` the fine ``_geometry_sweep`` of ``h``.
+    and ``sweeps`` the ``_geometry_sweep``s of ``h`` on the rule exact at
+    ``_SWEEP_DEGREE`` and on its witness.  Each quadrature value is also
+    computed on its witness rule, one degree higher, under ``witness``.
     """
     N = h.N
     n = 2 * N
-    tau_prime = tau * sweep["ric_h"] / sweep["scal"]
 
     def v_prime_integrand(w):
         return (n / 2.0) * _phi_values(h.form, 0, w)
 
-    volume_prime = cpn_integral(v_prime_integrand, N,
-                                *level_orders(_V_PRIME_LEVEL))
-    hbar_prime_closed = float(n * (n - 2) * Fraction(1, 2) * h.exact_average(2))
-    # psi at the nodes, shared by the four hbar_at calls
-    psi_nodes = [(h.psi_values(w), weights)
-                 for w, weights in chart_nodes(N, *_scalar_quad_levels(N))]
+    def hbar_prime_fd(degree: int) -> float:
+        """Richardson-extrapolated d/ds of Hbar(s) = num(s) / den(s) at 0,
+        with num and den summed on one pass over the nodes."""
+        steps = (_HBAR_FD_STEP, -_HBAR_FD_STEP,
+                 _HBAR_FD_STEP / 2, -_HBAR_FD_STEP / 2)
+        num = dict.fromkeys(steps, 0.0)
+        den = dict.fromkeys(steps, 0.0)
+        for w, weights in chart_nodes(N, *exact_orders(degree)):
+            psi = h.psi_values(w)
+            for s in steps:
+                conf = 1.0 + s * psi
+                num[s] += float(np.dot(weights, n * psi * conf ** (N - 1)))
+                den[s] += float(np.dot(weights, conf ** N))
 
-    def hbar_at(s: float) -> float:
-        num = 0.0
-        den = 0.0
-        for psi, weights in psi_nodes:
-            conf = 1.0 + s * psi
-            num += float(np.dot(weights, n * psi * conf ** (N - 1)))
-            den += float(np.dot(weights, conf ** N))
-        return num / den
+        def d1(step):
+            return (num[step] / den[step]
+                    - num[-step] / den[-step]) / (2 * step)
 
-    def d1(step):
-        return (hbar_at(step) - hbar_at(-step)) / (2 * step)
+        return (4.0 * d1(_HBAR_FD_STEP / 2) - d1(_HBAR_FD_STEP)) / 3.0
 
-    hbar_prime_fd = (4.0 * d1(_HBAR_FD_STEP / 2) - d1(_HBAR_FD_STEP)) / 3.0
+    def on_rule(sweep, extra):
+        return {
+            "tau_prime": tau * sweep["ric_h"] / sweep["scal"],
+            "volume_prime": cpn_integral(v_prime_integrand, N, *exact_orders(
+                _V_PRIME_DEGREE + extra)),
+            "hbar_prime_fd": hbar_prime_fd(N + extra),
+        }
+
     return {
-        "tau_prime": tau_prime,
-        "volume_prime": volume_prime,
-        "hbar_prime_closed": hbar_prime_closed,
-        "hbar_prime_fd": hbar_prime_fd,
+        **on_rule(sweeps[0], 0),
+        "hbar_prime_closed": float(n * (n - 2) * Fraction(1, 2)
+                                   * h.exact_average(2)),
+        "witness": on_rule(sweeps[1], 1),
     }
 
 
 def second_variation(h: ConformalPerturbation, tau: float,
-                     sweep: dict) -> tuple[float, float]:
+                     sweeps: tuple) -> tuple[float, float]:
     """(tau/V) int <N(h), h> dV by quadrature; returns (value, error_estimate).
 
-    ``sweep`` is the fine ``_geometry_sweep`` of ``h``.  The error estimate
-    is the difference against one coarser level.
+    ``sweeps`` are the ``_geometry_sweep``s of ``h`` on the rule exact at
+    ``_SWEEP_DEGREE`` and on its witness, one degree higher.  The error
+    estimate is the difference between the two.
     """
-    coarse = _geometry_sweep(h, tau, *_coarse_levels(
-        *_entropy_quad_levels(h.N)))
-    value = tau * sweep["nh_h"] / sweep["volume"]
-    value_coarse = tau * coarse["nh_h"] / coarse["volume"]
-    return value, abs(value - value_coarse)
+    value, witness = (tau * sweep["nh_h"] / sweep["volume"] for sweep in sweeps)
+    return value, abs(value - witness)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +398,12 @@ class Gate(NamedTuple):
 # thresholds are written.  A record passes when its residual is below the
 # tolerance, except that hbar_prime's tolerance is relative (scaled by
 # max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
-# must exceed.  The final verdict record is the conjunction of the others.
+# must exceed.  quadrature_witness gates the largest absolute difference
+# between a quadrature value and the same value on its witness rule: at
+# most 2.0e-13 at N = 2..4 and 1.1e-11 at N = 5 (Hbar', whose finite
+# differences scale rounding by about 1/step), while a term of degree
+# d + 2 moves it by about 0.1.  The final verdict record is the
+# conjunction of the others.
 CERTIFICATE_CHECKS = {
     "eigen_residual": Gate("(lap + 1/tau) phi = 0", 1e-8, "pointwise"),
     "v_solution": Gate("v = 2 phi solves (lap + 1/(2 tau)) v = div div h",
@@ -417,6 +413,9 @@ CERTIFICATE_CHECKS = {
     "volume_prime": Gate("V' = 0", 1e-8, "quadrature"),
     "hbar_prime": Gate("Hbar' = n(n-2)/(2V) ||phi||^2", 1e-5, "both"),
     "second_variation": Gate("nu'' = 0 along h = phi g", 1e-7, "quadrature"),
+    "quadrature_witness": Gate(
+        "each quadrature value agrees with its rule one degree higher",
+        1e-9, "quadrature"),
     "third_variation_cross_check": Gate("exact and quadrature int phi^3 agree",
                                         1e-5, "both"),
     "third_variation_nonzero": Gate(
@@ -430,6 +429,32 @@ def _gate(name: str, residual: float, scale: float = 1.0) -> dict:
     spec = CERTIFICATE_CHECKS[name]
     return gate(name, spec.identity, residual, spec.tolerance * scale,
                 spec.provenance)
+
+
+def _witness_record(N: int, firsts: dict, nu2_err: float) -> dict:
+    """The ``quadrature_witness`` record.  Its detail gives, per quadrature
+    value, its rule's (n_u, n_theta), node count and exactness degree, and
+    its difference from the witness rule; the residual is the largest
+    difference."""
+    witness = firsts["witness"]
+    rules = {}
+    for name, degree, difference in (
+            ("tau_prime", _SWEEP_DEGREE,
+             abs(firsts["tau_prime"] - witness["tau_prime"])),
+            ("volume_prime", _V_PRIME_DEGREE,
+             abs(firsts["volume_prime"] - witness["volume_prime"])),
+            ("hbar_prime", N,
+             abs(firsts["hbar_prime_fd"] - witness["hbar_prime_fd"])),
+            ("second_variation", _SWEEP_DEGREE, nu2_err)):
+        n_u, n_theta = exact_orders(degree)
+        rules[name] = {"orders": [n_u, n_theta], "nodes": (n_u * n_theta) ** N,
+                       "degree": degree, "witness_difference": difference}
+    spec = CERTIFICATE_CHECKS["quadrature_witness"]
+    # np.max, unlike max, keeps a NaN difference
+    largest = float(np.max([rule["witness_difference"]
+                            for rule in rules.values()]))
+    return gate("quadrature_witness", spec.identity, largest, spec.tolerance,
+                spec.provenance, detail=rules)
 
 
 def _entry(name: str, value: float) -> dict:
@@ -458,9 +483,11 @@ def certify(N: int, points: int, seed: int, *,
     record passes; ``failures`` names the records that fail, and the last
     record restates the verdict.  Tau, the ``points`` sample points and
     their curvature batch are computed once and passed to every stage that
-    needs them, and the fine geometry sweep is shared by the first and
-    second variations.  The wall seconds of
-    each stage go into ``timings`` only, outside the byte contract.
+    needs them, and the geometry sweeps on the exact rule and on its
+    witness are shared by the first and second variations.  The
+    ``quadrature_witness`` record gates every quadrature value against its
+    witness.  The wall seconds of each stage go into ``timings`` only,
+    outside the byte contract.
     """
     if N < 2:
         raise ValueError("requires N >= 2")
@@ -476,11 +503,12 @@ def certify(N: int, points: int, seed: int, *,
     with _stage(timings, "n_tilde"):
         nt_max = n_tilde_max(h, w, geom)
     with _stage(timings, "sweep"):
-        sweep = _geometry_sweep(h, tau, *_entropy_quad_levels(N))
+        sweeps = tuple(_geometry_sweep(h, tau, *exact_orders(degree))
+                       for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
     with _stage(timings, "first"):
-        firsts = first_variations(h, tau, sweep)
+        firsts = first_variations(h, tau, sweeps)
     with _stage(timings, "second"):
-        nu2, nu2_err = second_variation(h, tau, sweep)
+        nu2, nu2_err = second_variation(h, tau, sweeps)
     with _stage(timings, "third"):
         nu3 = third_variation(N, h.form, tau)
 
@@ -496,6 +524,7 @@ def certify(N: int, points: int, seed: int, *,
         _gate("hbar_prime", abs(firsts["hbar_prime_fd"] - hbar_closed),
               scale=max(1.0, abs(hbar_closed))),
         _gate("second_variation", abs(nu2)),
+        _witness_record(N, firsts, nu2_err),
         _gate("third_variation_cross_check", nu3["phi3_integral"]["rel_diff"]),
         check("third_variation_nonzero", floor.identity,
               abs(tv["value"]) > floor.tolerance, provenance=floor.provenance,

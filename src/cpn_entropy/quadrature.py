@@ -1,4 +1,4 @@
-"""Deterministic quadrature over CP^N in chart-0 coordinates.
+"""Degree-exact quadrature over CP^N in chart-0 coordinates.
 
 The chart integral of F against the volume density sigma^{-(N+1)} compactifies
 under t_0 = 1/sigma, t_j = |w_j|^2/sigma, theta_j = arg w_j into
@@ -6,11 +6,15 @@ under t_0 = 1/sigma, t_j = |w_j|^2/sigma, theta_j = arg w_j into
     int F dV = 2^{-N} int_{Delta^N} int_{T^N} F(w(t, theta)) dtheta dt,
 
 where Delta^N is the Euclidean simplex {t_j >= 0, sum t_j <= 1} and T^N the
-torus of relative phases.  The simplex uses stick-breaking Gauss-Legendre
-rules and the torus uniform grids, both spectrally accurate; low-degree
-circle-invariant polynomial integrands are integrated exactly at small
-orders.  Sphere Monte Carlo (``moments.monte_carlo_average``) is the
-independent oracle.
+torus of relative phases.  The rule is Stroud's conical product (A. H.
+Stroud, *Approximate Calculation of Multiple Integrals*, 1971): the simplex
+is broken into sticks u_0..u_{N-1}, whose Jacobian prod (1 - u_i)^(N-1-i)
+is the weight of a Gauss-Jacobi rule in u_i (nodes by Golub-Welsch), and
+the torus takes uniform grids.  A polynomial of degree d in the first
+eigenfunctions, such as phi^q for q <= d, has torus modes |m_j| <= d and
+degree at most d in each u_i, so ``exact_orders(d)`` integrates it exactly
+whatever N is.  Sphere Monte Carlo (``moments.monte_carlo_average``) is
+the independent oracle.
 
 The module owns the package's one thread pool.  ``cpn_integral`` and the
 entropy sweep feed it through ``_ordered``, which returns results in task
@@ -81,28 +85,49 @@ def _ordered(kernel, tasks):
                 future.result()
 
 
-def _gauss_legendre_01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+def gauss_jacobi(n: int, a: int):
+    """The n-point Gauss rule on [0, 1] for the weight (1 - u)^a, a >= 0.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    polynomials orthogonal for this weight (the Jacobi P_k^(a, 0), moved
+    from [-1, 1] to [0, 1]), and each weight is the weight's mass 1/(a + 1)
+    times the squared first component of the node's eigenvector.  The rule
+    integrates u^k (1 - u)^a exactly for k <= 2n - 1.
+    """
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + a
+    diag = np.empty(n)
+    diag[0] = -a / (a + 2.0)
+    diag[1:] = -a * a / (s * (s + 2.0))
+    off = 2.0 * k * (k + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    jacobi = (np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, 1)
+              + np.diag(0.5 * off, -1))
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, vectors[0] ** 2 / (a + 1.0)
+
+
+def exact_orders(d: int) -> tuple[int, int]:
+    """(n_u, n_theta) of the chart rule exact for integrands of degree d."""
+    return (d + 2) // 2, d + 1
 
 
 def simplex_rule(N: int, n_u: int):
-    """Stick-breaking product rule for the Euclidean simplex Delta^N.
+    """Stick-breaking Gauss-Jacobi product rule for the simplex Delta^N.
 
-    Returns (t, weights) with t of shape (n_u^N, N+1); column 0 is
-    t_0 = 1 - sum of the rest.  Weights sum to 1/N! (simplex volume).
+    t_{j+1} = u_j prod_{i<j} (1 - u_i) and t_0 = prod_i (1 - u_i).  The
+    Jacobian prod_i (1 - u_i)^(N-1-i) is the weight of the rule in u_i, so
+    a polynomial of degree d in t is exact once 2 n_u - 1 >= d.  Returns
+    (t, weights) with t of shape (n_u^N, N+1); weights sum to 1/N!.
     """
-    x, w = _gauss_legendre_01(n_u)
-    grids = np.meshgrid(*([x] * N), indexing="ij")
-    wgrids = np.meshgrid(*([w] * N), indexing="ij")
+    rules = [gauss_jacobi(n_u, N - 1 - i) for i in range(N)]
+    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    wgrids = np.meshgrid(*(w for _, w in rules), indexing="ij")
     u = np.stack([g.ravel() for g in grids], axis=1)
     weight = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    b = u.shape[0]
-    t = np.empty((b, N + 1))
-    remaining = np.ones(b)
+    t = np.empty((u.shape[0], N + 1))
+    remaining = np.ones(u.shape[0])
     for j in range(N):
         t[:, j + 1] = remaining * u[:, j]
-        weight = weight * remaining
         remaining = remaining * (1.0 - u[:, j])
     t[:, 0] = remaining
     return t, weight
@@ -152,7 +177,7 @@ def cpn_integral(func, N: int, n_u: int, n_theta: int) -> float:
 
 
 def level_orders(level: int) -> tuple[int, int]:
-    """Refinement schedule: (Gauss-Legendre order, torus points per angle)."""
+    """Refinement schedule: (Gauss-Jacobi order, torus points per angle)."""
     return 3 + level, 4 + 2 * level
 
 

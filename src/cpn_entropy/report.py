@@ -179,3 +179,61 @@ def reverify(report: dict) -> bool:
                 ok = False
     return ok
 
+
+# ---------------------------------------------------------------------------
+# value diff
+
+_ABSENT = object()    # a key present on the other side only
+
+
+def diff(old: dict, new: dict) -> list[str]:
+    """The values two parsed reports disagree on, timings excluded.
+
+    One line per changed leaf, in key order: its path, the old and the new
+    value, and for two numbers the relative change (new - old) / |old|.  A
+    record in a list of records is named by its ``name``, so a record whose
+    ``status`` changed reads ``checks[name].status: "pass" -> "fail"``.
+    A rational, written as {"num", "den"}, is one leaf, and a key present
+    on one side only is one line with the value ``absent`` on the other.
+    """
+    lines: list[str] = []
+    _diff(strip_timings(old), strip_timings(new), "", lines)
+    return lines
+
+
+def _leaf(value):
+    if isinstance(value, dict) and set(value) == {"num", "den"}:
+        return Fraction(int(value["num"]), int(value["den"]))
+    return value
+
+
+def _children(value) -> dict:
+    """Path suffix -> child of a dict or a list; records go by name."""
+    if isinstance(value, dict):
+        return {f".{key}": child for key, child in value.items()}
+    if value and all(isinstance(v, dict) and "name" in v for v in value):
+        return {f"[{v['name']}]": v for v in value}
+    return {f"[{i}]": child for i, child in enumerate(value)}
+
+
+def _text(value) -> str:
+    if isinstance(value, Fraction):
+        return str(value)
+    return "absent" if value is _ABSENT else dumps(value)
+
+
+def _diff(old, new, path: str, lines: list) -> None:
+    old, new = _leaf(old), _leaf(new)
+    if type(old) is type(new) and isinstance(old, (dict, list)):
+        a, b = _children(old), _children(new)
+        for key in [*a, *(k for k in b if k not in a)]:
+            _diff(a.get(key, _ABSENT), b.get(key, _ABSENT), path + key, lines)
+        return
+    if type(old) is type(new) and old == new:
+        return
+    line = f"{path.lstrip('.')}: {_text(old)} -> {_text(new)}"
+    numbers = all(isinstance(v, (int, float, Fraction))
+                  and not isinstance(v, bool) for v in (old, new))
+    if numbers and old:
+        line += f" (relative {float((new - old) / abs(old)):+.3g})"
+    lines.append(line)

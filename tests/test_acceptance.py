@@ -13,12 +13,13 @@ import pytest
 from cpn_entropy.charts import sample_w
 from cpn_entropy.cli import main
 from cpn_entropy.eigenfunctions import basis_first_eigenspace, verify_eigen
-from cpn_entropy.entropy import (ConformalPerturbation, _entropy_quad_levels,
+from cpn_entropy.entropy import (ConformalPerturbation, _SWEEP_DEGREE,
                                  _geometry_sweep, certify, first_variations,
                                  n_tilde_max, second_variation, v_of)
 from cpn_entropy.geometry import curvature_batch, einstein_tau
 from cpn_entropy.moments import monte_carlo_average, polynomial_average
 from cpn_entropy.polynomials import special_cubic_polynomial
+from cpn_entropy.quadrature import exact_orders
 from cpn_entropy.report import dumps, parse_report, strip_timings
 from cpn_entropy.rewrite import (Coef, confluence_check, expected_checkpoint,
                                  reduce_third_variation, rule_zero_mean,
@@ -112,10 +113,11 @@ def test_criterion_5_stability_operators():
     geom = curvature_batch(w)
     ok = n_tilde_max(h, w, geom) < 1e-7
     ok &= v_of(h, tau, w, geom) < 1e-8
-    sweep = _geometry_sweep(h, tau, *_entropy_quad_levels(2))
-    nu2, _ = second_variation(h, tau, sweep)
+    sweeps = tuple(_geometry_sweep(h, tau, *exact_orders(degree))
+                   for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
+    nu2, _ = second_variation(h, tau, sweeps)
     ok &= abs(nu2) < 1e-7
-    fv = first_variations(h, tau, sweep)
+    fv = first_variations(h, tau, sweeps)
     ok &= abs(fv["tau_prime"]) < 1e-8
     ok &= abs(fv["volume_prime"]) < 1e-8
     ok &= abs(fv["hbar_prime_fd"] - fv["hbar_prime_closed"]) < 1e-5

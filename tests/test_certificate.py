@@ -7,11 +7,14 @@ so each case costs no recomputation.
 
 import sys
 
+import numpy as np
 import pytest
 
 from cpn_entropy import entropy, geometry
 from cpn_entropy.cli import RunConfig, main
+from cpn_entropy.eigenfunctions import _phi_values, special_phi
 from cpn_entropy.entropy import CERTIFICATE_CHECKS, ConformalPerturbation
+from cpn_entropy.quadrature import cpn_integral, exact_orders
 from cpn_entropy.report import dumps, parse_report, reverify
 
 STAGES = ("v_of", "n_tilde_max", "_geometry_sweep", "first_variations",
@@ -52,10 +55,34 @@ def _past(name, scale=1.0):
     return 1.01 * CERTIFICATE_CHECKS[name].tolerance * scale
 
 
+def _on_both_rules(fv, key, value):
+    """``first_variations``' values with ``key`` set to ``value`` on its
+    rule and on its witness, so only ``key``'s own gate can see it."""
+    return {**fv, key: value, "witness": {**fv["witness"], key: value}}
+
+
 def _hbar_off(fv):
     closed = fv["hbar_prime_closed"]
-    return {**fv, "hbar_prime_fd": closed + _past("hbar_prime",
-                                                  max(1.0, abs(closed)))}
+    return _on_both_rules(fv, "hbar_prime_fd", closed + _past(
+        "hbar_prime", max(1.0, abs(closed))))
+
+
+def _degree_d_plus_2(fv):
+    """V' with a term of degree d + 2 = 3 added to its degree-1 integrand
+    (n/2) phi: Re(w_1^3) / (1 + |w|^2)^3, of zero integral.  The degree-1
+    rule's two phases of theta_1 cancel e^(3 i theta_1), so V' stays 0; the
+    witness's three alias it."""
+    form = special_phi(2)
+
+    def integrand(w):
+        return 2.0 * _phi_values(form, 0, w) + (w[:, 0] ** 3).real / (
+            1.0 + np.sum(np.abs(w) ** 2, axis=1)) ** 3
+
+    value, witness = (cpn_integral(integrand, 2, *exact_orders(degree))
+                      for degree in (1, 2))
+    assert abs(value) < CERTIFICATE_CHECKS["volume_prime"].tolerance
+    return {**fv, "volume_prime": value,
+            "witness": {**fv["witness"], "volume_prime": witness}}
 
 
 def _entry_off(entries, key, **values):
@@ -68,13 +95,14 @@ GATE_CASES = {
     "eigen_residual": ("eigen_residual", lambda _: _past("eigen_residual")),
     "v_solution": ("v_of", lambda _: _past("v_solution")),
     "n_tilde_vanishes": ("n_tilde_max", lambda _: _past("n_tilde_vanishes")),
-    "tau_prime": ("first_variations",
-                  lambda fv: {**fv, "tau_prime": _past("tau_prime")}),
-    "volume_prime": ("first_variations",
-                     lambda fv: {**fv, "volume_prime": -_past("volume_prime")}),
+    "tau_prime": ("first_variations", lambda fv: _on_both_rules(
+        fv, "tau_prime", _past("tau_prime"))),
+    "volume_prime": ("first_variations", lambda fv: _on_both_rules(
+        fv, "volume_prime", -_past("volume_prime"))),
     "hbar_prime": ("first_variations", _hbar_off),
     "second_variation": ("second_variation",
                          lambda nu2: (-_past("second_variation"), nu2[1])),
+    "quadrature_witness": ("first_variations", _degree_d_plus_2),
     "third_variation_cross_check": (
         "third_variation",
         lambda tv: _entry_off(tv, "phi3_integral", rel_diff=_past(
@@ -104,7 +132,7 @@ def test_gate_cases_cover_every_gated_record():
 
 def test_certify_shares_the_fine_sweep(recorded):
     checks, cert, outputs = recorded
-    # fine (shared by tau' and nu'') and coarse (nu'' error estimate)
+    # the exact rule and its witness, each shared by tau' and nu''
     assert len(outputs["_geometry_sweep"]) == 2
     assert all(len(outputs[stage]) == 1 for stage in STAGES
                if stage != "_geometry_sweep")

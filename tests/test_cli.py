@@ -1,4 +1,3 @@
-import json
 import sys
 from pathlib import Path
 
@@ -6,7 +5,8 @@ import pytest
 
 import cpn_entropy.cli as cli
 from cpn_entropy.cli import main
-from cpn_entropy.report import dumps, parse_report, reverify, strip_timings
+from cpn_entropy.report import (diff, dumps, parse_report, reverify,
+                                strip_timings)
 
 
 def run(capsys, *argv):
@@ -173,8 +173,6 @@ def test_oversized_batch_is_found_before_the_verb_runs(verb, monkeypatch,
     rows = max(cli.RunConfig().points, cli._slab_rows(4))
     fits = rows * 8 ** 4 * 8 * cli._BATCH_PEAK_ARRAYS
     monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", fits)
-    # a one-node Gram quadrature keeps eigen's node matrix out of the way
-    monkeypatch.setattr(cli, "_GRAM_ORDERS", (1, 1))
     assert main([verb, "--N", "4"]) == 0
     assert len(calls) == 1
     assert main([verb, "--N", "4", "--points", str(rows + 1)]) == 2
@@ -205,11 +203,12 @@ CANNOT_FIT = {
     # one point fits the curvature batch; the oracle's 40^4 cells do not
     ("geometry", "--N", "20", "--points", "1"):
         "the nested-dual metric oracle at N = 20 needs about 2.44 GiB",
-    # V' alone takes 60^N nodes, hours at N = 6
+    # levels 1 and 2 of int phi^3 take 4.3e9 nodes at N = 6, the Hbar'
+    # witness 1.1e9
     ("certify", "--N", "6"):
-        "the fixed quadrature of certify at N = 6 needs 5.17e+10 nodes",
+        "the fixed quadrature of certify at N = 6 needs 5.84e+09 nodes",
     ("certify", "--N", "7"):
-        "the fixed quadrature of certify at N = 7 needs 2.99e+12 nodes",
+        "the fixed quadrature of certify at N = 7 needs 5.76e+11 nodes",
     # the Monte Carlo samples count against the node limit
     ("moments", "--N", "2", "--mc-samples", "10000000000"):
         "mc_samples must be <= 1e+09",
@@ -227,29 +226,33 @@ def test_runs_that_cannot_fit_exit_2(argv, monkeypatch, capsys):
 
 
 def test_certify_quadratures_at_n5_fit(monkeypatch):
-    # 9.1e8 nodes, under the limit
+    # 1.3e8 nodes, under the limit
     calls = _verb_spy(monkeypatch, "certify")
     assert main(["certify", "--N", "5"]) == 0
     assert len(calls) == 1
-    # the same limit refuses them once it is one node lower
+    # the same limit refuses them once it is one node lower: the sweep, V'
+    # and Hbar' on their exact rules and witnesses, and levels 1 and 2 of
+    # int phi^3
     monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT",
-                        60 ** 5 + 30 ** 5 + 12 ** 5 + 6 ** 5 + 24 ** 5
-                        + 40 ** 5 - 1)
+                        6 ** 5 + 8 ** 5 + 2 ** 5 + 6 ** 5 + 18 ** 5 + 28 ** 5
+                        + 24 ** 5 + 40 ** 5 - 1)
     assert main(["certify", "--N", "5"]) == 2
     assert len(calls) == 1
 
 
 def test_eigen_gram_matrix_that_cannot_fit_exits_2(monkeypatch, capsys):
+    # the exact degree-2 rule takes 6^N nodes: at N = 8 the Gram node matrix
+    # outgrows the curvature batch
     calls = _verb_spy(monkeypatch, "eigen")
-    assert main(["eigen", "--N", "5"]) == 2
+    assert main(["eigen", "--N", "8"]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith(
-        "error: the Gram node matrix at N = 5 needs about 6.34 GiB")
-    # phi of the 24 basis forms at 30^4 nodes, held once, just fits
-    monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", 30 ** 4 * 24 * 8)
-    assert main(["eigen", "--N", "4"]) == 0
-    monkeypatch.setattr(cli, "_GRAM_ORDERS", (5, 7))
-    assert main(["eigen", "--N", "4"]) == 2
+        "error: the Gram node matrix at N = 8 needs about 1 GiB")
+    # phi of the 80 basis forms at 6^8 nodes, held once, just fits
+    monkeypatch.setattr(cli, "_BATCH_BYTES_LIMIT", 6 ** 8 * 80 * 8)
+    assert main(["eigen", "--N", "8"]) == 0
+    monkeypatch.setattr(cli, "_GRAM_ORDERS", (2, 4))
+    assert main(["eigen", "--N", "8"]) == 2
     assert len(calls) == 1
 
 
@@ -313,16 +316,11 @@ def test_certify_times_each_stage_outside_the_digest():
     assert list(timings) == ["total_seconds"] + STAGES
     assert all(seconds >= 0 for seconds in timings.values())
     assert sum(timings[name] for name in STAGES) <= timings["total_seconds"]
-    # the report up to ``timings`` is the benchmark baseline's, byte for byte
-    baseline = json.loads((bench / "results" / "baseline.json").read_text())
-    running = worker.environment()
-    for key in ("python", "numpy", "blas"):
-        if baseline["environment"][key] != running[key]:
-            pytest.skip(f"{key} build {running[key]!r} is not the baseline's")
-    recorded = {call["digest"]
-                for run in baseline["workloads"]["certify-small"]["runs"]
-                for call in run["calls"] if call["argv"] == argv}
-    assert recorded == {digest}
+    # the report up to ``timings`` is the pinned one, byte for byte
+    from test_pinned_digests import SEED1_DIGESTS, _skip_unless_baseline_build
+
+    _skip_unless_baseline_build()
+    assert digest == SEED1_DIGESTS[tuple(argv)]
 
 
 def test_failed_run_leaves_an_existing_out_file_unchanged(capsys, tmp_path):
@@ -352,6 +350,32 @@ def test_certificate_roundtrip_reverification(capsys, tmp_path):
         if check["name"] == "second_variation":
             check["residual"] = 1.0
     assert not reverify(report)
+
+
+def test_report_diff_lists_changed_values_and_statuses(capsys):
+    _, report = run(capsys, "certify", "--N", "2", "--points", "5")
+    _, again = run(capsys, "certify", "--N", "2", "--points", "5")
+    # the timings differ, and they are outside the diff
+    assert diff(report, again) == []
+    mutated = parse_report(dumps(report))
+    for check in mutated["checks"]:
+        if check["name"] == "tau_prime":
+            residual = check["residual"]
+            check["residual"] = 4 * residual
+        if check["name"] == "hbar_prime":
+            check["status"] = "fail"
+    assert diff(report, mutated) == [
+        f"checks[tau_prime].residual: {dumps(residual)} -> "
+        f"{dumps(4 * residual)} (relative +3)",
+        'checks[hbar_prime].status: "pass" -> "fail"']
+
+
+def test_report_diff_reads_rationals_and_absent_keys():
+    old = {"a": {"num": "9", "den": "5"}, "b": [1, 2], "c": None}
+    new = {"a": {"num": "18", "den": "5"}, "b": [1], "d": "x"}
+    assert diff(old, new) == [
+        "a: 9/5 -> 18/5 (relative +1)", "b[1]: 2 -> absent",
+        "c: null -> absent", 'd: absent -> "x"']
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from cpn_entropy.charts import sample_w
 from cpn_entropy.entropy import (CERTIFICATE_CHECKS, ConformalPerturbation,
-                                 _entropy_quad_levels, _geometry_sweep,
+                                 _SWEEP_DEGREE, _geometry_sweep,
                                  _third_variation_rational, _trace_shift,
                                  certify, first_variations,
                                  minimizer_identity_coefficient,
@@ -17,6 +17,7 @@ from cpn_entropy.eigenfunctions import (HermitianForm, _form_from_int,
 from cpn_entropy.geometry import (curvature_batch, einstein_tau,
                                   hessian_and_laplacian)
 from cpn_entropy.moments import cpn_average
+from cpn_entropy.quadrature import exact_orders
 
 F = Fraction
 
@@ -42,9 +43,11 @@ def scaled(h: ConformalPerturbation, c: int) -> ConformalPerturbation:
     return ConformalPerturbation(scaled_form(h.form, c), h.N)
 
 
-def fine_sweep(h: ConformalPerturbation) -> dict:
-    """The fine geometry sweep that ``certify`` shares between stages."""
-    return _geometry_sweep(h, einstein_tau(h.N), *_entropy_quad_levels(h.N))
+def sweeps(h: ConformalPerturbation) -> tuple:
+    """The geometry sweeps on the exact rule and on its witness, which
+    ``certify`` shares between stages."""
+    return tuple(_geometry_sweep(h, einstein_tau(h.N), *exact_orders(degree))
+                 for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
 
 
 def sampled(N: int, points: int, seed: int):
@@ -192,7 +195,7 @@ def test_n_operator_is_linear():
 
 def test_first_variations_vanish_and_match():
     h = ConformalPerturbation.special(2)
-    fv = first_variations(h, einstein_tau(2), fine_sweep(h))
+    fv = first_variations(h, einstein_tau(2), sweeps(h))
     assert abs(fv["tau_prime"]) < 1e-8
     assert abs(fv["volume_prime"]) < 1e-8
     assert abs(fv["hbar_prime_closed"] - 2.0) < 1e-12
@@ -201,13 +204,13 @@ def test_first_variations_vanish_and_match():
 
 def test_second_variation_vanishes_for_eigen_direction():
     h = ConformalPerturbation.special(2)
-    nu2, err = second_variation(h, einstein_tau(2), fine_sweep(h))
+    nu2, err = second_variation(h, einstein_tau(2), sweeps(h))
     assert abs(nu2) < 1e-7
 
 
 def test_second_variation_of_zero_is_zero():
     zero = ConformalPerturbation(zero_form(2), 2)
-    nu2, _ = second_variation(zero, einstein_tau(2), fine_sweep(zero))
+    nu2, _ = second_variation(zero, einstein_tau(2), sweeps(zero))
     assert nu2 == 0.0
 
 
@@ -215,9 +218,9 @@ def test_second_variation_quadratic_scaling():
     # doubling h scales the quadrature functional by exactly 4 (powers of
     # two commute with floating-point rounding)
     h = ConformalPerturbation.special(2)
-    nu2, _ = second_variation(h, einstein_tau(2), fine_sweep(h))
+    nu2, _ = second_variation(h, einstein_tau(2), sweeps(h))
     double = scaled(h, 2)
-    nu2_scaled, _ = second_variation(double, einstein_tau(2), fine_sweep(double))
+    nu2_scaled, _ = second_variation(double, einstein_tau(2), sweeps(double))
     assert abs(nu2_scaled - 4.0 * nu2) <= 1e-10 * max(abs(nu2), 1e-30) + 1e-18
 
 
@@ -248,9 +251,9 @@ def test_third_variation_flips_sign_with_phi():
 
 def test_second_variation_invariant_under_sign_flip():
     h = ConformalPerturbation.special(2)
-    nu2, _ = second_variation(h, einstein_tau(2), fine_sweep(h))
+    nu2, _ = second_variation(h, einstein_tau(2), sweeps(h))
     flip = scaled(h, -1)
-    nu2_flip, _ = second_variation(flip, einstein_tau(2), fine_sweep(flip))
+    nu2_flip, _ = second_variation(flip, einstein_tau(2), sweeps(flip))
     assert nu2_flip == nu2  # quadratic functional, exact under negation
 
 

@@ -51,22 +51,22 @@ def _skip_unless_baseline_build():
 # The seed-1 calls of the certify-small, suites and certify-n4 workloads.
 SEED1_DIGESTS = {
     ("certify", "--N", "2", "--seed", "1"):
-        "11916b45c63a4ec54e3187997fc01f046476b585b4907e34abb03065a5802d60",
+        "adf0098c1fd27b5c92c88a3be151f3b4aabd6558d44f00a56c985d47d2c51009",
     ("certify", "--N", "3", "--seed", "1"):
-        "fa562e16cd13fc95d5b137ac0e73baeb0b3a4de4e04be94aed4a99e98ac8addd",
+        "985d28ba2dd6a6ade2ff57b86aec8fbcfbdea6ad1cdd052090c7f0d6544804e3",
     ("geometry", "--N", "3", "--seed", "1"):
         "0ddc69533009419dcdaa217289faf8e01e722d3a8d4caa678f06dad70cb0d3f3",
     ("eigen", "--N", "3", "--seed", "1"):
-        "79cbf8c6e0d0e58f83131688db12315aeb0da1133a0af71fad1012ba784ff4b3",
+        "7d510aed3d7d6b97cf53c682327db74328fcf7c461a6a6c14b07d368eb1b9e8e",
     ("variation", "--N", "2", "--seed", "1"):
         "22aa2747e7d7174c9b908eb41c4817a81b21541576f6bf22f4e3ad735b58d060",
     ("algebra", "--n", "symbolic", "--orders", "100", "--seed", "1"):
         "3b5948d315c14e540f794a33a3fff789683b3e7f7e4f0df46bfb073b04ea9ed9",
     ("moments", "--N", "2", "--mc-samples", "1000000", "--seed", "1"):
-        "80867aa2910f88c7b5b3cfecf8f5b76c15a7692931ea7aff79bef4fbafedc3ef",
-    # the headline N, about 8 s
+        "4116d56841b2dc4a60ffe4e11cc5641bc6388bc506737c8f480e84130f738c6a",
+    # the headline N, about 2.5 s
     ("certify", "--N", "4", "--seed", "1"):
-        "68148e9279ee7f7740179d1e278638d66febe244a9d83e56a7899bf42bff5b5d",
+        "c53b0026047ce3ac07d0c898fa98fb47adec97c5570149a242d959cf9ca3401e",
 }
 
 
@@ -90,7 +90,7 @@ def test_moments_n3_digest():
     _skip_unless_baseline_build()
     argv = ["moments", "--N", "3", "--mc-samples", "100000", "--seed", "1"]
     assert _exit_and_digest(argv) == (
-        0, "7fc114417cae952a59e87135f686b5d96d0dad867ecd3be7d9385fae8e403c30")
+        0, "a5952aa082d59583fd8fe3312924fbd4e779f6b19d57fa0424b4054673788e76")
 
 
 def test_moments_n2_short_last_shard_digest():
@@ -99,4 +99,4 @@ def test_moments_n2_short_last_shard_digest():
     _skip_unless_baseline_build()
     argv = ["moments", "--N", "2", "--mc-samples", "210001", "--seed", "1"]
     assert _exit_and_digest(argv) == (
-        0, "841115a777a3df2eb0f5188df563d65a672b95169f01b82e645447890c32e2f6")
+        0, "9c56f0cf1189ce4ef2d997e23d843afd4fff696d6c465ff0d985477bccb81c2e")

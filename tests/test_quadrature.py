@@ -1,12 +1,47 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cpn_entropy.eigenfunctions import phi_values_batch, special_phi
-from cpn_entropy.moments import cpn_volume_closed_form
+from cpn_entropy.eigenfunctions import _phi_values, phi_values_batch, special_phi
+from cpn_entropy.moments import (cpn_average, cpn_volume_closed_form,
+                                 polynomial_average)
+from cpn_entropy.polynomials import BihomogeneousPolynomial
 from cpn_entropy.quadrature import (adaptive_cpn_integral, chart_nodes,
-                                    cpn_integral, simplex_rule, torus_grid)
+                                    cpn_integral, exact_orders, gauss_jacobi,
+                                    simplex_rule, torus_grid)
+
+
+@pytest.mark.parametrize("a", range(6))
+def test_gauss_jacobi_integrates_beta_moments(a):
+    # int_0^1 u^k (1 - u)^a du = k! a! / (k + a + 1)!, exact for k <= 2n - 1
+    for n in range(1, 9):
+        nodes, weights = gauss_jacobi(n, a)
+        assert np.all((nodes > 0) & (nodes < 1)) and np.all(weights > 0)
+        for k in range(2 * n):
+            beta = Fraction(math.factorial(k) * math.factorial(a),
+                            math.factorial(k + a + 1))
+            value = float(np.dot(weights, nodes ** k))
+            assert abs(value - float(beta)) <= 1e-14 * float(beta), (n, k)
+
+
+def test_exact_orders():
+    assert [exact_orders(d) for d in range(6)] == [
+        (1, 1), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_chart_rule_is_exact_for_phi_powers(N):
+    # phi^q has degree q: the moments engine gives its exact average
+    form = special_phi(N)
+    power = BihomogeneousPolynomial.from_form(form)
+    for q in range(1, 5):
+        exact = (cpn_average(q, form, N) if q <= 3
+                 else polynomial_average(N + 1, power.power(q)))
+        value = cpn_integral(lambda w: _phi_values(form, 0, w) ** q, N,
+                             *exact_orders(q)) / cpn_volume_closed_form(N)
+        assert abs(value - float(exact)) <= 1e-14 * max(abs(exact), 1), q
 
 
 def test_simplex_rule_integrates_to_simplex_volume():

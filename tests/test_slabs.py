@@ -32,6 +32,7 @@ from cpn_entropy.charts import sample_w
 from cpn_entropy.cli import main
 from cpn_entropy.eigenfunctions import _phi_values, special_phi
 from cpn_entropy.jets import Jet
+from cpn_entropy.quadrature import exact_orders
 from cpn_entropy.report import parse_report, report_bytes, strip_timings
 
 SLAB = entropy._slab_rows(3)
@@ -39,10 +40,12 @@ SLAB = entropy._slab_rows(3)
 ROWS = 2 * SLAB + 1
 PROBE_ROWS = (0, SLAB - 1, SLAB, 2 * SLAB - 1, 2 * SLAB)
 CURVATURE_FIELDS = ("g", "g_inv", "Gamma", "Riem", "Ric", "R")
-# Bound on the tracemalloc peak of the N = 3 fine sweep on a pool of
-# _MAX_WORKERS workers, measured at 25.9 to 33.8 MiB in 10 runs on 2 CPUs:
-# the running slabs' arrays of 202 rows, about 9.5 MiB each at their peak,
-# the waiting slabs' metric arrays and the chunk.
+# Bound on the tracemalloc peak of the N = 4 sweep on its exact rule (21
+# slabs of 64 rows in one 1296-row chunk) on a pool of _MAX_WORKERS
+# workers, measured at 22.4 to 35.4 MiB in 10 runs on 2 CPUs: the running
+# slabs' arrays, about 9.5 MiB each at their peak, the waiting slabs'
+# metric arrays and the chunk.  The chunk's curvature at once would take
+# about 190 MiB.
 PEAK_BOUND = 40 * 2 ** 20
 
 
@@ -72,27 +75,28 @@ def test_each_row_equals_the_row_computed_alone(batch):
             assert np.array_equal(values[row], alone[name][0]), (name, row)
 
 
-def _sweep_levels(N, fine):
-    """The fine or the coarse orders of the entropy sweep at N."""
-    n_u, n_theta = entropy._entropy_quad_levels(N)
-    return (n_u, n_theta) if fine else (max(n_u - 1, 2), max(n_theta - 1, 3))
+def _sweep_levels(N, witness):
+    """The orders of the entropy sweep at N: its exact rule, or the witness
+    rule one degree higher."""
+    return exact_orders(entropy._SWEEP_DEGREE + witness)
 
 
-def _sweep(N, fine):
+def _sweep(N, witness):
     """The entropy sweep sums of the special phi at N."""
     h = entropy.ConformalPerturbation.special(N)
     return entropy._geometry_sweep(h, geometry.einstein_tau(N),
-                                   *_sweep_levels(N, fine))
+                                   *_sweep_levels(N, witness))
 
 
 @functools.lru_cache(maxsize=None)
-def _default_sweep(N, fine):
+def _default_sweep(N, witness):
     """The sweep sums with the default slab and pool."""
-    return _sweep(N, fine)
+    return _sweep(N, witness)
 
 
 def _v_prime_n3():
-    """V' at N = 3 as ``first_variations`` integrates it: 28 chunks."""
+    """V''s integrand at N = 3 on the level-3 orders: 28 chunks, more
+    than any window."""
     form = special_phi(3)
     return quadrature.cpn_integral(lambda w: 3.0 * _phi_values(form, 0, w), 3,
                                    *quadrature.level_orders(3))
@@ -104,14 +108,15 @@ def _default_v_prime():
 
 
 def _pool_passes():
-    """The sweep sums and V' at N = 3, on whatever pool is installed."""
-    return _sweep(3, True), _v_prime_n3()
+    """The N = 4 sweep sums and the N = 3 phi integral, on whatever pool is
+    installed."""
+    return _sweep(4, False), _v_prime_n3()
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_rows_do_not_depend_on_the_pool(workers, monkeypatch):
     # every sweep row and integrand chunk is computed on a pool worker
-    default = (_default_sweep(3, True), _default_v_prime())
+    default = (_default_sweep(4, False), _default_v_prime())
     switch = sys.getswitchinterval()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         monkeypatch.setattr(quadrature, "_POOL", pool)
@@ -146,8 +151,9 @@ class CountingPool(ThreadPoolExecutor):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_sweep_holds_one_slab_more_than_the_workers(workers, monkeypatch):
-    # the N = 3 sweep has 40 slabs and V' 28 chunks, more than any window
-    sweep = functools.partial(_sweep, 3, True)
+    # the N = 4 sweep has 21 slabs and the phi integral 28 chunks, more
+    # than any window
+    sweep = functools.partial(_sweep, 4, False)
     with CountingPool(workers) as pool:
         monkeypatch.setattr(quadrature, "_POOL", pool)
         for one_pass in (sweep, _v_prime_n3):
@@ -259,17 +265,17 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("N,fine", [(2, True), (2, False), (3, True),
-                                     (3, False), (4, False)])
-def test_sweep_sums_do_not_depend_on_the_block(N, fine, monkeypatch):
-    default = _default_sweep(N, fine)
+@pytest.mark.parametrize("N,witness", [(2, True), (2, False), (3, True),
+                                        (3, False), (4, False)])
+def test_sweep_sums_do_not_depend_on_the_block(N, witness, monkeypatch):
+    default = _default_sweep(N, witness)
     # 7-row slabs, and one slab per chart_nodes chunk
     chunk = max(len(weights) for _, weights in
-                quadrature.chart_nodes(N, *_sweep_levels(N, fine)))
+                quadrature.chart_nodes(N, *_sweep_levels(N, witness)))
     for rows in (7, chunk):
         monkeypatch.setattr(entropy, "_SLAB_BYTES", rows * (2 * N) ** 4 * 8)
         assert entropy._slab_rows(N) == rows
-        assert _sweep(N, fine) == default, rows
+        assert _sweep(N, witness) == default, rows
 
 
 def _slab_spy(monkeypatch):
@@ -290,7 +296,7 @@ def test_sweep_builds_curvature_one_block_at_a_time(monkeypatch):
     levels = _sweep_levels(3, True)
     chunks = [w for w, _ in entropy.chart_nodes(3, *levels)]
     _sweep(3, True)
-    assert max(len(w) for w in chunks) == 8000
+    assert max(len(w) for w in chunks) == 8 ** 3
     assert max(len(w) for w in points) == SLAB
     assert np.array_equal(np.concatenate(points), np.concatenate(chunks))
 
@@ -308,10 +314,11 @@ def test_slabs_do_not_depend_on_the_workers(workers, monkeypatch):
     points = _slab_spy(monkeypatch)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         monkeypatch.setattr(quadrature, "_POOL", pool)
-        _sweep(3, False)
-    chunks = [len(w) for w, _ in entropy.chart_nodes(3, *_sweep_levels(3, False))]
-    expected = [min(SLAB, size - start) for size in chunks
-                for start in range(0, size, SLAB)]
+        _sweep(4, False)
+    rows = entropy._slab_rows(4)
+    chunks = [len(w) for w, _ in entropy.chart_nodes(4, *_sweep_levels(4, False))]
+    expected = [min(rows, size - start) for size in chunks
+                for start in range(0, size, rows)]
     assert [len(w) for w in points] == expected
 
 
@@ -319,10 +326,10 @@ def test_sweep_peak_memory_holds_one_block(monkeypatch):
     # a pool of _MAX_WORKERS workers, the most any machine runs
     with ThreadPoolExecutor(max_workers=quadrature._MAX_WORKERS) as pool:
         monkeypatch.setattr(quadrature, "_POOL", pool)
-        _sweep(3, True)
+        _sweep(4, False)
         tracemalloc.start()
         try:
-            _sweep(3, True)
+            _sweep(4, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
