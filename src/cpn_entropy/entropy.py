@@ -331,14 +331,14 @@ def _third_variation_rational(N: int, avg3: Fraction) -> Fraction:
 def third_variation(N: int, form: HermitianForm, tau: float) -> dict:
     """Third variation along h = phi g_FS, exact and quadrature paths.
 
-    Returns the certificate's ``phi3_average``, ``phi3_integral`` (the
-    exact average times V = pi^N/N!, against quadrature) and
-    ``third_variation`` (the measured-tau float value and, when tau has its
-    closed form, the exact rational) entries, in report order.
+    Returns the exact ``phi3_average``; int phi^3 dV as the exact average
+    times V = pi^N/N! (``exact_times_volume``) and by adaptive quadrature
+    (``quadrature``), with their relative difference ``rel_diff``; and the
+    third variation at the measured tau (``value``) and, when tau has its
+    closed form, as an exact rational (``exact_rational``, else None).
     """
     if N < 2:
         raise ValueError("third_variation requires N >= 2")
-    n = 2 * N
     avg3 = cpn_average(3, form, N)
     integral_exact = float(avg3) * cpn_volume_closed_form(N)
 
@@ -347,21 +347,17 @@ def third_variation(N: int, form: HermitianForm, tau: float) -> dict:
 
     integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=_PHI3_QUAD_TOL,
                                              max_level=4)
-    rel = abs(integral_quad - integral_exact) / max(abs(integral_exact), 1e-30)
     exact_rational = None
     if abs(tau - 1 / (4 * (N + 1))) < 1e-9:
         exact_rational = _third_variation_rational(N, avg3)
     return {
-        "phi3_average": {"exact": avg3, "float": float(avg3),
-                         "provenance": "exact"},
-        "phi3_integral": {"exact_times_volume": integral_exact,
-                          "quadrature": integral_quad, "rel_diff": rel,
-                          "provenance": "both"},
-        "third_variation": {
-            "value": (n - 2) * (4 * math.pi * tau) ** (-N) * integral_exact,
-            "exact_rational": exact_rational,
-            "identity": "nu''' = (n-2) (4 pi tau)^(-n/2) int phi^3 dV",
-            "provenance": "both"},
+        "phi3_average": avg3,
+        "exact_times_volume": integral_exact,
+        "quadrature": integral_quad,
+        "rel_diff": abs(integral_quad - integral_exact)
+        / max(abs(integral_exact), 1e-30),
+        "value": (2 * N - 2) * (4 * math.pi * tau) ** (-N) * integral_exact,
+        "exact_rational": exact_rational,
     }
 
 
@@ -395,7 +391,7 @@ class Gate(NamedTuple):
 
 
 # Every record of the certificate, in report order: the one place where its
-# thresholds are written.  A record passes when its residual is below the
+# tolerances are written.  A record passes when its residual is below the
 # tolerance, except that hbar_prime's tolerance is relative (scaled by
 # max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
 # must exceed.  quadrature_witness gates the largest absolute difference
@@ -449,20 +445,10 @@ def _witness_record(N: int, firsts: dict, nu2_err: float) -> dict:
         n_u, n_theta = exact_orders(degree)
         rules[name] = {"orders": [n_u, n_theta], "nodes": (n_u * n_theta) ** N,
                        "degree": degree, "witness_difference": difference}
-    spec = CERTIFICATE_CHECKS["quadrature_witness"]
     # np.max, unlike max, keeps a NaN difference
     largest = float(np.max([rule["witness_difference"]
                             for rule in rules.values()]))
-    return gate("quadrature_witness", spec.identity, largest, spec.tolerance,
-                spec.provenance, detail=rules)
-
-
-def _entry(name: str, value: float) -> dict:
-    """Certificate entry: ``value`` with record ``name``'s identity and
-    provenance."""
-    spec = CERTIFICATE_CHECKS[name]
-    return {"value": value, "identity": spec.identity,
-            "provenance": spec.provenance}
+    return _gate("quadrature_witness", largest) | {"detail": rules}
 
 
 @contextmanager
@@ -479,19 +465,19 @@ def certify(N: int, points: int, seed: int, *,
 
     Returns ``(checks, certificate)``: one check record per entry of
     ``CERTIFICATE_CHECKS``, in its order, and the report's ordered
-    certificate tree.  The verdict is ``not_local_max`` iff every gated
-    record passes; ``failures`` names the records that fail, and the last
-    record restates the verdict.  Tau, the ``points`` sample points and
-    their curvature batch are computed once and passed to every stage that
-    needs them, and the geometry sweeps on the exact rule and on its
-    witness are shared by the first and second variations.  The
-    ``quadrature_witness`` record gates every quadrature value against its
-    witness.  The wall seconds of each stage go into ``timings`` only,
-    outside the byte contract.
+    certificate tree.  The records are the only carrier of every gated
+    value; the tree holds what no record holds: N, the normalization, the
+    verdict, tau and the exact rationals.  The verdict is ``not_local_max``
+    iff every gated record passes, and the last record restates it.  Tau,
+    the ``points`` sample points and their curvature batch are computed
+    once and passed to every stage that needs them, and the geometry
+    sweeps on the exact rule and on its witness are shared by the first
+    and second variations.  The ``quadrature_witness`` record gates every
+    quadrature value against its witness.  The wall seconds of each stage
+    go into ``timings`` only, outside the byte contract.
     """
     if N < 2:
         raise ValueError("requires N >= 2")
-    n = 2 * N
     tau = einstein_tau(N)
     h = ConformalPerturbation.special(N)
     with _stage(timings, "eigen"):
@@ -512,72 +498,48 @@ def certify(N: int, points: int, seed: int, *,
     with _stage(timings, "third"):
         nu3 = third_variation(N, h.form, tau)
 
-    hbar_closed = firsts["hbar_prime_closed"]
+    hbar_closed, hbar_fd = firsts["hbar_prime_closed"], firsts["hbar_prime_fd"]
     floor = CERTIFICATE_CHECKS["third_variation_nonzero"]
-    tv = nu3["third_variation"]
     checks = [
         _gate("eigen_residual", eigen_res),
         _gate("v_solution", v_res),
         _gate("n_tilde_vanishes", nt_max),
         _gate("tau_prime", abs(firsts["tau_prime"])),
         _gate("volume_prime", abs(firsts["volume_prime"])),
-        _gate("hbar_prime", abs(firsts["hbar_prime_fd"] - hbar_closed),
-              scale=max(1.0, abs(hbar_closed))),
+        _gate("hbar_prime", abs(hbar_fd - hbar_closed),
+              scale=max(1.0, abs(hbar_closed)))
+        | {"detail": {"closed": hbar_closed, "finite_difference": hbar_fd}},
         _gate("second_variation", abs(nu2)),
         _witness_record(N, firsts, nu2_err),
-        _gate("third_variation_cross_check", nu3["phi3_integral"]["rel_diff"]),
+        _gate("third_variation_cross_check", nu3["rel_diff"])
+        | {"detail": {"exact_times_volume": nu3["exact_times_volume"],
+                      "quadrature": nu3["quadrature"]}},
         check("third_variation_nonzero", floor.identity,
-              abs(tv["value"]) > floor.tolerance, provenance=floor.provenance,
-              detail={"value": tv["value"],
-                      "exact_rational": tv["exact_rational"]}),
+              abs(nu3["value"]) > floor.tolerance, provenance=floor.provenance,
+              detail={"value": nu3["value"]}),
     ]
-    failures = [rec["name"] for rec in checks if rec["status"] == "fail"]
-    verdict = "inconclusive" if failures else "not_local_max"
+    passed = all(rec["status"] == "pass" for rec in checks)
     final = CERTIFICATE_CHECKS["verdict"]
-    checks.append(check("verdict", final.identity, not failures,
-                        provenance=final.provenance,
-                        detail={"verdict": verdict}))
+    checks.append(check("verdict", final.identity, passed,
+                        provenance=final.provenance))
     certificate = {
         "N": N,
-        "n": n,
         "normalization": (
             "metric from the potential log(1+|w|^2) with identity "
             "chart-origin metric; phi is the unit-coefficient form "
             "restriction"),
-        "verdict": verdict,
+        "verdict": "not_local_max" if passed else "inconclusive",
         "tau": {"value": tau, "closed_form": Fraction(1, 4 * (N + 1)),
                 "provenance": "n/(2R) at seeded sample points"},
-        "eigen_residual": _entry("eigen_residual", eigen_res),
-        "v_residual": {"value": v_res,
-                       "identity": "(lap + 1/(2 tau)) v = div div h, v = 2 phi",
-                       "provenance": "pointwise"},
-        "n_tilde_max": _entry("n_tilde_vanishes", nt_max),
-        "first_variations": {
-            "tau_prime": _entry("tau_prime", firsts["tau_prime"]),
-            "volume_prime": _entry("volume_prime", firsts["volume_prime"]),
-            "hbar_prime_closed": {
-                "value": hbar_closed,
-                "identity": CERTIFICATE_CHECKS["hbar_prime"].identity,
-                "provenance": "exact"},
-            "hbar_prime_fd": {"value": firsts["hbar_prime_fd"],
-                              "provenance": "quadrature finite differences"},
-        },
-        "second_variation": {"value": nu2, "error_estimate": nu2_err,
-                             "identity": "(tau/V) int <N(h), h> dV = 0",
-                             "provenance": "quadrature"},
-        **nu3,
+        "phi3_average": {"exact": nu3["phi3_average"], "provenance": "exact"},
+        "third_variation": {"exact_rational": nu3["exact_rational"],
+                            "provenance": "both"},
         "prefactor_ratio": {
-            "value": cpn_volume_closed_form(N) / (4 * math.pi * tau) ** (n / 2),
+            "value": cpn_volume_closed_form(N) / (4 * math.pi * tau) ** N,
             "identity": "V / (4 pi tau)^(n/2)",
             "provenance": "exact"},
         "minimizer_identity": {"coefficient": minimizer_identity_coefficient(),
                                "identity": "-2 f' + H = 2 phi = v",
                                "provenance": "exact"},
-        "thresholds": {
-            "eigen": CERTIFICATE_CHECKS["eigen_residual"].tolerance,
-            "nu2": CERTIFICATE_CHECKS["second_variation"].tolerance,
-            "nu3_floor": floor.tolerance,
-        },
-        "failures": failures,
     }
     return checks, certificate

@@ -132,13 +132,8 @@ def reverify(report: dict) -> bool:
 
     Returns True iff every record with a tolerance is consistent with its
     recorded status (a null residual, written for a non-finite value, must
-    fail), the overall status equals the conjunction of the records, and,
-    for a certificate, its verdict is ``not_local_max`` exactly when every
-    record other than the final ``verdict`` record passes, which that
-    record restates.  The ``third_variation_nonzero`` record passes exactly
-    when |detail.value| exceeds the floor of ``entropy.CERTIFICATE_CHECKS``,
-    which the certificate's ``nu3_floor`` threshold must state, and that
-    value equals the certificate's ``third_variation`` value.
+    fail) and the overall status equals the conjunction of the records.  A
+    report with a certificate must also hold ``_certificate_holds``.
     """
     checks = report.get("checks", [])
     ok = True
@@ -154,30 +149,50 @@ def reverify(report: dict) -> bool:
     if (report.get("status") == "pass") != all_pass:
         ok = False
     cert = report.get("certificate")
-    if cert is not None:
-        certified = cert.get("verdict") == "not_local_max"
-        gated = all(rec["status"] == "pass" for rec in checks
-                    if rec["name"] != "verdict")
-        stated = [rec["status"] == "pass" for rec in checks
-                  if rec["name"] == "verdict"]
-        if certified != gated or stated != [certified]:
-            ok = False
-        # the nu''' floor record carries its value in detail, not residual;
-        # the floor comes from the certificate table, not from the report
-        from .entropy import CERTIFICATE_CHECKS
+    return ok and (cert is None or _certificate_holds(checks, cert))
 
-        floor = CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance
-        if cert.get("thresholds", {}).get("nu3_floor") != floor:
-            ok = False
-        nu3 = cert.get("third_variation", {}).get("value")
-        for rec in checks:
-            if rec["name"] != "third_variation_nonzero":
-                continue
-            value = rec.get("detail", {}).get("value")
-            above = value is not None and abs(float(value)) > floor
-            if above != (rec["status"] == "pass") or value != nu3:
-                ok = False
-    return ok
+
+def _certificate_holds(checks: list, cert: dict) -> bool:
+    """The records of a certificate against ``entropy.CERTIFICATE_CHECKS``.
+
+    The record names are the table's, in its order, and each record states
+    the table's identity, provenance and tolerance.  ``hbar_prime``'s
+    tolerance is scaled by max(1, |detail.closed|), so its residual must be
+    |detail.finite_difference - detail.closed|.  The two records with no
+    tolerance are the ``third_variation_nonzero`` floor, which passes
+    exactly when |detail.value| exceeds the table's floor, and the final
+    ``verdict``, which passes exactly when every other record passes, as
+    the certificate's verdict states.
+    """
+    from .entropy import CERTIFICATE_CHECKS
+
+    if [rec.get("name") for rec in checks] != list(CERTIFICATE_CHECKS):
+        return False
+    by_name = {rec["name"]: rec for rec in checks}
+    hbar = by_name["hbar_prime"].get("detail", {})
+    closed, fd = hbar.get("closed"), hbar.get("finite_difference")
+    # the closed form is exact, so never null; a null fd has a null residual
+    if closed is None or by_name["hbar_prime"]["residual"] != (
+            None if fd is None else abs(fd - closed)):
+        return False
+    tolerances = {name: spec.tolerance
+                  for name, spec in CERTIFICATE_CHECKS.items()}
+    tolerances["hbar_prime"] *= max(1.0, abs(closed))
+    tolerances["third_variation_nonzero"] = None
+    for name, spec in CERTIFICATE_CHECKS.items():
+        rec = by_name[name]
+        if (rec.get("identity"), rec.get("tolerance"), rec.get("provenance")) \
+                != (spec.identity, tolerances[name], spec.provenance):
+            return False
+    floor = CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance
+    nu3 = by_name["third_variation_nonzero"]
+    value = nu3.get("detail", {}).get("value")
+    above = value is not None and abs(float(value)) > floor
+    gated = all(rec["status"] == "pass" for rec in checks[:-1])
+    return (above == (nu3["status"] == "pass")
+            and (checks[-1]["status"] == "pass") == gated
+            and cert.get("verdict") == ("not_local_max" if gated
+                                        else "inconclusive"))
 
 
 # ---------------------------------------------------------------------------

@@ -146,10 +146,12 @@ def test_criterion_7_end_to_end_certificates(capsys):
     out = capsys.readouterr().out
     report = parse_report(out)
     cert = report["certificate"]
+    records = {rec["name"]: rec for rec in report["checks"]}
     ok = code == 0 and cert["verdict"] == "not_local_max"
-    ok &= abs(cert["third_variation"]["value"] - 1.8) < 1e-5 * 1.8
+    nu3 = records["third_variation_nonzero"]["detail"]["value"]
+    ok &= abs(nu3 - 1.8) < 1e-5 * 1.8
     ok &= cert["third_variation"]["exact_rational"] == {"num": "9", "den": "5"}
-    ok &= cert["phi3_integral"]["rel_diff"] < 1e-5
+    ok &= records["third_variation_cross_check"]["residual"] < 1e-5
     for N in (3, 4):
         _, cert_n = certify(N, points=60, seed=7, timings={})
         ok &= cert_n["verdict"] == "not_local_max"

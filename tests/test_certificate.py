@@ -6,6 +6,8 @@ so each case costs no recomputation.
 """
 
 import sys
+from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from cpn_entropy.cli import RunConfig, main
 from cpn_entropy.eigenfunctions import _phi_values, special_phi
 from cpn_entropy.entropy import CERTIFICATE_CHECKS, ConformalPerturbation
 from cpn_entropy.quadrature import cpn_integral, exact_orders
-from cpn_entropy.report import dumps, parse_report, reverify
+from cpn_entropy.report import build_report, dumps, parse_report, reverify
 
 STAGES = ("v_of", "n_tilde_max", "_geometry_sweep", "first_variations",
           "second_variation", "third_variation")
@@ -85,11 +87,6 @@ def _degree_d_plus_2(fv):
             "witness": {**fv["witness"], "volume_prime": witness}}
 
 
-def _entry_off(entries, key, **values):
-    """``third_variation``'s entries with ``values`` set in entry ``key``."""
-    return {**entries, key: {**entries[key], **values}}
-
-
 # gated record -> (stage, the recorded stage value pushed past tolerance)
 GATE_CASES = {
     "eigen_residual": ("eigen_residual", lambda _: _past("eigen_residual")),
@@ -105,12 +102,11 @@ GATE_CASES = {
     "quadrature_witness": ("first_variations", _degree_d_plus_2),
     "third_variation_cross_check": (
         "third_variation",
-        lambda tv: _entry_off(tv, "phi3_integral", rel_diff=_past(
-            "third_variation_cross_check"))),
+        lambda tv: {**tv, "rel_diff": _past("third_variation_cross_check")}),
     "third_variation_nonzero": (
         "third_variation",
-        lambda tv: _entry_off(tv, "third_variation", value=0.99 * (
-            CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance))),
+        lambda tv: {**tv, "value": 0.99 * (
+            CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance)}),
 }
 
 
@@ -136,10 +132,13 @@ def test_certify_shares_the_fine_sweep(recorded):
     assert len(outputs["_geometry_sweep"]) == 2
     assert all(len(outputs[stage]) == 1 for stage in STAGES
                if stage != "_geometry_sweep")
-    assert cert["verdict"] == "not_local_max" and cert["failures"] == []
+    assert cert["verdict"] == "not_local_max"
     assert [rec["name"] for rec in checks] == list(CERTIFICATE_CHECKS)
     assert all(rec["status"] == "pass" for rec in checks)
-    assert cert["thresholds"] == {"eigen": 1e-8, "nu2": 1e-7, "nu3_floor": 1e-3}
+    tolerances = {rec["name"]: rec["tolerance"] for rec in checks}
+    assert (tolerances["eigen_residual"], tolerances["second_variation"],
+            CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance) == (
+        1e-8, 1e-7, 1e-3)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -168,46 +167,18 @@ def test_certify_builds_each_curvature_batch_and_tau_once(N, monkeypatch):
     assert len(calls["einstein_tau"]) == 1
 
 
-# The report's certificate tree, every nested key in print order.
+# The report's certificate tree, every nested key in print order: only what
+# no record holds.
 CERTIFICATE_KEY_PATHS = [
-    "N", "n", "normalization", "verdict",
+    "N", "normalization", "verdict",
     "tau", "tau.value", "tau.closed_form", "tau.provenance",
-    "eigen_residual", "eigen_residual.value", "eigen_residual.identity",
-    "eigen_residual.provenance",
-    "v_residual", "v_residual.value", "v_residual.identity",
-    "v_residual.provenance",
-    "n_tilde_max", "n_tilde_max.value", "n_tilde_max.identity",
-    "n_tilde_max.provenance",
-    "first_variations",
-    "first_variations.tau_prime", "first_variations.tau_prime.value",
-    "first_variations.tau_prime.identity",
-    "first_variations.tau_prime.provenance",
-    "first_variations.volume_prime", "first_variations.volume_prime.value",
-    "first_variations.volume_prime.identity",
-    "first_variations.volume_prime.provenance",
-    "first_variations.hbar_prime_closed",
-    "first_variations.hbar_prime_closed.value",
-    "first_variations.hbar_prime_closed.identity",
-    "first_variations.hbar_prime_closed.provenance",
-    "first_variations.hbar_prime_fd", "first_variations.hbar_prime_fd.value",
-    "first_variations.hbar_prime_fd.provenance",
-    "second_variation", "second_variation.value",
-    "second_variation.error_estimate", "second_variation.identity",
-    "second_variation.provenance",
-    "phi3_average", "phi3_average.exact", "phi3_average.float",
-    "phi3_average.provenance",
-    "phi3_integral", "phi3_integral.exact_times_volume",
-    "phi3_integral.quadrature", "phi3_integral.rel_diff",
-    "phi3_integral.provenance",
-    "third_variation", "third_variation.value",
-    "third_variation.exact_rational", "third_variation.identity",
+    "phi3_average", "phi3_average.exact", "phi3_average.provenance",
+    "third_variation", "third_variation.exact_rational",
     "third_variation.provenance",
     "prefactor_ratio", "prefactor_ratio.value", "prefactor_ratio.identity",
     "prefactor_ratio.provenance",
     "minimizer_identity", "minimizer_identity.coefficient",
     "minimizer_identity.identity", "minimizer_identity.provenance",
-    "thresholds", "thresholds.eigen", "thresholds.nu2", "thresholds.nu3_floor",
-    "failures",
 ]
 
 
@@ -220,7 +191,7 @@ def _key_paths(tree, prefix=""):
 
 def test_certificate_key_order():
     # the report prints keys in insertion order; this holds on every build,
-    # where the byte digests of tests/test_report_bytes.py skip
+    # where the byte digests of tests/test_pinned_digests.py skip
     assert list(_key_paths(certify_n2(points=5)[1])) \
         == CERTIFICATE_KEY_PATHS
 
@@ -237,20 +208,21 @@ def test_replayed_stages_reproduce_the_certificate(recorded, monkeypatch,
     assert reverify(report)
 
 
+def _failing(checks):
+    return [rec["name"] for rec in checks if rec["status"] == "fail"]
+
+
 @pytest.mark.parametrize("record", list(GATE_CASES))
 def test_each_gate_flips_the_verdict(record, recorded, monkeypatch, capsys):
     *_, outputs = recorded
     _replay(monkeypatch, outputs, record)
-    _, cert = certify_n2()
+    checks, cert = certify_n2()
     assert cert["verdict"] == "inconclusive"
-    assert cert["failures"] == [record]
+    assert _failing(checks) == [record, "verdict"]
     assert main(["certify", "--N", "2"]) == 1
     report = parse_report(capsys.readouterr().out)
-    failing = [rec["name"] for rec in report["checks"]
-               if rec["status"] == "fail"]
-    assert failing == [record, "verdict"]
+    assert _failing(report["checks"]) == [record, "verdict"]
     assert report["certificate"]["verdict"] == "inconclusive"
-    assert report["certificate"]["failures"] == [record]
     assert reverify(report)
 
 
@@ -260,9 +232,9 @@ def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,
     _replay(monkeypatch, outputs)
     monkeypatch.setattr(entropy, "n_tilde_max",
                         lambda *args, **kwargs: float("nan"))
-    _, cert = certify_n2()
+    checks, cert = certify_n2()
     assert cert["verdict"] == "inconclusive"
-    assert cert["failures"] == ["n_tilde_vanishes"]
+    assert _failing(checks) == ["n_tilde_vanishes", "verdict"]
     assert main(["certify", "--N", "2"]) == 1
     text = capsys.readouterr().out
     assert "NaN" not in text and "Infinity" not in text
@@ -270,7 +242,6 @@ def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,
     record = next(rec for rec in report["checks"]
                   if rec["name"] == "n_tilde_vanishes")
     assert record["residual"] is None and record["status"] == "fail"
-    assert report["certificate"]["n_tilde_max"]["value"] is None
     assert report["certificate"]["verdict"] == "inconclusive"
     assert reverify(report)
     # the same report, made consistent except that the null residual
@@ -303,24 +274,105 @@ def test_reverify_rechecks_the_third_variation_floor(recorded, monkeypatch,
     _replay(monkeypatch, outputs)
     assert main(["certify", "--N", "2"]) == 0
     report = parse_report(capsys.readouterr().out)
-    record = next(rec for rec in report["checks"]
-                  if rec["name"] == "third_variation_nonzero")
+    record = _record(report, "third_variation_nonzero")
     value = record["detail"]["value"]
-    thresholds = report["certificate"]["thresholds"]
-    floor = thresholds["nu3_floor"]
-    # nu''' = 0 in the record and the certificate, still claiming a pass
+    floor = CERTIFICATE_CHECKS["third_variation_nonzero"]
+    # nu''' = 0 in the record, still claiming a pass
     record["detail"]["value"] = 0.0
-    report["certificate"]["third_variation"]["value"] = 0.0
     assert not reverify(report)
-    # ... also with the stated floor lowered below zero
-    thresholds["nu3_floor"] = -1.0
-    assert not reverify(report)
-    # the record alone disagreeing with the certificate's value
-    thresholds["nu3_floor"] = floor
-    report["certificate"]["third_variation"]["value"] = value
+    # ... and just below the floor
+    record["detail"]["value"] = 0.99 * floor.tolerance
     assert not reverify(report)
     record["detail"]["value"] = value
     assert reverify(report)
-    # a stated floor other than the certificate table's
-    thresholds["nu3_floor"] = 2 * floor
+    # the floor comes from the table, not from the report
+    monkeypatch.setitem(CERTIFICATE_CHECKS, "third_variation_nonzero",
+                        floor._replace(tolerance=2 * abs(value)))
     assert not reverify(report)
+
+
+@pytest.fixture
+def certificate_report(recorded):
+    """The recorded certify(2) run as a parsed report."""
+    checks, cert, _ = recorded
+    report = build_report("certify", asdict(RunConfig(N=2)), checks, cert,
+                          notes=[], timings={})
+    return parse_report(dumps(report))
+
+
+def _record(report, name):
+    return next(rec for rec in report["checks"] if rec["name"] == name)
+
+
+def _loosen(report):
+    rec = _record(report, "eigen_residual")
+    rec["tolerance"], rec["residual"] = 1.0, 0.5
+
+
+def _null_tolerance(report):
+    rec = _record(report, "n_tilde_vanishes")
+    rec["tolerance"], rec["residual"] = None, 5.0
+
+
+def _drop(report):
+    report["checks"].remove(_record(report, "second_variation"))
+
+
+def _verdict_only(report):
+    report["checks"] = [_record(report, "verdict")]
+
+
+def _swap(report):
+    checks = report["checks"]
+    checks[3], checks[4] = checks[4], checks[3]
+
+
+def _reword(report):
+    _record(report, "tau_prime")["identity"] = "tau' is small"
+
+
+def _forge_closed(report):
+    """|Hbar'| set to 10^6, which scales hbar_prime's tolerance to 10, and
+    the tolerance set to match; the residual is left as it was."""
+    rec = _record(report, "hbar_prime")
+    rec["detail"]["closed"] = 1e6
+    rec["tolerance"] = CERTIFICATE_CHECKS["hbar_prime"].tolerance * 1e6
+
+
+# Each tampered report keeps every record's status consistent with its own
+# residual and tolerance, and the verdict with the statuses.
+TAMPERINGS = {"loosened_tolerance": _loosen, "null_tolerance": _null_tolerance,
+              "dropped_record": _drop, "verdict_only": _verdict_only,
+              "swapped_records": _swap, "changed_identity": _reword,
+              "forged_hbar_closed": _forge_closed}
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERINGS))
+def test_reverify_checks_the_records_against_the_table(tamper,
+                                                      certificate_report):
+    assert reverify(certificate_report)
+    TAMPERINGS[tamper](certificate_report)
+    assert not reverify(certificate_report)
+
+
+def _number_leaves(tree):
+    """Every float of a parsed report tree, as its absolute value, and every
+    {num, den} rational, tagged so that 2/1 is not the float 2.0."""
+    if isinstance(tree, float):
+        yield abs(tree)
+    elif isinstance(tree, dict) and set(tree) == {"num", "den"}:
+        yield "rational", Fraction(int(tree["num"]), int(tree["den"]))
+    elif isinstance(tree, dict):
+        for value in tree.values():
+            yield from _number_leaves(value)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from _number_leaves(value)
+
+
+def test_certificate_tree_repeats_no_record_value(certificate_report):
+    # a signed copy counts: tau' in the tree against |tau'| in its record
+    records = set(_number_leaves([[rec["residual"], rec.get("detail")]
+                                  for rec in certificate_report["checks"]]))
+    tree = list(_number_leaves(certificate_report["certificate"]))
+    assert tree and not records.intersection(tree)

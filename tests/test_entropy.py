@@ -231,20 +231,20 @@ def test_third_variation_exact_rational(N, expected):
 
 
 def test_third_variation_n2_value():
-    entries = third_variation(2, special_phi(2), einstein_tau(2))
-    assert list(entries) == ["phi3_average", "phi3_integral", "third_variation"]
-    tv = entries["third_variation"]
+    tv = third_variation(2, special_phi(2), einstein_tau(2))
+    assert list(tv) == ["phi3_average", "exact_times_volume", "quadrature",
+                        "rel_diff", "value", "exact_rational"]
+    assert tv["phi3_average"] == F(1, 5)
     assert tv["exact_rational"] == F(9, 5)
     assert abs(tv["value"] - 1.8) < 1e-12
-    assert entries["phi3_integral"]["rel_diff"] < 1e-5
-    assert abs(entries["phi3_integral"]["exact_times_volume"]
-               - math.pi ** 2 / 10) < 1e-12
+    assert tv["rel_diff"] < 1e-5
+    assert abs(tv["exact_times_volume"] - math.pi ** 2 / 10) < 1e-12
 
 
 def test_third_variation_flips_sign_with_phi():
-    tv_plus = third_variation(2, special_phi(2), einstein_tau(2))["third_variation"]
+    tv_plus = third_variation(2, special_phi(2), einstein_tau(2))
     tv_minus = third_variation(2, scaled_form(special_phi(2), -1),
-                               einstein_tau(2))["third_variation"]
+                               einstein_tau(2))
     assert tv_minus["exact_rational"] == -tv_plus["exact_rational"]
     assert abs(tv_minus["value"] + tv_plus["value"]) < 1e-12
 
@@ -275,12 +275,14 @@ def test_certificate_n2():
     checks, cert = certify(2, points=100, seed=7, timings={})
     assert [rec["name"] for rec in checks] == list(CERTIFICATE_CHECKS)
     assert cert["verdict"] == "not_local_max"
-    assert not cert["failures"]
-    assert abs(cert["third_variation"]["value"] - 1.8) < 1e-5 * 1.8
+    assert all(rec["status"] == "pass" for rec in checks)
+    records = {rec["name"]: rec for rec in checks}
+    nu3 = records["third_variation_nonzero"]["detail"]["value"]
+    assert abs(nu3 - 1.8) < 1e-5 * 1.8
     assert abs(cert["tau"]["value"] - 1 / 12) < 1e-9
     assert abs(cert["prefactor_ratio"]["value"] - 4.5) < 1e-9
-    assert cert["eigen_residual"]["value"] < 1e-8
-    assert abs(cert["second_variation"]["value"]) < 1e-7
+    assert records["eigen_residual"]["residual"] < 1e-8
+    assert records["second_variation"]["residual"] < 1e-7
 
 
 def test_certify_rejects_n1():
