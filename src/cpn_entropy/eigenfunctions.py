@@ -137,19 +137,14 @@ def phi_value_at(form: HermitianForm, p: ChartPoint) -> float:
 
 def phi_values_batch(form: HermitianForm, chart: int, w: np.ndarray) -> np.ndarray:
     """Values of phi_A over a batch of chart points; no derivative payload."""
-    return _phi_values(form, chart, w)
-
-
-def _phi_values(form: HermitianForm, chart: int, w: np.ndarray) -> np.ndarray:
-    """``phi_values_batch``'s numpy kernel: quadrature integrands call it on
-    pool workers, where no traced function may run."""
     w = np.asarray(w, dtype=complex)
     b, n = w.shape
     z = np.empty((b, n + 1), dtype=complex)
     z[:, :chart] = w[:, :chart]
     z[:, chart] = 1.0
     z[:, chart + 1:] = w[:, chart:]
-    num = np.einsum("bi,ij,bj->b", np.conj(z), form.matrix, z)
+    # z* A z in two steps, (z* A) then its row-wise product with z
+    num = np.einsum("bj,bj->b", np.conj(z) @ form.matrix, z)
     den = np.einsum("bi,bi->b", np.conj(z), z)
     return num.real / den.real
 

@@ -36,14 +36,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .charts import sample_w
-from .eigenfunctions import (HermitianForm, _phi_values, phi_jet_batch,
-                             phi_values_batch, special_phi, verify_eigen)
+from .eigenfunctions import (HermitianForm, phi_jet_batch, phi_values_batch,
+                             special_phi, verify_eigen)
 from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
                        einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
-from .quadrature import (_ordered, adaptive_cpn_integral, chart_nodes,
-                         cpn_integral, exact_orders, level_orders)
+from .quadrature import (adaptive_cpn_integral, chart_nodes, cpn_integral,
+                         exact_orders, level_orders)
 from .report import check, gate
 
 
@@ -115,12 +115,15 @@ def _n_tilde(psi, geom) -> np.ndarray:
 
     # (1/2)(Delta h)_ij: the rough Laplacian of psi g is (Delta psi) g.
     term_lap = 0.5 * psi_lap[:, None, None] * g
-    # Rm(h,*)_ij = R_kij^l g^{km} h_{ml}
-    term_rm = np.einsum("blkij,bkm,bml->bij", geom.Riem, g_inv, h_ij)
+    # Rm(h,*)_ij = R_kij^l g^{km} h_{ml}, contracted over m, then over k, l
+    term_rm = np.einsum("blkij,bkl->bij", geom.Riem,
+                        np.einsum("bkm,bml->bkl", g_inv, h_ij))
     # -(1/2) g^{kl} (grad_i grad_l h_kj + grad_j grad_l h_ki);
-    # grad_i grad_l h_kj = (Hess psi)_il g_kj for conformal h.
-    term_div = -0.5 * (np.einsum("bkl,bil,bkj->bij", g_inv, psi_hess, g)
-                       + np.einsum("bkl,bjl,bki->bij", g_inv, psi_hess, g))
+    # grad_i grad_l h_kj = (Hess psi)_il g_kj for conformal h.  Each sum
+    # contracts g^{kl} g_kj over k first, then over l.
+    g_inv_g = np.einsum("bkl,bkj->blj", g_inv, g)
+    term_div = -0.5 * (np.einsum("bil,blj->bij", psi_hess, g_inv_g)
+                       + np.einsum("bjl,bli->bij", psi_hess, g_inv_g))
     # the last term is (1/2) Hess v with v = 2 psi
     return term_lap + term_rm + term_div + psi_hess
 
@@ -169,14 +172,11 @@ def _certify_quadratures(N: int) -> tuple:
 
 # Bytes of one (2N)^4 float64 array of a geometry sweep slab, which sets
 # the slab's rows: 1024, 202, 64, 26 and 12 at N = 2..6.  The rows depend
-# only on N, never on the CPU count, so no result depends on the machine.
-# A slab task peaks at about 4.6 such arrays, so peak memory does not grow
-# with N.  The slabs allocate fresh arrays, like every other caller, and
-# that has a price: glibc returns each freed temporary to the OS and the
-# next slab faults it back in.  ``certify --N 4`` in process takes about
-# 590 000 minor page faults and 1.4 to 1.7 s of system time, where buffers
-# reused across slabs took 18 000 and 0.15 s.  Its median wall time is
-# about 5 % higher and its peak the same (20 benchmark runs each, 2 vCPU).
+# only on N, so no result depends on the machine.  A slab peaks at about
+# 4.6 such arrays, so peak memory does not grow with N.  The slabs
+# allocate fresh arrays, like every other caller: ``certify --N 4`` in
+# process takes about 13 300 minor page faults and 0.04 to 0.1 s of system
+# time (3 runs, 2 vCPU).
 _SLAB_BYTES = 2 * 2 ** 20
 
 
@@ -187,36 +187,14 @@ def _slab_rows(N: int) -> int:
 
 
 def _slab_integrands(g, dg, d2g, psi: Jet, shift: float):
-    """(<h, Ric>, R, <h, N(h)>) at one slab's rows from its metric arrays.
-
-    Runs on a pool worker, so it calls only numpy and private helpers,
-    never a function that may be wrapped for tracing.
-    """
+    """(<h, Ric>, R, <h, N(h)>) at one slab's rows from its metric arrays."""
     geom = GeometryJet(g, *_curvature_rows(g, dg, d2g))
     h_ij = psi.val[:, None, None] * g
-    h_up = np.einsum("bip,bjq,bpq->bij", geom.g_inv, geom.g_inv, h_ij)
+    h_up = np.einsum("biq,bjq->bij",
+                     np.einsum("bip,bpq->biq", geom.g_inv, h_ij), geom.g_inv)
     ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
     nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * g)
     return ric_h, geom.R, nh_h
-
-
-def _sweep_slabs(h: ConformalPerturbation, tau: float, n_u: int,
-                 n_theta: int):
-    """The sweep's slabs in node order, as ``_ordered`` tasks.
-
-    A slab's key is its chunk's weights when it ends the chunk, else None.
-    Its arguments are its metric arrays and psi jet, built here on the
-    calling thread: ``metric_arrays``, ``Jet`` arithmetic and
-    ``phi_jet_batch`` may be traced.
-    """
-    rows = _slab_rows(h.N)
-    shift = _trace_shift(h, tau)
-    for w, weights in chart_nodes(h.N, n_u, n_theta):
-        for start in range(0, len(weights), rows):
-            slab = w[start:start + rows]
-            last = start + rows >= len(weights)
-            yield (weights if last else None,
-                   (*metric_arrays(slab), h.psi_jet(slab), shift))
 
 
 def _geometry_sweep(h: ConformalPerturbation, tau: float,
@@ -226,19 +204,17 @@ def _geometry_sweep(h: ConformalPerturbation, tau: float,
     Each ``chart_nodes`` chunk is summed with one ``np.dot`` per integral,
     which fixes the bits.  The integrands are computed in slabs of
     ``_slab_rows(N)`` rows, and every row's value is independent of its
-    slab.  The slabs of all chunks form one stream on the pool, so no
-    worker waits at a chunk boundary.  Peak memory holds a few slabs'
-    arrays, not one chunk's curvature.
+    slab, so peak memory holds one slab's arrays, not one chunk's
+    curvature.
     """
+    rows = _slab_rows(h.N)
+    shift = _trace_shift(h, tau)
     acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
-    parts = []
-    for weights, part in _ordered(_slab_integrands,
-                                  _sweep_slabs(h, tau, n_u, n_theta)):
-        parts.append(part)
-        if weights is None:
-            continue
+    for w, weights in chart_nodes(h.N, n_u, n_theta):
+        slabs = (w[start:start + rows] for start in range(0, len(w), rows))
+        parts = [_slab_integrands(*metric_arrays(slab), h.psi_jet(slab), shift)
+                 for slab in slabs]
         ric_h, scal, nh_h = (np.concatenate(column) for column in zip(*parts))
-        parts = []
         acc["ric_h"] += float(np.dot(weights, ric_h))
         acc["scal"] += float(np.dot(weights, scal))
         acc["nh_h"] += float(np.dot(weights, nh_h))
@@ -261,7 +237,7 @@ def first_variations(h: ConformalPerturbation, tau: float,
     n = 2 * N
 
     def v_prime_integrand(w):
-        return (n / 2.0) * _phi_values(h.form, 0, w)
+        return (n / 2.0) * h.psi_values(w)
 
     def hbar_prime_fd(degree: int) -> float:
         """Richardson-extrapolated d/ds of Hbar(s) = num(s) / den(s) at 0,
@@ -343,7 +319,7 @@ def third_variation(N: int, form: HermitianForm, tau: float) -> dict:
     integral_exact = float(avg3) * cpn_volume_closed_form(N)
 
     def phi3(w):
-        return _phi_values(form, 0, w) ** 3
+        return phi_values_batch(form, 0, w) ** 3
 
     integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=_PHI3_QUAD_TOL,
                                              max_level=4)
@@ -396,7 +372,7 @@ class Gate(NamedTuple):
 # max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
 # must exceed.  quadrature_witness gates the largest absolute difference
 # between a quadrature value and the same value on its witness rule: at
-# most 2.0e-13 at N = 2..4 and 1.1e-11 at N = 5 (Hbar', whose finite
+# most 3.2e-13 at N = 2..4 and 1.2e-11 at N = 5 (Hbar', whose finite
 # differences scale rounding by about 1/step), while a term of degree
 # d + 2 moves it by about 0.1.  The final verdict record is the
 # conjunction of the others.

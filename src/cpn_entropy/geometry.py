@@ -154,7 +154,9 @@ def _curvature_rows(g, dg, d2g):
     t = (dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3)
          - dg.transpose(0, 3, 1, 2))
     gamma = 0.5 * np.einsum("bkl,blij->bkij", g_inv, t)
-    dginv = -np.einsum("bka,bacm,bcl->bklm", g_inv, dg, g_inv)
+    # d_m g^kl = -g^ka (d_m g_ac) g^cl, contracted over a, then over c
+    dginv = -np.einsum("bkcm,bcl->bklm",
+                       np.einsum("bka,bacm->bkcm", g_inv, dg), g_inv)
     dt = np.add(d2g.transpose(0, 2, 3, 1, 4), d2g.transpose(0, 2, 1, 3, 4))
     dt -= d2g.transpose(0, 3, 1, 2, 4)
     # dgamma = 0.5 * (dginv . t) + 0.5 * (g_inv . dt)

@@ -15,74 +15,13 @@ eigenfunctions, such as phi^q for q <= d, has torus modes |m_j| <= d and
 degree at most d in each u_i, so ``exact_orders(d)`` integrates it exactly
 whatever N is.  Sphere Monte Carlo (``moments.monte_carlo_average``) is
 the independent oracle.
-
-The module owns the package's one thread pool.  ``cpn_integral`` and the
-entropy sweep feed it through ``_ordered``, which returns results in task
-order, so no sum depends on the pool.  A task runs on a worker, so its
-kernel must be numpy-only and call no public function of the package: a
-tracer may wrap those, and its span stack is not thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from contextlib import suppress
 
 import numpy as np
-
-# Most pool workers.  Each running task holds its own temporaries (a sweep
-# slab up to about 4.8 of its (2N)^4 arrays, at most 2 MiB each whatever
-# N), so the cap bounds peak memory on machines with many CPUs.
-_MAX_WORKERS = 4
-
-_POOL = None
-
-
-def _pool():
-    """The package's thread pool: the usable CPUs, at most ``_MAX_WORKERS``."""
-    global _POOL
-    if _POOL is None:
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count())
-        _POOL = ThreadPoolExecutor(max_workers=min(cpus or 1, _MAX_WORKERS),
-                                   thread_name_prefix="cpn-pool")
-    return _POOL
-
-
-def _ordered(kernel, tasks):
-    """Yield ``(key, kernel(*args))`` for each ``(key, args)`` of ``tasks``,
-    in task order, with ``kernel`` run on the pool.
-
-    ``tasks`` is iterated on the calling thread.  At most one task more
-    than the pool has workers is submitted and not yet collected, so
-    memory holds that many tasks' results, not the stream's.
-    Reading each result re-raises a worker's exception here; an abandoned
-    or failed stream cancels its queued tasks and waits for the running
-    ones.
-    """
-    pool = _pool()
-    window = pool._max_workers + 1  # one waits while every worker runs one
-    pending = deque()
-    try:
-        for key, args in tasks:
-            if len(pending) >= window:
-                done_key, future = pending.popleft()
-                yield done_key, future.result()
-            pending.append((key, pool.submit(kernel, *args)))
-        while pending:
-            done_key, future = pending.popleft()
-            yield done_key, future.result()
-    finally:
-        for _, future in pending:
-            future.cancel()
-        for _, future in pending:
-            # the first failure is already on its way to the caller
-            with suppress(Exception):
-                future.result()
 
 
 def gauss_jacobi(n: int, a: int):
@@ -164,15 +103,12 @@ def chart_nodes(N: int, n_u: int, n_theta: int, max_chunk: int = 8192):
 def cpn_integral(func, N: int, n_u: int, n_theta: int) -> float:
     """int_{CP^N} func dV with func acting on (B, N) complex chart batches.
 
-    ``func`` runs on the pool, one ``chart_nodes`` chunk per task, so it
-    must be a numpy-only kernel that is safe on a worker thread and calls
-    no public function of the package.  Each chunk is summed with one
-    ``np.dot`` on the calling thread, in chunk order, which fixes the bits.
+    Each ``chart_nodes`` chunk is summed with one ``np.dot``, in chunk
+    order, which fixes the bits.
     """
     total = 0.0
-    chunks = ((weights, (w,)) for w, weights in chart_nodes(N, n_u, n_theta))
-    for weights, values in _ordered(func, chunks):
-        total += float(np.dot(weights, np.asarray(values, dtype=float)))
+    for w, weights in chart_nodes(N, n_u, n_theta):
+        total += float(np.dot(weights, np.asarray(func(w), dtype=float)))
     return total
 
 

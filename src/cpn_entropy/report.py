@@ -132,11 +132,15 @@ def reverify(report: dict) -> bool:
 
     Returns True iff every record with a tolerance is consistent with its
     recorded status (a null residual, written for a non-finite value, must
-    fail) and the overall status equals the conjunction of the records.  A
-    report with a certificate must also hold ``_certificate_holds``.
+    fail), every record named in ``entropy.CERTIFICATE_CHECKS`` states that
+    entry (``_states_the_table``), and the overall status equals the
+    conjunction of the records.  A report with a certificate must also hold
+    ``_certificate_holds``.
     """
+    from .entropy import CERTIFICATE_CHECKS
+
     checks = report.get("checks", [])
-    ok = True
+    ok = all(_states_the_table(rec, CERTIFICATE_CHECKS) for rec in checks)
     for rec in checks:
         residual = rec.get("residual")
         tolerance = rec.get("tolerance")
@@ -149,24 +153,40 @@ def reverify(report: dict) -> bool:
     if (report.get("status") == "pass") != all_pass:
         ok = False
     cert = report.get("certificate")
-    return ok and (cert is None or _certificate_holds(checks, cert))
+    return ok and (cert is None or _certificate_holds(checks, cert,
+                                                      CERTIFICATE_CHECKS))
 
 
-def _certificate_holds(checks: list, cert: dict) -> bool:
-    """The records of a certificate against ``entropy.CERTIFICATE_CHECKS``.
+def _states_the_table(rec: dict, table: dict) -> bool:
+    """Whether a record states the identity, tolerance and provenance of
+    its ``table`` entry; a record named in no entry does.
 
-    The record names are the table's, in its order, and each record states
-    the table's identity, provenance and tolerance.  ``hbar_prime``'s
-    tolerance is scaled by max(1, |detail.closed|), so its residual must be
-    |detail.finite_difference - detail.closed|.  The two records with no
-    tolerance are the ``third_variation_nonzero`` floor, which passes
-    exactly when |detail.value| exceeds the table's floor, and the final
-    ``verdict``, which passes exactly when every other record passes, as
-    the certificate's verdict states.
+    The ``third_variation_nonzero`` floor states no tolerance, since it is
+    checked against its value, and ``hbar_prime``'s relative tolerance is
+    left to ``_certificate_holds``.
     """
-    from .entropy import CERTIFICATE_CHECKS
+    spec = table.get(rec.get("name"))
+    if spec is None:
+        return True
+    tolerance = {"third_variation_nonzero": None,
+                 "hbar_prime": rec.get("tolerance")}.get(rec["name"],
+                                                         spec.tolerance)
+    return ((rec.get("identity"), rec.get("tolerance"), rec.get("provenance"))
+            == (spec.identity, tolerance, spec.provenance))
 
-    if [rec.get("name") for rec in checks] != list(CERTIFICATE_CHECKS):
+
+def _certificate_holds(checks: list, cert: dict, table: dict) -> bool:
+    """The records of a certificate against the ``table`` of its checks.
+
+    The record names are the table's, in its order.  ``hbar_prime``'s
+    tolerance is the table's scaled by max(1, |detail.closed|), so its
+    residual must be |detail.finite_difference - detail.closed|.  The two
+    records with no tolerance are the ``third_variation_nonzero`` floor,
+    which passes exactly when |detail.value| exceeds the table's floor, and
+    the final ``verdict``, which passes exactly when every other record
+    passes, as the certificate's verdict states.
+    """
+    if [rec.get("name") for rec in checks] != list(table):
         return False
     by_name = {rec["name"]: rec for rec in checks}
     hbar = by_name["hbar_prime"].get("detail", {})
@@ -175,16 +195,10 @@ def _certificate_holds(checks: list, cert: dict) -> bool:
     if closed is None or by_name["hbar_prime"]["residual"] != (
             None if fd is None else abs(fd - closed)):
         return False
-    tolerances = {name: spec.tolerance
-                  for name, spec in CERTIFICATE_CHECKS.items()}
-    tolerances["hbar_prime"] *= max(1.0, abs(closed))
-    tolerances["third_variation_nonzero"] = None
-    for name, spec in CERTIFICATE_CHECKS.items():
-        rec = by_name[name]
-        if (rec.get("identity"), rec.get("tolerance"), rec.get("provenance")) \
-                != (spec.identity, tolerances[name], spec.provenance):
-            return False
-    floor = CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance
+    if by_name["hbar_prime"]["tolerance"] != (
+            table["hbar_prime"].tolerance * max(1.0, abs(closed))):
+        return False
+    floor = table["third_variation_nonzero"].tolerance
     nu3 = by_name["third_variation_nonzero"]
     value = nu3.get("detail", {}).get("value")
     above = value is not None and abs(float(value)) > floor

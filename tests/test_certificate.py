@@ -14,7 +14,7 @@ import pytest
 
 from cpn_entropy import entropy, geometry
 from cpn_entropy.cli import RunConfig, main
-from cpn_entropy.eigenfunctions import _phi_values, special_phi
+from cpn_entropy.eigenfunctions import phi_values_batch, special_phi
 from cpn_entropy.entropy import CERTIFICATE_CHECKS, ConformalPerturbation
 from cpn_entropy.quadrature import cpn_integral, exact_orders
 from cpn_entropy.report import build_report, dumps, parse_report, reverify
@@ -77,7 +77,7 @@ def _degree_d_plus_2(fv):
     form = special_phi(2)
 
     def integrand(w):
-        return 2.0 * _phi_values(form, 0, w) + (w[:, 0] ** 3).real / (
+        return 2.0 * phi_values_batch(form, 0, w) + (w[:, 0] ** 3).real / (
             1.0 + np.sum(np.abs(w) ** 2, axis=1)) ** 3
 
     value, witness = (cpn_integral(integrand, 2, *exact_orders(degree))
@@ -353,6 +353,23 @@ def test_reverify_checks_the_records_against_the_table(tamper,
     assert reverify(certificate_report)
     TAMPERINGS[tamper](certificate_report)
     assert not reverify(certificate_report)
+
+
+def _null_eigen_tolerance(report):
+    rec = _record(report, "eigen_residual")
+    rec["tolerance"], rec["residual"] = None, 5.0
+
+
+# An eigen report has no certificate, but its eigen_residual record is the
+# table's, so it must state the table's tolerance too.
+@pytest.mark.parametrize("tamper", [_loosen, _null_eigen_tolerance],
+                         ids=["loosened_tolerance", "null_tolerance"])
+def test_reverify_checks_eigen_records_against_the_table(tamper, capsys):
+    assert main(["eigen", "--N", "2", "--points", "5"]) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert reverify(report)
+    tamper(report)
+    assert not reverify(report)
 
 
 def _number_leaves(tree):

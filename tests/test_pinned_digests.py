@@ -55,22 +55,22 @@ def _skip_unless_baseline_build():
 # The seed-1 calls of the certify-small, suites and certify-n4 workloads.
 SEED1_DIGESTS = {
     ("certify", "--N", "2", "--seed", "1"):
-        "92dd032883f78e58ad2aacab29ad9242052649bc06a1214eb45b91fcd8a61e87",
+        "fd5ea0952bbcd820ec66cb77b6eef2590746844c8928f9690ff941472ee8b2ff",
     ("certify", "--N", "3", "--seed", "1"):
-        "bc5897c5714ac8686afbca9bb66cfd3bf795458a0aa29d393da16632cdda4074",
+        "587314f8b62cea2ab95a4e40cabf2cfc8684624e631d64e1acfc5f3fe5f80c78",
     ("geometry", "--N", "3", "--seed", "1"):
-        "0ddc69533009419dcdaa217289faf8e01e722d3a8d4caa678f06dad70cb0d3f3",
+        "826ad553844d271f78f1d3d65d2397b4fe6c927f466c97a2565b788df9712d58",
     ("eigen", "--N", "3", "--seed", "1"):
         "7d510aed3d7d6b97cf53c682327db74328fcf7c461a6a6c14b07d368eb1b9e8e",
     ("variation", "--N", "2", "--seed", "1"):
-        "22aa2747e7d7174c9b908eb41c4817a81b21541576f6bf22f4e3ad735b58d060",
+        "b174e82d49c45dbc4f4307cfcf09e61517bba4b9a1163bfbe3eb57e598fbb2ed",
     ("algebra", "--n", "symbolic", "--orders", "100", "--seed", "1"):
         "2a143bdbeae971a91abc5487ba0b6cc001f23ef358d94476d38e370e4496580e",
     ("moments", "--N", "2", "--mc-samples", "1000000", "--seed", "1"):
         "4116d56841b2dc4a60ffe4e11cc5641bc6388bc506737c8f480e84130f738c6a",
     # the headline N, about 2.5 s
     ("certify", "--N", "4", "--seed", "1"):
-        "2f11657a5457c035dee947cff3f0b974e6c3467f7d86f854483310252c064874",
+        "de15134d1546cce121c16842103417a6dd7b30503f8bc5c85f5d53e98e9bd1c1",
 }
 
 
@@ -86,7 +86,7 @@ def test_mutated_variation_digest():
     argv = ["variation", "--N", "2", "--seed", "1",
             "--mutate", "laplacian:1:grad"]
     assert _exit_and_digest(argv) == (
-        1, "aa3490e1fcec9c3fce0f47ceb2557f539440512ce9ad6e83a16f11c8373b1b00")
+        1, "1be17ffce01d896febd60be6a1bd3bd0c3c962d1d38ccb5e2b99c8ea090a0515")
 
 
 def test_moments_n3_digest():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpn_entropy.eigenfunctions import _phi_values, phi_values_batch, special_phi
+from cpn_entropy.eigenfunctions import phi_values_batch, special_phi
 from cpn_entropy.moments import (cpn_average, cpn_volume_closed_form,
                                  polynomial_average)
 from cpn_entropy.polynomials import BihomogeneousPolynomial
@@ -39,7 +39,7 @@ def test_chart_rule_is_exact_for_phi_powers(N):
     for q in range(1, 5):
         exact = (cpn_average(q, form, N) if q <= 3
                  else polynomial_average(N + 1, power.power(q)))
-        value = cpn_integral(lambda w: _phi_values(form, 0, w) ** q, N,
+        value = cpn_integral(lambda w: phi_values_batch(form, 0, w) ** q, N,
                              *exact_orders(q)) / cpn_volume_closed_form(N)
         assert abs(value - float(exact)) <= 1e-14 * max(abs(exact), 1), q
 
