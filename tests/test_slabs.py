@@ -13,6 +13,7 @@ import functools
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,39 @@ def test_slab_rows_fill_the_byte_budget_and_depend_only_on_n(N):
     array_bytes = (2 * N) ** 4 * 8
     assert rows * array_bytes <= entropy._SLAB_BYTES < (rows + 1) * array_bytes
     assert rows == {2: 1024, 3: 202, 4: 64, 5: 26, 6: 12, 7: 6, 8: 4}[N]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_slabs_do_not_depend_on_the_workers(workers, monkeypatch):
+    # the sweep is a plain loop with no shared state: called from several
+    # threads at once, each call sees the slabs and sums of a lone call
+    slabs = []
+
+    def spied(w):
+        slabs.append((threading.get_ident(), len(w)))
+        return geometry.metric_arrays(w)
+
+    monkeypatch.setattr(entropy, "metric_arrays", spied)
+    start = threading.Barrier(workers)
+    sums = {}
+
+    def call():
+        start.wait()
+        sums[threading.get_ident()] = _sweep(4, False)
+
+    callers = [threading.Thread(target=call) for _ in range(workers)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join()
+    rows = entropy._slab_rows(4)
+    chunks = [len(w) for w, _ in entropy.chart_nodes(4, *_sweep_levels(4, False))]
+    expected = [min(rows, size - start) for size in chunks
+                for start in range(0, size, rows)]
+    assert len(sums) == workers
+    for ident, result in sums.items():
+        assert [n for i, n in slabs if i == ident] == expected
+        assert result == _default_sweep(4, False)
 
 
 def test_sweep_peak_memory_holds_one_block():
