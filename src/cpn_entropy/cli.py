@@ -62,9 +62,10 @@ _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
 _GRAM_ORDERS = exact_orders(2)
 # Nodes the fixed quadratures of a run may take.  The volume quadrature of
 # moments evaluates levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5
-# (2.4 s on a 2-vCPU Xeon VM), 4.3e9 at N = 6.  Those of certify, levels 1
-# and 2 of int phi^3 the largest, take 1.3e8 nodes at N = 5 and 5.8e9 at
-# N = 6.  The Monte Carlo samples of moments count against the same limit.
+# (2.4 s on a 2-vCPU Xeon VM), 4.3e9 at N = 6.  Those of certify, the
+# sweep's two rules and levels 1 and 2 of int phi^3, take 1.1e8 nodes at
+# N = 5 and 4.3e9 at N = 6, nearly all of them the int phi^3 levels.  The
+# Monte Carlo samples of moments count against the same limit.
 _VOLUME_NODES_LIMIT = 10 ** 9
 # Bytes per cell of geometry's nested-dual oracle (potential_metric_arrays),
 # which holds (2N)^4 fourth-order cells at one point whatever --points:

@@ -7,7 +7,8 @@ For a conformal perturbation h = psi * g_FS the module evaluates:
 * the stability operator
       Ntilde(h) = (1/2) Delta h + Rm(h, *) + div* div h + (1/2) Hess v,
   assembled literally term by term in chart coordinates (it vanishes
-  pointwise for h = phi g_FS), and N(h) = Ntilde(h) - (Hbar/(2 n tau)) g;
+  pointwise for h = phi g_FS), and N(h) = Ntilde(h) - (Hbar/(2 n tau)) g,
+  which is Ntilde(h) for mean-zero psi, where Hbar = 0;
 * first variations tau', V', Hbar' along g(s) = g_FS + s h;
 * the second variation (tau/V) int <N(h), h> dV (zero for the eigen
   direction) and the third variation
@@ -42,8 +43,8 @@ from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
                        einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
-from .quadrature import (adaptive_cpn_integral, chart_nodes, cpn_integral,
-                         exact_orders, level_orders)
+from .quadrature import (adaptive_cpn_integral, chart_nodes, exact_orders,
+                         level_orders)
 from .report import check, gate
 
 
@@ -65,16 +66,9 @@ class ConformalPerturbation:
     def psi_jet(self, w: np.ndarray):
         return phi_jet_batch(self.form, 0, w)
 
-    def psi_values(self, w: np.ndarray) -> np.ndarray:
-        return phi_values_batch(self.form, 0, w)
-
     def exact_average(self, q: int) -> Fraction:
         """Average of psi^q over CP^N, exact (q in {1, 2, 3})."""
         return cpn_average(q, self.form, self.N)
-
-    def trace_mean_exact(self) -> Fraction:
-        """Hbar = mean of tr_g h = n * avg(psi), exact."""
-        return 2 * self.N * self.exact_average(1)
 
     def eigen_residual(self, tau: float, w: np.ndarray,
                        geom: GeometryJet) -> float:
@@ -134,13 +128,6 @@ def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
     return _n_tilde(h.psi_jet(w), geom)
 
 
-def _trace_shift(h: ConformalPerturbation, tau: float) -> float:
-    """Hbar / (2 n tau): N(h) = Ntilde(h) - _trace_shift(h, tau) g."""
-    n = 2 * h.N
-    hbar = float(h.trace_mean_exact())
-    return hbar / (2 * n * tau)
-
-
 def n_tilde_max(h: ConformalPerturbation, w: np.ndarray,
                 geom: GeometryJet) -> float:
     """Max |Ntilde(h)_ij| at the chart-0 points ``w`` with geometry ``geom``."""
@@ -150,23 +137,18 @@ def n_tilde_max(h: ConformalPerturbation, w: np.ndarray,
 # ---------------------------------------------------------------------------
 # quadrature passes
 
-# Central-difference step of the Richardson-extrapolated Hbar' estimate.
-_HBAR_FD_STEP = 1e-3
-# Degree in psi of the sweep's integrands <h, Ric>, R and <h, N(h)>, and of
-# the V' integrand (n/2) psi.  The Hbar' family (1 + s psi)^N has degree N.
-# Each runs on ``exact_orders`` of its degree, and again one degree higher
-# as its witness.
+# Degree in psi of the sweep's integrands <h, Ric>, R, <h, N(h)>, psi and
+# psi^2.  The sweep runs on ``exact_orders`` of it, and again one degree
+# higher as its witness.
 _SWEEP_DEGREE = 2
-_V_PRIME_DEGREE = 1
 
 
 def _certify_quadratures(N: int) -> tuple:
     """(n_u, n_theta) of every quadrature ``certify`` runs at N whatever
-    its integrands: the sweep, V' and the Hbar' family, each on its exact
-    rule and its witness, and the first two levels of the adaptive
-    int phi^3.  Each takes (n_u * n_theta)^N nodes."""
-    return (*(exact_orders(d + extra)
-              for d in (_SWEEP_DEGREE, _V_PRIME_DEGREE, N) for extra in (0, 1)),
+    its integrands: the sweep on its exact rule and on its witness, and the
+    first two levels of the adaptive int phi^3.  Each takes
+    (n_u * n_theta)^N nodes."""
+    return (exact_orders(_SWEEP_DEGREE), exact_orders(_SWEEP_DEGREE + 1),
             level_orders(1), level_orders(2))
 
 
@@ -186,20 +168,25 @@ def _slab_rows(N: int) -> int:
     return max(1, _SLAB_BYTES // ((2 * N) ** 4 * 8))
 
 
-def _slab_integrands(g, dg, d2g, psi: Jet, shift: float):
-    """(<h, Ric>, R, <h, N(h)>) at one slab's rows from its metric arrays."""
+def _slab_integrands(g, dg, d2g, psi: Jet):
+    """(<h, Ric>, R, <h, N(h)>, psi, psi^2) at one slab's rows from its
+    metric arrays, for mean-zero psi, where N(h) = Ntilde(h)."""
     geom = GeometryJet(g, *_curvature_rows(g, dg, d2g))
     h_ij = psi.val[:, None, None] * g
     h_up = np.einsum("biq,bjq->bij",
                      np.einsum("bip,bpq->biq", geom.g_inv, h_ij), geom.g_inv)
     ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-    nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom) - shift * g)
-    return ric_h, geom.R, nh_h
+    nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom))
+    return ric_h, geom.R, nh_h, psi.val, psi.val ** 2
 
 
-def _geometry_sweep(h: ConformalPerturbation, tau: float,
-                    n_u: int, n_theta: int) -> dict:
-    """One pass over quadrature nodes collecting the curvature integrals.
+# The sweep's integrals, in the order of ``_slab_integrands``.
+_SWEEP_INTEGRALS = ("ric_h", "scal", "nh_h", "psi", "psi2")
+
+
+def _geometry_sweep(h: ConformalPerturbation, n_u: int, n_theta: int) -> dict:
+    """One pass over quadrature nodes collecting the ``_SWEEP_INTEGRALS``
+    and the volume.
 
     Each ``chart_nodes`` chunk is summed with one ``np.dot`` per integral,
     which fixes the bits.  The integrands are computed in slabs of
@@ -208,70 +195,48 @@ def _geometry_sweep(h: ConformalPerturbation, tau: float,
     curvature.
     """
     rows = _slab_rows(h.N)
-    shift = _trace_shift(h, tau)
-    acc = {"ric_h": 0.0, "scal": 0.0, "nh_h": 0.0, "volume": 0.0}
+    acc = dict.fromkeys(_SWEEP_INTEGRALS + ("volume",), 0.0)
     for w, weights in chart_nodes(h.N, n_u, n_theta):
         slabs = (w[start:start + rows] for start in range(0, len(w), rows))
-        parts = [_slab_integrands(*metric_arrays(slab), h.psi_jet(slab), shift)
+        parts = [_slab_integrands(*metric_arrays(slab), h.psi_jet(slab))
                  for slab in slabs]
-        ric_h, scal, nh_h = (np.concatenate(column) for column in zip(*parts))
-        acc["ric_h"] += float(np.dot(weights, ric_h))
-        acc["scal"] += float(np.dot(weights, scal))
-        acc["nh_h"] += float(np.dot(weights, nh_h))
+        for name, column in zip(_SWEEP_INTEGRALS, zip(*parts)):
+            acc[name] += float(np.dot(weights, np.concatenate(column)))
         acc["volume"] += float(np.sum(weights))
     return acc
 
 
 def first_variations(h: ConformalPerturbation, tau: float,
                      sweeps: tuple) -> dict:
-    """tau', V', Hbar' along g(s) = g_FS + s h.
+    """tau', V', Hbar' along g(s) = g_FS + s h, from the sweep integrals.
 
-    tau' and V' come from quadrature (both must vanish for eigen psi);
-    Hbar' is computed from the closed form n(n-2)/(2V) ||psi||^2 and by
-    finite differences of (int H dV)/V in s.  ``tau`` is the Einstein scale
-    and ``sweeps`` the ``_geometry_sweep``s of ``h`` on the rule exact at
-    ``_SWEEP_DEGREE`` and on its witness.  Each quadrature value is also
-    computed on its witness rule, one degree higher, under ``witness``.
+    ``tau`` is the Einstein scale and ``sweeps`` the ``_geometry_sweep``s
+    of ``h`` on the rule exact at ``_SWEEP_DEGREE`` and on its witness.
+    tau' and V' = (n/2) int psi dV must vanish for eigen psi.  Hbar' is the
+    derivative at s = 0 of
+        Hbar(s) = int n psi (1 + s psi)^(N-1) dV / int (1 + s psi)^N dV,
+    which is n ((N-1) V int psi^2 - N (int psi)^2) / V^2 (``hbar_prime``),
+    and also the closed form n(n-2)/(2V) ||psi||^2 from the exact moments
+    (``hbar_prime_closed``).  The three quadrature values on the witness
+    rule are under ``witness``.
     """
     N = h.N
     n = 2 * N
 
-    def v_prime_integrand(w):
-        return (n / 2.0) * h.psi_values(w)
-
-    def hbar_prime_fd(degree: int) -> float:
-        """Richardson-extrapolated d/ds of Hbar(s) = num(s) / den(s) at 0,
-        with num and den summed on one pass over the nodes."""
-        steps = (_HBAR_FD_STEP, -_HBAR_FD_STEP,
-                 _HBAR_FD_STEP / 2, -_HBAR_FD_STEP / 2)
-        num = dict.fromkeys(steps, 0.0)
-        den = dict.fromkeys(steps, 0.0)
-        for w, weights in chart_nodes(N, *exact_orders(degree)):
-            psi = h.psi_values(w)
-            for s in steps:
-                conf = 1.0 + s * psi
-                num[s] += float(np.dot(weights, n * psi * conf ** (N - 1)))
-                den[s] += float(np.dot(weights, conf ** N))
-
-        def d1(step):
-            return (num[step] / den[step]
-                    - num[-step] / den[-step]) / (2 * step)
-
-        return (4.0 * d1(_HBAR_FD_STEP / 2) - d1(_HBAR_FD_STEP)) / 3.0
-
-    def on_rule(sweep, extra):
+    def on_rule(sweep):
+        volume, psi, psi2 = sweep["volume"], sweep["psi"], sweep["psi2"]
         return {
             "tau_prime": tau * sweep["ric_h"] / sweep["scal"],
-            "volume_prime": cpn_integral(v_prime_integrand, N, *exact_orders(
-                _V_PRIME_DEGREE + extra)),
-            "hbar_prime_fd": hbar_prime_fd(N + extra),
+            "volume_prime": (n / 2.0) * psi,
+            "hbar_prime": n * ((N - 1) * volume * psi2 - N * psi ** 2)
+            / volume ** 2,
         }
 
     return {
-        **on_rule(sweeps[0], 0),
+        **on_rule(sweeps[0]),
         "hbar_prime_closed": float(n * (n - 2) * Fraction(1, 2)
                                    * h.exact_average(2)),
-        "witness": on_rule(sweeps[1], 1),
+        "witness": on_rule(sweeps[1]),
     }
 
 
@@ -279,9 +244,10 @@ def second_variation(h: ConformalPerturbation, tau: float,
                      sweeps: tuple) -> tuple[float, float]:
     """(tau/V) int <N(h), h> dV by quadrature; returns (value, error_estimate).
 
-    ``sweeps`` are the ``_geometry_sweep``s of ``h`` on the rule exact at
-    ``_SWEEP_DEGREE`` and on its witness, one degree higher.  The error
-    estimate is the difference between the two.
+    psi must have mean zero, so that Hbar = 0 and N(h) = Ntilde(h), which
+    is what the sweep integrates.  ``sweeps`` are the ``_geometry_sweep``s
+    of ``h`` on the rule exact at ``_SWEEP_DEGREE`` and on its witness, one
+    degree higher.  The error estimate is the difference between the two.
     """
     value, witness = (tau * sweep["nh_h"] / sweep["volume"] for sweep in sweeps)
     return value, abs(value - witness)
@@ -372,9 +338,8 @@ class Gate(NamedTuple):
 # max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
 # must exceed.  quadrature_witness gates the largest absolute difference
 # between a quadrature value and the same value on its witness rule: at
-# most 3.2e-13 at N = 2..4 and 1.2e-11 at N = 5 (Hbar', whose finite
-# differences scale rounding by about 1/step), while a term of degree
-# d + 2 moves it by about 0.1.  The final verdict record is the
+# most 1.4e-15 at N = 2..4 and 1.3e-14 at N = 5, while a term of degree
+# d + 2 moves it by about 0.05.  The final verdict record is the
 # conjunction of the others.
 CERTIFICATE_CHECKS = {
     "eigen_residual": Gate("(lap + 1/tau) phi = 0", 1e-8, "pointwise"),
@@ -404,27 +369,24 @@ def _gate(name: str, residual: float, scale: float = 1.0) -> dict:
 
 
 def _witness_record(N: int, firsts: dict, nu2_err: float) -> dict:
-    """The ``quadrature_witness`` record.  Its detail gives, per quadrature
-    value, its rule's (n_u, n_theta), node count and exactness degree, and
-    its difference from the witness rule; the residual is the largest
+    """The ``quadrature_witness`` record.  Every quadrature value comes from
+    the sweep, so its detail gives the sweep's rule and witness rule once,
+    each as (n_u, n_theta), node count and exactness degree, and then each
+    value's difference from the witness rule; the residual is the largest
     difference."""
-    witness = firsts["witness"]
-    rules = {}
-    for name, degree, difference in (
-            ("tau_prime", _SWEEP_DEGREE,
-             abs(firsts["tau_prime"] - witness["tau_prime"])),
-            ("volume_prime", _V_PRIME_DEGREE,
-             abs(firsts["volume_prime"] - witness["volume_prime"])),
-            ("hbar_prime", N,
-             abs(firsts["hbar_prime_fd"] - witness["hbar_prime_fd"])),
-            ("second_variation", _SWEEP_DEGREE, nu2_err)):
+    def rule(degree):
         n_u, n_theta = exact_orders(degree)
-        rules[name] = {"orders": [n_u, n_theta], "nodes": (n_u * n_theta) ** N,
-                       "degree": degree, "witness_difference": difference}
+        return {"orders": [n_u, n_theta], "nodes": (n_u * n_theta) ** N,
+                "degree": degree}
+
+    witness = firsts["witness"]
+    differences = {name: abs(firsts[name] - witness[name])
+                   for name in witness} | {"second_variation": nu2_err}
     # np.max, unlike max, keeps a NaN difference
-    largest = float(np.max([rule["witness_difference"]
-                            for rule in rules.values()]))
-    return _gate("quadrature_witness", largest) | {"detail": rules}
+    largest = float(np.max(list(differences.values())))
+    return _gate("quadrature_witness", largest) | {"detail": {
+        "rule": rule(_SWEEP_DEGREE), "witness_rule": rule(_SWEEP_DEGREE + 1),
+        "differences": differences}}
 
 
 @contextmanager
@@ -465,7 +427,7 @@ def certify(N: int, points: int, seed: int, *,
     with _stage(timings, "n_tilde"):
         nt_max = n_tilde_max(h, w, geom)
     with _stage(timings, "sweep"):
-        sweeps = tuple(_geometry_sweep(h, tau, *exact_orders(degree))
+        sweeps = tuple(_geometry_sweep(h, *exact_orders(degree))
                        for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
     with _stage(timings, "first"):
         firsts = first_variations(h, tau, sweeps)
@@ -474,7 +436,7 @@ def certify(N: int, points: int, seed: int, *,
     with _stage(timings, "third"):
         nu3 = third_variation(N, h.form, tau)
 
-    hbar_closed, hbar_fd = firsts["hbar_prime_closed"], firsts["hbar_prime_fd"]
+    hbar_closed, hbar_quad = firsts["hbar_prime_closed"], firsts["hbar_prime"]
     floor = CERTIFICATE_CHECKS["third_variation_nonzero"]
     checks = [
         _gate("eigen_residual", eigen_res),
@@ -482,9 +444,9 @@ def certify(N: int, points: int, seed: int, *,
         _gate("n_tilde_vanishes", nt_max),
         _gate("tau_prime", abs(firsts["tau_prime"])),
         _gate("volume_prime", abs(firsts["volume_prime"])),
-        _gate("hbar_prime", abs(hbar_fd - hbar_closed),
+        _gate("hbar_prime", abs(hbar_quad - hbar_closed),
               scale=max(1.0, abs(hbar_closed)))
-        | {"detail": {"closed": hbar_closed, "finite_difference": hbar_fd}},
+        | {"detail": {"closed": hbar_closed, "quadrature": hbar_quad}},
         _gate("second_variation", abs(nu2)),
         _witness_record(N, firsts, nu2_err),
         _gate("third_variation_cross_check", nu3["rel_diff"])

@@ -180,7 +180,7 @@ def _certificate_holds(checks: list, cert: dict, table: dict) -> bool:
 
     The record names are the table's, in its order.  ``hbar_prime``'s
     tolerance is the table's scaled by max(1, |detail.closed|), so its
-    residual must be |detail.finite_difference - detail.closed|.  The two
+    residual must be |detail.quadrature - detail.closed|.  The two
     records with no tolerance are the ``third_variation_nonzero`` floor,
     which passes exactly when |detail.value| exceeds the table's floor, and
     the final ``verdict``, which passes exactly when every other record
@@ -190,10 +190,11 @@ def _certificate_holds(checks: list, cert: dict, table: dict) -> bool:
         return False
     by_name = {rec["name"]: rec for rec in checks}
     hbar = by_name["hbar_prime"].get("detail", {})
-    closed, fd = hbar.get("closed"), hbar.get("finite_difference")
-    # the closed form is exact, so never null; a null fd has a null residual
+    closed, quad = hbar.get("closed"), hbar.get("quadrature")
+    # the closed form is exact, so never null; a null quadrature value has
+    # a null residual
     if closed is None or by_name["hbar_prime"]["residual"] != (
-            None if fd is None else abs(fd - closed)):
+            None if quad is None else abs(quad - closed)):
         return False
     if by_name["hbar_prime"]["tolerance"] != (
             table["hbar_prime"].tolerance * max(1.0, abs(closed))):

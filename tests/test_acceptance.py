@@ -113,14 +113,14 @@ def test_criterion_5_stability_operators():
     geom = curvature_batch(w)
     ok = n_tilde_max(h, w, geom) < 1e-7
     ok &= v_of(h, tau, w, geom) < 1e-8
-    sweeps = tuple(_geometry_sweep(h, tau, *exact_orders(degree))
+    sweeps = tuple(_geometry_sweep(h, *exact_orders(degree))
                    for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
     nu2, _ = second_variation(h, tau, sweeps)
     ok &= abs(nu2) < 1e-7
     fv = first_variations(h, tau, sweeps)
     ok &= abs(fv["tau_prime"]) < 1e-8
     ok &= abs(fv["volume_prime"]) < 1e-8
-    ok &= abs(fv["hbar_prime_fd"] - fv["hbar_prime_closed"]) < 1e-5
+    ok &= abs(fv["hbar_prime"] - fv["hbar_prime_closed"]) < 1e-5
     _criterion(5, "Ntilde(phi g) = 0 within 1e-7, v = 2 phi within 1e-8, "
                   "nu'' = 0 within 1e-7, tau' and V' within 1e-8, "
                   "Hbar' matches n(n-2)/(2V)||phi||^2 within 1e-5", ok)

@@ -65,23 +65,24 @@ def _on_both_rules(fv, key, value):
 
 def _hbar_off(fv):
     closed = fv["hbar_prime_closed"]
-    return _on_both_rules(fv, "hbar_prime_fd", closed + _past(
+    return _on_both_rules(fv, "hbar_prime", closed + _past(
         "hbar_prime", max(1.0, abs(closed))))
 
 
 def _degree_d_plus_2(fv):
-    """V' with a term of degree d + 2 = 3 added to its degree-1 integrand
-    (n/2) phi: Re(w_1^3) / (1 + |w|^2)^3, of zero integral.  The degree-1
-    rule's two phases of theta_1 cancel e^(3 i theta_1), so V' stays 0; the
-    witness's three alias it."""
+    """V' with a term of degree d + 2 = 4 added to its integrand (n/2) phi,
+    on the sweep's degree-2 rule and its witness: Re(w_1^4) / (1 + |w|^2)^4,
+    of zero integral.  The degree-2 rule's three phases of theta_1 cancel
+    e^(4 i theta_1), so V' stays 0; the witness's four alias it."""
     form = special_phi(2)
 
     def integrand(w):
-        return 2.0 * phi_values_batch(form, 0, w) + (w[:, 0] ** 3).real / (
-            1.0 + np.sum(np.abs(w) ** 2, axis=1)) ** 3
+        return 2.0 * phi_values_batch(form, 0, w) + (w[:, 0] ** 4).real / (
+            1.0 + np.sum(np.abs(w) ** 2, axis=1)) ** 4
 
     value, witness = (cpn_integral(integrand, 2, *exact_orders(degree))
-                      for degree in (1, 2))
+                      for degree in (entropy._SWEEP_DEGREE,
+                                     entropy._SWEEP_DEGREE + 1))
     assert abs(value) < CERTIFICATE_CHECKS["volume_prime"].tolerance
     return {**fv, "volume_prime": value,
             "witness": {**fv["witness"], "volume_prime": witness}}
@@ -224,6 +225,22 @@ def test_each_gate_flips_the_verdict(record, recorded, monkeypatch, capsys):
     assert _failing(report["checks"]) == [record, "verdict"]
     assert report["certificate"]["verdict"] == "inconclusive"
     assert reverify(report)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_doubled_sweep_volume_fails_hbar_prime(N, monkeypatch):
+    # V enters Hbar' as well as nu'', whose target 0 cannot see it
+    sweep = entropy._geometry_sweep
+
+    def doubled(*args):
+        sums = sweep(*args)
+        return {**sums, "volume": 2 * sums["volume"]}
+
+    monkeypatch.setattr(entropy, "_geometry_sweep", doubled)
+    cfg = RunConfig(N=N)
+    checks, cert = entropy.certify(cfg.N, cfg.points, cfg.seed, timings={})
+    assert _failing(checks) == ["hbar_prime", "verdict"]
+    assert cert["verdict"] == "inconclusive"
 
 
 def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,

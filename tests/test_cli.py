@@ -204,12 +204,11 @@ CANNOT_FIT = {
     # one point fits the curvature batch; the oracle's 40^4 cells do not
     ("geometry", "--N", "20", "--points", "1"):
         "the nested-dual metric oracle at N = 20 needs about 2.44 GiB",
-    # levels 1 and 2 of int phi^3 take 4.3e9 nodes at N = 6, the Hbar'
-    # witness 1.1e9
+    # nearly all of it levels 1 and 2 of int phi^3
     ("certify", "--N", "6"):
-        "the fixed quadrature of certify at N = 6 needs 5.84e+09 nodes",
+        "the fixed quadrature of certify at N = 6 needs 4.29e+09 nodes",
     ("certify", "--N", "7"):
-        "the fixed quadrature of certify at N = 7 needs 5.76e+11 nodes",
+        "the fixed quadrature of certify at N = 7 needs 1.68e+11 nodes",
     # the Monte Carlo samples count against the node limit
     ("moments", "--N", "2", "--mc-samples", "10000000000"):
         "mc_samples must be <= 1e+09",
@@ -227,18 +226,40 @@ def test_runs_that_cannot_fit_exit_2(argv, monkeypatch, capsys):
 
 
 def test_certify_quadratures_at_n5_fit(monkeypatch):
-    # 1.3e8 nodes, under the limit
+    # 1.1e8 nodes, under the limit
     calls = _verb_spy(monkeypatch, "certify")
     assert main(["certify", "--N", "5"]) == 0
     assert len(calls) == 1
-    # the same limit refuses them once it is one node lower: the sweep, V'
-    # and Hbar' on their exact rules and witnesses, and levels 1 and 2 of
-    # int phi^3
+    # the same limit refuses them once it is one node lower: the sweep on
+    # its exact rule and witness, and levels 1 and 2 of int phi^3
     monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT",
-                        6 ** 5 + 8 ** 5 + 2 ** 5 + 6 ** 5 + 18 ** 5 + 28 ** 5
-                        + 24 ** 5 + 40 ** 5 - 1)
+                        6 ** 5 + 8 ** 5 + 24 ** 5 + 40 ** 5 - 1)
     assert main(["certify", "--N", "5"]) == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N", ["2", "3"])
+def test_certify_node_limit_counts_the_rules_that_run(N, monkeypatch,
+                                                      capsys):
+    # every chart rule certify runs, through any module that binds
+    # chart_nodes, is counted by the node limit, and nothing else is
+    from cpn_entropy import quadrature
+
+    rules = []
+    original = quadrature.chart_nodes
+
+    def spy(N, n_u, n_theta, *args, **kwargs):
+        rules.append((n_u, n_theta))
+        return original(N, n_u, n_theta, *args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("cpn_entropy."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, spy)
+    assert main(["certify", "--N", N]) == 0
+    capsys.readouterr()
+    assert sorted(rules) == sorted(cli._certify_quadratures(int(N)))
 
 
 def test_eigen_gram_matrix_that_cannot_fit_exits_2(monkeypatch, capsys):

@@ -7,17 +7,18 @@ import pytest
 from cpn_entropy.charts import sample_w
 from cpn_entropy.entropy import (CERTIFICATE_CHECKS, ConformalPerturbation,
                                  _SWEEP_DEGREE, _geometry_sweep,
-                                 _third_variation_rational, _trace_shift,
+                                 _third_variation_rational,
                                  certify, first_variations,
                                  minimizer_identity_coefficient,
                                  n_tilde_batch, n_tilde_max,
                                  second_variation, third_variation, v_of)
 from cpn_entropy.eigenfunctions import (HermitianForm, _form_from_int,
-                                        basis_first_eigenspace, special_phi)
+                                        basis_first_eigenspace,
+                                        phi_values_batch, special_phi)
 from cpn_entropy.geometry import (curvature_batch, einstein_tau,
                                   hessian_and_laplacian)
-from cpn_entropy.moments import cpn_average
-from cpn_entropy.quadrature import exact_orders
+from cpn_entropy.moments import cpn_average, cpn_volume_closed_form
+from cpn_entropy.quadrature import cpn_integral, exact_orders
 
 F = Fraction
 
@@ -39,6 +40,13 @@ def scaled_form(form: HermitianForm, c: int) -> HermitianForm:
     return HermitianForm(form.matrix * c, exact)
 
 
+def form_sum(a: HermitianForm, b: HermitianForm) -> HermitianForm:
+    exact = tuple(tuple((ra[0] + rb[0], ra[1] + rb[1])
+                        for ra, rb in zip(rowa, rowb))
+                  for rowa, rowb in zip(a.exact, b.exact))
+    return HermitianForm(a.matrix + b.matrix, exact)
+
+
 def scaled(h: ConformalPerturbation, c: int) -> ConformalPerturbation:
     return ConformalPerturbation(scaled_form(h.form, c), h.N)
 
@@ -46,7 +54,7 @@ def scaled(h: ConformalPerturbation, c: int) -> ConformalPerturbation:
 def sweeps(h: ConformalPerturbation) -> tuple:
     """The geometry sweeps on the exact rule and on its witness, which
     ``certify`` shares between stages."""
-    return tuple(_geometry_sweep(h, einstein_tau(h.N), *exact_orders(degree))
+    return tuple(_geometry_sweep(h, *exact_orders(degree))
                  for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
 
 
@@ -57,8 +65,10 @@ def sampled(N: int, points: int, seed: int):
 
 
 def n_operator_batch(h: ConformalPerturbation, w, geom):
-    """N(h) = Ntilde(h) - (Hbar / (2 n tau)) g."""
-    return n_tilde_batch(h, w, geom) - _trace_shift(h, einstein_tau(h.N)) * geom.g
+    """N(h) = Ntilde(h) - (Hbar / (2 n tau)) g, with Hbar = n avg(psi)."""
+    n = 2 * h.N
+    hbar = n * float(h.exact_average(1))
+    return n_tilde_batch(h, w, geom) - hbar / (2 * n * einstein_tau(h.N)) * geom.g
 
 
 def third_variation_exact_rational(N: int) -> Fraction:
@@ -167,7 +177,7 @@ def test_mean_trace_term_for_constant_direction():
     N = 2
     n = 2 * N
     one = ConformalPerturbation(identity_form(N), N)
-    assert one.trace_mean_exact() == n
+    assert one.exact_average(1) == 1
     w = sample_w(N, 10, seed=4)
     geom = curvature_batch(w)
     tau = einstein_tau(N)
@@ -180,12 +190,7 @@ def test_n_operator_is_linear():
     N = 2
     forms = basis_first_eigenspace(N)
     a, b = ConformalPerturbation(forms[0], N), ConformalPerturbation(forms[3], N)
-    matrix_sum = HermitianForm(
-        forms[0].matrix + forms[3].matrix,
-        tuple(tuple((ra[0] + rb[0], ra[1] + rb[1])
-                    for ra, rb in zip(rowa, rowb))
-              for rowa, rowb in zip(forms[0].exact, forms[3].exact)))
-    ab = ConformalPerturbation(matrix_sum, N)
+    ab = ConformalPerturbation(form_sum(forms[0], forms[3]), N)
     w = sample_w(N, 10, seed=5)
     geom = curvature_batch(w)
     lhs = n_operator_batch(ab, w, geom)
@@ -199,7 +204,37 @@ def test_first_variations_vanish_and_match():
     assert abs(fv["tau_prime"]) < 1e-8
     assert abs(fv["volume_prime"]) < 1e-8
     assert abs(fv["hbar_prime_closed"] - 2.0) < 1e-12
-    assert abs(fv["hbar_prime_fd"] - fv["hbar_prime_closed"]) < 1e-5
+    assert abs(fv["hbar_prime"] - fv["hbar_prime_closed"]) < 1e-14
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_hbar_prime_is_the_derivative_of_the_mean_trace(N):
+    # psi = 1 + phi has mean 1, so the (int psi)^2 term counts too.  The
+    # oracle is a central difference of
+    # Hbar(s) = int n psi (1 + s psi)^(N-1) dV / int (1 + s psi)^N dV
+    n = 2 * N
+    form = form_sum(identity_form(N), special_phi(N))
+    h = ConformalPerturbation(form, N)
+    fv = first_variations(h, einstein_tau(N), sweeps(h))
+
+    def hbar(s):
+        def integral(power, factor):
+            def integrand(w):
+                psi = phi_values_batch(form, 0, w)
+                return factor(psi) * (1.0 + s * psi) ** power
+            return cpn_integral(integrand, N, *exact_orders(N + 1))
+        return integral(N - 1, lambda psi: n * psi) / integral(
+            N, lambda psi: 1.0)
+
+    step = 1e-4
+    difference = (hbar(step) - hbar(-step)) / (2 * step)
+    assert abs(fv["hbar_prime"] - difference) < 1e-6
+    # the same value from the exact moments, and V' = (n/2) V avg(psi)
+    avg1, avg2 = h.exact_average(1), h.exact_average(2)
+    assert avg1 == 1
+    assert abs(fv["hbar_prime"] - float(n * ((N - 1) * avg2 - N * avg1 ** 2))
+               ) < 1e-12
+    assert abs(fv["volume_prime"] - n / 2 * cpn_volume_closed_form(N)) < 1e-12
 
 
 def test_second_variation_vanishes_for_eigen_direction():

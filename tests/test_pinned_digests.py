@@ -55,9 +55,9 @@ def _skip_unless_baseline_build():
 # The seed-1 calls of the certify-small, suites and certify-n4 workloads.
 SEED1_DIGESTS = {
     ("certify", "--N", "2", "--seed", "1"):
-        "fd5ea0952bbcd820ec66cb77b6eef2590746844c8928f9690ff941472ee8b2ff",
+        "c62630dadf895bb6c679ec179b63634d842ffe6b89026f5b4ed85ce6d856705c",
     ("certify", "--N", "3", "--seed", "1"):
-        "587314f8b62cea2ab95a4e40cabf2cfc8684624e631d64e1acfc5f3fe5f80c78",
+        "fe5c1c12aab8cd1c59fa95742cc8cbfa76cf04ca68fe23f7f7c77afb85f99135",
     ("geometry", "--N", "3", "--seed", "1"):
         "826ad553844d271f78f1d3d65d2397b4fe6c927f466c97a2565b788df9712d58",
     ("eigen", "--N", "3", "--seed", "1"):
@@ -70,7 +70,7 @@ SEED1_DIGESTS = {
         "4116d56841b2dc4a60ffe4e11cc5641bc6388bc506737c8f480e84130f738c6a",
     # the headline N, about 2.5 s
     ("certify", "--N", "4", "--seed", "1"):
-        "de15134d1546cce121c16842103417a6dd7b30503f8bc5c85f5d53e98e9bd1c1",
+        "03aa4b478e048b119cce73a7b4c4a03d657dd3b0705895528fda5ac657a944c4",
 }
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import cpn_entropy
-from cpn_entropy import entropy, geometry, quadrature
+from cpn_entropy import eigenfunctions, entropy, geometry, quadrature
 from cpn_entropy.charts import sample_w
 from cpn_entropy.quadrature import exact_orders
 
@@ -45,7 +45,7 @@ def _slab_outputs(w):
     out["n_tilde"] = entropy.n_tilde_batch(h, w, geom)
     psi = h.psi_jet(w)
     out.update(psi_val=psi.val, psi_grad=psi.grad, psi_hess=psi.hess)
-    out["psi_values"] = h.psi_values(w)
+    out["psi_values"] = eigenfunctions.phi_values_batch(h.form, 0, w)
     return out
 
 
@@ -72,8 +72,7 @@ def _sweep_levels(N, witness):
 def _sweep(N, witness):
     """The entropy sweep sums of the special phi at N."""
     h = entropy.ConformalPerturbation.special(N)
-    return entropy._geometry_sweep(h, geometry.einstein_tau(N),
-                                   *_sweep_levels(N, witness))
+    return entropy._geometry_sweep(h, *_sweep_levels(N, witness))
 
 
 @functools.lru_cache(maxsize=None)
