@@ -44,7 +44,7 @@ from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
 from .quadrature import (adaptive_cpn_integral, chart_nodes, exact_orders,
-                         level_orders)
+                         level_orders, witness_nodes)
 from .report import check, gate
 
 
@@ -138,17 +138,17 @@ def n_tilde_max(h: ConformalPerturbation, w: np.ndarray,
 # quadrature passes
 
 # Degree in psi of the sweep's integrands <h, Ric>, R, <h, N(h)>, psi and
-# psi^2.  The sweep runs on ``exact_orders`` of it, and again one degree
-# higher as its witness.
+# psi^2.  The sweep runs on ``exact_orders`` of it, and again on the same
+# rule moved by an isometry (``witness_nodes``) as its witness.
 _SWEEP_DEGREE = 2
 
 
 def _certify_quadratures(N: int) -> tuple:
     """(n_u, n_theta) of every quadrature ``certify`` runs at N whatever
-    its integrands: the sweep on its exact rule and on its witness, and the
-    first two levels of the adaptive int phi^3.  Each takes
+    its integrands: the sweep on its exact rule and on the moved rule, and
+    the first two levels of the adaptive int phi^3.  Each takes
     (n_u * n_theta)^N nodes."""
-    return (exact_orders(_SWEEP_DEGREE), exact_orders(_SWEEP_DEGREE + 1),
+    return (exact_orders(_SWEEP_DEGREE), exact_orders(_SWEEP_DEGREE),
             level_orders(1), level_orders(2))
 
 
@@ -184,19 +184,19 @@ def _slab_integrands(g, dg, d2g, psi: Jet):
 _SWEEP_INTEGRALS = ("ric_h", "scal", "nh_h", "psi", "psi2")
 
 
-def _geometry_sweep(h: ConformalPerturbation, n_u: int, n_theta: int) -> dict:
-    """One pass over quadrature nodes collecting the ``_SWEEP_INTEGRALS``
-    and the volume.
+def _geometry_sweep(h: ConformalPerturbation, nodes) -> dict:
+    """One pass over the (w, weights) chunks of ``nodes`` collecting the
+    ``_SWEEP_INTEGRALS`` and the volume.
 
-    Each ``chart_nodes`` chunk is summed with one ``np.dot`` per integral,
-    which fixes the bits.  The integrands are computed in slabs of
+    Each chunk is summed with one ``np.dot`` per integral, which fixes the
+    bits.  The integrands are computed in slabs of
     ``_slab_rows(N)`` rows, and every row's value is independent of its
     slab, so peak memory holds one slab's arrays, not one chunk's
     curvature.
     """
     rows = _slab_rows(h.N)
     acc = dict.fromkeys(_SWEEP_INTEGRALS + ("volume",), 0.0)
-    for w, weights in chart_nodes(h.N, n_u, n_theta):
+    for w, weights in nodes:
         slabs = (w[start:start + rows] for start in range(0, len(w), rows))
         parts = [_slab_integrands(*metric_arrays(slab), h.psi_jet(slab))
                  for slab in slabs]
@@ -246,8 +246,9 @@ def second_variation(h: ConformalPerturbation, tau: float,
 
     psi must have mean zero, so that Hbar = 0 and N(h) = Ntilde(h), which
     is what the sweep integrates.  ``sweeps`` are the ``_geometry_sweep``s
-    of ``h`` on the rule exact at ``_SWEEP_DEGREE`` and on its witness, one
-    degree higher.  The error estimate is the difference between the two.
+    of ``h`` on the rule exact at ``_SWEEP_DEGREE`` and on its witness, the
+    same rule moved by an isometry.  The error estimate is the difference
+    between the two.
     """
     value, witness = (tau * sweep["nh_h"] / sweep["volume"] for sweep in sweeps)
     return value, abs(value - witness)
@@ -284,8 +285,9 @@ def third_variation(N: int, form: HermitianForm, tau: float) -> dict:
     avg3 = cpn_average(3, form, N)
     integral_exact = float(avg3) * cpn_volume_closed_form(N)
 
-    def phi3(w):
-        return phi_values_batch(form, 0, w) ** 3
+    def phi3(w):  # phi ** 3 would go through pow, ~30x slower
+        phi = phi_values_batch(form, 0, w)
+        return phi * phi * phi
 
     integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=_PHI3_QUAD_TOL,
                                              max_level=4)
@@ -337,10 +339,11 @@ class Gate(NamedTuple):
 # tolerance, except that hbar_prime's tolerance is relative (scaled by
 # max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
 # must exceed.  quadrature_witness gates the largest absolute difference
-# between a quadrature value and the same value on its witness rule: at
-# most 1.4e-15 at N = 2..4 and 1.3e-14 at N = 5, while a term of degree
-# d + 2 moves it by about 0.05.  The final verdict record is the
-# conjunction of the others.
+# between a quadrature value and the same value on its witness, the rule
+# moved by an isometry: at most 2.7e-15 at N = 2..4 and 9.8e-15 at N = 5,
+# while content the rule gets wrong, such as t_1^4, moves it by 9e-4 or
+# more.  third_variation_exact's relative residual is at most 2.9e-15 at
+# N = 2..5.  The final verdict record is the conjunction of the others.
 CERTIFICATE_CHECKS = {
     "eigen_residual": Gate("(lap + 1/tau) phi = 0", 1e-8, "pointwise"),
     "v_solution": Gate("v = 2 phi solves (lap + 1/(2 tau)) v = div div h",
@@ -351,12 +354,15 @@ CERTIFICATE_CHECKS = {
     "hbar_prime": Gate("Hbar' = n(n-2)/(2V) ||phi||^2", 1e-5, "both"),
     "second_variation": Gate("nu'' = 0 along h = phi g", 1e-7, "quadrature"),
     "quadrature_witness": Gate(
-        "each quadrature value agrees with its rule one degree higher",
+        "each quadrature value agrees with its rule moved by an isometry",
         1e-9, "quadrature"),
     "third_variation_cross_check": Gate("exact and quadrature int phi^3 agree",
                                         1e-5, "both"),
     "third_variation_nonzero": Gate(
         "nu''' = (n-2)(4 pi tau)^(-n/2) int phi^3 dV > 0", 1e-3, "both"),
+    "third_variation_exact": Gate(
+        "nu''' = (2N-2) (N+1)^N avg(phi^3) / N! at tau = 1/(4(N+1))", 1e-12,
+        "both"),
     "verdict": Gate("not a local maximum of the shrinker entropy", None, "both"),
 }
 
@@ -370,22 +376,22 @@ def _gate(name: str, residual: float, scale: float = 1.0) -> dict:
 
 def _witness_record(N: int, firsts: dict, nu2_err: float) -> dict:
     """The ``quadrature_witness`` record.  Every quadrature value comes from
-    the sweep, so its detail gives the sweep's rule and witness rule once,
-    each as (n_u, n_theta), node count and exactness degree, and then each
-    value's difference from the witness rule; the residual is the largest
-    difference."""
-    def rule(degree):
-        n_u, n_theta = exact_orders(degree)
-        return {"orders": [n_u, n_theta], "nodes": (n_u * n_theta) ** N,
-                "degree": degree}
-
+    the sweep, so its detail gives the sweep's rule once, as (n_u, n_theta),
+    node count and exactness degree, then the witness rule, the same rule
+    with the isometry that moves it, and then each value's difference from
+    the witness rule; the residual is the largest difference."""
+    n_u, n_theta = exact_orders(_SWEEP_DEGREE)
+    rule = {"orders": [n_u, n_theta], "nodes": (n_u * n_theta) ** N,
+            "degree": _SWEEP_DEGREE}
     witness = firsts["witness"]
     differences = {name: abs(firsts[name] - witness[name])
                    for name in witness} | {"second_variation": nu2_err}
     # np.max, unlike max, keeps a NaN difference
     largest = float(np.max(list(differences.values())))
     return _gate("quadrature_witness", largest) | {"detail": {
-        "rule": rule(_SWEEP_DEGREE), "witness_rule": rule(_SWEEP_DEGREE + 1),
+        "rule": rule, "witness_rule": rule | {"move": (
+            "[z_0 : z_1 : ... : z_N] -> [z_0 : c z_N : ... : c z_1], "
+            "c = exp(i pi / n_theta)")},
         "differences": differences}}
 
 
@@ -427,8 +433,9 @@ def certify(N: int, points: int, seed: int, *,
     with _stage(timings, "n_tilde"):
         nt_max = n_tilde_max(h, w, geom)
     with _stage(timings, "sweep"):
-        sweeps = tuple(_geometry_sweep(h, *exact_orders(degree))
-                       for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
+        orders = exact_orders(_SWEEP_DEGREE)
+        sweeps = tuple(_geometry_sweep(h, nodes(N, *orders))
+                       for nodes in (chart_nodes, witness_nodes))
     with _stage(timings, "first"):
         firsts = first_variations(h, tau, sweeps)
     with _stage(timings, "second"):
@@ -437,6 +444,10 @@ def certify(N: int, points: int, seed: int, *,
         nu3 = third_variation(N, h.form, tau)
 
     hbar_closed, hbar_quad = firsts["hbar_prime_closed"], firsts["hbar_prime"]
+    exact = nu3["exact_rational"]
+    # with no exact rational (tau off its closed form) the record fails
+    exact_rel = (abs(nu3["value"] - float(exact)) / abs(float(exact))
+                 if exact else math.inf)
     floor = CERTIFICATE_CHECKS["third_variation_nonzero"]
     checks = [
         _gate("eigen_residual", eigen_res),
@@ -455,6 +466,7 @@ def certify(N: int, points: int, seed: int, *,
         check("third_variation_nonzero", floor.identity,
               abs(nu3["value"]) > floor.tolerance, provenance=floor.provenance,
               detail={"value": nu3["value"]}),
+        _gate("third_variation_exact", exact_rel),
     ]
     passed = all(rec["status"] == "pass" for rec in checks)
     final = CERTIFICATE_CHECKS["verdict"]

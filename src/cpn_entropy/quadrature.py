@@ -100,6 +100,17 @@ def chart_nodes(N: int, n_u: int, n_theta: int, max_chunk: int = 8192):
         yield w, weights
 
 
+def witness_nodes(N: int, n_u: int, n_theta: int):
+    """The ``chart_nodes`` rule moved by U [z_0 : z_1 : ... : z_N] =
+    [z_0 : c z_N : ... : c z_1], c = e^{i pi / n_theta}, an isometry of g_FS
+    that reverses the stick order and shifts every torus angle by half a
+    grid step.  With the rule's weights each sum is Q(f o U), exact wherever
+    the rule is, and no node is a node of the rule."""
+    c = np.exp(1j * math.pi / n_theta)
+    for w, weights in chart_nodes(N, n_u, n_theta):
+        yield w[:, ::-1] * c, weights
+
+
 def cpn_integral(func, N: int, n_u: int, n_theta: int) -> float:
     """int_{CP^N} func dV with func acting on (B, N) complex chart batches.
 

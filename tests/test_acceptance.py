@@ -19,7 +19,7 @@ from cpn_entropy.entropy import (ConformalPerturbation, _SWEEP_DEGREE,
 from cpn_entropy.geometry import curvature_batch, einstein_tau
 from cpn_entropy.moments import monte_carlo_average, polynomial_average
 from cpn_entropy.polynomials import special_cubic_polynomial
-from cpn_entropy.quadrature import exact_orders
+from cpn_entropy.quadrature import chart_nodes, exact_orders, witness_nodes
 from cpn_entropy.report import dumps, parse_report, strip_timings
 from cpn_entropy.rewrite import (Coef, confluence_check, expected_checkpoint,
                                  reduce_third_variation, rule_zero_mean,
@@ -113,8 +113,9 @@ def test_criterion_5_stability_operators():
     geom = curvature_batch(w)
     ok = n_tilde_max(h, w, geom) < 1e-7
     ok &= v_of(h, tau, w, geom) < 1e-8
-    sweeps = tuple(_geometry_sweep(h, *exact_orders(degree))
-                   for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
+    orders = exact_orders(_SWEEP_DEGREE)
+    sweeps = tuple(_geometry_sweep(h, nodes(h.N, *orders))
+                   for nodes in (chart_nodes, witness_nodes))
     nu2, _ = second_variation(h, tau, sweeps)
     ok &= abs(nu2) < 1e-7
     fv = first_variations(h, tau, sweeps)

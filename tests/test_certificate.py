@@ -16,7 +16,8 @@ from cpn_entropy import entropy, geometry
 from cpn_entropy.cli import RunConfig, main
 from cpn_entropy.eigenfunctions import phi_values_batch, special_phi
 from cpn_entropy.entropy import CERTIFICATE_CHECKS, ConformalPerturbation
-from cpn_entropy.quadrature import cpn_integral, exact_orders
+from cpn_entropy.quadrature import (chart_nodes, cpn_integral, exact_orders,
+                                    witness_nodes)
 from cpn_entropy.report import build_report, dumps, parse_report, reverify
 
 STAGES = ("v_of", "n_tilde_max", "_geometry_sweep", "first_variations",
@@ -69,23 +70,60 @@ def _hbar_off(fv):
         "hbar_prime", max(1.0, abs(closed))))
 
 
-def _degree_d_plus_2(fv):
-    """V' with a term of degree d + 2 = 4 added to its integrand (n/2) phi,
-    on the sweep's degree-2 rule and its witness: Re(w_1^4) / (1 + |w|^2)^4,
-    of zero integral.  The degree-2 rule's three phases of theta_1 cancel
-    e^(4 i theta_1), so V' stays 0; the witness's four alias it."""
-    form = special_phi(2)
+def _on_the_sweep_rules(func):
+    """int func dV at N = 2 on the sweep's degree-2 rule and on its witness,
+    the same rule moved by an isometry."""
+    orders = exact_orders(entropy._SWEEP_DEGREE)
+    return tuple(sum(float(np.dot(weights, func(w)))
+                     for w, weights in nodes(2, *orders))
+                 for nodes in (chart_nodes, witness_nodes))
 
-    def integrand(w):
-        return 2.0 * phi_values_batch(form, 0, w) + (w[:, 0] ** 4).real / (
-            1.0 + np.sum(np.abs(w) ** 2, axis=1)) ** 4
 
-    value, witness = (cpn_integral(integrand, 2, *exact_orders(degree))
-                      for degree in (entropy._SWEEP_DEGREE,
-                                     entropy._SWEEP_DEGREE + 1))
-    assert abs(value) < CERTIFICATE_CHECKS["volume_prime"].tolerance
-    return {**fv, "volume_prime": value,
-            "witness": {**fv["witness"], "volume_prime": witness}}
+def _sigma(w):
+    return 1.0 + np.sum(np.abs(w) ** 2, axis=1)
+
+
+# Content of zero integral and degree above 2, with t_j = |w_j|^2 / sigma.
+def _radial(w):
+    """t_1^4 - t_2^4: the rule's sticks break the simplex unevenly."""
+    return (np.abs(w[:, 0]) ** 8 - np.abs(w[:, 1]) ** 8) / _sigma(w) ** 4
+
+
+def _mode_3(w):
+    """Re(w_1^3) / sigma^3: the rule's three phases of theta_1 alias it."""
+    return (w[:, 0] ** 3).real / _sigma(w) ** 3
+
+
+def _mode_4(w):
+    """Re(w_1^4) / sigma^4: three phases cancel e^(4 i theta_1), so the rule
+    integrates it exactly."""
+    return (w[:, 0] ** 4).real / _sigma(w) ** 4
+
+
+def _with_content(content):
+    """``first_variations``' values with ``content`` added to V''s integrand
+    (n/2) phi on the rule and on its witness, scaled down, where the rule
+    gets it wrong, until V' on the rule sits at half its gate."""
+    def push(fv):
+        form = special_phi(2)
+        tolerance = CERTIFICATE_CHECKS["volume_prime"].tolerance
+        rule_error = abs(_on_the_sweep_rules(content)[0])
+        scale = min(1.0, 0.5 * tolerance / rule_error)
+
+        def integrand(w):
+            return 2.0 * phi_values_batch(form, 0, w) + scale * content(w)
+
+        value, witness = _on_the_sweep_rules(integrand)
+        assert abs(value) < tolerance
+        return {**fv, "volume_prime": value,
+                "witness": {**fv["witness"], "volume_prime": witness}}
+    return push
+
+
+def _nu3_below_the_floor(tv):
+    """nu''' just below the floor, with an exact rational to match."""
+    value = 0.99 * CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance
+    return {**tv, "value": value, "exact_rational": Fraction(value)}
 
 
 # gated record -> (stage, the recorded stage value pushed past tolerance)
@@ -100,23 +138,22 @@ GATE_CASES = {
     "hbar_prime": ("first_variations", _hbar_off),
     "second_variation": ("second_variation",
                          lambda nu2: (-_past("second_variation"), nu2[1])),
-    "quadrature_witness": ("first_variations", _degree_d_plus_2),
+    "quadrature_witness": ("first_variations", _with_content(_radial)),
     "third_variation_cross_check": (
         "third_variation",
         lambda tv: {**tv, "rel_diff": _past("third_variation_cross_check")}),
-    "third_variation_nonzero": (
-        "third_variation",
-        lambda tv: {**tv, "value": 0.99 * (
-            CERTIFICATE_CHECKS["third_variation_nonzero"].tolerance)}),
+    "third_variation_nonzero": ("third_variation", _nu3_below_the_floor),
+    "third_variation_exact": ("third_variation", lambda tv: {
+        **tv, "value": tv["value"] * (1 + _past("third_variation_exact"))}),
 }
 
 
-def _replay(monkeypatch, outputs, record=None):
-    """Every stage returns its recorded first output; ``record``'s stage is
-    pushed past its tolerance."""
+def _replay(monkeypatch, outputs, case=None):
+    """Every stage returns its recorded first output; ``case``, a (stage,
+    push) pair, pushes that stage's output."""
     values = {stage: outs[0] for stage, outs in outputs.items()}
-    if record is not None:
-        stage, push = GATE_CASES[record]
+    if case is not None:
+        stage, push = case
         values[stage] = push(values[stage])
     for stage, value in values.items():
         monkeypatch.setattr(_owner(stage), stage,
@@ -216,7 +253,7 @@ def _failing(checks):
 @pytest.mark.parametrize("record", list(GATE_CASES))
 def test_each_gate_flips_the_verdict(record, recorded, monkeypatch, capsys):
     *_, outputs = recorded
-    _replay(monkeypatch, outputs, record)
+    _replay(monkeypatch, outputs, GATE_CASES[record])
     checks, cert = certify_n2()
     assert cert["verdict"] == "inconclusive"
     assert _failing(checks) == [record, "verdict"]
@@ -225,6 +262,69 @@ def test_each_gate_flips_the_verdict(record, recorded, monkeypatch, capsys):
     assert _failing(report["checks"]) == [record, "verdict"]
     assert report["certificate"]["verdict"] == "inconclusive"
     assert reverify(report)
+
+
+# The radial content t_1^4 - t_2^4 is the quadrature_witness gate case.
+@pytest.mark.parametrize("content,failing", [
+    (_mode_3, ["quadrature_witness", "verdict"]),
+    (_mode_4, [])], ids=["mode_3", "mode_4"])
+def test_the_moved_witness_sees_what_the_rule_misses(content, failing,
+                                                     recorded, monkeypatch):
+    *_, outputs = recorded
+    _replay(monkeypatch, outputs, ("first_variations", _with_content(content)))
+    checks, cert = certify_n2()
+    assert _failing(checks) == failing
+
+
+def test_the_witness_one_degree_higher_saw_less():
+    # the rule on exact_orders(3) reuses every simplex node of the sweep's
+    # rule, so radial content moves it by rounding only
+    rule, moved = _on_the_sweep_rules(_radial)
+    higher = cpn_integral(_radial, 2, *exact_orders(3))
+    assert abs(higher - rule) < 1e-15 and abs(moved - rule) > 1e-3
+    # and its four phases of theta_1 alias mode 4, which the rule and the
+    # moved rule integrate exactly: its 0.049 was its own error
+    rule, moved = _on_the_sweep_rules(_mode_4)
+    higher = cpn_integral(_mode_4, 2, *exact_orders(3))
+    assert abs(rule) < 1e-16 and abs(moved - rule) < 1e-16
+    assert abs(higher - rule) > 0.04
+
+
+def _mutant_third_variation(monkeypatch, third, mutant):
+    """The real ``third_variation`` stage with one of two prefactor mutants:
+    the exact rational doubled, or 2N-1 for 2N-2 in the float value."""
+    if mutant == "doubled_rational":
+        rational = entropy._third_variation_rational
+        monkeypatch.setattr(entropy, "_third_variation_rational",
+                            lambda N, avg3: 2 * rational(N, avg3))
+        monkeypatch.setattr(entropy, "third_variation", third)
+    else:
+        def mutated(N, form, tau):
+            tv = third(N, form, tau)
+            return {**tv, "value": tv["value"] * (2 * N - 1) / (2 * N - 2)}
+        monkeypatch.setattr(entropy, "third_variation", mutated)
+
+
+@pytest.mark.parametrize("mutant", ["doubled_rational", "prefactor_2N-1"])
+def test_third_variation_exact_kills_the_prefactor_mutants(mutant, recorded,
+                                                           monkeypatch):
+    # every other record passes: only third_variation_exact sees them
+    *_, outputs = recorded
+    third = entropy.third_variation
+    _replay(monkeypatch, outputs)
+    _mutant_third_variation(monkeypatch, third, mutant)
+    checks, cert = certify_n2()
+    assert _failing(checks) == ["third_variation_exact", "verdict"]
+    assert cert["verdict"] == "inconclusive"
+
+
+def test_no_exact_rational_fails_third_variation_exact(recorded, monkeypatch):
+    *_, outputs = recorded
+    _replay(monkeypatch, outputs, ("third_variation", lambda tv: {
+        **tv, "exact_rational": None}))
+    checks, cert = certify_n2()
+    assert _failing(checks) == ["third_variation_exact", "verdict"]
+    assert cert["verdict"] == "inconclusive"
 
 
 @pytest.mark.parametrize("N", [2, 3])

@@ -231,9 +231,9 @@ def test_certify_quadratures_at_n5_fit(monkeypatch):
     assert main(["certify", "--N", "5"]) == 0
     assert len(calls) == 1
     # the same limit refuses them once it is one node lower: the sweep on
-    # its exact rule and witness, and levels 1 and 2 of int phi^3
+    # its exact rule and on the moved rule, and levels 1 and 2 of int phi^3
     monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT",
-                        6 ** 5 + 8 ** 5 + 24 ** 5 + 40 ** 5 - 1)
+                        6 ** 5 + 6 ** 5 + 24 ** 5 + 40 ** 5 - 1)
     assert main(["certify", "--N", "5"]) == 2
     assert len(calls) == 1
 

@@ -18,7 +18,8 @@ from cpn_entropy.eigenfunctions import (HermitianForm, _form_from_int,
 from cpn_entropy.geometry import (curvature_batch, einstein_tau,
                                   hessian_and_laplacian)
 from cpn_entropy.moments import cpn_average, cpn_volume_closed_form
-from cpn_entropy.quadrature import cpn_integral, exact_orders
+from cpn_entropy.quadrature import (chart_nodes, cpn_integral, exact_orders,
+                                    witness_nodes)
 
 F = Fraction
 
@@ -54,8 +55,9 @@ def scaled(h: ConformalPerturbation, c: int) -> ConformalPerturbation:
 def sweeps(h: ConformalPerturbation) -> tuple:
     """The geometry sweeps on the exact rule and on its witness, which
     ``certify`` shares between stages."""
-    return tuple(_geometry_sweep(h, *exact_orders(degree))
-                 for degree in (_SWEEP_DEGREE, _SWEEP_DEGREE + 1))
+    orders = exact_orders(_SWEEP_DEGREE)
+    return tuple(_geometry_sweep(h, nodes(h.N, *orders))
+                 for nodes in (chart_nodes, witness_nodes))
 
 
 def sampled(N: int, points: int, seed: int):

@@ -55,9 +55,9 @@ def _skip_unless_baseline_build():
 # The seed-1 calls of the certify-small, suites and certify-n4 workloads.
 SEED1_DIGESTS = {
     ("certify", "--N", "2", "--seed", "1"):
-        "c62630dadf895bb6c679ec179b63634d842ffe6b89026f5b4ed85ce6d856705c",
+        "9b2d1f896ffbe3ebef2d08b6c0bf0d58f408252ae4115694153b01de000efd28",
     ("certify", "--N", "3", "--seed", "1"):
-        "fe5c1c12aab8cd1c59fa95742cc8cbfa76cf04ca68fe23f7f7c77afb85f99135",
+        "b42e5eea4a8a6d20c63e345931afc75260f367b28f5ebb4ae0a506db1ab1ff58",
     ("geometry", "--N", "3", "--seed", "1"):
         "826ad553844d271f78f1d3d65d2397b4fe6c927f466c97a2565b788df9712d58",
     ("eigen", "--N", "3", "--seed", "1"):
@@ -70,7 +70,7 @@ SEED1_DIGESTS = {
         "4116d56841b2dc4a60ffe4e11cc5641bc6388bc506737c8f480e84130f738c6a",
     # the headline N, about 2.5 s
     ("certify", "--N", "4", "--seed", "1"):
-        "03aa4b478e048b119cce73a7b4c4a03d657dd3b0705895528fda5ac657a944c4",
+        "ddd27f32054b33445e1472309a17c1a29b1c480da693a3c2ae89f2f3fe6fec08",
 }
 
 

@@ -10,7 +10,7 @@ from cpn_entropy.moments import (cpn_average, cpn_volume_closed_form,
 from cpn_entropy.polynomials import BihomogeneousPolynomial
 from cpn_entropy.quadrature import (adaptive_cpn_integral, chart_nodes,
                                     cpn_integral, exact_orders, gauss_jacobi,
-                                    simplex_rule, torus_grid)
+                                    simplex_rule, torus_grid, witness_nodes)
 
 
 @pytest.mark.parametrize("a", range(6))
@@ -42,6 +42,40 @@ def test_chart_rule_is_exact_for_phi_powers(N):
         value = cpn_integral(lambda w: phi_values_batch(form, 0, w) ** q, N,
                              *exact_orders(q)) / cpn_volume_closed_form(N)
         assert abs(value - float(exact)) <= 1e-14 * max(abs(exact), 1), q
+
+
+def _on_nodes(nodes, func):
+    return sum(float(np.dot(weights, func(w))) for w, weights in nodes)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_witness_nodes_move_the_rule_by_an_isometry(N):
+    orders = exact_orders(2)
+    rule = list(chart_nodes(N, *orders))
+    moved = list(witness_nodes(N, *orders))
+    assert len(rule) == len(moved)
+    for (w, weights), (wm, moved_weights) in zip(rule, moved):
+        assert np.array_equal(weights, moved_weights)
+        # U is unitary and fixes z_0: each |w_j| goes to the stick N + 1 - j
+        assert np.allclose(np.abs(wm[:, ::-1]), np.abs(w), rtol=1e-15, atol=0)
+        assert np.allclose(np.linalg.norm(wm, axis=1),
+                           np.linalg.norm(w, axis=1), rtol=1e-15, atol=0)
+        # each torus angle sits half a grid step off the rule's
+        assert not set(map(tuple, np.round(w, 12))) & set(
+            map(tuple, np.round(wm, 12)))
+    volume = _on_nodes(moved, lambda w: np.ones(len(w)))
+    assert volume == _on_nodes(rule, lambda w: np.ones(len(w)))
+    assert abs(volume - cpn_volume_closed_form(N)) < 1e-12
+    # exact for degree 2, like the rule
+    form = special_phi(N)
+    value = _on_nodes(moved, lambda w: phi_values_batch(form, 0, w) ** 2)
+    assert abs(value / volume - float(cpn_average(2, form, N))) < 1e-14
+
+    # and wrong where the rule is wrong, in another way: t_1^4 has degree 4
+    def t1_4(w):
+        return (np.abs(w[:, 0]) ** 2 / (1 + np.sum(np.abs(w) ** 2, axis=1))) ** 4
+
+    assert abs(_on_nodes(moved, t1_4) - _on_nodes(rule, t1_4)) > 1e-4
 
 
 def test_simplex_rule_integrates_to_simplex_volume():

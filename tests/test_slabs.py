@@ -63,16 +63,17 @@ def test_each_row_equals_the_row_computed_alone(batch):
             assert np.array_equal(values[row], alone[name][0]), (name, row)
 
 
-def _sweep_levels(N, witness):
-    """The orders of the entropy sweep at N: its exact rule, or the witness
-    rule one degree higher."""
-    return exact_orders(entropy._SWEEP_DEGREE + witness)
+def _sweep_nodes(N, witness):
+    """The node chunks of the entropy sweep at N: its exact rule, or the
+    witness, the same rule moved by an isometry."""
+    nodes = quadrature.witness_nodes if witness else quadrature.chart_nodes
+    return nodes(N, *exact_orders(entropy._SWEEP_DEGREE))
 
 
 def _sweep(N, witness):
     """The entropy sweep sums of the special phi at N."""
     h = entropy.ConformalPerturbation.special(N)
-    return entropy._geometry_sweep(h, *_sweep_levels(N, witness))
+    return entropy._geometry_sweep(h, _sweep_nodes(N, witness))
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,8 +104,7 @@ def test_certify_starts_no_thread_and_imports_no_pool():
 def test_sweep_sums_do_not_depend_on_the_block(N, witness, monkeypatch):
     default = _default_sweep(N, witness)
     # 7-row slabs, and one slab per chart_nodes chunk
-    chunk = max(len(weights) for _, weights in
-                quadrature.chart_nodes(N, *_sweep_levels(N, witness)))
+    chunk = max(len(weights) for _, weights in _sweep_nodes(N, witness))
     for rows in (7, chunk):
         monkeypatch.setattr(entropy, "_SLAB_BYTES", rows * (2 * N) ** 4 * 8)
         assert entropy._slab_rows(N) == rows
@@ -126,10 +126,9 @@ def _slab_spy(monkeypatch):
 
 def test_sweep_builds_curvature_one_block_at_a_time(monkeypatch):
     points = _slab_spy(monkeypatch)
-    levels = _sweep_levels(3, True)
-    chunks = [w for w, _ in entropy.chart_nodes(3, *levels)]
+    chunks = [w for w, _ in _sweep_nodes(3, True)]
     _sweep(3, True)
-    assert max(len(w) for w in chunks) == 8 ** 3
+    assert max(len(w) for w in chunks) == 6 ** 3
     # full slabs, then what is left of each chunk
     expected = [min(SLAB, len(w) - start) for w in chunks
                 for start in range(0, len(w), SLAB)]
@@ -169,7 +168,7 @@ def test_slabs_do_not_depend_on_the_workers(workers, monkeypatch):
     for caller in callers:
         caller.join()
     rows = entropy._slab_rows(4)
-    chunks = [len(w) for w, _ in entropy.chart_nodes(4, *_sweep_levels(4, False))]
+    chunks = [len(w) for w, _ in _sweep_nodes(4, False)]
     expected = [min(rows, size - start) for size in chunks
                 for start in range(0, size, rows)]
     assert len(sums) == workers
