@@ -155,10 +155,10 @@ def _certify_quadratures(N: int) -> tuple:
 # Bytes of one (2N)^4 float64 array of a geometry sweep slab, which sets
 # the slab's rows: 1024, 202, 64, 26 and 12 at N = 2..6.  The rows depend
 # only on N, so no result depends on the machine.  A slab peaks at about
-# 4.6 such arrays, so peak memory does not grow with N.  The slabs
-# allocate fresh arrays, like every other caller: ``certify --N 4`` in
-# process takes about 13 300 minor page faults and 0.04 to 0.1 s of system
-# time (3 runs, 2 vCPU).
+# 3.7 such arrays, so peak memory does not grow with N.  The slabs allocate
+# fresh arrays, like every other caller: in process, the first
+# ``certify --N 4`` takes about 78 000 minor page faults (0.14 to 0.2 s of
+# system time) and a repeat call 1 900 to 3 000 (getrusage, 2 vCPU).
 _SLAB_BYTES = 2 * 2 ** 20
 
 

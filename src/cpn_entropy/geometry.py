@@ -50,50 +50,22 @@ class GeometryJet:
 # metric values and exact derivative arrays
 
 
-def coordinate_jets(w: np.ndarray) -> list[Jet]:
-    """Jets of the complex chart coordinates over the 2N real variables."""
+def coordinate_jets(w: np.ndarray) -> Jet:
+    """Jet of the complex chart coordinates over the 2N real variables, of
+    value shape (N,)."""
     w = np.asarray(w, dtype=complex)
-    _, n = w.shape
-    d = 2 * n
-    jets = []
-    for a in range(n):
-        direction = np.zeros(d, dtype=complex)
-        direction[a] = 1.0
-        direction[n + a] = 1.0j
-        jets.append(Jet.variable(w[:, a], direction, d))
-    return jets
+    n = w.shape[1]
+    return Jet.variable(w, np.hstack([np.eye(n), 1j * np.eye(n)]), 2 * n)
 
 
 def homogeneous_jets(chart: int, w: np.ndarray) -> list[Jet]:
     """Jets of the N+1 homogeneous coordinates of chart points ``w``: the
     chart coordinates with the constant 1 inserted at index ``chart``."""
-    wj = coordinate_jets(w)
-    b, n = w.shape
+    coords = coordinate_jets(w)
+    b, n = coords.val.shape
+    wj = [coords[:, a] for a in range(n)]
     one = Jet.constant(np.ones(b, dtype=complex), 2 * n)
     return wj[:chart] + [one] + wj[chart:]
-
-
-def _hermitian_metric_jets(w: np.ndarray) -> list[list[Jet]]:
-    """Jets of H_ab = delta_ab/sigma - wbar_a w_b/sigma^2."""
-    wj = coordinate_jets(w)
-    n = len(wj)
-    sigma = None
-    for a in range(n):
-        term = wj[a].conj() * wj[a]
-        sigma = term if sigma is None else sigma + term
-    sigma = sigma + 1.0
-    inv_s = sigma.reciprocal()
-    inv_s2 = inv_s * inv_s
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            h = -(wj[a].conj() * wj[b]) * inv_s2
-            if a == b:
-                h = h + inv_s
-            row.append(h)
-        rows.append(row)
-    return rows
 
 
 def _write_real_blocks(out, src):
@@ -120,12 +92,22 @@ def _assemble_real_blocks(hval, hgrad, hhess):
 
 
 def metric_arrays(w: np.ndarray):
-    """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc."""
-    h = _hermitian_metric_jets(w)
-    return _assemble_real_blocks(*[
-        np.moveaxis(np.array([[getattr(jet, part) for jet in row]
-                              for row in h]), 2, 0)
-        for part in ("val", "grad", "hess")])
+    """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc.
+
+    H = I s - ubar u^T with s = 1/sigma and u = w s is one jet of value
+    shape (N, N); s goes onto its diagonal in place.
+    """
+    wj = coordinate_jets(w)
+    n = wj.val.shape[1]
+    sq = wj.conj() * wj
+    sigma = sum((sq[:, a] for a in range(1, n)), sq[:, 0]) + 1.0
+    s = sigma.reciprocal()
+    u = wj * s[:, None]
+    h = -u.conj()[:, :, None] * u[:, None, :]
+    diagonal = (slice(None), np.arange(n), np.arange(n))
+    for part, add in zip((h.val, h.grad, h.hess), (s.val, s.grad, s.hess)):
+        part[diagonal] += add[:, None]
+    return _assemble_real_blocks(h.val, h.grad, h.hess)
 
 
 def metric_values(w: np.ndarray) -> np.ndarray:
@@ -148,35 +130,38 @@ def metric_values(w: np.ndarray) -> np.ndarray:
 def _curvature_rows(g, dg, d2g):
     """(g_inv, Gamma, Riem, Ric, R) from metric derivative arrays.
 
-    Every output row depends only on the same input row.
+    Every contraction is one ``np.matmul`` of C-contiguous arrays, one gemm
+    per row, so every output row depends only on the same input row.
     """
+    b, d = g.shape[:2]
     g_inv = np.linalg.inv(g)
-    t = (dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3)
-         - dg.transpose(0, 3, 1, 2))
-    gamma = 0.5 * np.einsum("bkl,blij->bkij", g_inv, t)
-    # d_m g^kl = -g^ka (d_m g_ac) g^cl, contracted over a, then over c
-    dginv = -np.einsum("bkcm,bcl->bklm",
-                       np.einsum("bka,bacm->bkcm", g_inv, dg), g_inv)
-    dt = np.add(d2g.transpose(0, 2, 3, 1, 4), d2g.transpose(0, 2, 1, 3, 4))
-    dt -= d2g.transpose(0, 3, 1, 2, 4)
-    # dgamma = 0.5 * (dginv . t) + 0.5 * (g_inv . dt)
-    dgamma = np.einsum("bklm,blij->bmkij", dginv, t)
-    dgamma *= 0.5
-    term = np.einsum("bkl,blijm->bmkij", g_inv, dt)
-    term *= 0.5
-    dgamma += term
-    del dt, term  # two d2g-sized arrays fewer at the peak of fresh arrays
-    a1 = dgamma.transpose(0, 2, 1, 3, 4)          # d_i Gamma^l_jk
-    a2 = a1.transpose(0, 1, 3, 2, 4)              # d_j Gamma^l_ik
-    quad1 = np.einsum("blim,bmjk->blijk", gamma, gamma)
-    quad2 = quad1.transpose(0, 1, 3, 2, 4)
-    # riem = a1 - a2 + quad1 - quad2
-    riem = np.subtract(a1, a2)
-    riem += quad1
-    riem -= quad2
+    # t[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; Gamma^k_ij = g^kl t_lij / 2
+    t = np.add(dg.transpose(0, 2, 3, 1), dg.transpose(0, 2, 1, 3),
+               out=np.empty((b, d, d, d)))
+    t -= dg.transpose(0, 3, 1, 2)
+    t = t.reshape(b, d, d * d)
+    gamma = g_inv @ t
+    gamma *= 0.5
+    # dginv[k, m, l] = d_m g^kl = -g^ka (d_m g_ac) g^cl, over a, then over c
+    dginv = g_inv @ dg.transpose(0, 1, 3, 2).reshape(b, d, d * d)
+    dginv = dginv.reshape(b, d * d, d) @ g_inv
+    np.negative(dginv, out=dginv)
+    # dt[l, m, i, j] = d_m t_lij
+    dt = np.add(d2g.transpose(0, 2, 4, 3, 1), d2g.transpose(0, 2, 4, 1, 3),
+                out=np.empty((b, d, d, d, d)))
+    dt -= d2g.transpose(0, 3, 4, 1, 2)
+    # x[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk, where
+    # d_m Gamma^k_ij = (g^kl d_m t_lij + d_m g^kl t_lij) / 2
+    x = (g_inv @ dt.reshape(b, d, d ** 3)).reshape(dt.shape)
+    del dt  # one (2N)^4 array fewer while dginv @ t is formed
+    x += (dginv @ t).reshape(x.shape)
+    x *= 0.5
+    x += (gamma.reshape(b, d * d, d)
+          @ gamma.reshape(b, d, d * d)).reshape(x.shape)
+    riem = np.subtract(x, x.transpose(0, 1, 3, 2, 4))
     ric = np.einsum("biijk->bjk", riem)
     scal = np.einsum("bjk,bjk->b", g_inv, ric)
-    return g_inv, gamma, riem, ric, scal
+    return g_inv, gamma.reshape(b, d, d, d), riem, ric, scal
 
 
 def curvature_from_arrays(g, dg, d2g):

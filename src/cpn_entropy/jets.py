@@ -20,10 +20,12 @@ import numpy as np
 
 
 class Jet:
-    """Value / gradient / Hessian of a scalar over a batch of points.
+    """Value / gradient / Hessian of a field over a batch of points.
 
-    Shapes: ``val (B,)``, ``grad (B, D)``, ``hess (B, D, D)`` where ``D`` is
-    the number of real coordinates.  Payloads may be real or complex.
+    Shapes: ``val (B, *S)``, ``grad (B, *S, D)``, ``hess (B, *S, D, D)``
+    where ``D`` is the number of real coordinates and ``S`` the value shape,
+    empty for a scalar.  Jets of broadcastable value shapes combine
+    elementwise.  Payloads may be real or complex.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -36,22 +38,24 @@ class Jet:
     @classmethod
     def constant(cls, val, dim):
         val = np.asarray(val)
-        b = val.shape[0]
         dtype = val.dtype if val.dtype.kind == "c" else np.float64
         return cls(val.astype(dtype),
-                   np.zeros((b, dim), dtype=dtype),
-                   np.zeros((b, dim, dim), dtype=dtype))
+                   np.zeros(val.shape + (dim,), dtype=dtype),
+                   np.zeros(val.shape + (dim, dim), dtype=dtype))
 
     @classmethod
     def variable(cls, val, direction, dim):
-        """Seed a coordinate: ``direction`` is the (complex) gradient row."""
+        """Seed coordinates: ``direction`` is the gradient of ``val``."""
         val = np.asarray(val)
-        b = val.shape[0]
         direction = np.asarray(direction)
-        grad = np.broadcast_to(direction, (b, dim)).astype(direction.dtype).copy()
+        grad = np.broadcast_to(direction, val.shape + (dim,)).copy()
         dtype = np.result_type(val.dtype, direction.dtype)
         return cls(val.astype(dtype), grad.astype(dtype),
-                   np.zeros((b, dim, dim), dtype=dtype))
+                   np.zeros(val.shape + (dim, dim), dtype=dtype))
+
+    def __getitem__(self, index):
+        """The jet of ``val[index]``, for an index of batch and value axes."""
+        return Jet(self.val[index], self.grad[index], self.hess[index])
 
     # ---- arithmetic -----------------------------------------------------
 
@@ -70,11 +74,11 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self, other
             val = a.val * b.val
-            grad = a.val[:, None] * b.grad + b.val[:, None] * a.grad
-            hess = (a.val[:, None, None] * b.hess
-                    + b.val[:, None, None] * a.hess
-                    + a.grad[:, :, None] * b.grad[:, None, :]
-                    + b.grad[:, :, None] * a.grad[:, None, :])
+            grad = a.val[..., None] * b.grad + b.val[..., None] * a.grad
+            hess = (a.val[..., None, None] * b.hess
+                    + b.val[..., None, None] * a.hess
+                    + a.grad[..., :, None] * b.grad[..., None, :]
+                    + b.grad[..., :, None] * a.grad[..., None, :])
             return Jet(val, grad, hess)
         return Jet(self.val * other, self.grad * other, self.hess * other)
 
@@ -88,16 +92,17 @@ class Jet:
     def reciprocal(self):
         iv = 1.0 / self.val
         iv2 = iv * iv
-        grad = -self.grad * iv2[:, None]
-        outer = self.grad[:, :, None] * self.grad[:, None, :]
-        hess = -self.hess * iv2[:, None, None] + 2.0 * outer * (iv2 * iv)[:, None, None]
+        grad = -self.grad * iv2[..., None]
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
+        hess = (-self.hess * iv2[..., None, None]
+                + 2.0 * outer * (iv2 * iv)[..., None, None])
         return Jet(iv, grad, hess)
 
     def log(self):
         iv = 1.0 / self.val
-        grad = self.grad * iv[:, None]
-        outer = self.grad[:, :, None] * self.grad[:, None, :]
-        hess = self.hess * iv[:, None, None] - outer * (iv * iv)[:, None, None]
+        grad = self.grad * iv[..., None]
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
+        hess = self.hess * iv[..., None, None] - outer * (iv * iv)[..., None, None]
         return Jet(np.log(self.val), grad, hess)
 
     def conj(self):

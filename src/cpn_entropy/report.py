@@ -180,11 +180,15 @@ def _certificate_holds(checks: list, cert: dict, table: dict) -> bool:
 
     The record names are the table's, in its order.  ``hbar_prime``'s
     tolerance is the table's scaled by max(1, |detail.closed|), so its
-    residual must be |detail.quadrature - detail.closed|.  The two
-    records with no tolerance are the ``third_variation_nonzero`` floor,
-    which passes exactly when |detail.value| exceeds the table's floor, and
-    the final ``verdict``, which passes exactly when every other record
-    passes, as the certificate's verdict states.
+    residual must be |detail.quadrature - detail.closed|.
+    ``third_variation_exact``'s residual must be |nu3 - exact| / |exact|,
+    from the ``third_variation_nonzero`` record's detail.value and the
+    tree's ``third_variation.exact_rational``; a null exact rational gives
+    a null residual, so a failing record.  The two records with no
+    tolerance are the ``third_variation_nonzero`` floor, which passes
+    exactly when |detail.value| exceeds the table's floor, and the final
+    ``verdict``, which passes exactly when every other record passes, as
+    the certificate's verdict states.
     """
     if [rec.get("name") for rec in checks] != list(table):
         return False
@@ -203,6 +207,11 @@ def _certificate_holds(checks: list, cert: dict, table: dict) -> bool:
     nu3 = by_name["third_variation_nonzero"]
     value = nu3.get("detail", {}).get("value")
     above = value is not None and abs(float(value)) > floor
+    exact = _leaf(cert.get("third_variation", {}).get("exact_rational"))
+    if by_name["third_variation_exact"]["residual"] != (
+            abs(value - float(exact)) / abs(float(exact))
+            if exact and value is not None else None):
+        return False
     gated = all(rec["status"] == "pass" for rec in checks[:-1])
     return (above == (nu3["status"] == "pass")
             and (checks[-1]["status"] == "pass") == gated

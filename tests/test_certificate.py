@@ -318,13 +318,19 @@ def test_third_variation_exact_kills_the_prefactor_mutants(mutant, recorded,
     assert cert["verdict"] == "inconclusive"
 
 
-def test_no_exact_rational_fails_third_variation_exact(recorded, monkeypatch):
+def test_no_exact_rational_fails_third_variation_exact(recorded, monkeypatch,
+                                                       capsys):
     *_, outputs = recorded
     _replay(monkeypatch, outputs, ("third_variation", lambda tv: {
         **tv, "exact_rational": None}))
     checks, cert = certify_n2()
     assert _failing(checks) == ["third_variation_exact", "verdict"]
     assert cert["verdict"] == "inconclusive"
+    # its report, with a null residual, is consistent
+    assert main(["certify", "--N", "2"]) == 1
+    report = parse_report(capsys.readouterr().out)
+    assert _record(report, "third_variation_exact")["residual"] is None
+    assert reverify(report)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -456,12 +462,24 @@ def _forge_closed(report):
     rec["tolerance"] = CERTIFICATE_CHECKS["hbar_prime"].tolerance * 1e6
 
 
+def _double_nu3(report):
+    """nu3 doubled in the floor record, which it still clears; the
+    third_variation_exact record is left as it was."""
+    _record(report, "third_variation_nonzero")["detail"]["value"] *= 2
+
+
+def _null_exact_rational(report):
+    report["certificate"]["third_variation"]["exact_rational"] = None
+
+
 # Each tampered report keeps every record's status consistent with its own
 # residual and tolerance, and the verdict with the statuses.
 TAMPERINGS = {"loosened_tolerance": _loosen, "null_tolerance": _null_tolerance,
               "dropped_record": _drop, "verdict_only": _verdict_only,
               "swapped_records": _swap, "changed_identity": _reword,
-              "forged_hbar_closed": _forge_closed}
+              "forged_hbar_closed": _forge_closed,
+              "doubled_nu3_value": _double_nu3,
+              "null_exact_rational": _null_exact_rational}
 
 
 @pytest.mark.parametrize("tamper", list(TAMPERINGS))

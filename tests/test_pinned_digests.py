@@ -55,22 +55,22 @@ def _skip_unless_baseline_build():
 # The seed-1 calls of the certify-small, suites and certify-n4 workloads.
 SEED1_DIGESTS = {
     ("certify", "--N", "2", "--seed", "1"):
-        "9b2d1f896ffbe3ebef2d08b6c0bf0d58f408252ae4115694153b01de000efd28",
+        "1ec8021e05de5179874ffff8792d7a0333b5378cf52b2e1d0ea3dcbed528789d",
     ("certify", "--N", "3", "--seed", "1"):
-        "b42e5eea4a8a6d20c63e345931afc75260f367b28f5ebb4ae0a506db1ab1ff58",
+        "bfc7899815c086333af94395d533a59090039dd5179e2681fb6aa58edb120ebb",
     ("geometry", "--N", "3", "--seed", "1"):
-        "826ad553844d271f78f1d3d65d2397b4fe6c927f466c97a2565b788df9712d58",
+        "74b7deeafac95054a49e547c639750b327ea850f6ce08554c09dc2efdbfa9817",
     ("eigen", "--N", "3", "--seed", "1"):
-        "7d510aed3d7d6b97cf53c682327db74328fcf7c461a6a6c14b07d368eb1b9e8e",
+        "be2c5f9e27acd69b183966ad6a719bad0a3a7850085f7bbcc0d7219990d7f20d",
     ("variation", "--N", "2", "--seed", "1"):
-        "b174e82d49c45dbc4f4307cfcf09e61517bba4b9a1163bfbe3eb57e598fbb2ed",
+        "979a89a26b5374c7371a4bd8cb66cf8a95e4dcbe70ddd23c989517926a004756",
     ("algebra", "--n", "symbolic", "--orders", "100", "--seed", "1"):
         "2a143bdbeae971a91abc5487ba0b6cc001f23ef358d94476d38e370e4496580e",
     ("moments", "--N", "2", "--mc-samples", "1000000", "--seed", "1"):
         "4116d56841b2dc4a60ffe4e11cc5641bc6388bc506737c8f480e84130f738c6a",
-    # the headline N, about 2.5 s
+    # the headline N, about 0.6 s
     ("certify", "--N", "4", "--seed", "1"):
-        "ddd27f32054b33445e1472309a17c1a29b1c480da693a3c2ae89f2f3fe6fec08",
+        "3612839112b96530d8c6d5f66e03132ac56429b9926d336b634c7ada0b82359f",
 }
 
 
@@ -86,7 +86,7 @@ def test_mutated_variation_digest():
     argv = ["variation", "--N", "2", "--seed", "1",
             "--mutate", "laplacian:1:grad"]
     assert _exit_and_digest(argv) == (
-        1, "1be17ffce01d896febd60be6a1bd3bd0c3c962d1d38ccb5e2b99c8ea090a0515")
+        1, "6f762f4221818e50bbb7488427daa0c44841051124498cdb325fc7916871caa3")
 
 
 def test_moments_n3_digest():
