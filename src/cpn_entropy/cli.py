@@ -34,7 +34,7 @@ from .moments import (_VOLUME_LEVELS, cpn_volume, cpn_volume_closed_form,
                       polynomial_average, symmetry_vanishing)
 from .polynomials import (BihomogeneousPolynomial, full_harmonic_expansion,
                           special_cubic_polynomial)
-from .quadrature import chart_nodes, exact_orders, level_orders
+from .quadrature import chart_nodes, exact_orders, level_orders, rule_size
 from .report import build_report, check, gate, report_bytes
 from .rewrite import (IntegralExpr, PHI3, confluence_check, reduce_third_variation,
                       ricci_second_variation_coefficients,
@@ -55,17 +55,20 @@ EXIT_USAGE = 2
 _BATCH_BYTES_LIMIT = 2 ** 30
 _BATCH_PEAK_ARRAYS = 10
 _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
-# (n_u, n_theta) of eigen's Gram quadrature: phi_A phi_B has degree 2, so
+# (n_u, torus) of eigen's Gram quadrature: phi_A phi_B has degree 2, so
 # the rule is exact.  Its node matrix, phi of every basis form at every
-# node, is held once (each chunk's columns are written in place) and counts
-# against the same byte limit.
+# node (``quadrature.rule_size``: 2^N M, 336 at N = 4), is held once (each
+# chunk's columns are written in place) and counts against the same byte
+# limit.
 _GRAM_ORDERS = exact_orders(2)
-# Nodes the fixed quadratures of a run may take.  The volume quadrature of
-# moments evaluates levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5
-# (2.4 s on a 2-vCPU Xeon VM), 4.3e9 at N = 6.  Those of certify, the
-# sweep's two rules and levels 1 and 2 of int phi^3, take 1.1e8 nodes at
-# N = 5 and 4.3e9 at N = 6, nearly all of them the int phi^3 levels.  The
-# Monte Carlo samples of moments count against the same limit.
+# Nodes the fixed quadratures of a run may take, each counted by
+# ``quadrature.rule_size``.  The volume quadrature of moments evaluates
+# levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5 (2.4 s on a 2-vCPU
+# Xeon VM), 4.3e9 at N = 6.  Those of certify, the sweep's two lattice
+# rules (2 x 2^N M: 1984 at N = 5, 6144 at N = 6) and levels 1 and 2 of
+# int phi^3, take 1.1e8 nodes at N = 5 and 4.3e9 at N = 6, all but those
+# few thousand the int phi^3 levels.  The Monte Carlo samples of moments
+# count against the same limit.
 _VOLUME_NODES_LIMIT = 10 ** 9
 # Bytes per cell of geometry's nested-dual oracle (potential_metric_arrays),
 # which holds (2N)^4 fourth-order cells at one point whatever --points:
@@ -239,7 +242,7 @@ def cmd_eigen(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     spec = CERTIFICATE_CHECKS["eigen_residual"]
     checks.append(gate("eigen_residual", spec.identity, resid, spec.tolerance,
                        spec.provenance, detail={"eigenvalue": 1.0 / tau}))
-    nodes = math.prod(_GRAM_ORDERS) ** N
+    nodes = int(rule_size(N, *_GRAM_ORDERS))
     v = np.empty((nodes, dim))
     wts = np.empty(nodes)
     start = 0
@@ -530,10 +533,10 @@ def _check_bytes(what: str, N: int, need: int) -> None:
 
 
 def _check_nodes(what: str, N: int, orders) -> None:
-    """Refuse chart quadratures at ``orders``, (n_u, n_theta) pairs, whose
-    nodes at N exceed the node limit."""
+    """Refuse chart quadratures at ``orders``, (n_u, torus) pairs, whose
+    nodes at N (``quadrature.rule_size``) exceed the node limit."""
     try:
-        nodes = sum(float(math.prod(pair)) ** N for pair in orders)
+        nodes = sum(rule_size(N, *pair) for pair in orders)
     except OverflowError:
         nodes = math.inf
     if nodes > _VOLUME_NODES_LIMIT:
@@ -554,7 +557,7 @@ def _check_size(command: str, cfg: RunConfig) -> None:
                      (2 * N) ** 4 * _DUAL_CELL_BYTES)
     if command == "eigen":  # N <= 30 here: the curvature batch refuses more
         _check_bytes("the Gram node matrix", cfg.N,
-                     math.prod(_GRAM_ORDERS) ** N * N * (N + 2) * 8)
+                     rule_size(N, *_GRAM_ORDERS) * N * (N + 2) * 8)
     if command == "moments":
         _check_nodes("the volume quadrature", N, map(
             level_orders, range(1, _VOLUME_LEVELS + 1)))

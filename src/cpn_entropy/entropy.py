@@ -44,7 +44,8 @@ from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
 from .quadrature import (adaptive_cpn_integral, chart_nodes, exact_orders,
-                         level_orders, witness_nodes)
+                         lattice_generator, level_orders, rule_size,
+                         witness_nodes)
 from .report import check, gate
 
 
@@ -144,10 +145,11 @@ _SWEEP_DEGREE = 2
 
 
 def _certify_quadratures(N: int) -> tuple:
-    """(n_u, n_theta) of every quadrature ``certify`` runs at N whatever
-    its integrands: the sweep on its exact rule and on the moved rule, and
-    the first two levels of the adaptive int phi^3.  Each takes
-    (n_u * n_theta)^N nodes."""
+    """(n_u, torus) of every quadrature ``certify`` runs at N whatever its
+    integrands: the sweep on its exact rule and on the moved rule, and the
+    first two levels of the adaptive int phi^3.  Each takes
+    ``quadrature.rule_size`` nodes: n_u^N M on the lattice of the sweep,
+    (n_u n_theta)^N on the uniform grid of a level."""
     return (exact_orders(_SWEEP_DEGREE), exact_orders(_SWEEP_DEGREE),
             level_orders(1), level_orders(2))
 
@@ -157,8 +159,8 @@ def _certify_quadratures(N: int) -> tuple:
 # only on N, so no result depends on the machine.  A slab peaks at about
 # 3.7 such arrays, so peak memory does not grow with N.  The slabs allocate
 # fresh arrays, like every other caller: in process, the first
-# ``certify --N 4`` takes about 78 000 minor page faults (0.14 to 0.2 s of
-# system time) and a repeat call 1 900 to 3 000 (getrusage, 2 vCPU).
+# ``certify --N 4`` takes about 24 000 minor page faults (0.06 s of system
+# time) and a repeat call about 3 500 (getrusage, 2 vCPU).
 _SLAB_BYTES = 2 * 2 ** 20
 
 
@@ -340,10 +342,10 @@ class Gate(NamedTuple):
 # max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
 # must exceed.  quadrature_witness gates the largest absolute difference
 # between a quadrature value and the same value on its witness, the rule
-# moved by an isometry: at most 2.7e-15 at N = 2..4 and 9.8e-15 at N = 5,
-# while content the rule gets wrong, such as t_1^4, moves it by 9e-4 or
-# more.  third_variation_exact's relative residual is at most 2.9e-15 at
-# N = 2..5.  The final verdict record is the conjunction of the others.
+# moved by an isometry: at most 2.5e-15 at N = 2..5, while content the
+# rule gets wrong, such as t_1^4, moves it by 8.9e-4 or more.
+# third_variation_exact's relative residual is at most 2.9e-15 at N = 2..5.
+# The final verdict record is the conjunction of the others.
 CERTIFICATE_CHECKS = {
     "eigen_residual": Gate("(lap + 1/tau) phi = 0", 1e-8, "pointwise"),
     "v_solution": Gate("v = 2 phi solves (lap + 1/(2 tau)) v = div div h",
@@ -376,13 +378,16 @@ def _gate(name: str, residual: float, scale: float = 1.0) -> dict:
 
 def _witness_record(N: int, firsts: dict, nu2_err: float) -> dict:
     """The ``quadrature_witness`` record.  Every quadrature value comes from
-    the sweep, so its detail gives the sweep's rule once, as (n_u, n_theta),
-    node count and exactness degree, then the witness rule, the same rule
-    with the isometry that moves it, and then each value's difference from
-    the witness rule; the residual is the largest difference."""
-    n_u, n_theta = exact_orders(_SWEEP_DEGREE)
-    rule = {"orders": [n_u, n_theta], "nodes": (n_u * n_theta) ** N,
-            "degree": _SWEEP_DEGREE}
+    the sweep, so its detail gives the sweep's rule once: its sticks n_u,
+    its torus lattice as M points with generator z, its node count and
+    exactness degree; then the witness rule, the same rule with the
+    isometry that moves it, and then each value's difference from the
+    witness rule.  The residual is the largest difference."""
+    n_u, torus = exact_orders(_SWEEP_DEGREE)
+    points, generator = lattice_generator(N, torus.degree)
+    rule = {"n_u": n_u, "torus": {"points": points,
+                                  "generator": list(generator)},
+            "nodes": int(rule_size(N, n_u, torus)), "degree": _SWEEP_DEGREE}
     witness = firsts["witness"]
     differences = {name: abs(firsts[name] - witness[name])
                    for name in witness} | {"second_variation": nu2_err}
@@ -391,7 +396,7 @@ def _witness_record(N: int, firsts: dict, nu2_err: float) -> dict:
     return _gate("quadrature_witness", largest) | {"detail": {
         "rule": rule, "witness_rule": rule | {"move": (
             "[z_0 : z_1 : ... : z_N] -> [z_0 : c z_N : ... : c z_1], "
-            "c = exp(i pi / n_theta)")},
+            "c = exp(i pi / M)")},
         "differences": differences}}
 
 

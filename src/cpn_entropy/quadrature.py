@@ -7,19 +7,30 @@ under t_0 = 1/sigma, t_j = |w_j|^2/sigma, theta_j = arg w_j into
 
 where Delta^N is the Euclidean simplex {t_j >= 0, sum t_j <= 1} and T^N the
 torus of relative phases.  The rule is Stroud's conical product (A. H.
-Stroud, *Approximate Calculation of Multiple Integrals*, 1971): the simplex
-is broken into sticks u_0..u_{N-1}, whose Jacobian prod (1 - u_i)^(N-1-i)
-is the weight of a Gauss-Jacobi rule in u_i (nodes by Golub-Welsch), and
-the torus takes uniform grids.  A polynomial of degree d in the first
-eigenfunctions, such as phi^q for q <= d, has torus modes |m_j| <= d and
-degree at most d in each u_i, so ``exact_orders(d)`` integrates it exactly
-whatever N is.  Sphere Monte Carlo (``moments.monte_carlo_average``) is
-the independent oracle.
+Stroud, *Approximate Calculation of Multiple Integrals*, 1971) on the
+simplex times a rule on the torus.  The simplex is broken into sticks
+u_0..u_{N-1}, whose Jacobian prod (1 - u_i)^(N-1-i) is the weight of a
+Gauss-Jacobi rule in u_i (nodes by Golub-Welsch).
+
+A polynomial of degree d in the first eigenfunctions, such as phi^q for
+q <= d, has degree at most d in each u_i and carries only the torus
+characters m = (e_{j_1} + ... + e_{j_d}) - (e_{i_1} + ... + e_{i_d}), with
+e_0 = 0.  ``exact_orders(d)`` takes the torus factor to be the rank-1
+lattice theta_k = 2 pi (k z mod M) / M, k = 0..M-1 (I. H. Sloan and S. Joe,
+*Lattice Methods for Multiple Integration*, 1994).  It integrates the
+character m exactly when m.z = 0 mod M only for m = 0, that is when the
+d-fold sums of {0, z_1, ..., z_N} are distinct mod M (a B_d set).  So the
+rule is exact for degree d whatever N is.  At d = 2 and N = 2..6 the
+tabled moduli M are the smallest possible, about N^2 (``_B_D_SETS``),
+against the 3^N points of a uniform grid exact for the same degree.
+Sphere Monte Carlo (``moments.monte_carlo_average``) is the independent
+oracle.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +56,36 @@ def gauss_jacobi(n: int, a: int):
     return nodes, vectors[0] ** 2 / (a + 1.0)
 
 
-def exact_orders(d: int) -> tuple[int, int]:
-    """(n_u, n_theta) of the chart rule exact for integrands of degree d."""
-    return (d + 2) // 2, d + 1
+class Lattice(NamedTuple):
+    """The torus factor of ``exact_orders(degree)``: at each N the rank-1
+    lattice of ``lattice_generator(N, degree)``."""
+
+    degree: int
+
+
+# (N, d) -> (M, z): {0, z_1, ..., z_N} is a B_d set mod M with M the
+# smallest modulus that has one (found by exhaustive search; searching at
+# run time would take seconds at N = 6).
+_B_D_SETS = {
+    (2, 2): (7, (1, 3)),
+    (3, 2): (13, (1, 3, 9)),
+    (4, 2): (21, (1, 4, 14, 16)),
+    (5, 2): (31, (1, 3, 8, 12, 18)),
+    (6, 2): (48, (1, 3, 15, 20, 38, 42)),
+}
+
+
+def lattice_generator(N: int, d: int) -> tuple[int, tuple[int, ...]]:
+    """(M, z) of the rank-1 lattice on T^N exact for degree d: a tabled
+    B_d set, else the digits z_j = (d+1)^(j-1), M = (d+1)^N, whose d-fold
+    sums are distinct by their base-(d+1) digits."""
+    return _B_D_SETS.get((N, d), ((d + 1) ** N,
+                                  tuple((d + 1) ** j for j in range(N))))
+
+
+def exact_orders(d: int) -> tuple[int, Lattice]:
+    """(n_u, torus) of the chart rule exact for integrands of degree d."""
+    return (d + 2) // 2, Lattice(d)
 
 
 def simplex_rule(N: int, n_u: int):
@@ -80,15 +118,43 @@ def torus_grid(N: int, n_theta: int):
     return pts, (2.0 * math.pi / n_theta) ** N
 
 
-def chart_nodes(N: int, n_u: int, n_theta: int, max_chunk: int = 8192):
+def torus_lattice(N: int, d: int):
+    """Rank-1 lattice theta_k = 2 pi (k z mod M) / M, k = 0..M-1, on T^N
+    with per-node weight (2 pi)^N / M, for (M, z) = lattice_generator(N, d)."""
+    M, z = lattice_generator(N, d)
+    pts = 2.0 * math.pi * (np.outer(np.arange(M), z) % M) / M
+    return pts, (2.0 * math.pi) ** N / M
+
+
+def torus_modulus(N: int, torus) -> int:
+    """M such that every angle of the torus factor ``torus``, a ``Lattice``
+    or the points per angle of a uniform grid, is a multiple of 2 pi / M."""
+    if isinstance(torus, Lattice):
+        return lattice_generator(N, torus.degree)[0]
+    return torus
+
+
+def rule_size(N: int, n_u: int, torus) -> float:
+    """Nodes of the chart rule (n_u, torus) at N: n_u^N simplex nodes times
+    M lattice points or torus^N grid points.  A float, so that a count too
+    large to hold raises OverflowError at once."""
+    points = (lattice_generator(N, torus.degree)[0]
+              if isinstance(torus, Lattice) else float(torus) ** N)
+    return float(n_u) ** N * points
+
+
+def chart_nodes(N: int, n_u: int, torus, max_chunk: int = 8192):
     """Chart-0 nodes and absolute dV weights, in vectorized chunks.
 
+    ``torus`` is a ``Lattice`` or the points per angle of a uniform grid.
     Yields (w, weights) pairs with w complex of shape (B, N) and
     B <= max(max_chunk, n_u^N); the union of all chunks is the full
     simplex x torus product rule.
     """
     t, tw = simplex_rule(N, n_u)
-    theta, theta_weight = torus_grid(N, n_theta)
+    theta, theta_weight = (torus_lattice(N, torus.degree)
+                           if isinstance(torus, Lattice)
+                           else torus_grid(N, torus))
     radial = np.sqrt(t[:, 1:] / t[:, :1])
     scale = 2.0 ** (-N) * theta_weight
     n_simplex = radial.shape[0]
@@ -100,25 +166,26 @@ def chart_nodes(N: int, n_u: int, n_theta: int, max_chunk: int = 8192):
         yield w, weights
 
 
-def witness_nodes(N: int, n_u: int, n_theta: int):
+def witness_nodes(N: int, n_u: int, torus):
     """The ``chart_nodes`` rule moved by U [z_0 : z_1 : ... : z_N] =
-    [z_0 : c z_N : ... : c z_1], c = e^{i pi / n_theta}, an isometry of g_FS
-    that reverses the stick order and shifts every torus angle by half a
-    grid step.  With the rule's weights each sum is Q(f o U), exact wherever
-    the rule is, and no node is a node of the rule."""
-    c = np.exp(1j * math.pi / n_theta)
-    for w, weights in chart_nodes(N, n_u, n_theta):
+    [z_0 : c z_N : ... : c z_1], c = e^{i pi / M} with M the
+    ``torus_modulus``, an isometry of g_FS that reverses the stick order
+    and shifts every torus angle by half a lattice or grid step.  With the
+    rule's weights each sum is Q(f o U), exact wherever the rule is, and no
+    node is a node of the rule."""
+    c = np.exp(1j * math.pi / torus_modulus(N, torus))
+    for w, weights in chart_nodes(N, n_u, torus):
         yield w[:, ::-1] * c, weights
 
 
-def cpn_integral(func, N: int, n_u: int, n_theta: int) -> float:
+def cpn_integral(func, N: int, n_u: int, torus) -> float:
     """int_{CP^N} func dV with func acting on (B, N) complex chart batches.
 
     Each ``chart_nodes`` chunk is summed with one ``np.dot``, in chunk
     order, which fixes the bits.
     """
     total = 0.0
-    for w, weights in chart_nodes(N, n_u, n_theta):
+    for w, weights in chart_nodes(N, n_u, torus):
         total += float(np.dot(weights, np.asarray(func(w), dtype=float)))
     return total
 

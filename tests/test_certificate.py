@@ -90,14 +90,23 @@ def _radial(w):
 
 
 def _mode_3(w):
-    """Re(w_1^3) / sigma^3: the rule's three phases of theta_1 alias it."""
-    return (w[:, 0] ** 3).real / _sigma(w) ** 3
+    """Re(conj(w_1) conj(w_2)^2) / sigma^3: its character -e_1 - 2 e_2 meets
+    the rule's lattice generator (1, 3) in -7 = 0 mod 7, so the rule aliases
+    it (0.103), while the moved rule's (3, 1) gives -5 and integrates it
+    exactly."""
+    return (np.conj(w[:, 0]) * np.conj(w[:, 1]) ** 2).real / _sigma(w) ** 3
 
 
 def _mode_4(w):
-    """Re(w_1^4) / sigma^4: three phases cancel e^(4 i theta_1), so the rule
-    integrates it exactly."""
+    """Re(w_1^4) / sigma^4: 4 z_1 = 4, not 0 mod 7, so the rule integrates
+    it exactly, and so does the moved rule."""
     return (w[:, 0] ** 4).real / _sigma(w) ** 4
+
+
+def _mode_4_on_z_2(w):
+    """Re(w_2^4) / sigma^4, which the rule and the moved rule integrate
+    exactly too."""
+    return (w[:, 1] ** 4).real / _sigma(w) ** 4
 
 
 def _with_content(content):
@@ -282,10 +291,11 @@ def test_the_witness_one_degree_higher_saw_less():
     rule, moved = _on_the_sweep_rules(_radial)
     higher = cpn_integral(_radial, 2, *exact_orders(3))
     assert abs(higher - rule) < 1e-15 and abs(moved - rule) > 1e-3
-    # and its four phases of theta_1 alias mode 4, which the rule and the
-    # moved rule integrate exactly: its 0.049 was its own error
-    rule, moved = _on_the_sweep_rules(_mode_4)
-    higher = cpn_integral(_mode_4, 2, *exact_orders(3))
+    # and its 16-point lattice, generator (1, 4), aliases 4 e_2 (4 z_2 = 16),
+    # which the rule and the moved rule integrate exactly: a difference of
+    # 0.045 there would be its own error
+    rule, moved = _on_the_sweep_rules(_mode_4_on_z_2)
+    higher = cpn_integral(_mode_4_on_z_2, 2, *exact_orders(3))
     assert abs(rule) < 1e-16 and abs(moved - rule) < 1e-16
     assert abs(higher - rule) > 0.04
 

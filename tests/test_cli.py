@@ -231,11 +231,31 @@ def test_certify_quadratures_at_n5_fit(monkeypatch):
     assert main(["certify", "--N", "5"]) == 0
     assert len(calls) == 1
     # the same limit refuses them once it is one node lower: the sweep on
-    # its exact rule and on the moved rule, and levels 1 and 2 of int phi^3
+    # its 2^5 x 31-node lattice rule and on the moved rule, and levels 1
+    # and 2 of int phi^3
     monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT",
-                        6 ** 5 + 6 ** 5 + 24 ** 5 + 40 ** 5 - 1)
+                        2 * 2 ** 5 * 31 + 24 ** 5 + 40 ** 5 - 1)
     assert main(["certify", "--N", "5"]) == 2
     assert len(calls) == 1
+
+
+def test_certify_n6_is_refused_by_the_int_phi3_levels(monkeypatch, capsys):
+    calls = _verb_spy(monkeypatch, "certify")
+    assert main(["certify", "--N", "6"]) == 2
+    assert calls == []
+    # the count it names is levels 1 and 2 of int phi^3, 24^6 + 40^6 nodes,
+    # plus the sweep's two lattice rules of 2^6 x 48 nodes each
+    sweep, levels = 2 * 2 ** 6 * 48, 24 ** 6 + 40 ** 6
+    assert capsys.readouterr().err == (
+        f"error: the fixed quadrature of certify at N = 6 needs "
+        f"{sweep + levels:.3g} nodes, more than the 1e+09 node limit\n")
+    assert sweep + levels == sum(cli.rule_size(6, *orders)
+                                 for orders in cli._certify_quadratures(6))
+    # without the levels the sweep's rules fit
+    rules = cli._certify_quadratures(6)
+    assert rules[:2] == (cli.exact_orders(2),) * 2
+    monkeypatch.setattr(cli, "_certify_quadratures", lambda N: rules[:2])
+    cli._check_size("certify", cli.RunConfig(N=6))
 
 
 @pytest.mark.parametrize("N", ["2", "3"])
@@ -248,9 +268,9 @@ def test_certify_node_limit_counts_the_rules_that_run(N, monkeypatch,
     rules = []
     original = quadrature.chart_nodes
 
-    def spy(N, n_u, n_theta, *args, **kwargs):
-        rules.append((n_u, n_theta))
-        return original(N, n_u, n_theta, *args, **kwargs)
+    def spy(N, n_u, torus, *args, **kwargs):
+        rules.append((n_u, torus))
+        return original(N, n_u, torus, *args, **kwargs)
 
     for key, module in list(sys.modules.items()):
         if key.startswith("cpn_entropy."):
@@ -263,8 +283,9 @@ def test_certify_node_limit_counts_the_rules_that_run(N, monkeypatch,
 
 
 def test_eigen_gram_matrix_that_cannot_fit_exits_2(monkeypatch, capsys):
-    # the exact degree-2 rule takes 6^N nodes: at N = 8 the Gram node matrix
-    # outgrows the curvature batch
+    # no B_2 set is tabled at N = 8, so the exact degree-2 rule takes the
+    # digit lattice, 2^8 x 3^8 = 6^8 nodes: the Gram node matrix outgrows
+    # the curvature batch
     calls = _verb_spy(monkeypatch, "eigen")
     assert main(["eigen", "--N", "8"]) == 2
     assert calls == []

@@ -55,22 +55,22 @@ def _skip_unless_baseline_build():
 # The seed-1 calls of the certify-small, suites and certify-n4 workloads.
 SEED1_DIGESTS = {
     ("certify", "--N", "2", "--seed", "1"):
-        "1ec8021e05de5179874ffff8792d7a0333b5378cf52b2e1d0ea3dcbed528789d",
+        "7adce237317f034f5070edf4b1cc09750448ad9cb4325b05e3977d093b6fc56d",
     ("certify", "--N", "3", "--seed", "1"):
-        "bfc7899815c086333af94395d533a59090039dd5179e2681fb6aa58edb120ebb",
+        "4885fee24eb409c78edf23deeaa1fd45302f26dea16d25c36dd1ad45890d957f",
     ("geometry", "--N", "3", "--seed", "1"):
         "74b7deeafac95054a49e547c639750b327ea850f6ce08554c09dc2efdbfa9817",
     ("eigen", "--N", "3", "--seed", "1"):
-        "be2c5f9e27acd69b183966ad6a719bad0a3a7850085f7bbcc0d7219990d7f20d",
+        "1c00c127d7678a6e7e7eaf6d5cd4e854f2bb84537591ca1504aa1a400198dff3",
     ("variation", "--N", "2", "--seed", "1"):
         "979a89a26b5374c7371a4bd8cb66cf8a95e4dcbe70ddd23c989517926a004756",
     ("algebra", "--n", "symbolic", "--orders", "100", "--seed", "1"):
         "2a143bdbeae971a91abc5487ba0b6cc001f23ef358d94476d38e370e4496580e",
     ("moments", "--N", "2", "--mc-samples", "1000000", "--seed", "1"):
         "4116d56841b2dc4a60ffe4e11cc5641bc6388bc506737c8f480e84130f738c6a",
-    # the headline N, about 0.6 s
+    # the headline N, about 0.4 s
     ("certify", "--N", "4", "--seed", "1"):
-        "3612839112b96530d8c6d5f66e03132ac56429b9926d336b634c7ada0b82359f",
+        "c8dbefda01b564fcb7006cdd033f668b68474554e64d12a5c08a06bdb3ea97f2",
 }
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from cpn_entropy.eigenfunctions import phi_values_batch, special_phi
 from cpn_entropy.moments import (cpn_average, cpn_volume_closed_form,
                                  polynomial_average)
 from cpn_entropy.polynomials import BihomogeneousPolynomial
-from cpn_entropy.quadrature import (adaptive_cpn_integral, chart_nodes,
-                                    cpn_integral, exact_orders, gauss_jacobi,
-                                    simplex_rule, torus_grid, witness_nodes)
+from cpn_entropy.quadrature import (_B_D_SETS, Lattice, adaptive_cpn_integral,
+                                    chart_nodes, cpn_integral, exact_orders,
+                                    gauss_jacobi, lattice_generator,
+                                    rule_size, simplex_rule, torus_grid,
+                                    torus_lattice, witness_nodes)
 
 
 @pytest.mark.parametrize("a", range(6))
@@ -28,20 +31,65 @@ def test_gauss_jacobi_integrates_beta_moments(a):
 
 def test_exact_orders():
     assert [exact_orders(d) for d in range(6)] == [
-        (1, 1), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6)]
+        (1, Lattice(0)), (1, Lattice(1)), (2, Lattice(2)), (2, Lattice(3)),
+        (3, Lattice(4)), (3, Lattice(5))]
+    # the sweep's degree-2 rule: 2^N sticks times M lattice points
+    assert [rule_size(N, *exact_orders(2)) for N in range(2, 7)] == [
+        4 * 7, 8 * 13, 16 * 21, 32 * 31, 64 * 48]
+    assert rule_size(2, 4, 6) == 16 * 36
+
+
+def _is_b_d(M, z, d):
+    """The d-fold sums of {0, z_1, ..., z_N}, one per multiset, are
+    distinct mod M."""
+    sums = [sum(multiset) % M
+            for multiset in combinations_with_replacement((0,) + z, d)]
+    return len(set(sums)) == len(sums)
+
+
+def test_lattice_generators_are_b_d_sets():
+    for (N, d), (M, z) in _B_D_SETS.items():
+        assert len(z) == N and _is_b_d(M, z, d), (N, d)
+        # fewer points than the uniform grid exact for the same degree
+        assert M < (d + 1) ** N
+    # the digit lattice, for every (N, d) not in the table
+    for N in range(1, 6):
+        for d in range(5):
+            if (N, d) not in _B_D_SETS:
+                M, z = lattice_generator(N, d)
+                assert M == (d + 1) ** N and _is_b_d(M, z, d), (N, d)
+    # and the check sees an aliased sum: 0 + 2 = 1 + 1
+    assert not _is_b_d(7, (1, 2), 2)
+
+
+def test_torus_lattice_weight():
+    pts, weight = torus_lattice(4, 2)
+    assert pts.shape == (21, 4)
+    assert abs(weight * 21 - (2 * math.pi) ** 4) < 1e-12
+    # the generator's multiples mod M, in units of 2 pi / M
+    steps = np.rint(pts * 21 / (2 * math.pi)).astype(int)
+    assert np.array_equal(steps, np.outer(np.arange(21), (1, 4, 14, 16)) % 21)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_chart_rule_is_exact_for_phi_powers(N):
-    # phi^q has degree q: the moments engine gives its exact average
+    # phi^q has degree q: on the rule exact for degree d >= q the moments
+    # engine gives its exact average
     form = special_phi(N)
     power = BihomogeneousPolynomial.from_form(form)
-    for q in range(1, 5):
-        exact = (cpn_average(q, form, N) if q <= 3
-                 else polynomial_average(N + 1, power.power(q)))
-        value = cpn_integral(lambda w: phi_values_batch(form, 0, w) ** q, N,
-                             *exact_orders(q)) / cpn_volume_closed_form(N)
-        assert abs(value - float(exact)) <= 1e-14 * max(abs(exact), 1), q
+    exact = {q: cpn_average(q, form, N) if q <= 3
+             else polynomial_average(N + 1, power.power(q))
+             for q in range(1, 5)}
+    for d in range(1, 5):
+        sums = np.zeros(d + 1)
+        for w, weights in chart_nodes(N, *exact_orders(d)):
+            phi = phi_values_batch(form, 0, w)
+            sums += [float(np.dot(weights, phi ** q)) for q in range(d + 1)]
+        average = sums / sums[0]
+        assert abs(sums[0] - cpn_volume_closed_form(N)) < 1e-12, d
+        for q in range(1, d + 1):
+            assert abs(average[q] - float(exact[q])) <= 1e-14 * max(
+                abs(exact[q]), 1), (d, q)
 
 
 def _on_nodes(nodes, func):
@@ -51,6 +99,7 @@ def _on_nodes(nodes, func):
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_witness_nodes_move_the_rule_by_an_isometry(N):
     orders = exact_orders(2)
+    M = lattice_generator(N, 2)[0]
     rule = list(chart_nodes(N, *orders))
     moved = list(witness_nodes(N, *orders))
     assert len(rule) == len(moved)
@@ -60,7 +109,12 @@ def test_witness_nodes_move_the_rule_by_an_isometry(N):
         assert np.allclose(np.abs(wm[:, ::-1]), np.abs(w), rtol=1e-15, atol=0)
         assert np.allclose(np.linalg.norm(wm, axis=1),
                            np.linalg.norm(w, axis=1), rtol=1e-15, atol=0)
-        # each torus angle sits half a grid step off the rule's
+        # and shifts each angle by pi / M: the rule's angles are even
+        # multiples of pi / M, the moved rule's odd ones
+        half_steps = np.rint(np.angle(np.concatenate([w, wm]))
+                             * M / np.pi).astype(int) % 2
+        assert np.all(half_steps[:len(w)] == 0) and np.all(
+            half_steps[len(w):] == 1)
         assert not set(map(tuple, np.round(w, 12))) & set(
             map(tuple, np.round(wm, 12)))
     volume = _on_nodes(moved, lambda w: np.ones(len(w)))

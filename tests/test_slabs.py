@@ -30,11 +30,11 @@ SLAB = entropy._slab_rows(3)
 ROWS = 2 * SLAB + 1
 PROBE_ROWS = (0, SLAB - 1, SLAB, 2 * SLAB - 1, 2 * SLAB)
 CURVATURE_FIELDS = ("g", "g_inv", "Gamma", "Riem", "Ric", "R")
-# Bound on the tracemalloc peak of the N = 4 sweep on its exact rule (21
-# slabs of 64 rows in one 1296-row chunk), measured at 7.37 MiB in each of
-# 10 runs: one slab's arrays at their peak (d2g, d_m t_lij and the first
-# product into d_m Gamma, 2 MiB each) and the chunk.  The chunk's
-# curvature at once would take about 190 MiB.
+# Bound on the tracemalloc peak of the N = 4 sweep on its exact rule (6
+# slabs of at most 64 rows in one 336-row chunk), measured at 7.24 MiB in
+# each of 5 runs: one slab's arrays at their peak (d2g, d_m t_lij and the
+# first product into d_m Gamma, 2 MiB each) and the chunk.  The chunk's
+# curvature at once would take about 50 MiB.
 PEAK_BOUND = 8 * 2 ** 20
 
 
@@ -130,7 +130,7 @@ def test_sweep_builds_curvature_one_block_at_a_time(monkeypatch):
     points = _slab_spy(monkeypatch)
     chunks = [w for w, _ in _sweep_nodes(3, True)]
     _sweep(3, True)
-    assert max(len(w) for w in chunks) == 6 ** 3
+    assert max(len(w) for w in chunks) == 2 ** 3 * 13
     # full slabs, then what is left of each chunk
     expected = [min(SLAB, len(w) - start) for w in chunks
                 for start in range(0, len(w), SLAB)]
