@@ -29,12 +29,12 @@ from .entropy import (CERTIFICATE_CHECKS, _certify_quadratures, _slab_rows,
 from .geometry import (NormalizationError, curvature_batch, curvature_from_arrays,
                        einstein_tau, fd_metric_arrays, metric_arrays,
                        potential_metric_arrays, pullback_mismatch)
-from .moments import (_VOLUME_LEVELS, cpn_volume, cpn_volume_closed_form,
-                      monomial_average, monte_carlo_average,
-                      polynomial_average, symmetry_vanishing)
+from .moments import (cpn_volume, cpn_volume_closed_form, monomial_average,
+                      monte_carlo_average, polynomial_average,
+                      symmetry_vanishing)
 from .polynomials import (BihomogeneousPolynomial, full_harmonic_expansion,
                           special_cubic_polynomial)
-from .quadrature import chart_nodes, exact_orders, level_orders, rule_size
+from .quadrature import ADAPTIVE_ORDERS, chart_nodes, exact_orders, rule_size
 from .report import build_report, check, gate, report_bytes
 from .rewrite import (IntegralExpr, PHI3, confluence_check, reduce_third_variation,
                       ricci_second_variation_coefficients,
@@ -62,13 +62,12 @@ _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
 # limit.
 _GRAM_ORDERS = exact_orders(2)
 # Nodes the fixed quadratures of a run may take, each counted by
-# ``quadrature.rule_size``.  The volume quadrature of moments evaluates
-# levels 1 and 2: 2.9e6 nodes at N = 4, 1.1e8 at N = 5 (2.4 s on a 2-vCPU
-# Xeon VM), 4.3e9 at N = 6.  Those of certify, the sweep's two lattice
-# rules (2 x 2^N M: 1984 at N = 5, 6144 at N = 6) and levels 1 and 2 of
-# int phi^3, take 1.1e8 nodes at N = 5 and 4.3e9 at N = 6, all but those
-# few thousand the int phi^3 levels.  The Monte Carlo samples of moments
-# count against the same limit.
+# ``quadrature.rule_size``.  The volume quadrature of moments runs the
+# ladder ``quadrature.ADAPTIVE_ORDERS``, 8^N + 15^N nodes: 5.5e4 at N = 4,
+# 1.2e7 at N = 6, 2.6e9 at N = 8.  Certify adds the sweep's two lattice
+# rules (2 x 2^N M: 1984 at N = 5, 6144 at N = 6) to the same ladder for
+# int phi^3: 1.2e7 nodes at N = 6, 1.7e8 at N = 7 and 2.6e9 at N = 8.
+# The Monte Carlo samples of moments count against the same limit.
 _VOLUME_NODES_LIMIT = 10 ** 9
 # Bytes per cell of geometry's nested-dual oracle (potential_metric_arrays),
 # which holds (2N)^4 fourth-order cells at one point whatever --points:
@@ -559,8 +558,7 @@ def _check_size(command: str, cfg: RunConfig) -> None:
         _check_bytes("the Gram node matrix", cfg.N,
                      rule_size(N, *_GRAM_ORDERS) * N * (N + 2) * 8)
     if command == "moments":
-        _check_nodes("the volume quadrature", N, map(
-            level_orders, range(1, _VOLUME_LEVELS + 1)))
+        _check_nodes("the volume quadrature", N, ADAPTIVE_ORDERS)
         if cfg.mc_samples > _VOLUME_NODES_LIMIT:
             raise UsageError(
                 f"mc_samples must be <= {_VOLUME_NODES_LIMIT:.3g}")

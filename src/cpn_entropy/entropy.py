@@ -43,8 +43,8 @@ from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
                        einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
-from .quadrature import (adaptive_cpn_integral, chart_nodes, exact_orders,
-                         lattice_generator, level_orders, rule_size,
+from .quadrature import (ADAPTIVE_ORDERS, adaptive_cpn_integral, chart_nodes,
+                         exact_orders, lattice_generator, rule_size,
                          witness_nodes)
 from .report import check, gate
 
@@ -147,11 +147,9 @@ _SWEEP_DEGREE = 2
 def _certify_quadratures(N: int) -> tuple:
     """(n_u, torus) of every quadrature ``certify`` runs at N whatever its
     integrands: the sweep on its exact rule and on the moved rule, and the
-    first two levels of the adaptive int phi^3.  Each takes
-    ``quadrature.rule_size`` nodes: n_u^N M on the lattice of the sweep,
-    (n_u n_theta)^N on the uniform grid of a level."""
-    return (exact_orders(_SWEEP_DEGREE), exact_orders(_SWEEP_DEGREE),
-            level_orders(1), level_orders(2))
+    two rules of the int phi^3 ladder.  Each takes ``quadrature.rule_size``
+    nodes, n_u^N M."""
+    return (exact_orders(_SWEEP_DEGREE),) * 2 + ADAPTIVE_ORDERS
 
 
 # Bytes of one (2N)^4 float64 array of a geometry sweep slab, which sets
@@ -259,7 +257,7 @@ def second_variation(h: ConformalPerturbation, tau: float,
 # ---------------------------------------------------------------------------
 # the third variation
 
-# Relative tolerance of the adaptive quadrature cross-check of int phi^3.
+# Relative agreement asked of the int phi^3 ladder's two rules.
 _PHI3_QUAD_TOL = 1e-8
 
 
@@ -277,10 +275,11 @@ def third_variation(N: int, form: HermitianForm, tau: float) -> dict:
     """Third variation along h = phi g_FS, exact and quadrature paths.
 
     Returns the exact ``phi3_average``; int phi^3 dV as the exact average
-    times V = pi^N/N! (``exact_times_volume``) and by adaptive quadrature
-    (``quadrature``), with their relative difference ``rel_diff``; and the
-    third variation at the measured tau (``value``) and, when tau has its
-    closed form, as an exact rational (``exact_rational``, else None).
+    times V = pi^N/N! (``exact_times_volume``) and by the quadrature
+    ladder (``quadrature``, with the ladder's ``error_estimate``), with
+    their relative difference ``rel_diff``; and the third variation at the
+    measured tau (``value``) and, when tau has its closed form, as an
+    exact rational (``exact_rational``, else None).
     """
     if N < 2:
         raise ValueError("third_variation requires N >= 2")
@@ -291,8 +290,8 @@ def third_variation(N: int, form: HermitianForm, tau: float) -> dict:
         phi = phi_values_batch(form, 0, w)
         return phi * phi * phi
 
-    integral_quad, _ = adaptive_cpn_integral(phi3, N, tol=_PHI3_QUAD_TOL,
-                                             max_level=4)
+    integral_quad, quad_err = adaptive_cpn_integral(phi3, N,
+                                                    tol=_PHI3_QUAD_TOL)
     exact_rational = None
     if abs(tau - 1 / (4 * (N + 1))) < 1e-9:
         exact_rational = _third_variation_rational(N, avg3)
@@ -300,6 +299,7 @@ def third_variation(N: int, form: HermitianForm, tau: float) -> dict:
         "phi3_average": avg3,
         "exact_times_volume": integral_exact,
         "quadrature": integral_quad,
+        "error_estimate": quad_err,
         "rel_diff": abs(integral_quad - integral_exact)
         / max(abs(integral_exact), 1e-30),
         "value": (2 * N - 2) * (4 * math.pi * tau) ** (-N) * integral_exact,
@@ -380,11 +380,11 @@ def _witness_record(N: int, firsts: dict, nu2_err: float) -> dict:
     """The ``quadrature_witness`` record.  Every quadrature value comes from
     the sweep, so its detail gives the sweep's rule once: its sticks n_u,
     its torus lattice as M points with generator z, its node count and
-    exactness degree; then the witness rule, the same rule with the
-    isometry that moves it, and then each value's difference from the
-    witness rule.  The residual is the largest difference."""
+    exactness degree; then the witness rule as the isometry that moves
+    the rule, and then each value's difference from the witness rule.
+    The residual is the largest difference."""
     n_u, torus = exact_orders(_SWEEP_DEGREE)
-    points, generator = lattice_generator(N, torus.degree)
+    points, generator = lattice_generator(N, torus)
     rule = {"n_u": n_u, "torus": {"points": points,
                                   "generator": list(generator)},
             "nodes": int(rule_size(N, n_u, torus)), "degree": _SWEEP_DEGREE}
@@ -394,7 +394,7 @@ def _witness_record(N: int, firsts: dict, nu2_err: float) -> dict:
     # np.max, unlike max, keeps a NaN difference
     largest = float(np.max(list(differences.values())))
     return _gate("quadrature_witness", largest) | {"detail": {
-        "rule": rule, "witness_rule": rule | {"move": (
+        "rule": rule, "witness_rule": {"move": (
             "[z_0 : z_1 : ... : z_N] -> [z_0 : c z_N : ... : c z_1], "
             "c = exp(i pi / M)")},
         "differences": differences}}
@@ -467,7 +467,8 @@ def certify(N: int, points: int, seed: int, *,
         _witness_record(N, firsts, nu2_err),
         _gate("third_variation_cross_check", nu3["rel_diff"])
         | {"detail": {"exact_times_volume": nu3["exact_times_volume"],
-                      "quadrature": nu3["quadrature"]}},
+                      "quadrature": nu3["quadrature"],
+                      "error_estimate": nu3["error_estimate"]}},
         check("third_variation_nonzero", floor.identity,
               abs(nu3["value"]) > floor.tolerance, provenance=floor.provenance,
               detail={"value": nu3["value"]}),

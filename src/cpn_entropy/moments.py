@@ -95,25 +95,19 @@ def cpn_volume_closed_form(N: int) -> float:
     return math.pi ** N / math.factorial(N)
 
 
-# The volume quadrature runs levels 1 and 2 and no more: its integrand is
-# constant, so every level is exact up to rounding, and finer levels only
-# add nodes and rounding.
-_VOLUME_LEVELS = 2
-
-
 def cpn_volume(N: int):
     """Volume by chart quadrature; returns (value, error_estimate).
 
-    Cross-check target is the closed form pi^N/N!.  The error estimate is
-    the relative difference between levels 1 and 2.
+    Cross-check target is the closed form pi^N/N!.  The integrand is
+    constant, so both rules of ``quadrature.ADAPTIVE_ORDERS`` are exact up
+    to rounding, and the error estimate is their relative difference.
     """
     from .quadrature import adaptive_cpn_integral
 
     def one(w):
         return np.ones(w.shape[0])
 
-    # at two levels the tolerance only says whether they count as converged
-    return adaptive_cpn_integral(one, N, tol=1e-6, max_level=_VOLUME_LEVELS)
+    return adaptive_cpn_integral(one, N, tol=1e-6)
 
 
 def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,

@@ -23,8 +23,9 @@ d-fold sums of {0, z_1, ..., z_N} are distinct mod M (a B_d set).  So the
 rule is exact for degree d whatever N is.  At d = 2 and N = 2..6 the
 tabled moduli M are the smallest possible, about N^2 (``_B_D_SETS``),
 against the 3^N points of a uniform grid exact for the same degree.
-Sphere Monte Carlo (``moments.monte_carlo_average``) is the independent
-oracle.
+Every chart quadrature runs on such a lattice, ``adaptive_cpn_integral``
+too: its ladder is the rules exact for degrees 3 and 4.  Sphere Monte
+Carlo (``moments.monte_carlo_average``) is the independent oracle.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def gauss_jacobi(n: int, a: int):
 
 class Lattice(NamedTuple):
     """The torus factor of ``exact_orders(degree)``: at each N the rank-1
-    lattice of ``lattice_generator(N, degree)``."""
+    lattice of ``lattice_generator(N, Lattice(degree))``."""
 
     degree: int
 
@@ -75,12 +76,23 @@ _B_D_SETS = {
 }
 
 
-def lattice_generator(N: int, d: int) -> tuple[int, tuple[int, ...]]:
-    """(M, z) of the rank-1 lattice on T^N exact for degree d: a tabled
-    B_d set, else the digits z_j = (d+1)^(j-1), M = (d+1)^N, whose d-fold
-    sums are distinct by their base-(d+1) digits."""
-    return _B_D_SETS.get((N, d), ((d + 1) ** N,
-                                  tuple((d + 1) ** j for j in range(N))))
+def lattice_generator(N: int, torus) -> tuple[int, tuple[int, ...]]:
+    """(M, z) of the rank-1 lattice on T^N that the torus factor ``torus``
+    names; the one place a torus becomes a lattice.
+
+    ``Lattice(d)`` is the tabled B_d set, else the digit lattice of
+    n = d + 1.  An int n is the digit lattice z_j = n^(j-1), M = n^N: the
+    sum m.z of a character with every |m_j| < n is 0 mod n^N only at
+    m = 0, by its base-n digits, so it is exact on the box of the n-point
+    uniform grid, with as many points.  The int form is kept for callers
+    that name a torus by its points per angle, such as perfbench's tests
+    of ``chart_nodes(2, 4, 6, max_chunk=8)`` (16 x 36 nodes).
+    """
+    if isinstance(torus, Lattice):
+        if (N, torus.degree) in _B_D_SETS:
+            return _B_D_SETS[N, torus.degree]
+        torus = torus.degree + 1
+    return torus ** N, tuple(torus ** j for j in range(N))
 
 
 def exact_orders(d: int) -> tuple[int, Lattice]:
@@ -110,51 +122,32 @@ def simplex_rule(N: int, n_u: int):
     return t, weight
 
 
-def torus_grid(N: int, n_theta: int):
-    """Uniform product grid on T^N with per-node weight (2 pi / n)^N."""
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    grids = np.meshgrid(*([theta] * N), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts, (2.0 * math.pi / n_theta) ** N
-
-
-def torus_lattice(N: int, d: int):
+def torus_lattice(N: int, torus):
     """Rank-1 lattice theta_k = 2 pi (k z mod M) / M, k = 0..M-1, on T^N
-    with per-node weight (2 pi)^N / M, for (M, z) = lattice_generator(N, d)."""
-    M, z = lattice_generator(N, d)
+    with per-node weight (2 pi)^N / M, for (M, z) = lattice_generator(N,
+    torus)."""
+    M, z = lattice_generator(N, torus)
     pts = 2.0 * math.pi * (np.outer(np.arange(M), z) % M) / M
     return pts, (2.0 * math.pi) ** N / M
 
 
-def torus_modulus(N: int, torus) -> int:
-    """M such that every angle of the torus factor ``torus``, a ``Lattice``
-    or the points per angle of a uniform grid, is a multiple of 2 pi / M."""
-    if isinstance(torus, Lattice):
-        return lattice_generator(N, torus.degree)[0]
-    return torus
-
-
 def rule_size(N: int, n_u: int, torus) -> float:
     """Nodes of the chart rule (n_u, torus) at N: n_u^N simplex nodes times
-    M lattice points or torus^N grid points.  A float, so that a count too
-    large to hold raises OverflowError at once."""
-    points = (lattice_generator(N, torus.degree)[0]
-              if isinstance(torus, Lattice) else float(torus) ** N)
-    return float(n_u) ** N * points
+    M lattice points.  A float, so that a count too large to hold raises
+    OverflowError at once."""
+    return float(n_u) ** N * lattice_generator(N, torus)[0]
 
 
 def chart_nodes(N: int, n_u: int, torus, max_chunk: int = 8192):
     """Chart-0 nodes and absolute dV weights, in vectorized chunks.
 
-    ``torus`` is a ``Lattice`` or the points per angle of a uniform grid.
-    Yields (w, weights) pairs with w complex of shape (B, N) and
+    ``torus`` is a ``Lattice`` or an int (``lattice_generator``).  Yields
+    (w, weights) pairs with w complex of shape (B, N) and
     B <= max(max_chunk, n_u^N); the union of all chunks is the full
     simplex x torus product rule.
     """
     t, tw = simplex_rule(N, n_u)
-    theta, theta_weight = (torus_lattice(N, torus.degree)
-                           if isinstance(torus, Lattice)
-                           else torus_grid(N, torus))
+    theta, theta_weight = torus_lattice(N, torus)
     radial = np.sqrt(t[:, 1:] / t[:, :1])
     scale = 2.0 ** (-N) * theta_weight
     n_simplex = radial.shape[0]
@@ -168,12 +161,12 @@ def chart_nodes(N: int, n_u: int, torus, max_chunk: int = 8192):
 
 def witness_nodes(N: int, n_u: int, torus):
     """The ``chart_nodes`` rule moved by U [z_0 : z_1 : ... : z_N] =
-    [z_0 : c z_N : ... : c z_1], c = e^{i pi / M} with M the
-    ``torus_modulus``, an isometry of g_FS that reverses the stick order
-    and shifts every torus angle by half a lattice or grid step.  With the
-    rule's weights each sum is Q(f o U), exact wherever the rule is, and no
-    node is a node of the rule."""
-    c = np.exp(1j * math.pi / torus_modulus(N, torus))
+    [z_0 : c z_N : ... : c z_1], c = e^{i pi / M} with M the lattice's
+    points, an isometry of g_FS that reverses the stick order and shifts
+    every torus angle by half a lattice step.  With the rule's weights
+    each sum is Q(f o U), exact wherever the rule is, and no node is a
+    node of the rule."""
+    c = np.exp(1j * math.pi / lattice_generator(N, torus)[0])
     for w, weights in chart_nodes(N, n_u, torus):
         yield w[:, ::-1] * c, weights
 
@@ -190,28 +183,21 @@ def cpn_integral(func, N: int, n_u: int, torus) -> float:
     return total
 
 
-def level_orders(level: int) -> tuple[int, int]:
-    """Refinement schedule: (Gauss-Jacobi order, torus points per angle)."""
-    return 3 + level, 4 + 2 * level
+# The ladder of ``adaptive_cpn_integral``: the rules exact for degree 3,
+# the highest degree of its integrands (phi^3), and 4.
+ADAPTIVE_ORDERS = (exact_orders(3), exact_orders(4))
 
 
-def adaptive_cpn_integral(func, N: int, tol: float, max_level: int):
-    """Refine from level 1 until two consecutive levels agree to ``tol``.
+def adaptive_cpn_integral(func, N: int, tol: float):
+    """int_{CP^N} func dV on both rules of ``ADAPTIVE_ORDERS``.
 
-    Returns (value, error_estimate); the estimate is the achieved relative
-    difference between the last two levels.
+    Returns (value, error_estimate): the second rule's value and its
+    relative difference from the first.  Both rules are exact for degree
+    <= 3, so their agreement certifies only such integrands, and for one
+    of higher degree the estimate bounds nothing.  The ladder is fixed:
+    ``tol``, the agreement the caller asks for, stops nothing, and a
+    caller counts the result as converged when error_estimate < tol.
     """
-    prev = None
-    value = None
-    err = math.inf
-    for level in range(1, max_level + 1):
-        n_u, n_theta = level_orders(level)
-        value = cpn_integral(func, N, n_u, n_theta)
-        if prev is not None:
-            scale = max(abs(value), abs(prev), 1e-30)
-            err = abs(value - prev) / scale
-            if err < tol:
-                return value, err
-        prev = value
-    return value, err
-
+    coarse, fine = (cpn_integral(func, N, *orders)
+                    for orders in ADAPTIVE_ORDERS)
+    return fine, abs(fine - coarse) / max(abs(fine), abs(coarse), 1e-30)

@@ -204,11 +204,11 @@ CANNOT_FIT = {
     # one point fits the curvature batch; the oracle's 40^4 cells do not
     ("geometry", "--N", "20", "--points", "1"):
         "the nested-dual metric oracle at N = 20 needs about 2.44 GiB",
-    # nearly all of it levels 1 and 2 of int phi^3
-    ("certify", "--N", "6"):
-        "the fixed quadrature of certify at N = 6 needs 4.29e+09 nodes",
-    ("certify", "--N", "7"):
-        "the fixed quadrature of certify at N = 7 needs 1.68e+11 nodes",
+    # nearly all of it the int phi^3 ladder's degree-4 rule
+    ("certify", "--N", "8"):
+        "the fixed quadrature of certify at N = 8 needs 2.58e+09 nodes",
+    ("moments", "--N", "8"):
+        "the volume quadrature at N = 8 needs 2.58e+09 nodes",
     # the Monte Carlo samples count against the node limit
     ("moments", "--N", "2", "--mc-samples", "10000000000"):
         "mc_samples must be <= 1e+09",
@@ -226,36 +226,39 @@ def test_runs_that_cannot_fit_exit_2(argv, monkeypatch, capsys):
 
 
 def test_certify_quadratures_at_n5_fit(monkeypatch):
-    # 1.1e8 nodes, under the limit
+    # 7.9e5 nodes, under the limit
     calls = _verb_spy(monkeypatch, "certify")
     assert main(["certify", "--N", "5"]) == 0
     assert len(calls) == 1
     # the same limit refuses them once it is one node lower: the sweep on
-    # its 2^5 x 31-node lattice rule and on the moved rule, and levels 1
-    # and 2 of int phi^3
+    # its 2^5 x 31-node lattice rule and on the moved rule, and the int
+    # phi^3 ladder's 8^5- and 15^5-node rules
     monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT",
-                        2 * 2 ** 5 * 31 + 24 ** 5 + 40 ** 5 - 1)
+                        2 * 2 ** 5 * 31 + 8 ** 5 + 15 ** 5 - 1)
     assert main(["certify", "--N", "5"]) == 2
     assert len(calls) == 1
 
 
-def test_certify_n6_is_refused_by_the_int_phi3_levels(monkeypatch, capsys):
+def test_certify_n8_is_refused_by_the_int_phi3_ladder(monkeypatch, capsys):
     calls = _verb_spy(monkeypatch, "certify")
-    assert main(["certify", "--N", "6"]) == 2
+    assert main(["certify", "--N", "8"]) == 2
     assert calls == []
-    # the count it names is levels 1 and 2 of int phi^3, 24^6 + 40^6 nodes,
-    # plus the sweep's two lattice rules of 2^6 x 48 nodes each
-    sweep, levels = 2 * 2 ** 6 * 48, 24 ** 6 + 40 ** 6
+    # the count it names is the int phi^3 ladder, 8^8 + 15^8 nodes, plus
+    # the sweep's two digit-lattice rules of 2^8 x 3^8 nodes each
+    sweep, ladder = 2 * 6 ** 8, 8 ** 8 + 15 ** 8
     assert capsys.readouterr().err == (
-        f"error: the fixed quadrature of certify at N = 6 needs "
-        f"{sweep + levels:.3g} nodes, more than the 1e+09 node limit\n")
-    assert sweep + levels == sum(cli.rule_size(6, *orders)
-                                 for orders in cli._certify_quadratures(6))
-    # without the levels the sweep's rules fit
-    rules = cli._certify_quadratures(6)
+        f"error: the fixed quadrature of certify at N = 8 needs "
+        f"{sweep + ladder:.3g} nodes, more than the 1e+09 node limit\n")
+    assert sweep + ladder == sum(cli.rule_size(8, *orders)
+                                 for orders in cli._certify_quadratures(8))
+    # without the ladder the sweep's rules fit
+    rules = cli._certify_quadratures(8)
     assert rules[:2] == (cli.exact_orders(2),) * 2
     monkeypatch.setattr(cli, "_certify_quadratures", lambda N: rules[:2])
-    cli._check_size("certify", cli.RunConfig(N=6))
+    cli._check_size("certify", cli.RunConfig(N=8))
+    # and at N = 6 and 7 the whole of it fits
+    for N in (6, 7):
+        cli._check_size("certify", cli.RunConfig(N=N))
 
 
 @pytest.mark.parametrize("N", ["2", "3"])
@@ -305,31 +308,32 @@ def test_moments_volume_quadrature_that_cannot_fit_exits_2(monkeypatch,
     assert main(["moments", "--N", "50", "--mc-samples", "10000"]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith(
-        "error: the volume quadrature at N = 50 needs 1.27e+80 nodes")
-    # levels 1 and 2 at N = 4: 4^4 6^4 + 5^4 8^4 nodes just fit
-    monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT", 24 ** 4 + 40 ** 4)
-    assert main(["moments", "--N", "4"]) == 0
-    assert main(["moments", "--N", "5"]) == 2
+        "error: the volume quadrature at N = 50 needs 6.38e+58 nodes")
+    # the ladder at N = 4: 2^4 4^4 + 3^4 5^4 nodes just fit, with fewer
+    # Monte Carlo samples than that
+    monkeypatch.setattr(cli, "_VOLUME_NODES_LIMIT", 8 ** 4 + 15 ** 4)
+    assert main(["moments", "--N", "4", "--mc-samples", "10000"]) == 0
+    assert main(["moments", "--N", "5", "--mc-samples", "10000"]) == 2
     assert len(calls) == 1
 
 
 def test_moments_tol_sets_only_the_volume_gate(monkeypatch, capsys):
-    # the volume quadrature runs the two levels the node limit counts,
+    # the volume quadrature runs the two rules the node limit counts,
     # whatever --tol asks
     from cpn_entropy import quadrature
 
     levels = []
     original = quadrature.cpn_integral
 
-    def spy(func, N, n_u, n_theta):
-        levels.append((n_u, n_theta))
-        return original(func, N, n_u, n_theta)
+    def spy(func, N, n_u, torus):
+        levels.append((n_u, torus))
+        return original(func, N, n_u, torus)
 
     monkeypatch.setattr(quadrature, "cpn_integral", spy)
     code, report = run(capsys, "moments", "--N", "4", "--mc-samples", "10000",
                        "--tol", "1e-300")
     assert code == 0
-    assert levels == [quadrature.level_orders(1), quadrature.level_orders(2)]
+    assert levels == list(quadrature.ADAPTIVE_ORDERS)
     volume = next(rec for rec in report["checks"]
                   if rec["name"] == "volume_quadrature")
     assert volume["status"] == "pass" and volume["tolerance"] == 1e-6

@@ -270,7 +270,8 @@ def test_third_variation_exact_rational(N, expected):
 def test_third_variation_n2_value():
     tv = third_variation(2, special_phi(2), einstein_tau(2))
     assert list(tv) == ["phi3_average", "exact_times_volume", "quadrature",
-                        "rel_diff", "value", "exact_rational"]
+                        "error_estimate", "rel_diff", "value",
+                        "exact_rational"]
     assert tv["phi3_average"] == F(1, 5)
     assert tv["exact_rational"] == F(9, 5)
     assert abs(tv["value"] - 1.8) < 1e-12

@@ -55,9 +55,9 @@ def _skip_unless_baseline_build():
 # The seed-1 calls of the certify-small, suites and certify-n4 workloads.
 SEED1_DIGESTS = {
     ("certify", "--N", "2", "--seed", "1"):
-        "7adce237317f034f5070edf4b1cc09750448ad9cb4325b05e3977d093b6fc56d",
+        "e572458e99d76623c0b184aeb4e9b5e90a13cc422a0cf1687d316972492c0d06",
     ("certify", "--N", "3", "--seed", "1"):
-        "4885fee24eb409c78edf23deeaa1fd45302f26dea16d25c36dd1ad45890d957f",
+        "3b20ba30bc9b246ea9e61bbdbdd24d317186bd51083b31665e6559adad9b1035",
     ("geometry", "--N", "3", "--seed", "1"):
         "74b7deeafac95054a49e547c639750b327ea850f6ce08554c09dc2efdbfa9817",
     ("eigen", "--N", "3", "--seed", "1"):
@@ -67,10 +67,10 @@ SEED1_DIGESTS = {
     ("algebra", "--n", "symbolic", "--orders", "100", "--seed", "1"):
         "2a143bdbeae971a91abc5487ba0b6cc001f23ef358d94476d38e370e4496580e",
     ("moments", "--N", "2", "--mc-samples", "1000000", "--seed", "1"):
-        "4116d56841b2dc4a60ffe4e11cc5641bc6388bc506737c8f480e84130f738c6a",
+        "d59b1b9b9b868639215620d402ce1a0b2d2a9f764ba3e32c51311105c6605371",
     # the headline N, about 0.4 s
     ("certify", "--N", "4", "--seed", "1"):
-        "c8dbefda01b564fcb7006cdd033f668b68474554e64d12a5c08a06bdb3ea97f2",
+        "1b9e26858d8ae8e3b4971a8fc763baee5ec134f224ca0d3f0f1733f410eeb9c0",
 }
 
 
@@ -94,7 +94,7 @@ def test_moments_n3_digest():
     _skip_unless_baseline_build()
     argv = ["moments", "--N", "3", "--mc-samples", "100000", "--seed", "1"]
     assert _exit_and_digest(argv) == (
-        0, "a5952aa082d59583fd8fe3312924fbd4e779f6b19d57fa0424b4054673788e76")
+        0, "e15e01ee4e927e68d125ea2555aab2cd817aa430f49baa3e418d78bc2df78406")
 
 
 def test_moments_n2_short_last_shard_digest():
@@ -103,4 +103,4 @@ def test_moments_n2_short_last_shard_digest():
     _skip_unless_baseline_build()
     argv = ["moments", "--N", "2", "--mc-samples", "210001", "--seed", "1"]
     assert _exit_and_digest(argv) == (
-        0, "9c56f0cf1189ce4ef2d997e23d843afd4fff696d6c465ff0d985477bccb81c2e")
+        0, "63310a32bdba9035720b67b3bc10a20c54fafccd68f54a013f7073c429b88776")
