@@ -64,17 +64,23 @@ def test_lattice_generators_are_b_d_sets():
     assert not _is_b_d(7, (1, 2), 2)
 
 
+def _check_torus_lattice(N, torus, M, z):
+    pts, weight = torus_lattice(N, torus)
+    assert pts.shape == (M, N)
+    assert abs(weight * M - (2 * math.pi) ** N) < 1e-12
+    # the generator's multiples mod M, in units of 2 pi / M
+    steps = np.rint(pts * M / (2 * math.pi)).astype(int)
+    assert np.array_equal(steps, np.outer(np.arange(M), z) % M)
+
+
 def test_torus_lattice_weight():
-    # a tabled B_2 set, and an int n: the digit lattice with as many points
-    # as the n-point grid
-    for N, torus, M, z in ((4, Lattice(2), 21, (1, 4, 14, 16)),
-                           (2, 5, 25, (1, 5))):
-        pts, weight = torus_lattice(N, torus)
-        assert pts.shape == (M, N)
-        assert abs(weight * M - (2 * math.pi) ** N) < 1e-12
-        # the generator's multiples mod M, in units of 2 pi / M
-        steps = np.rint(pts * M / (2 * math.pi)).astype(int)
-        assert np.array_equal(steps, np.outer(np.arange(M), z) % M)
+    # a tabled B_2 set
+    _check_torus_lattice(4, Lattice(2), 21, (1, 4, 14, 16))
+
+
+def test_torus_grid_weight():
+    # an int n: the digit lattice with as many points as the n-point grid
+    _check_torus_lattice(2, 5, 25, (1, 5))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
