@@ -280,8 +280,9 @@ def cmd_moments(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
         raise UsageError("mc_samples must be >= 10^4")
     N, m = cfg.N, cfg.N + 1
     f = special_cubic_polynomial(N)
+    f3 = f.power(3)
     checks = []
-    avg3 = polynomial_average(m, f.power(3))
+    avg3 = polynomial_average(m, f3)
     expected3 = Fraction(12, (N + 1) * (N + 2) * (N + 3))
     checks.append(check("cubic_average", "avg f^3 = 12/((N+1)(N+2)(N+3))",
                         avg3 == expected3 and avg3 > 0, provenance="exact",
@@ -290,7 +291,7 @@ def cmd_moments(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
     checks.append(check("monomial_example", "avg |z1 z2 z3|^2 = 1/60 on S^5",
                         third == Fraction(1, 60), provenance="exact",
                         detail={"value": third}))
-    mean, se = monte_carlo_average(f.power(3), m, cfg.mc_samples, cfg.seed)
+    mean, se = monte_carlo_average(f3, m, cfg.mc_samples, cfg.seed)
     z_score = abs(mean - float(avg3)) / se if se > 0 else 0.0
     checks.append(gate("monte_carlo_oracle", "MC average within 3 sigma of exact",
                        z_score, 3.0, "monte_carlo",
@@ -328,17 +329,15 @@ def cmd_moments(cfg: RunConfig, timings: dict) -> tuple[list[dict], None]:
                        vol_rel, max(cfg.tol, 1e-6), "quadrature",
                        detail={"quadrature": vol, "closed_form": vol_closed,
                                "error_estimate": vol_err}))
-    if N <= 3:
-        constant_part = full_harmonic_expansion(f.power(3), 3)[-1]
-        const_coef = constant_part.terms.get(
-            (tuple([0] * m), tuple([0] * m)))
-        ok = const_coef is not None and const_coef.im == 0 \
-            and const_coef.re == avg3
-        checks.append(check("harmonic_constant_component",
-                            "flat-harmonic expansion of f^3 has constant part"
-                            " avg f^3 > 0",
-                            ok, provenance="exact",
-                            detail={"constant": const_coef.re if const_coef else 0}))
+    constant_part = full_harmonic_expansion(f3, 3)[-1]
+    const_coef = constant_part.terms.get((tuple([0] * m), tuple([0] * m)))
+    ok = const_coef is not None and const_coef.im == 0 \
+        and const_coef.re == avg3
+    checks.append(check("harmonic_constant_component",
+                        "flat-harmonic expansion of f^3 has constant part"
+                        " avg f^3 > 0",
+                        ok, provenance="exact",
+                        detail={"constant": const_coef.re if const_coef else 0}))
     return checks, None
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polynomials import QC, QC_I, BihomogeneousPolynomial, _row_blocks
+from .polynomials import _BLOCK_ROWS, QC, QC_I, BihomogeneousPolynomial
 
 # i^k for k = 0..3: z_j -> i z_j multiplies z^a zbar^b by i^((a_j - b_j) % 4)
 _I_POWERS = (QC(Fraction(1)), QC_I, QC(Fraction(-1)),
@@ -119,13 +119,13 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
 
     A shard of up to 200000 samples holds only its real parts and its
     values, in two float buffers reused shard after shard; the complex
-    points exist one row block (``polynomials._row_blocks``) at a time.
-    Four properties fix the bits, those of g / |g| for g = a + 1j * b over
-    the whole shard: one spawned child per shard, drawing all of the
-    shard's real parts and then its imaginary parts (split draws continue
-    one stream); per-row normalisation; blocks on which ``evaluate`` takes
-    the operand order of one call on the whole shard; and one ``np.sum``
-    per shard of the values and one of their squares.
+    points exist one block of ``_BLOCK_ROWS`` rows at a time.  Four
+    properties fix the bits, those of g / |g| for g = a + 1j * b over the
+    whole shard: one spawned child per shard, drawing all of the shard's
+    real parts and then its imaginary parts (split draws continue one
+    stream); per-row normalisation; ``evaluate``, whose rows keep their
+    bits in any block; and one ``np.sum`` per shard of the values and one
+    of their squares.  So the block size does not move a bit.
     """
     chunk = 200_000     # samples per shard
     if samples < 10_000:
@@ -144,7 +144,8 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
         # spawning them all at once, without holding them all
         rng = np.random.default_rng(seq.spawn(1)[0])
         rng.standard_normal(out=reals[:size])
-        for s in _row_blocks(size):
+        for start in range(0, size, _BLOCK_ROWS):
+            s = slice(start, min(start + _BLOCK_ROWS, size))
             z = np.empty((s.stop - s.start, m), dtype=complex)
             z.real = reals[s]
             z.imag = rng.standard_normal(z.shape)

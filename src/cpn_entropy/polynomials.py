@@ -15,30 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
 # rows per block of ``BihomogeneousPolynomial.evaluate``
 _BLOCK_ROWS = 8192
-# numpy's temporary elision threshold, 256 KiB, in complex128 elements
-_ELIDE_ROWS = 16384
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Cut n rows into consecutive blocks that ``evaluate`` can take one at a
-    time with the bits of one call on all n rows.
-
-    Each block but the last has ``_ELIDE_ROWS`` rows, a multiple of
-    ``_BLOCK_ROWS``, and the last takes the tail.  So each call's own row
-    blocks fall where the whole call's would, and every block has at least
-    ``_ELIDE_ROWS`` rows whenever n does: each call then picks the operand
-    order that the whole call would.  Fewer than ``_ELIDE_ROWS`` rows stay
-    one block.
-    """
-    k = max(1, n // _ELIDE_ROWS)
-    return [slice(i * _ELIDE_ROWS, n if i == k - 1 else (i + 1) * _ELIDE_ROWS)
-            for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -273,42 +255,71 @@ class BihomogeneousPolynomial(LinearCombination):
 
     # -- evaluation ---------------------------------------------------------
 
+    def _evaluation_plan(self):
+        """The monomials and term groups of ``evaluate``.
+
+        Slot 0 holds 1 and slots 1..m hold z_0..z_{m-1}.  Every other
+        monomial z^e that a term uses as z^a or z^b gets a slot after its
+        parent z^(e - e_j), j the last index with e_j > 0, and a step
+        (slot, parent slot, slot of z_j), in order of degree.  The groups
+        map the slot of each antiholomorphic z^b, in order of first use, to
+        the (coefficient, slot of z^a) of its terms in term order.
+        """
+        m = self.m
+        units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        slots = {(0,) * m: 0} | {e: j + 1 for j, e in enumerate(units)}
+        parents = {}
+        for key in self.terms:
+            for e in key:
+                while e not in slots and e not in parents:
+                    j = max(i for i, x in enumerate(e) if x)
+                    parents[e] = (e[:j] + (e[j] - 1,) + e[j + 1:], j)
+                    e = parents[e][0]
+        steps = []
+        for e in sorted(parents, key=sum):
+            slots[e] = len(slots)
+            parent, j = parents[e]
+            steps.append((slots[e], slots[parent], j + 1))
+        groups = {}
+        for (a, b), c in self.terms.items():
+            groups.setdefault(slots[b], []).append((c.to_complex(), slots[a]))
+        return len(slots), steps, list(groups.items())
+
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Evaluate at rows of a complex array z of shape (..., m).
 
-        The rows are taken ``_BLOCK_ROWS`` at a time.  In each block every
-        power z_j^e and zbar_j^e that some term uses is computed once; each
-        term is the product of its factors in exponent order (z before
-        zbar, j ascending), a fresh array per product, and is added to the
-        block's slice of the output in term order.  The bits, up to the sign
-        of a zero, are those of one whole-array pass that multiplied each
-        factor into a running term of ones: numpy computed ``term * power``
-        as ``power * term`` (temporary elision) when the array had at least
-        ``_ELIDE_ROWS`` elements, and complex products are not bitwise
-        commutative, so the operand order follows the total row count.
+        P is summed as a Hermitian form over shared monomials: for each
+        antiholomorphic exponent b, W_b = sum_a c_ab z^a, and P = sum_b
+        W_b conj(z^b).  The rows are taken ``_BLOCK_ROWS`` at a time.  In
+        each block every monomial z^e is one product of its parent and a
+        coordinate (``_evaluation_plan``); W_b is accumulated in term
+        order, and the groups are added in order of first use.  Every
+        product is ``np.multiply`` into a buffer that is none of its
+        operands, so each row's bits depend on that row alone, not on the
+        number of rows or on where the row sits among them.
         """
         z = np.asarray(z, dtype=complex)
         rows = z.reshape(-1, z.shape[-1])
         out = np.zeros(len(rows), dtype=complex)
-        plan = [(c.to_complex(),
-                 [(0, j, e) for j, e in enumerate(a) if e]
-                 + [(1, j, e) for j, e in enumerate(b) if e])
-                for (a, b), c in self.terms.items()]
-        used = {key for _, factors in plan for key in factors}
-        power_first = len(rows) >= _ELIDE_ROWS
+        size, steps, groups = self._evaluation_plan()
+        # the monomials, then three work rows: W_b, a product and conj(z^b)
+        buf = np.empty((size + 3, min(len(rows), _BLOCK_ROWS)), dtype=complex)
         for start in range(0, len(rows), _BLOCK_ROWS):
-            s = slice(start, start + _BLOCK_ROWS)
-            bases = (rows[s], np.conj(rows[s]))
-            powers = {(i, j, e): bases[i][:, j] ** e for i, j, e in used}
-            for c, factors in plan:
-                if not factors:
-                    out[s] += c
-                    continue
-                term = powers[factors[0]]
-                for key in factors[1:]:
-                    term = (powers[key] * term if power_first
-                            else term * powers[key])
-                out[s] += c * term
+            block = rows[start:start + _BLOCK_ROWS]
+            mono = buf[:, :len(block)]
+            w, prod, zb = mono[size:]
+            mono[0] = 1
+            mono[1:self.m + 1] = block.T
+            for slot, parent, j in steps:
+                np.multiply(mono[parent], mono[j], out=mono[slot])
+            acc = out[start:start + len(block)]
+            for b, terms in groups:
+                (c, a), rest = terms[0], terms[1:]
+                np.multiply(mono[a], c, out=w)
+                for c, a in rest:
+                    w += np.multiply(mono[a], c, out=prod)
+                np.conjugate(mono[b], out=zb)
+                acc += np.multiply(w, zb, out=prod)
         return out.reshape(z.shape[:-1])
 
     def __repr__(self):
@@ -348,6 +359,11 @@ def _monomial_basis(m: int, k: int) -> list[tuple[int, ...]]:
     return [e for e in product(range(k + 1), repeat=m) if sum(e) == k]
 
 
+def _weight(key) -> tuple[int, ...]:
+    """The torus weight a - b of the monomial z^a zbar^b."""
+    return tuple(map(sub, *key))
+
+
 def _solve_qc(matrix: list[list[QC]], rhs: list[QC]) -> list[QC]:
     """Exact Gaussian elimination over Gaussian rationals."""
     n = len(matrix)
@@ -384,23 +400,31 @@ def harmonic_decomposition(p: BihomogeneousPolynomial, k: int):
 
     # Applying the flat Laplacian to P = H + r^2 Q gives
     #   lap P = lap(r^2 Q) = 4(m + 2(k-1)) Q + r^2 lap Q,
-    # a linear system for Q over the bidegree (k-1, k-1) monomials.
+    # a linear system for Q over the bidegree (k-1, k-1) monomials.  The
+    # Laplacian and r^2 keep each monomial's torus weight a - b, so the
+    # system is one block per weight, and Q vanishes on every weight that
+    # lap P lacks.
     mono = _monomial_basis(m, k - 1)
     keys = [(a, b) for a in mono for b in mono]
+    blocks = {}
+    for key in keys:
+        blocks.setdefault(_weight(key), []).append(key)
     const = 4 * (m + 2 * (k - 1))
     r2 = BihomogeneousPolynomial.radius_squared(m)
-
-    def dense(poly):
-        # every term of a bidegree (k-1, k-1) polynomial has a key here
-        return [poly.terms.get(key, QC_ZERO) for key in keys]
-
-    cols = []
-    for key in keys:
-        q_basis = BihomogeneousPolynomial(m, {key: 1})
-        cols.append(dense(q_basis.scale(const) + r2 * flat_laplacian(q_basis)))
-    matrix = [list(row) for row in zip(*cols)]
-    sol = _solve_qc(matrix, dense(flat_laplacian(p)))
-    q = BihomogeneousPolynomial(m, dict(zip(keys, sol)))
+    rhs = flat_laplacian(p)
+    sol = {}
+    for weight in dict.fromkeys(map(_weight, rhs.terms)):
+        block = blocks[weight]
+        cols = []
+        for key in block:
+            q_basis = BihomogeneousPolynomial(m, {key: 1})
+            image = q_basis.scale(const) + r2 * flat_laplacian(q_basis)
+            cols.append([image.terms.get(row, QC_ZERO) for row in block])
+        matrix = [list(row) for row in zip(*cols)]
+        sol.update(zip(block, _solve_qc(
+            matrix, [rhs.terms.get(row, QC_ZERO) for row in block])))
+    q = BihomogeneousPolynomial(m, {key: sol[key] for key in keys
+                                    if key in sol})
     h = p - r2 * q
     if not flat_laplacian(h).is_zero():
         raise ArithmeticError("decomposition failed: residue not harmonic")

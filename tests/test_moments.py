@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cpn_entropy import moments, polynomials
 from cpn_entropy.eigenfunctions import special_phi
 from cpn_entropy.moments import (cpn_average, cpn_volume,
                                  cpn_volume_closed_form, monomial_average,
@@ -178,9 +179,10 @@ def test_monte_carlo_spawns_one_shard_seed_at_a_time(monkeypatch):
 
 
 def test_monte_carlo_peak_memory_holds_one_shard():
-    # a shard's real parts and values, one row block of complex points and
-    # its powers: about 14 MiB, where a whole complex shard and its draws
-    # took 24.4 MiB and powers cached over the whole shard 86 MiB
+    # a shard's real parts and values (6.1 MiB), one row block of complex
+    # points and its 20 monomial and 3 work rows (3.3 MiB): 9.5 MiB
+    # measured, where a whole complex shard and its draws took 24.4 MiB and
+    # powers cached over the whole shard 86 MiB
     p = special_cubic_polynomial(2).power(3)
     tracemalloc.start()
     try:
@@ -195,7 +197,7 @@ def test_monte_carlo_shards_match_the_two_draw_construction():
     # z is built in place; the old g = a + 1j * b, z = g / |g| gives the
     # same bits
     p = special_cubic_polynomial(2).power(3)
-    # 16383 to 32768 rows sit at the edges of the row-block rule; 216383
+    # 16383 to 32768 rows end just before or at a row block's edge; 216383
     # rows are one full shard and then a 16383-row shard
     for seed, samples in ((1, 10_000), (7, 250_000), (3, 16_383),
                           (3, 16_384), (3, 32_767), (3, 32_768),
@@ -214,6 +216,17 @@ def test_monte_carlo_shards_match_the_two_draw_construction():
         mean = total / samples
         stderr = math.sqrt(max(total_sq / samples - mean ** 2, 0.0) / samples)
         assert monte_carlo_average(p, 3, samples, seed) == (mean, stderr)
+
+
+def test_monte_carlo_bits_do_not_depend_on_the_row_block(monkeypatch):
+    # every row is evaluated with the bits it has alone, so the row blocks
+    # that draw, normalise and evaluate the points may have any size
+    p = special_cubic_polynomial(2).power(3)
+    expected = monte_carlo_average(p, 3, 210_001, seed=3)
+    for rows in (1000, 8191, 65536):
+        monkeypatch.setattr(polynomials, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
+        assert monte_carlo_average(p, 3, 210_001, seed=3) == expected
 
 
 def test_cpn_volume_n1_is_pi():

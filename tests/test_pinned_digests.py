@@ -90,16 +90,17 @@ def test_mutated_variation_digest():
 
 
 def test_moments_n3_digest():
-    # the m = 4 harmonic expansion, _solve_qc and a Monte Carlo estimate
+    # the m = 4 harmonic expansion, _solve_qc on its weight blocks and a
+    # Monte Carlo estimate
     _skip_unless_baseline_build()
     argv = ["moments", "--N", "3", "--mc-samples", "100000", "--seed", "1"]
     assert _exit_and_digest(argv) == (
-        0, "e15e01ee4e927e68d125ea2555aab2cd817aa430f49baa3e418d78bc2df78406")
+        0, "1c8171fc06b2e6ce96bc9cb34ff8ed93be522c1466898a52c552126bd07e6424")
 
 
 def test_moments_n2_short_last_shard_digest():
-    # a last shard of 10001 rows, below numpy's temporary elision
-    # threshold, after one of 200000 rows above it
+    # a last shard of 10001 rows, one full row block and a short one, after
+    # one of 200000 rows
     _skip_unless_baseline_build()
     argv = ["moments", "--N", "2", "--mc-samples", "210001", "--seed", "1"]
     assert _exit_and_digest(argv) == (

@@ -161,55 +161,126 @@ def whole_array_evaluate(p: BihomogeneousPolynomial, z) -> np.ndarray:
     return out
 
 
-def _same_bits(p, shape, seed):
+def _points(m, shape, seed, sphere=False):
     rng = np.random.default_rng(seed)
-    z = (rng.standard_normal(shape + (p.m,))
-         + 1j * rng.standard_normal(shape + (p.m,)))
+    z = (rng.standard_normal(shape + (m,))
+         + 1j * rng.standard_normal(shape + (m,)))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True) if sphere else z
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _same_bits(p, shape, seed):
+    z = _points(p.m, shape, seed)
     new, old = p.evaluate(z), whole_array_evaluate(p, z)
     assert new.shape == old.shape == shape
-    return np.array_equal(new.view(np.uint64), old.view(np.uint64))
+    return np.array_equal(_bits(new), _bits(old))
 
 
 BLOCK = polynomials._BLOCK_ROWS
-# 16383 to 16385 straddle numpy's temporary elision threshold
-ROW_COUNTS = [1, 2, 3, 7, 8, 9, 17, BLOCK - 1, BLOCK, BLOCK + 1, 10000,
-              16383, 16384, 16385, 2 * BLOCK + 1, 200000]
+
+
+def _sample_polynomials(N):
+    f = special_cubic_polynomial(N)
+    m = N + 1
+    return [f.power(3),
+            f.power(2) + BihomogeneousPolynomial.constant(m, F(-2, 3)),
+            BihomogeneousPolynomial.constant(m, QC(F(1), F(2))),
+            BihomogeneousPolynomial.zero(m)]
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
-def test_evaluate_keeps_the_bits_of_the_whole_array_loop(N):
-    p = special_cubic_polynomial(N).power(3)
-    for rows in ROW_COUNTS:
-        assert _same_bits(p, (rows,), seed=rows), rows
-    for shape in [(3, 7000), (2, 4000), (2, 3, 5)]:
-        assert _same_bits(p, shape, seed=N), shape
-
-
-@pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 32767, 32768, 200000])
-def test_row_blocks_tile_the_rows_at_block_boundaries(n):
-    blocks = polynomials._row_blocks(n)
-    assert blocks[0].start == 0 and blocks[-1].stop == n
-    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-    assert all(s.start % BLOCK == 0 for s in blocks)
-    elide = polynomials._ELIDE_ROWS
-    assert all(s.stop - s.start >= min(n, elide) for s in blocks)
+def test_evaluate_agrees_with_the_whole_array_loop(N):
+    # On the unit sphere every monomial has modulus at most 1, so the two
+    # summation orders differ by a few roundings of size eps * sum |c|.
+    # The largest difference seen was 5.3e-15 = 0.11 eps * 216, for f^3
+    # (sum |c| = 216) at N = 2; the bound is eps * sum |c|.
+    eps = np.finfo(float).eps
+    for p in _sample_polynomials(N):
+        bound = eps * float(sum(abs(c.re) + abs(c.im)
+                                for c in p.terms.values()))
+        for shape in [(1,), (9,), (BLOCK + 1,), (16385,), (3, 7000),
+                      (2, 3, 5)]:
+            z = _points(p.m, shape, seed=len(p.terms), sphere=True)
+            new, old = p.evaluate(z), whole_array_evaluate(p, z)
+            assert new.shape == old.shape == shape
+            assert np.max(np.abs(new - old)) <= bound, (p, shape)
 
 
 def test_row_blocks_evaluate_with_the_bits_of_one_call():
-    p = special_cubic_polynomial(2).power(3)
-    rng = np.random.default_rng(11)
-    z = rng.standard_normal((200000, 3)) + 1j * rng.standard_normal((200000, 3))
-    blocks = np.concatenate([p.evaluate(z[s])
-                             for s in polynomials._row_blocks(len(z))])
-    assert np.array_equal(blocks.view(np.uint64),
-                          p.evaluate(z).view(np.uint64))
+    # each row has the bits it has alone, wherever it sits in a call: the
+    # offsets cross the block edges at 8192 and 16384 rows
+    offsets = [1, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK]
+    alone = sorted({0, 2 * BLOCK + 4} | {i + d for i in offsets
+                                         for d in (-1, 0, 1)})
+    for N in (2, 3, 4):
+        z = _points(N + 1, (2 * BLOCK + 5,), seed=N)
+        for p in _sample_polynomials(N):
+            whole = p.evaluate(z)
+            for start in offsets:
+                assert np.array_equal(_bits(p.evaluate(z[start:])),
+                                      _bits(whole[start:])), (p, start)
+                assert np.array_equal(
+                    _bits(p.evaluate(z[:start])), _bits(whole[:start]))
+            rows = np.concatenate([p.evaluate(z[i:i + 1]) for i in alone])
+            assert np.array_equal(_bits(rows), _bits(whole[alone])), p
 
 
 @pytest.mark.parametrize("rows", [1, 9, BLOCK + 1, 16385])
 def test_evaluate_keeps_the_bits_of_constant_and_zero_polynomials(rows):
-    f = special_cubic_polynomial(2)
-    with_constant = f.power(2) + BihomogeneousPolynomial.constant(3, F(-2, 3))
-    assert _same_bits(with_constant, (rows,), seed=rows)
+    # both kernels give c and 0 exactly
     assert _same_bits(BihomogeneousPolynomial.constant(3, QC(F(1), F(2))),
                       (rows,), seed=rows)
     assert _same_bits(BihomogeneousPolynomial.zero(3), (rows,), seed=rows)
+
+
+def dense_harmonic_decomposition(p: BihomogeneousPolynomial, k: int):
+    """``harmonic_decomposition`` as one dense system over every bidegree
+    (k-1, k-1) key, before it was split by torus weight."""
+    m = p.m
+    if k == 0 or p.is_zero():
+        return p, BihomogeneousPolynomial.zero(m)
+    mono = polynomials._monomial_basis(m, k - 1)
+    keys = [(a, b) for a in mono for b in mono]
+    const = 4 * (m + 2 * (k - 1))
+    r2 = BihomogeneousPolynomial.radius_squared(m)
+
+    def dense(poly):
+        return [poly.terms.get(key, QC_ZERO) for key in keys]
+
+    cols = []
+    for key in keys:
+        q_basis = BihomogeneousPolynomial(m, {key: 1})
+        cols.append(dense(q_basis.scale(const) + r2 * flat_laplacian(q_basis)))
+    matrix = [list(row) for row in zip(*cols)]
+    sol = polynomials._solve_qc(matrix, dense(flat_laplacian(p)))
+    q = BihomogeneousPolynomial(m, dict(zip(keys, sol)))
+    return p - r2 * q, q
+
+
+def _gaussian_rational_form(m):
+    """z* A z for a Hermitian A with non-real Gaussian-rational entries."""
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    terms = {}
+    for i in range(m):
+        for j in range(i, m):
+            entry = (QC(F(i + 1, 3)) if i == j
+                     else QC(F(i - 2 * j, 5), F(i + j + 1, 7)))
+            terms[(units[j], units[i])] = entry
+            terms[(units[i], units[j])] = entry.conj()
+    return BihomogeneousPolynomial(m, terms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [3, 4])
+def test_weight_blocks_give_the_dense_decomposition(m, k):
+    form = _gaussian_rational_form(m)
+    assert is_real_valued(form)
+    for p in (special_cubic_polynomial(m - 1).power(k), form.power(k)):
+        h, q = harmonic_decomposition(p, k)
+        dense_h, dense_q = dense_harmonic_decomposition(p, k)
+        assert h == dense_h and q == dense_q
+        assert list(h.terms) == list(dense_h.terms)
+        assert list(q.terms) == list(dense_q.terms)
