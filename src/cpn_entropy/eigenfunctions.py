@@ -124,8 +124,7 @@ def phi_jet_batch(form: HermitianForm, chart: int, w: np.ndarray) -> Jet:
             term = (zi_c * z[j]) * a[i, j]
             num = term if num is None else num + term
     if num is None:
-        b, d = w.shape[0], 2 * w.shape[1]
-        return Jet(np.zeros(b), np.zeros((b, d)), np.zeros((b, d, d)))
+        return Jet.constant(np.zeros(w.shape[0]), 2 * w.shape[1])
     return (num / den).real
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .charts import sample_w
 from .eigenfunctions import (HermitianForm, phi_jet_batch, phi_values_batch,
                              special_phi, verify_eigen)
-from .geometry import (GeometryJet, _curvature_rows, curvature_batch,
+from .geometry import (GeometryJet, _ricci_rows, curvature_batch,
                        einstein_tau, hessian_and_laplacian, metric_arrays)
 from .jets import Jet
 from .moments import cpn_average, cpn_volume_closed_form
@@ -101,18 +101,24 @@ def v_of(h: ConformalPerturbation, tau: float, w: np.ndarray,
 # the stability operators, assembled literally
 
 
-def _n_tilde(psi, geom) -> np.ndarray:
-    """Ntilde(psi g)_ij, all four terms explicit, from the jet of psi and the
-    geometry at the same chart-0 points."""
+def _rm_term(psi_val, geom) -> np.ndarray:
+    """Rm(h, *)_ij = R_kij^l g^{km} h_{ml} for h = psi g, contracted
+    literally from the Riemann tensor: over m, then over k, l."""
+    h_ij = psi_val[:, None, None] * geom.g
+    return np.einsum("blkij,bkl->bij", geom.Riem,
+                     np.einsum("bkm,bml->bkl", geom.g_inv, h_ij))
+
+
+def _n_tilde(psi, geom, term_rm) -> np.ndarray:
+    """Ntilde(psi g)_ij, all four terms explicit, from the jet of psi, the
+    geometry at the same chart-0 points and the Rm(h, *) term ``term_rm``.
+    Since g^{-1} h = psi I, that term is psi Ric; ``n_tilde_batch`` passes
+    ``_rm_term``'s literal contraction and the sweep passes psi Ric."""
     psi_hess, psi_lap = hessian_and_laplacian(psi, geom)
     g, g_inv = geom.g, geom.g_inv
-    h_ij = psi.val[:, None, None] * g
 
     # (1/2)(Delta h)_ij: the rough Laplacian of psi g is (Delta psi) g.
     term_lap = 0.5 * psi_lap[:, None, None] * g
-    # Rm(h,*)_ij = R_kij^l g^{km} h_{ml}, contracted over m, then over k, l
-    term_rm = np.einsum("blkij,bkl->bij", geom.Riem,
-                        np.einsum("bkm,bml->bkl", g_inv, h_ij))
     # -(1/2) g^{kl} (grad_i grad_l h_kj + grad_j grad_l h_ki);
     # grad_i grad_l h_kj = (Hess psi)_il g_kj for conformal h.  Each sum
     # contracts g^{kl} g_kj over k first, then over l.
@@ -126,7 +132,8 @@ def _n_tilde(psi, geom) -> np.ndarray:
 def n_tilde_batch(h: ConformalPerturbation, w: np.ndarray,
                   geom: GeometryJet) -> np.ndarray:
     """Ntilde(h)_ij over a batch of chart-0 points with geometry ``geom``."""
-    return _n_tilde(h.psi_jet(w), geom)
+    psi = h.psi_jet(w)
+    return _n_tilde(psi, geom, _rm_term(psi.val, geom))
 
 
 def n_tilde_max(h: ConformalPerturbation, w: np.ndarray,
@@ -155,10 +162,12 @@ def _certify_quadratures(N: int) -> tuple:
 # Bytes of one (2N)^4 float64 array of a geometry sweep slab, which sets
 # the slab's rows: 1024, 202, 64, 26 and 12 at N = 2..6.  The rows depend
 # only on N, so no result depends on the machine.  A slab peaks at about
-# 3.7 such arrays, so peak memory does not grow with N.  The slabs allocate
-# fresh arrays, like every other caller: in process, the first
-# ``certify --N 4`` takes about 24 000 minor page faults (0.06 s of system
-# time) and a repeat call about 3 500 (getrusage, 2 vCPU).
+# 2.3 such arrays, while ``metric_arrays`` writes d2g from its complex
+# Hessian; the Ricci kernel then holds d2g and d^3-sized arrays only.  So
+# peak memory does not grow with N.  The slabs allocate fresh arrays, like
+# every other caller: in process, the first ``certify --N 4`` takes about
+# 7 500 minor page faults (0.01 s of system time) and a repeat call about
+# 3 900 (getrusage, 2 vCPU).
 _SLAB_BYTES = 2 * 2 ** 20
 
 
@@ -170,14 +179,17 @@ def _slab_rows(N: int) -> int:
 
 def _slab_integrands(g, dg, d2g, psi: Jet):
     """(<h, Ric>, R, <h, N(h)>, psi, psi^2) at one slab's rows from its
-    metric arrays, for mean-zero psi, where N(h) = Ntilde(h)."""
-    geom = GeometryJet(g, *_curvature_rows(g, dg, d2g))
+    metric arrays, for mean-zero psi, where N(h) = Ntilde(h).  The Ricci
+    kernel forms no Riemann tensor: Ntilde's Rm(h, *) is psi Ric."""
+    g_inv, gamma, ric, scal = _ricci_rows(g, dg, d2g)
+    geom = GeometryJet(g, g_inv, gamma, Riem=None, Ric=ric, R=scal)
     h_ij = psi.val[:, None, None] * g
     h_up = np.einsum("biq,bjq->bij",
-                     np.einsum("bip,bpq->biq", geom.g_inv, h_ij), geom.g_inv)
-    ric_h = np.einsum("bij,bij->b", h_up, geom.Ric)
-    nh_h = np.einsum("bij,bij->b", h_up, _n_tilde(psi, geom))
-    return ric_h, geom.R, nh_h, psi.val, psi.val ** 2
+                     np.einsum("bip,bpq->biq", g_inv, h_ij), g_inv)
+    ric_h = np.einsum("bij,bij->b", h_up, ric)
+    n_h = _n_tilde(psi, geom, psi.val[:, None, None] * ric)
+    nh_h = np.einsum("bij,bij->b", h_up, n_h)
+    return ric_h, scal, nh_h, psi.val, psi.val ** 2
 
 
 # The sweep's integrals, in the order of ``_slab_integrands``.
@@ -342,9 +354,10 @@ class Gate(NamedTuple):
 # max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
 # must exceed.  quadrature_witness gates the largest absolute difference
 # between a quadrature value and the same value on its witness, the rule
-# moved by an isometry: at most 2.5e-15 at N = 2..5, while content the
-# rule gets wrong, such as t_1^4, moves it by 8.9e-4 or more.
-# third_variation_exact's relative residual is at most 2.9e-15 at N = 2..5.
+# moved by an isometry: at most 2.7e-15 at N = 2..6 (2.65e-15 at N = 2,
+# the second variation's), while content the rule gets wrong, such as
+# t_1^4, moves it by 8.9e-4 or more.  third_variation_exact's relative
+# residual is at most 3.4e-15 at N = 2..6.
 # The final verdict record is the conjunction of the others.
 CERTIFICATE_CHECKS = {
     "eigen_residual": Gate("(lap + 1/tau) phi = 0", 1e-8, "pointwise"),

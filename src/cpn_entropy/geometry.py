@@ -36,7 +36,9 @@ from .jets import Jet, nested_variable
 
 @dataclass
 class GeometryJet:
-    """Metric and curvature data at a batch of points (batch axis first)."""
+    """Metric and curvature data at a batch of points (batch axis first).
+
+    ``Riem`` is None where only the Ricci kernel ``_ricci_rows`` ran."""
 
     g: np.ndarray
     g_inv: np.ndarray
@@ -127,6 +129,19 @@ def metric_values(w: np.ndarray) -> np.ndarray:
 # curvature assembly
 
 
+def _christoffel_rows(g_inv, dg):
+    """(t, Gamma) as (B, d, d^2) arrays: t[l, i, j] = d_i g_jl + d_j g_il -
+    d_l g_ij and Gamma^k_ij = g^kl t_lij / 2."""
+    b, d = g_inv.shape[:2]
+    t = np.add(dg.transpose(0, 2, 3, 1), dg.transpose(0, 2, 1, 3),
+               out=np.empty((b, d, d, d)))
+    t -= dg.transpose(0, 3, 1, 2)
+    t = t.reshape(b, d, d * d)
+    gamma = g_inv @ t
+    gamma *= 0.5
+    return t, gamma
+
+
 def _curvature_rows(g, dg, d2g):
     """(g_inv, Gamma, Riem, Ric, R) from metric derivative arrays.
 
@@ -135,13 +150,7 @@ def _curvature_rows(g, dg, d2g):
     """
     b, d = g.shape[:2]
     g_inv = np.linalg.inv(g)
-    # t[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; Gamma^k_ij = g^kl t_lij / 2
-    t = np.add(dg.transpose(0, 2, 3, 1), dg.transpose(0, 2, 1, 3),
-               out=np.empty((b, d, d, d)))
-    t -= dg.transpose(0, 3, 1, 2)
-    t = t.reshape(b, d, d * d)
-    gamma = g_inv @ t
-    gamma *= 0.5
+    t, gamma = _christoffel_rows(g_inv, dg)
     # dginv[k, m, l] = d_m g^kl = -g^ka (d_m g_ac) g^cl, over a, then over c
     dginv = g_inv @ dg.transpose(0, 1, 3, 2).reshape(b, d, d * d)
     dginv = dginv.reshape(b, d * d, d) @ g_inv
@@ -162,6 +171,60 @@ def _curvature_rows(g, dg, d2g):
     ric = np.einsum("biijk->bjk", riem)
     scal = np.einsum("bjk,bjk->b", g_inv, ric)
     return g_inv, gamma.reshape(b, d, d, d), riem, ric, scal
+
+
+def _ricci_rows(g, dg, d2g):
+    """(g_inv, Gamma, Ric, R) from metric derivative arrays, without Riem.
+
+    Ric_jk = d_i Gamma^i_jk - d_j d_k (log det g) / 2
+             + Gamma^i_ip Gamma^p_jk - Gamma^i_jp Gamma^p_ik,
+    with d_i Gamma^i_jk = (g^il d_i t_ljk + d_i g^il t_ljk) / 2 and
+    d_j d_k log det g = g^ab d_j d_k g_ab - tr(g^-1 d_j g g^-1 d_k g).
+    d2g is the only (2N)^4 array: three products read it against vec(g^-1),
+    viewed as (d^2, d^2) from each side and as (d, d^2, d), which needs no
+    transposed copy because d2g is symmetric in its last two indices.  Every
+    other product has d^3 entries, so the kernel takes O(d^4) flops where
+    ``_curvature_rows`` takes O(d^5).  Gamma has the bits of
+    ``_curvature_rows``' Gamma.  Every contraction is one ``np.matmul`` of
+    C-contiguous arrays, so every output row depends only on the same input
+    row.
+    """
+    b, d = g.shape[:2]
+    g_inv = np.linalg.inv(g)
+    t, gamma = _christoffel_rows(g_inv, dg)
+    vec = g_inv.reshape(b, 1, d * d)
+    vec_col = g_inv.reshape(b, d * d, 1)
+    # p[k, j] = g^li d_i d_j g_kl, read as d2g[k, l, i, j] over (l, i);
+    # g^il d_i t_ljk = p[k, j] + p[j, k] - q[j, k], q[j, k] = g^li d_l d_i g_jk
+    p = (vec[:, None] @ d2g.reshape(b, d, d * d, d)).reshape(b, d, d)
+    q = d2g.reshape(b, d * d, d * d) @ vec_col
+    # s[j, k] = g^ab d_j d_k g_ab
+    s = vec @ d2g.reshape(b, d * d, d * d)
+    # m[a, c, j] = (g^-1 d_j g)_ac; tr(g^-1 d_j g g^-1 d_k g) = m[a, c, j]
+    # m[c, a, k], over (c, a)
+    m = g_inv @ dg.reshape(b, d, d * d)
+    m_swap = m.reshape(b, d, d, d).transpose(0, 3, 2, 1).reshape(b, d, d * d)
+    tr_mm = m_swap @ m.reshape(b, d * d, d)
+    # d_i g^il = -g^lc (g^ai d_i g_ca), the inner sum over (a, i)
+    div_inv = g_inv @ (dg.reshape(b, d, d * d) @ vec_col)
+    np.negative(div_inv, out=div_inv)
+    div_t = div_inv.reshape(b, 1, d) @ t
+    # Gamma^i_ip Gamma^p_jk and Gamma^i_jp Gamma^p_ik, the last over (p, i)
+    gamma4 = gamma.reshape(b, d, d, d)
+    trace = np.einsum("biip->bp", gamma4).reshape(b, 1, d)
+    gg_trace = trace @ gamma
+    gamma_swap = gamma4.transpose(0, 2, 3, 1).reshape(b, d, d * d)
+    gg = gamma_swap @ gamma.reshape(b, d * d, d)
+    ric = np.add(p, p.transpose(0, 2, 1), out=np.empty((b, d, d)))
+    ric -= q.reshape(b, d, d)
+    ric += div_t.reshape(b, d, d)
+    ric -= s.reshape(b, d, d)
+    ric += tr_mm
+    ric *= 0.5
+    ric += gg_trace.reshape(b, d, d)
+    ric -= gg
+    scal = np.einsum("bjk,bjk->b", g_inv, ric)
+    return g_inv, gamma4, ric, scal
 
 
 def curvature_from_arrays(g, dg, d2g):

@@ -26,22 +26,39 @@ class Jet:
     where ``D`` is the number of real coordinates and ``S`` the value shape,
     empty for a scalar.  Jets of broadcastable value shapes combine
     elementwise.  Payloads may be real or complex.
+
+    A jet whose Hessian is known to be zero holds no Hessian array
+    (``_hess`` is None): the seeds of ``variable`` and ``constant``, and
+    their sums, negations, scalar multiples, ``conj``, ``real`` and slices.
+    The product rule skips its val * hess term, which is a zero, so the
+    product has the bits of the explicit-zero product up to the sign of a
+    zero.  ``hess`` reads as an array of zeros of the full shape.
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "grad", "_hess")
 
     def __init__(self, val, grad, hess):
         self.val = np.asarray(val)
         self.grad = np.asarray(grad)
-        self.hess = np.asarray(hess)
+        self._hess = None if hess is None else np.asarray(hess)
+
+    @property
+    def hess(self):
+        if self._hess is None:
+            return np.zeros(self.grad.shape + self.grad.shape[-1:],
+                            dtype=self.grad.dtype)
+        return self._hess
+
+    def _map_hess(self, fn):
+        """``fn`` of the Hessian array, or None for a known-zero one."""
+        return None if self._hess is None else fn(self._hess)
 
     @classmethod
     def constant(cls, val, dim):
         val = np.asarray(val)
         dtype = val.dtype if val.dtype.kind == "c" else np.float64
-        return cls(val.astype(dtype),
-                   np.zeros(val.shape + (dim,), dtype=dtype),
-                   np.zeros(val.shape + (dim, dim), dtype=dtype))
+        return cls(val.astype(dtype), np.zeros(val.shape + (dim,), dtype=dtype),
+                   None)
 
     @classmethod
     def variable(cls, val, direction, dim):
@@ -50,37 +67,54 @@ class Jet:
         direction = np.asarray(direction)
         grad = np.broadcast_to(direction, val.shape + (dim,)).copy()
         dtype = np.result_type(val.dtype, direction.dtype)
-        return cls(val.astype(dtype), grad.astype(dtype),
-                   np.zeros(val.shape + (dim, dim), dtype=dtype))
+        return cls(val.astype(dtype), grad.astype(dtype), None)
 
     def __getitem__(self, index):
         """The jet of ``val[index]``, for an index of batch and value axes."""
-        return Jet(self.val[index], self.grad[index], self.hess[index])
+        return Jet(self.val[index], self.grad[index],
+                   self._map_hess(lambda h: h[index]))
 
     # ---- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val, self.grad + other.grad,
-                       self.hess + other.hess)
-        return Jet(self.val + other, self.grad, self.hess)
+            if self._hess is None or other._hess is None:
+                hess = other._hess if self._hess is None else self._hess
+            else:
+                hess = self._hess + other._hess
+            return Jet(self.val + other.val, self.grad + other.grad, hess)
+        return Jet(self.val + other, self.grad, self._hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.val, -self.grad, -self.hess)
+        return Jet(-self.val, -self.grad, self._map_hess(np.negative))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self, other
             val = a.val * b.val
             grad = a.val[..., None] * b.grad + b.val[..., None] * a.grad
-            hess = (a.val[..., None, None] * b.hess
-                    + b.val[..., None, None] * a.hess
-                    + a.grad[..., :, None] * b.grad[..., None, :]
-                    + b.grad[..., :, None] * a.grad[..., None, :])
+            # a.val b.hess + b.val a.hess + a.grad b.grad^T + b.grad a.grad^T,
+            # summed in that order without the terms of a zero Hessian;
+            # every term has the product's full shape
+            outer = a.grad[..., :, None] * b.grad[..., None, :]
+            if a._hess is None and b._hess is None:
+                hess = outer
+            elif a._hess is None:
+                hess = a.val[..., None, None] * b._hess
+                hess += outer
+            elif b._hess is None:
+                hess = b.val[..., None, None] * a._hess
+                hess += outer
+            else:
+                hess = a.val[..., None, None] * b._hess
+                hess += b.val[..., None, None] * a._hess
+                hess += outer
+            hess += b.grad[..., :, None] * a.grad[..., None, :]
             return Jet(val, grad, hess)
-        return Jet(self.val * other, self.grad * other, self.hess * other)
+        return Jet(self.val * other, self.grad * other,
+                   self._map_hess(lambda h: h * other))
 
     __rmul__ = __mul__
 
@@ -94,23 +128,30 @@ class Jet:
         iv2 = iv * iv
         grad = -self.grad * iv2[..., None]
         outer = self.grad[..., :, None] * self.grad[..., None, :]
-        hess = (-self.hess * iv2[..., None, None]
-                + 2.0 * outer * (iv2 * iv)[..., None, None])
+        hess = 2.0 * outer * (iv2 * iv)[..., None, None]
+        if self._hess is not None:
+            hess = -self._hess * iv2[..., None, None] + hess
         return Jet(iv, grad, hess)
 
     def log(self):
         iv = 1.0 / self.val
         grad = self.grad * iv[..., None]
         outer = self.grad[..., :, None] * self.grad[..., None, :]
-        hess = self.hess * iv[..., None, None] - outer * (iv * iv)[..., None, None]
+        hess = outer * (iv * iv)[..., None, None]
+        if self._hess is None:
+            hess = -hess
+        else:
+            hess = self._hess * iv[..., None, None] - hess
         return Jet(np.log(self.val), grad, hess)
 
     def conj(self):
-        return Jet(np.conj(self.val), np.conj(self.grad), np.conj(self.hess))
+        return Jet(np.conj(self.val), np.conj(self.grad),
+                   self._map_hess(np.conj))
 
     @property
     def real(self):
-        return Jet(self.val.real, self.grad.real, self.hess.real)
+        return Jet(self.val.real, self.grad.real,
+                   self._map_hess(lambda h: h.real))
 
 
 class Dual2:

@@ -359,6 +359,33 @@ def test_doubled_sweep_volume_fails_hbar_prime(N, monkeypatch):
     assert cert["verdict"] == "inconclusive"
 
 
+def _scaled_sweep_ricci(monkeypatch, factor):
+    """The sweep's Ricci kernel with its Ric times ``factor``."""
+    kernel = geometry._ricci_rows
+
+    def scaled(g, dg, d2g):
+        g_inv, gamma, ric, scal = kernel(g, dg, d2g)
+        return g_inv, gamma, factor * ric, scal
+
+    monkeypatch.setattr(entropy, "_ricci_rows", scaled)
+
+
+# Ntilde's Rm(h, *) is psi Ric in the sweep, so at N = 2 a Ric off by a
+# factor 1 + e moves nu'' by e (n/2) avg(phi^2) = e.  e = 1e-7 lands on
+# second_variation's tolerance itself, and the rounding of the unmutated
+# nu'' (-3.2e-16) decides: 1 + 1e-7 gives 9.99999997e-8 and passes,
+# 1 - 1e-7 gives 1.00000000027e-7 and fails.  So the cases are the sign
+# flip and e = +-1.01e-7, just past the tolerance.
+@pytest.mark.parametrize("factor", [-1.0, 1 + 1.01e-7, 1 - 1.01e-7])
+def test_wrong_sweep_ricci_fails_second_variation(factor, monkeypatch):
+    _scaled_sweep_ricci(monkeypatch, factor)
+    checks, cert = certify_n2()
+    assert _failing(checks) == ["second_variation", "verdict"]
+    assert cert["verdict"] == "inconclusive"
+    assert abs(_record({"checks": checks}, "second_variation")["residual"]
+               - abs(factor - 1)) < 1e-13
+
+
 def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,
                                                   capsys):
     *_, outputs = recorded

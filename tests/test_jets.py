@@ -93,3 +93,69 @@ def test_nested_dual_fourth_derivative():
     expected2 = 2.0 / s - 4.0 * x0 ** 2 / s ** 2
     assert abs(k.v.h[0][0] - expected2) < 1e-14
     assert abs(k.h[0][0].v - expected2) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# seeds carry no Hessian array
+
+
+def _explicit(jet):
+    """The same jet with its Hessian as an explicit array."""
+    return Jet(jet.val, jet.grad, jet.hess)
+
+
+def _seeds():
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    direction = np.hstack([np.eye(3), 1j * np.eye(3)])
+    z = Jet.variable(w, direction, 6)
+    one = Jet.constant(np.full(6, 1.5 - 0.5j), 6)
+    return z, one
+
+
+def _general(z):
+    """A jet with a nonzero Hessian: 1 / (1 + |z|^2), summed over axis 1."""
+    sq = z.conj() * z
+    return (sq[:, 0] + sq[:, 1] + sq[:, 2] + 1.0).reciprocal()
+
+
+def _assert_same_jet(a, b):
+    for part in ("val", "grad", "hess"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.shape == y.shape and x.dtype == y.dtype, part
+        assert np.array_equal(x, y), part
+
+
+def test_seed_hessian_reads_as_zeros_of_the_old_shape_and_dtype():
+    z, one = _seeds()
+    real = Jet.variable(np.array([0.5, 2.0]), np.array([1.0, 0.0]), 2)
+    for jet, shape, dtype in ((z, (6, 3, 6, 6), complex),
+                              (one, (6, 6, 6), complex),
+                              (real, (2, 2, 2), float),
+                              (Jet.constant(np.arange(3), 4), (3, 4, 4), float)):
+        assert jet.hess.shape == shape and jet.hess.dtype == dtype
+        assert not np.any(jet.hess)
+    # sums, negations, scalar multiples, conj, real and slices stay seeds
+    for jet in (z + z, -z, 2.0 * z, z * 3j, z + 1.0, z.conj(), z.real,
+                z[:, 1], one + z[:, 0]):
+        assert jet._hess is None
+        assert jet.hess.shape == jet.grad.shape + jet.grad.shape[-1:]
+
+
+def test_seed_products_match_the_explicit_zero_products():
+    z, one = _seeds()
+    zi, zj = z[:, 0], z[:, 2]
+    general = _general(z)
+    pairs = [(zi.conj(), zj), (zi, zi), (z.conj()[:, :, None], z[:, None, :]),
+             (zi, one), (one, zj.conj()), (one, one),
+             (zi, general), (general, zj.conj()), (one, general),
+             (z, general[:, None]), (general, general)]
+    for a, b in pairs:
+        _assert_same_jet(a * b, _explicit(a) * _explicit(b))
+    # quotients, reciprocals and logs of seeds
+    _assert_same_jet(zi / general, _explicit(zi) / general)
+    _assert_same_jet(general / zi, general / _explicit(zi))
+    for jet in (zi, one, zi.real):
+        _assert_same_jet(jet.reciprocal(), _explicit(jet).reciprocal())
+    x = Jet.variable(np.array([0.5, 2.0]), np.array([1.0, 0.0]), 2)
+    _assert_same_jet((x + 1.0).log(), _explicit(x + 1.0).log())

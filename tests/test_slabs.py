@@ -30,12 +30,15 @@ SLAB = entropy._slab_rows(3)
 ROWS = 2 * SLAB + 1
 PROBE_ROWS = (0, SLAB - 1, SLAB, 2 * SLAB - 1, 2 * SLAB)
 CURVATURE_FIELDS = ("g", "g_inv", "Gamma", "Riem", "Ric", "R")
+RICCI_FIELDS = ("g_inv", "Gamma", "Ric", "R")
 # Bound on the tracemalloc peak of the N = 4 sweep on its exact rule (6
-# slabs of at most 64 rows in one 336-row chunk), measured at 7.24 MiB in
-# each of 5 runs: one slab's arrays at their peak (d2g, d_m t_lij and the
-# first product into d_m Gamma, 2 MiB each) and the chunk.  The chunk's
-# curvature at once would take about 50 MiB.
-PEAK_BOUND = 8 * 2 ** 20
+# slabs of at most 64 rows in one 336-row chunk), measured at 4.72 MiB in
+# each of 5 runs (7.24 MiB with the full Riemann kernel): one slab's arrays
+# at their peak, about 2.3 of its 2 MiB (2N)^4 arrays while
+# ``metric_arrays`` writes d2g from the complex Hessian, and the chunk.
+# The chunk's curvature at once would take about 50 MiB.  The bound was
+# 8 MiB over the full Riemann kernel's peak.
+PEAK_BOUND = 6 * 2 ** 20
 
 
 def _slab_outputs(w):
@@ -44,6 +47,9 @@ def _slab_outputs(w):
     out = dict(zip(("metric_g", "metric_dg", "metric_d2g"),
                    geometry.metric_arrays(w)))
     out.update({name: getattr(geom, name) for name in CURVATURE_FIELDS})
+    ricci = geometry._ricci_rows(*geometry.metric_arrays(w))
+    out.update({"ricci_" + name: value
+                for name, value in zip(RICCI_FIELDS, ricci)})
     out["n_tilde"] = entropy.n_tilde_batch(h, w, geom)
     psi = h.psi_jet(w)
     out.update(psi_val=psi.val, psi_grad=psi.grad, psi_hess=psi.hess)
@@ -285,27 +291,64 @@ def test_buffered_kernels_match_the_unbuffered_ones(N):
                       what)
 
 
+# Largest difference of the Ricci kernel's Ric from ``_curvature_rows``',
+# relative to its largest entry, and of R, absolute, over the batches of
+# the test below at N = 2..6 and five seeds each: Ric 1.1e-15, 1.0e-15,
+# 1.3e-15, 1.4e-15, 1.4e-15; R 4.6e-14 to 1.1e-13 (R = 4N(N+1)).  The
+# bounds are about twice the largest.  g_inv and Gamma are the same bits.
+RICCI_REL_TOL = 3e-15
+RICCI_SCALAR_ABS_TOL = 2.5e-13
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_ricci_kernel_matches_the_trace_of_the_riemann_kernel(N):
+    budget = entropy._slab_rows(N)
+    for rows in (1, 7, budget, budget + 1):
+        w = sample_w(N, rows, seed=rows + 17 * N)
+        arrays = geometry.metric_arrays(w)
+        g_inv, gamma, _, ric, scal = geometry._curvature_rows(*arrays)
+        ricci = geometry._ricci_rows(*arrays)
+        assert np.array_equal(ricci[0], g_inv)
+        assert np.array_equal(ricci[1], gamma)
+        rel = np.max(np.abs(ricci[2] - ric)) / np.max(np.abs(ric))
+        assert rel <= RICCI_REL_TOL, (N, rows)
+        assert np.max(np.abs(ricci[3] - scal)) <= RICCI_SCALAR_ABS_TOL
+
+
 # Largest |Ric - 2(N+1) g| over a row's largest |g_ij|, and largest
 # |R - 4N(N+1)|, over every node of both sweep rules at N, by the einsum
-# kernel (the references above) and the matmul kernel:
-#   N = 2: 4.5e-14 and 6.4e-13 (einsum), 2.2e-14 and 4.8e-13 (matmul)
-#   N = 3: 1.0e-13 and 5.4e-12, 6.9e-14 and 2.0e-12
-#   N = 4: 3.7e-13 and 1.5e-11, 2.3e-13 and 1.0e-11
-#   N = 5: 1.0e-12 and 6.5e-11, 8.6e-13 and 5.2e-11
+# kernel (the references above), the matmul kernel and the Ricci kernel:
+#   N = 2: 4.5e-14 and 6.4e-13 (einsum), 2.2e-14 and 4.8e-13 (matmul),
+#          2.8e-14 and 4.7e-13 (Ricci)
+#   N = 3: 1.0e-13 and 5.4e-12, 6.9e-14 and 2.0e-12, 1.1e-13 and 2.1e-12
+#   N = 4: 3.7e-13 and 1.5e-11, 2.3e-13 and 1.0e-11, 3.7e-13 and 8.2e-12
+#   N = 5: 1.0e-12 and 6.5e-11, 8.6e-13 and 5.2e-11, 1.0e-12 and 3.2e-11
 # The bounds are about twice the einsum kernel's.
 EINSTEIN_TOL = {2: (1e-13, 1.5e-12), 3: (2.5e-13, 1.2e-11),
                 4: (1e-12, 3e-11), 5: (2.5e-12, 1.5e-10)}
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
-@pytest.mark.parametrize("witness", [False, True], ids=["rule", "witness"])
-def test_curvature_rows_are_einstein_on_the_sweep_rules(N, witness):
+def _assert_einstein_on_the_sweep_rules(N, witness, kernel):
+    """Ric = 2(N+1) g and R = 4N(N+1) by ``kernel`` on every slab of the
+    sweep's rule or its witness, within ``EINSTEIN_TOL``."""
     ric_tol, scal_tol = EINSTEIN_TOL[N]
     rows = entropy._slab_rows(N)
     for w, _ in _sweep_nodes(N, witness):
         for start in range(0, len(w), rows):
             g, dg, d2g = geometry.metric_arrays(w[start:start + rows])
-            *_, ric, scal = geometry._curvature_rows(g, dg, d2g)
+            *_, ric, scal = kernel(g, dg, d2g)
             scale = np.max(np.abs(g), axis=(1, 2))[:, None, None]
             assert np.max(np.abs(ric - 2 * (N + 1) * g) / scale) < ric_tol
             assert np.max(np.abs(scal - 4 * N * (N + 1))) < scal_tol
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("witness", [False, True], ids=["rule", "witness"])
+def test_curvature_rows_are_einstein_on_the_sweep_rules(N, witness):
+    _assert_einstein_on_the_sweep_rules(N, witness, geometry._curvature_rows)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("witness", [False, True], ids=["rule", "witness"])
+def test_ricci_rows_are_einstein_on_the_sweep_rules(N, witness):
+    _assert_einstein_on_the_sweep_rules(N, witness, geometry._ricci_rows)
