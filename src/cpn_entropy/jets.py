@@ -32,7 +32,10 @@ class Jet:
     their sums, negations, scalar multiples, ``conj``, ``real`` and slices.
     The product rule skips its val * hess term, which is a zero, so the
     product has the bits of the explicit-zero product up to the sign of a
-    zero.  ``hess`` reads as an array of zeros of the full shape.
+    zero.  ``hess`` reads as a read-only array of zeros of the full shape,
+    so a write into it raises instead of being lost.  A sum with one such
+    operand gets a fresh copy of the other Hessian, broadcast to the sum's
+    shape, and shares no array with its operands.
     """
 
     __slots__ = ("val", "grad", "_hess")
@@ -45,8 +48,8 @@ class Jet:
     @property
     def hess(self):
         if self._hess is None:
-            return np.zeros(self.grad.shape + self.grad.shape[-1:],
-                            dtype=self.grad.dtype)
+            return np.broadcast_to(np.zeros((), dtype=self.grad.dtype),
+                                   self.grad.shape + self.grad.shape[-1:])
         return self._hess
 
     def _map_hess(self, fn):
@@ -78,11 +81,15 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            if self._hess is None or other._hess is None:
-                hess = other._hess if self._hess is None else self._hess
+            grad = self.grad + other.grad
+            if self._hess is None and other._hess is None:
+                hess = None
+            elif self._hess is None or other._hess is None:
+                h = other._hess if self._hess is None else self._hess
+                hess = np.broadcast_to(h, grad.shape + grad.shape[-1:]).copy()
             else:
                 hess = self._hess + other._hess
-            return Jet(self.val + other.val, self.grad + other.grad, hess)
+            return Jet(self.val + other.val, grad, hess)
         return Jet(self.val + other, self.grad, self._hess)
 
     __radd__ = __add__

@@ -125,8 +125,7 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
     real parts and then its imaginary parts (split draws continue one
     stream); per-row normalisation; ``evaluate``, whose rows keep their
     bits in any block; and one ``np.sum`` per shard of the values and one
-    of their squares.  So the block size does not move a bit.  P's
-    evaluation plan is built once per call, not once per block.
+    of their squares.  So the block size does not move a bit.
     """
     chunk = 200_000     # samples per shard
     if samples < 10_000:
@@ -134,7 +133,6 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
     if p.m != m:
         raise ValueError("polynomial lives on a different C^m")
     seq = np.random.SeedSequence(seed)
-    plan = p._evaluation_plan()
     reals = np.empty((min(chunk, samples), m))
     vals = np.empty(len(reals))
     total = 0.0
@@ -152,7 +150,7 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
             z.real = reals[s]
             z.imag = rng.standard_normal(z.shape)
             z /= np.linalg.norm(z, axis=1, keepdims=True)
-            vals[s] = np.real(p.evaluate(z, plan))
+            vals[s] = np.real(p.evaluate(z))
         v = vals[:size]
         total += float(np.sum(v))
         total_sq += float(np.sum(np.square(v, out=v)))

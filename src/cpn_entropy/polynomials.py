@@ -285,7 +285,7 @@ class BihomogeneousPolynomial(LinearCombination):
             groups.setdefault(slots[b], []).append((c.to_complex(), slots[a]))
         return len(slots), steps, list(groups.items())
 
-    def evaluate(self, z: np.ndarray, plan=None) -> np.ndarray:
+    def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Evaluate at rows of a complex array z of shape (..., m).
 
         P is summed as a Hermitian form over shared monomials: for each
@@ -296,16 +296,12 @@ class BihomogeneousPolynomial(LinearCombination):
         order, and the groups are added in order of first use.  Every
         product is ``np.multiply`` into a buffer that is none of its
         operands, so each row's bits depend on that row alone, not on the
-        number of rows or on where the row sits among them.  A caller that
-        evaluates P block after block passes ``plan``, this polynomial's
-        ``_evaluation_plan()``, so that it is built once.
+        number of rows or on where the row sits among them.
         """
         z = np.asarray(z, dtype=complex)
         rows = z.reshape(-1, z.shape[-1])
         out = np.zeros(len(rows), dtype=complex)
-        if plan is None:
-            plan = self._evaluation_plan()
-        size, steps, groups = plan
+        size, steps, groups = self._evaluation_plan()
         # the monomials, then three work rows: W_b, a product and conj(z^b)
         buf = np.empty((size + 3, min(len(rows), _BLOCK_ROWS)), dtype=complex)
         for start in range(0, len(rows), _BLOCK_ROWS):

@@ -135,6 +135,8 @@ def test_seed_hessian_reads_as_zeros_of_the_old_shape_and_dtype():
                               (Jet.constant(np.arange(3), 4), (3, 4, 4), float)):
         assert jet.hess.shape == shape and jet.hess.dtype == dtype
         assert not np.any(jet.hess)
+        # a write into the zeros raises instead of being lost
+        assert not jet.hess.flags.writeable
     # sums, negations, scalar multiples, conj, real and slices stay seeds
     for jet in (z + z, -z, 2.0 * z, z * 3j, z + 1.0, z.conj(), z.real,
                 z[:, 1], one + z[:, 0]):
@@ -152,6 +154,15 @@ def test_seed_products_match_the_explicit_zero_products():
              (z, general[:, None]), (general, general)]
     for a, b in pairs:
         _assert_same_jet(a * b, _explicit(a) * _explicit(b))
+    # sums of a seed and a general jet, broadcast ones too, own a fresh
+    # Hessian of the sum's full shape
+    for a, b in ((zi, general), (general, one), (z, general[:, None]),
+                 (general[:, None], z.conj())):
+        total = a + b
+        _assert_same_jet(total, _explicit(a) + _explicit(b))
+        total.hess[...] += 1.0
+        assert not np.shares_memory(total.hess, general.hess)
+        _assert_same_jet(general, _general(z))
     # quotients, reciprocals and logs of seeds
     _assert_same_jet(zi / general, _explicit(zi) / general)
     _assert_same_jet(general / zi, general / _explicit(zi))

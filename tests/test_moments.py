@@ -229,23 +229,6 @@ def test_monte_carlo_bits_do_not_depend_on_the_row_block(monkeypatch):
         assert monte_carlo_average(p, 3, 210_001, seed=3) == expected
 
 
-def test_monte_carlo_builds_the_evaluation_plan_once(monkeypatch):
-    # 210001 samples are 27 row blocks in two shards, and one plan
-    p = special_cubic_polynomial(2).power(3)
-    expected = monte_carlo_average(p, 3, 210_001, seed=3)
-    built = []
-    plan = polynomials.BihomogeneousPolynomial._evaluation_plan
-
-    def spied(self):
-        built.append(self)
-        return plan(self)
-
-    monkeypatch.setattr(polynomials.BihomogeneousPolynomial,
-                        "_evaluation_plan", spied)
-    assert monte_carlo_average(p, 3, 210_001, seed=3) == expected
-    assert built == [p]
-
-
 def test_cpn_volume_n1_is_pi():
     value, err = cpn_volume(1)
     assert abs(value - math.pi) < 1e-10

@@ -328,9 +328,20 @@ EINSTEIN_TOL = {2: (1e-13, 1.5e-12), 3: (2.5e-13, 1.2e-11),
                 4: (1e-12, 3e-11), 5: (2.5e-12, 1.5e-10)}
 
 
-def _assert_einstein_on_the_sweep_rules(N, witness, kernel):
-    """Ric = 2(N+1) g and R = 4N(N+1) by ``kernel`` on every slab of the
-    sweep's rule or its witness, within ``EINSTEIN_TOL``."""
+# The Riemann kernel's cases keep their ids (rule-2, ...); the Ricci
+# kernel's carry a ricci- prefix.
+SWEEP_RULE_CASES = [
+    pytest.param(kernel, witness, N,
+                 id=f"{prefix}{'witness' if witness else 'rule'}-{N}")
+    for prefix, kernel in (("", geometry._curvature_rows),
+                           ("ricci-", geometry._ricci_rows))
+    for witness in (False, True) for N in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("kernel, witness, N", SWEEP_RULE_CASES)
+def test_curvature_rows_are_einstein_on_the_sweep_rules(kernel, witness, N):
+    # Ric = 2(N+1) g and R = 4N(N+1) on every slab of the sweep's rule or
+    # its witness, within EINSTEIN_TOL
     ric_tol, scal_tol = EINSTEIN_TOL[N]
     rows = entropy._slab_rows(N)
     for w, _ in _sweep_nodes(N, witness):
@@ -340,15 +351,3 @@ def _assert_einstein_on_the_sweep_rules(N, witness, kernel):
             scale = np.max(np.abs(g), axis=(1, 2))[:, None, None]
             assert np.max(np.abs(ric - 2 * (N + 1) * g) / scale) < ric_tol
             assert np.max(np.abs(scal - 4 * N * (N + 1))) < scal_tol
-
-
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
-@pytest.mark.parametrize("witness", [False, True], ids=["rule", "witness"])
-def test_curvature_rows_are_einstein_on_the_sweep_rules(N, witness):
-    _assert_einstein_on_the_sweep_rules(N, witness, geometry._curvature_rows)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
-@pytest.mark.parametrize("witness", [False, True], ids=["rule", "witness"])
-def test_ricci_rows_are_einstein_on_the_sweep_rules(N, witness):
-    _assert_einstein_on_the_sweep_rules(N, witness, geometry._ricci_rows)
