@@ -20,7 +20,7 @@ from .charts import ChartPoint
 # curvature_batch is bound here only for perfbench's tracer test, which
 # checks that the tracer patches every module binding it.
 from .geometry import (GeometryJet, curvature_batch,  # noqa: F401
-                       hessian_and_laplacian, homogeneous_jets)
+                       hessian_and_laplacian)
 from .jets import Jet
 
 
@@ -105,27 +105,40 @@ def special_phi(N: int) -> HermitianForm:
 
 
 def phi_jet_batch(form: HermitianForm, chart: int, w: np.ndarray) -> Jet:
-    """Jet (value, gradient, Hessian) of phi_A over a batch of chart points."""
+    """Jet (value, gradient, Hessian) of phi_A over a batch of chart points.
+
+    phi_A = num/den in the real chart coordinates X = (x, y).  The
+    homogeneous coordinates z = e_chart + E X are linear in X, so
+    num = z*Az has gradient 2 Re(z*A E) and the constant Hessian
+    2 Re(E^H A E), and den = 1 + |X|^2 has gradient 2X and Hessian 2I.
+    The jet quotient rule divides them.
+    """
     w = np.asarray(w, dtype=complex)
-    z = homogeneous_jets(chart, w)
+    b, n = w.shape
     m = form.size
-    if m != w.shape[1] + 1:
+    if m != n + 1:
         raise ValueError("form size does not match chart dimension")
     a = form.matrix
-    num = None
-    den = None
-    for i in range(m):
-        zi_c = z[i].conj()
-        den_term = zi_c * z[i]
-        den = den_term if den is None else den + den_term
-        for j in range(m):
-            if a[i, j] == 0:
-                continue
-            term = (zi_c * z[j]) * a[i, j]
-            num = term if num is None else num + term
-    if num is None:
-        return Jet.constant(np.zeros(w.shape[0]), 2 * w.shape[1])
-    return (num / den).real
+    z_re = np.insert(w.real, chart, 1.0, axis=1)
+    z_im = np.insert(w.imag, chart, 0.0, axis=1)
+    # v = z*A, row by row of A: v_k = sum_i conj(z_i) A_ik
+    v_re = np.zeros((b, m))
+    v_im = np.zeros((b, m))
+    for i in np.flatnonzero(a.any(axis=1)):
+        v_re += z_re[:, i, None] * a[i].real + z_im[:, i, None] * a[i].imag
+        v_im += z_re[:, i, None] * a[i].imag - z_im[:, i, None] * a[i].real
+    num = np.sum(v_re * z_re - v_im * z_im, axis=1)
+    chart_axes = [i for i in range(m) if i != chart]
+    grad = 2.0 * np.concatenate([v_re[:, chart_axes], -v_im[:, chart_axes]],
+                                axis=1)
+    e_a_e = a[np.ix_(chart_axes, chart_axes)]
+    hess = 2.0 * np.block([[e_a_e.real, -e_a_e.imag],
+                           [e_a_e.imag, e_a_e.real]])
+    x = np.concatenate([w.real, w.imag], axis=1)
+    shape = (b, 2 * n, 2 * n)
+    den = Jet(1.0 + np.sum(x * x, axis=1), 2.0 * x,
+              np.broadcast_to(2.0 * np.eye(2 * n), shape))
+    return Jet(num, grad, np.broadcast_to(hess, shape)) / den
 
 
 def phi_value_at(form: HermitianForm, p: ChartPoint) -> float:

@@ -161,13 +161,13 @@ def _certify_quadratures(N: int) -> tuple:
 
 # Bytes of one (2N)^4 float64 array of a geometry sweep slab, which sets
 # the slab's rows: 1024, 202, 64, 26 and 12 at N = 2..6.  The rows depend
-# only on N, so no result depends on the machine.  A slab peaks at about
-# 2.3 such arrays, while ``metric_arrays`` writes d2g from its complex
-# Hessian; the Ricci kernel then holds d2g and d^3-sized arrays only.  So
-# peak memory does not grow with N.  The slabs allocate fresh arrays, like
-# every other caller: in process, the first ``certify --N 4`` takes about
-# 7 500 minor page faults (0.01 s of system time) and a repeat call about
-# 3 900 (getrusage, 2 vCPU).
+# only on N, so no result depends on the machine.  ``metric_arrays`` forms
+# d2g as its only such array, and a slab peaks at about 1.9 of them while
+# the Ricci kernel holds d2g and its d^3-sized arrays.  So peak memory does
+# not grow with N.  The slabs allocate fresh arrays, like every other
+# caller: in process, the first ``certify --N 4`` takes about 5 100 minor
+# page faults (about 0.01 s of system time or less) and a repeat call about
+# 2 800 (getrusage, 2 vCPU).
 _SLAB_BYTES = 2 * 2 ** 20
 
 
@@ -354,10 +354,10 @@ class Gate(NamedTuple):
 # max(1, |Hbar'|)) and third_variation_nonzero's is a floor that |nu'''|
 # must exceed.  quadrature_witness gates the largest absolute difference
 # between a quadrature value and the same value on its witness, the rule
-# moved by an isometry: at most 2.7e-15 at N = 2..6 (2.65e-15 at N = 2,
+# moved by an isometry: at most 2.7e-15 at N = 2..6 (2.69e-15 at N = 3,
 # the second variation's), while content the rule gets wrong, such as
 # t_1^4, moves it by 8.9e-4 or more.  third_variation_exact's relative
-# residual is at most 3.4e-15 at N = 2..6.
+# residual is at most 4.6e-15 at N = 2..6.
 # The final verdict record is the conjunction of the others.
 CERTIFICATE_CHECKS = {
     "eigen_residual": Gate("(lap + 1/tau) phi = 0", 1e-8, "pointwise"),

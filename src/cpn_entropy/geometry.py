@@ -10,10 +10,14 @@ the Hermitian coefficient matrix, the real metric is the block matrix
 i.e. g(X, X) = sum_ab H_ab Z_a conj(Z_b) for X = (xi, eta), Z = xi + i eta
 (verified against the horizontal pullback through the sphere lift).
 
-Derivatives of g are propagated exactly with forward-mode jets of the closed
-form H = I/sigma - wbar w^T / sigma^2, sigma = 1 + |w|^2.  Two independent
-oracles cross-check the chain: nested dual numbers applied to the potential
-itself (fourth-order exact), and Richardson-extrapolated finite differences.
+In the real coordinates X = (x, y) write Y = J X = (-y, x),
+s = 1/(1 + |X|^2) and P = X X^T + Y Y^T.  Then g = s I - s^2 P, and
+``metric_arrays`` writes dg and d2g from the closed forms of their
+derivatives (see its docstring), with no jet and no complex array.  Two
+independent oracles cross-check them, each on its own formula: nested dual
+numbers applied to the potential itself (fourth-order exact,
+``potential_metric_arrays``), and Richardson-extrapolated finite
+differences of ``metric_values``, which evaluates the complex H.
 
 Index conventions (batch axis b first):
 
@@ -27,6 +31,7 @@ Index conventions (batch axis b first):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,27 +98,97 @@ def _assemble_real_blocks(hval, hgrad, hhess):
     return tuple(arrays)
 
 
+@functools.lru_cache(maxsize=None)
+def _second_derivative_pattern(n: int):
+    """(positions, values) in a flattened d2g row of the constant
+    d_k d_l P_ij = d_ik d_jl + d_il d_jk + J_ik J_jl + J_il J_jk, where
+    J = [[0, -I], [I, 0]] maps X to Y.  Entries where the terms cancel are
+    left out."""
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    delta = np.eye(2 * n)
+    jmat = np.block([[zero, -eye], [eye, zero]])
+    pattern = sum(np.einsum(spec, a, a) for a in (delta, jmat)
+                  for spec in ("ik,jl->ijkl", "il,jk->ijkl")).reshape(-1)
+    at = np.flatnonzero(pattern)
+    values = pattern[at]
+    # the cache hands the same arrays to every call
+    at.flags.writeable = values.flags.writeable = False
+    return at, values
+
+
 def metric_arrays(w: np.ndarray):
     """Exact (g, dg, d2g) at a batch of chart points, shapes per module doc.
 
-    H = I s - ubar u^T with s = 1/sigma and u = w s is one jet of value
-    shape (N, N); s goes onto its diagonal in place.
+    From the real closed form g = s I - s^2 P of the module doc, with
+    d_k s = -2 s^2 X_k, d_k P_ij = d_ik X_j + X_i d_jk + J_ik Y_j + Y_i J_jk
+    and the constant d_k d_l P_ij (``_second_derivative_pattern``):
+
+        d_k g_ij     = (4 s^3 P_ij - 2 s^2 d_ij) X_k - s^2 d_k P_ij
+        d_k d_l g_ij = 4 s^3 (d_k P_ij X_l + d_l P_ij X_k)
+                       + d_ij (8 s^3 X_k X_l - 2 s^2 d_kl)
+                       + P_ij (4 s^3 d_kl - 24 s^4 X_k X_l)
+                       - s^2 d_k d_l P_ij.
+
+    The first three terms of d2g are one product u @ v per row, over the
+    2N + 2 columns u = [dP, I, P] of (i, j); the constant term is then
+    subtracted at its at most 4 (2N)^2 entries, so d2g is the only (2N)^4
+    array formed.  g and dg are elementwise.  The product is one gemm per
+    row, so a row's bits do not depend on its batch, though they do depend
+    on the BLAS kernel, as the curvature kernels' do.
     """
-    wj = coordinate_jets(w)
-    n = wj.val.shape[1]
-    sq = wj.conj() * wj
-    sigma = sum((sq[:, a] for a in range(1, n)), sq[:, 0]) + 1.0
-    s = sigma.reciprocal()
-    u = wj * s[:, None]
-    h = -u.conj()[:, :, None] * u[:, None, :]
-    diagonal = (slice(None), np.arange(n), np.arange(n))
-    for part, add in zip((h.val, h.grad, h.hess), (s.val, s.grad, s.hess)):
-        part[diagonal] += add[:, None]
-    return _assemble_real_blocks(h.val, h.grad, h.hess)
+    w = np.asarray(w, dtype=complex)
+    b, n = w.shape
+    d = 2 * n
+    x = np.concatenate([w.real, w.imag], axis=1)
+    y = np.concatenate([-w.imag, w.real], axis=1)
+    s = 1.0 / (1.0 + np.sum(x * x, axis=1))
+    s2 = s * s
+    s3 = s2 * s
+    xx = x[:, :, None] * x[:, None, :]
+    p = y[:, :, None] * y[:, None, :]
+    p += xx
+    g = p * -s2[:, None, None]
+    g.reshape(b, d * d)[:, ::d + 1] += s[:, None]
+    # u[(i, j)] = [d_0 P_ij, ..., d_(d-1) P_ij, d_ij, P_ij]; J is -1 at
+    # (a, n + a) and 1 at (n + a, a)
+    u = np.zeros((b, d * d, d + 2))
+    dp = u[:, :, :d].reshape(b, d, d, d)
+    np.einsum("biji->bij", dp)[...] = x[:, None, :]
+    np.einsum("bijj->bij", dp)[...] += x[:, :, None]
+    low, high = slice(None, n), slice(n, None)
+    for rows, cols, sign in ((low, high, -1.0), (high, low, 1.0)):
+        np.einsum("biji->bij", dp[:, rows, :, cols])[...] += sign * y[:, None, :]
+        np.einsum("bijj->bij", dp[:, :, rows, cols])[...] += sign * y[:, :, None]
+    u[:, ::d + 1, d] = 1.0
+    u[:, :, d + 1] = p.reshape(b, d * d)
+    coef = p * (4.0 * s3)[:, None, None]
+    coef.reshape(b, d * d)[:, ::d + 1] -= 2.0 * s2[:, None]
+    dg = np.einsum("bij,bk->bijk", coef, x)
+    dg -= dp * s2[:, None, None, None]
+    # v[m, (k, l)] = 4 s^3 (d_mk X_l + X_k d_ml), then the rows of d_ij, P_ij
+    v = np.zeros((b, d + 2, d * d))
+    x4 = x * (4.0 * s3)[:, None]
+    vm = v[:, :d].reshape(b, d, d, d)
+    np.einsum("bmml->bml", vm)[...] = x4[:, None, :]
+    np.einsum("bmkm->bmk", vm)[...] += x4[:, None, :]
+    xx = xx.reshape(b, d * d)
+    np.multiply(xx, (8.0 * s3)[:, None], out=v[:, d])
+    v[:, d, ::d + 1] -= 2.0 * s2[:, None]
+    np.multiply(xx, (-24.0 * s2 * s2)[:, None], out=v[:, d + 1])
+    v[:, d + 1, ::d + 1] += 4.0 * s3[:, None]
+    d2g = np.matmul(u, v)
+    at, pattern = _second_derivative_pattern(n)
+    # one index array into the flat buffer is faster than a [:, at] pair
+    flat = d2g.reshape(-1)
+    flat[at + d ** 4 * np.arange(b)[:, None]] -= s2[:, None] * pattern
+    return g, dg, d2g.reshape(b, d, d, d, d)
 
 
 def metric_values(w: np.ndarray) -> np.ndarray:
-    """Metric matrices g(w) only, shape (B, 2N, 2N); fast path, no jets."""
+    """Metric matrices g(w) only, shape (B, 2N, 2N), from the complex H of
+    the module doc.  ``fd_metric_arrays`` differentiates these values, so
+    they stay on H, not on ``metric_arrays``' real closed form."""
     w = np.asarray(w, dtype=complex)
     b, n = w.shape
     sigma = 1.0 + np.sum(w * np.conj(w), axis=1).real
@@ -269,13 +344,15 @@ _SCALAR_SPREAD_TOL = 1e-9
 
 
 def einstein_tau(N: int, seed: int = 0) -> float:
-    """tau = n/(2R), with R checked constant over 20 seeded sample points."""
+    """tau = n/(2R), with R checked constant over 20 seeded sample points.
+
+    R comes from the Ricci kernel ``_ricci_rows``: no Riemann tensor."""
     if N < 1:
         raise ValueError("N must be >= 1")
     from .charts import sample_w
 
     w = sample_w(N, 20, seed)
-    scal = curvature_batch(w).R
+    scal = _ricci_rows(*metric_arrays(w))[3]
     spread = float(np.max(scal) - np.min(scal))
     if spread > _SCALAR_SPREAD_TOL * max(1.0, float(np.max(np.abs(scal)))):
         raise NormalizationError(
@@ -332,8 +409,9 @@ def fd_metric_arrays(w: np.ndarray):
 def potential_metric_arrays(w_point: np.ndarray):
     """(g, dg, d2g) at a single point from nested duals on K = log(1+|w|^2).
 
-    Fourth-order exact and structurally independent of the jet path: it
-    differentiates the potential, not the closed-form metric components.
+    Fourth-order exact and independent of ``metric_arrays``: it
+    differentiates the potential log(1 + |w|^2) itself, never the closed
+    form g = s I - s^2 P, so it stays an oracle for that form.
     """
     w_point = np.asarray(w_point, dtype=complex)
     n = w_point.shape[0]

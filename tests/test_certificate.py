@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cpn_entropy import entropy, geometry
-from cpn_entropy.cli import RunConfig, main
+from cpn_entropy.cli import RunConfig, cmd_geometry, main
 from cpn_entropy.eigenfunctions import phi_values_batch, special_phi
 from cpn_entropy.entropy import CERTIFICATE_CHECKS, ConformalPerturbation
 from cpn_entropy.quadrature import (chart_nodes, cpn_integral, exact_orders,
@@ -208,9 +208,8 @@ def test_certify_builds_each_curvature_batch_and_tau_once(N, monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, spy(name, original))
     entropy.certify(N, 100, 7, timings={})
-    # the 100 sample points, and tau's 20 points
-    assert len(calls["curvature_batch"]) == 2
-    assert len(set(calls["curvature_batch"])) == 2
+    # the 100 sample points; tau reads R from the Ricci kernel
+    assert len(calls["curvature_batch"]) == 1
     assert len(calls["einstein_tau"]) == 1
 
 
@@ -384,6 +383,70 @@ def test_wrong_sweep_ricci_fails_second_variation(factor, monkeypatch):
     assert cert["verdict"] == "inconclusive"
     assert abs(_record({"checks": checks}, "second_variation")["residual"]
                - abs(factor - 1)) < 1e-13
+
+
+def _second_derivative_terms(n):
+    """The delta and the J terms of the constant d_k d_l P_ij of
+    ``geometry.metric_arrays``, as (2N)^4 arrays: d_ik d_jl + d_il d_jk and
+    J_ik J_jl + J_il J_jk, for J X = (-y, x)."""
+    d = 2 * n
+    delta = np.eye(d)
+    jmat = np.zeros((d, d))
+    jmat[n:, :n] = np.eye(n)
+    jmat[:n, n:] = -np.eye(n)
+    return [np.einsum("ik,jl->ijkl", a, a) + np.einsum("il,jk->ijkl", a, a)
+            for a in (delta, jmat)]
+
+
+# What each mutant adds to d2g, whose constant term is -s^2 (delta + J
+# terms): the J terms with their sign flipped, and the whole term times
+# 1 + 1e-6.
+METRIC_MUTANTS = {
+    "flip-j-terms": lambda delta, j: 2.0 * j,
+    "scale-constant-term": lambda delta, j: -1e-6 * (delta + j),
+}
+
+
+def _mutated_metric_arrays(kind):
+    kernel = geometry.metric_arrays
+
+    def mutated(w):
+        g, dg, d2g = kernel(w)
+        s2 = (1.0 / (1.0 + np.sum(np.abs(w) ** 2, axis=1))) ** 2
+        change = METRIC_MUTANTS[kind](*_second_derivative_terms(w.shape[1]))
+        return g, dg, d2g + s2[:, None, None, None, None] * change
+
+    return mutated
+
+
+# The mutant in every module that binds metric_arrays: the geometry verb's
+# derivative cross-checks fail with its Einstein records, and certify stops
+# in einstein_tau's spread guard (R spreads by 2.7e2 and 6.2e-5 at N = 2)
+# before any record.
+@pytest.mark.parametrize("kind", list(METRIC_MUTANTS))
+def test_wrong_metric_second_derivatives_fail_geometry(kind, monkeypatch):
+    original = geometry.metric_arrays
+    mutated = _mutated_metric_arrays(kind)
+    for module in [m for key, m in list(sys.modules.items())
+                   if key.startswith("cpn_entropy.")]:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, mutated)
+    checks, _ = cmd_geometry(RunConfig(N=2), {})
+    assert _failing(checks) == ["einstein", "scalar_constant",
+                                "curvature_fd_oracle", "metric_dual_oracle"]
+    with pytest.raises(geometry.NormalizationError):
+        certify_n2()
+
+
+# The mutant in the sweep alone: tau and the pointwise records are right,
+# and the verdict flips on the second variation.
+@pytest.mark.parametrize("kind", list(METRIC_MUTANTS))
+def test_wrong_sweep_metric_flips_the_verdict(kind, monkeypatch):
+    monkeypatch.setattr(entropy, "metric_arrays", _mutated_metric_arrays(kind))
+    checks, cert = certify_n2()
+    assert _failing(checks) == ["second_variation", "verdict"]
+    assert cert["verdict"] == "inconclusive"
 
 
 def test_nonfinite_stage_value_is_a_failing_record(recorded, monkeypatch,

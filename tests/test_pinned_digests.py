@@ -55,22 +55,22 @@ def _skip_unless_baseline_build():
 # The seed-1 calls of the certify-small, suites and certify-n4 workloads.
 SEED1_DIGESTS = {
     ("certify", "--N", "2", "--seed", "1"):
-        "41260d964c6fe1f493c6abd93aad818a6953710ffe73467a566a9e07fd567b84",
+        "ac452186f0e83776d8daefa00d7753ff898f4813c39b96717f5176b9709e5f7c",
     ("certify", "--N", "3", "--seed", "1"):
-        "7f607b509e92ab9705f8179b561b283763c7472ffc4201139b5e42a6d5a2c72f",
+        "7c8a8b106f7bfe32e744b315164c3bd1881ffccae2522ae05a8fa26978ad946f",
     ("geometry", "--N", "3", "--seed", "1"):
-        "74b7deeafac95054a49e547c639750b327ea850f6ce08554c09dc2efdbfa9817",
+        "a5f7eba2480d19e1a968ef57811d05de132bcc14fbbbf58c3a18039234bc0de4",
     ("eigen", "--N", "3", "--seed", "1"):
-        "1c00c127d7678a6e7e7eaf6d5cd4e854f2bb84537591ca1504aa1a400198dff3",
+        "a6439e14a2a5cc62a9ae52e6e2c62d95ec74de41458232cb576ac1fe73ab70d2",
     ("variation", "--N", "2", "--seed", "1"):
-        "979a89a26b5374c7371a4bd8cb66cf8a95e4dcbe70ddd23c989517926a004756",
+        "bc75cc25bebb74ee8d71d39a32af26b67dd5e4da2f8bbac279ba8161d4b36055",
     ("algebra", "--n", "symbolic", "--orders", "100", "--seed", "1"):
         "2a143bdbeae971a91abc5487ba0b6cc001f23ef358d94476d38e370e4496580e",
     ("moments", "--N", "2", "--mc-samples", "1000000", "--seed", "1"):
         "d59b1b9b9b868639215620d402ce1a0b2d2a9f764ba3e32c51311105c6605371",
     # the headline N, about 0.1 s
     ("certify", "--N", "4", "--seed", "1"):
-        "da9ab1e67a2f04b34feabd4afce23993922d825fd25ffee95385619b5fb2d3a4",
+        "fb2290be95ddbd8e18062d96943f685ee37fb7a8f989b0e74cc7f03041179ccf",
 }
 
 
@@ -86,7 +86,7 @@ def test_mutated_variation_digest():
     argv = ["variation", "--N", "2", "--seed", "1",
             "--mutate", "laplacian:1:grad"]
     assert _exit_and_digest(argv) == (
-        1, "6f762f4221818e50bbb7488427daa0c44841051124498cdb325fc7916871caa3")
+        1, "9989c9a6703f2959f57d13cb6a283b0669429a21f1bc533415244a91bbafca97")
 
 
 def test_moments_n3_digest():

@@ -32,13 +32,14 @@ PROBE_ROWS = (0, SLAB - 1, SLAB, 2 * SLAB - 1, 2 * SLAB)
 CURVATURE_FIELDS = ("g", "g_inv", "Gamma", "Riem", "Ric", "R")
 RICCI_FIELDS = ("g_inv", "Gamma", "Ric", "R")
 # Bound on the tracemalloc peak of the N = 4 sweep on its exact rule (6
-# slabs of at most 64 rows in one 336-row chunk), measured at 4.72 MiB in
-# each of 5 runs (7.24 MiB with the full Riemann kernel): one slab's arrays
-# at their peak, about 2.3 of its 2 MiB (2N)^4 arrays while
-# ``metric_arrays`` writes d2g from the complex Hessian, and the chunk.
-# The chunk's curvature at once would take about 50 MiB.  The bound was
-# 8 MiB over the full Riemann kernel's peak.
-PEAK_BOUND = 6 * 2 ** 20
+# slabs of at most 64 rows in one 336-row chunk), measured at 3.94 MiB in
+# each of 5 runs (4.72 MiB while ``metric_arrays`` wrote d2g from a
+# complex Hessian, 7.24 MiB with the full Riemann kernel): one slab's
+# arrays at their peak, about 1.9 of its 2 MiB (2N)^4 arrays while the
+# Ricci kernel holds d2g and its d^3-sized arrays, and the chunk.  The
+# chunk's curvature at once would take about 50 MiB.  The bound was 8 MiB
+# over the full Riemann kernel's peak and 6 MiB over the complex Hessian's.
+PEAK_BOUND = 5 * 2 ** 20
 
 
 def _slab_outputs(w):
@@ -253,11 +254,13 @@ def _oracle_curvature_rows(g, dg, d2g):
 
 
 # Largest difference from the references, relative to the largest entry of
-# the reference array, over the batches of the test below at N = 2..5 and
-# four more seeds each: g, dg, d2g 2.1e-16, 2.5e-16, 4.5e-16 (u = w/sigma
-# first, then one outer product); g_inv 0 (the same np.linalg.inv); Gamma,
-# Riem, Ric 5.0e-16, 6.9e-16, 5.3e-16 (gemm against einsum sums).  R =
-# 4N(N+1) differed by at most 5.7e-14 absolute.
+# the reference array, over the batches of the test below at N = 2..5:
+# g, dg, d2g 2.8e-16, 5.7e-16, 7.3e-16 (the real closed form against the
+# scalar jets of H, two formulas); g_inv 0 (the same np.linalg.inv);
+# Gamma, Riem, Ric 4.5e-16, 5.1e-16, 4.3e-16 (gemm against einsum sums).
+# Over four more seeds each, d2g reached 9.5e-16 and Ric 1.03e-15, on one
+# single-row batch at N = 2.  R = 4N(N+1) differed by at most 5.7e-14
+# absolute.
 KERNEL_REL_TOL = 1e-15
 SCALAR_ABS_TOL = 1e-13
 
@@ -271,10 +274,11 @@ def _assert_close(expected, actual, what):
         assert np.max(np.abs(a - b)) <= bound, (what, k)
 
 
-# The package kernels form the metric as one jet and contract with
-# ``np.matmul``, writing into their intermediates in place; the references
-# use N^2 scalar jets and ``np.einsum``, with a new array for every step.
-# The sums run in another order, so they agree to a few ulp, not bit for bit.
+# The package kernels write the metric from its real closed form and
+# contract with ``np.matmul``, writing into their intermediates in place;
+# the references use N^2 scalar jets of H and ``np.einsum``, with a new
+# array for every step.  The sums run in another order, so they agree to a
+# few ulp, not bit for bit.
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_buffered_kernels_match_the_unbuffered_ones(N):
     budget = entropy._slab_rows(N)
@@ -351,3 +355,88 @@ def test_curvature_rows_are_einstein_on_the_sweep_rules(kernel, witness, N):
             scale = np.max(np.abs(g), axis=(1, 2))[:, None, None]
             assert np.max(np.abs(ric - 2 * (N + 1) * g) / scale) < ric_tol
             assert np.max(np.abs(scal - 4 * N * (N + 1))) < scal_tol
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against independent oracles
+
+
+# metric_arrays, the scalar jets of H and the nested duals of the potential
+# each add terms of size s, s^2 |X| <= s^1.5 and s^2 to g, dg and d2g
+# (s = 1/(1 + |w|^2)), and far out in the chart those terms cancel: at
+# N = 1, g = s^2 I is a difference of terms of size s, so at |w| = 1e6 the
+# routes differ by up to 2.0e-4 and 3.3e-4 of dg's and d2g's largest
+# entries.  So each row's difference is bounded by TERM_TOL times its term
+# size.  Largest measured over the points of the test below: g, dg, d2g
+# 4.0e-16, 1.0e-15, 6.6e-15 (d2g against the scalar jets at N = 1).
+TERM_TOL = 1.5e-14
+RADII = (None, 1e3, 1e6)
+
+
+def _assert_within_terms(expected, actual, w, what):
+    s = 1.0 / (1.0 + np.sum(np.abs(w) ** 2, axis=1))
+    for k, (a, b, power) in enumerate(zip(expected, actual, (1, 1.5, 2))):
+        assert np.all(np.isfinite(b)), (what, k)
+        err = np.max(np.abs(a - b).reshape(len(w), -1), axis=1)
+        assert np.all(err <= TERM_TOL * s ** power), (what, k)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_closed_form_metric_matches_both_oracles_near_and_far(N):
+    for radius in RADII:
+        # the sample points, or the same directions at |w| = radius
+        w = sample_w(N, 3, seed=20 + N)
+        if radius is not None:
+            w *= radius / np.linalg.norm(w, axis=1, keepdims=True)
+        arrays = geometry.metric_arrays(w)
+        _assert_within_terms(_oracle_metric_arrays(w), arrays, w,
+                             ("jets", N, radius))
+        _assert_within_terms(geometry.potential_metric_arrays(w[0]),
+                             [a[:1] for a in arrays], w[:1],
+                             ("duals", N, radius))
+
+
+def _oracle_phi_jet(form, chart, w):
+    """``eigenfunctions.phi_jet_batch`` as the jet quotient of
+    sum_ij zbar_i A_ij z_j and sum_i zbar_i z_i over the homogeneous
+    coordinate jets, one product per term."""
+    z = geometry.homogeneous_jets(chart, w)
+    a = form.matrix
+    num = den = None
+    for i in range(form.size):
+        zi_c = z[i].conj()
+        den_term = zi_c * z[i]
+        den = den_term if den is None else den + den_term
+        for j in range(form.size):
+            if a[i, j] == 0:
+                continue
+            term = (zi_c * z[j]) * a[i, j]
+            num = term if num is None else num + term
+    return (num / den).real
+
+
+# Largest difference from the oracle, relative to the oracle's largest
+# entry, over the forms and charts of the test below: value, gradient,
+# Hessian 5.9e-16, 4.3e-16, 6.7e-16.
+PHI_REL_TOL = 1.5e-15
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_phi_jet_matches_the_jet_product_oracle_in_every_chart(N):
+    rng = np.random.default_rng(N)
+    m = N + 1
+    generic = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    forms = eigenfunctions.basis_first_eigenspace(N) + [
+        eigenfunctions.HermitianForm(generic + generic.conj().T)]
+    if N >= 2:
+        forms.append(eigenfunctions.special_phi(N))
+    w = sample_w(N, 9, seed=30 + N)
+    for form in forms:
+        for chart in range(N + 1):
+            expected = _oracle_phi_jet(form, chart, w)
+            actual = eigenfunctions.phi_jet_batch(form, chart, w)
+            for part in ("val", "grad", "hess"):
+                a, b = getattr(expected, part), getattr(actual, part)
+                assert a.shape == b.shape and b.dtype == np.float64
+                assert np.max(np.abs(a - b)) <= PHI_REL_TOL * np.max(np.abs(a)), (
+                    form, chart, part)
