@@ -20,7 +20,7 @@ from .moments import (cpn_average, cpn_volume, monomial_average,
 from .polynomials import (BihomogeneousPolynomial, harmonic_decomposition,
                           special_cubic_polynomial)
 from .rewrite import IntegralExpr, confluence_check, reduce_third_variation
-from .variation import closed_form_derivative, fd_derivative, verify_lemma_suite
+from .variation import closed_form_derivative, fd_derivatives, verify_lemma_suite
 
 __all__ = [
     "BihomogeneousPolynomial",
@@ -37,7 +37,7 @@ __all__ = [
     "cpn_average",
     "cpn_volume",
     "einstein_tau",
-    "fd_derivative",
+    "fd_derivatives",
     "first_variations",
     "harmonic_decomposition",
     "monomial_average",

@@ -49,11 +49,13 @@ EXIT_USAGE = 2
 
 # Bytes one curvature batch may take, whatever the machine.  A batch has the
 # larger of --points and the sweep's slab rows at N (``entropy._slab_rows``).
-# Per row it peaks at about 9.3 arrays of (2N)^4 floats in the variation
-# suite (8.9 to 9.9) and 4.6 in a sweep slab, its metric arrays included
-# (4.4 to 4.8; tracemalloc, N = 3..5), so the estimate counts 10.
+# Per row it peaks at about 11 arrays of (2N)^4 floats in the variation
+# suite, which holds its five stencil geometries at once (10.4 to 11.5), and
+# 4.6 in a sweep slab, its metric arrays included (4.4 to 4.8; tracemalloc,
+# N = 3..5), so the estimate counts 12.  At N = 2 the suite reads 13.3, as
+# its (2N)^3 and smaller arrays weigh more there.
 _BATCH_BYTES_LIMIT = 2 ** 30
-_BATCH_PEAK_ARRAYS = 10
+_BATCH_PEAK_ARRAYS = 12
 _CURVATURE_VERBS = ("geometry", "eigen", "variation", "certify")
 # (n_u, torus) of eigen's Gram quadrature: phi_A phi_B has degree 2, so
 # the rule is exact.  Its node matrix, phi of every basis form at every
@@ -439,7 +441,7 @@ def cmd_certify(cfg: RunConfig,
     try:
         return certify(cfg.N, points=cfg.points, seed=cfg.seed,
                        timings=timings)
-    except ValueError as exc:
+    except (ValueError, NormalizationError) as exc:
         return [check("certify", "instability certificate", False,
                       provenance="pipeline", detail={"reason": str(exc)})], None
 

@@ -3,11 +3,11 @@
 ``closed_form_derivative`` evaluates the pointwise formulas for the
 s-derivatives at s = 0 of the inverse metric, Christoffel symbols, Riemann
 and Ricci tensors, scalar curvature, volume density, and the Laplacian on a
-fixed test function.  ``fd_derivative`` recomputes each quantity from the
-geometry of g(s) at stencil values of s with Richardson-extrapolated central
-differences, giving an independent oracle.  A second oracle checks the
-geometry of (1 + s phi) g_FS at fixed s against the classical conformal
-change formulas for g~ = e^{2u} g.
+fixed test function.  ``fd_derivatives`` recomputes all ten from the
+geometry of g(s) at one stencil of five values of s with
+Richardson-extrapolated central differences, giving an independent oracle.
+A second oracle checks the geometry of (1 + s phi) g_FS at fixed s against
+the classical conformal change formulas for g~ = e^{2u} g.
 
 Every formula coefficient is data (a Fraction) so single-coefficient
 mutations can be injected and must be detected by the suite.
@@ -174,67 +174,62 @@ def closed_form_derivative(quantity: str, order: int, data: VariationPointData,
 # the metric family and its finite-difference oracle
 
 
-def family_geometry(form: HermitianForm, s: float, w: np.ndarray) -> GeometryJet:
-    """Geometry of (1 + s phi_A) g_FS at chart-0 points, from exact jets."""
+def family_geometries(form: HermitianForm, steps: tuple,
+                      w: np.ndarray) -> dict:
+    """Geometry of (1 + s phi_A) g_FS at chart-0 points for each s in
+    ``steps``, from exact jets, as {s: GeometryJet}; the metric arrays and
+    the phi jet do not depend on s and are built once."""
     g, dg, d2g = metric_arrays(w)
     pj = phi_jet_batch(form, 0, w)
-    c = 1.0 + s * pj.val
-    cg = s * pj.grad
-    ch = s * pj.hess
-    gs = c[:, None, None] * g
-    dgs = (c[:, None, None, None] * dg
-           + np.einsum("bk,bij->bijk", cg, g))
-    d2gs = (c[:, None, None, None, None] * d2g
-            + np.einsum("bk,bijl->bijkl", cg, dg)
-            + np.einsum("bl,bijk->bijkl", cg, dg)
-            + np.einsum("bkl,bij->bijkl", ch, g))
-    if np.min(np.linalg.eigvalsh(gs)) <= 0.0:
-        raise PositivityError(f"metric not positive definite at s={s}")
-    return curvature_from_arrays(gs, dgs, d2gs)
+    geoms = {}
+    for s in steps:
+        c = 1.0 + s * pj.val
+        cg = s * pj.grad
+        ch = s * pj.hess
+        gs = c[:, None, None] * g
+        dgs = (c[:, None, None, None] * dg
+               + np.einsum("bk,bij->bijk", cg, g))
+        d2gs = (c[:, None, None, None, None] * d2g
+                + np.einsum("bk,bijl->bijkl", cg, dg)
+                + np.einsum("bl,bijk->bijkl", cg, dg)
+                + np.einsum("bkl,bij->bijkl", ch, g))
+        if np.min(np.linalg.eigvalsh(gs)) <= 0.0:
+            raise PositivityError(f"metric not positive definite at s={s}")
+        geoms[s] = curvature_from_arrays(gs, dgs, d2gs)
+    return geoms
 
 
-def _extractor(quantity: str, form: HermitianForm, w: np.ndarray, u_jet: Jet):
-    def value(s: float):
-        geom = family_geometry(form, s, w)
-        if quantity == "inverse":
-            return geom.g_inv
-        if quantity == "christoffel":
-            return geom.Gamma
-        if quantity == "riemann":
-            return geom.Riem
-        if quantity == "scalar":
-            return geom.R
-        if quantity == "ricci":
-            return geom.Ric
-        if quantity == "volume_density":
-            return np.sqrt(np.linalg.det(geom.g))
-        if quantity == "laplacian":
-            return hessian_and_laplacian(u_jet, geom)[1]
-        raise ValueError(f"unknown quantity {quantity}")
-
-    return value
+def _quantities(geom: GeometryJet, u_jet: Jet) -> dict:
+    """Every quantity the finite differences differentiate, by name."""
+    return {"inverse": geom.g_inv, "christoffel": geom.Gamma,
+            "riemann": geom.Riem, "scalar": geom.R, "ricci": geom.Ric,
+            "volume_density": np.sqrt(np.linalg.det(geom.g)),
+            "laplacian": hessian_and_laplacian(u_jet, geom)[1]}
 
 
-def fd_derivative(quantity: str, order: int, form: HermitianForm,
-                  w: np.ndarray, u_jet: Jet) -> np.ndarray:
-    """Richardson-extrapolated central s-derivative at s = 0 along
-    (1 + s phi_A) g_FS; O(step^4).  ``u_jet`` is the test function of the
-    Laplacian derivatives; the other quantities ignore it."""
+def fd_derivatives(form: HermitianForm, w: np.ndarray, u_jet: Jet) -> dict:
+    """Richardson-extrapolated central s-derivatives at s = 0 along
+    (1 + s phi_A) g_FS, O(step^4), as {(quantity, order): array} in
+    ``QUANTITIES`` order.  All ten read one stencil of five geometries.
+    ``u_jet`` is the test function of the Laplacian derivatives."""
     step = 1e-2
-    value = _extractor(quantity, form, w, u_jet)
-    if order == 1:
-        def d1(h):
-            return (value(h) - value(-h)) / (2.0 * h)
+    stencil = (0.0, step / 2, -step / 2, step, -step)
+    value = {s: _quantities(geom, u_jet)
+             for s, geom in family_geometries(form, stencil, w).items()}
 
-        return (4.0 * d1(step / 2) - d1(step)) / 3.0
-    if order == 2:
-        center = value(0.0)
+    def d1(quantity, h):
+        return (value[h][quantity] - value[-h][quantity]) / (2.0 * h)
 
-        def d2(h):
-            return (value(h) - 2.0 * center + value(-h)) / h ** 2
+    def d2(quantity, h):
+        return (value[h][quantity] - 2.0 * value[0.0][quantity]
+                + value[-h][quantity]) / h ** 2
 
-        return (4.0 * d2(step / 2) - d2(step)) / 3.0
-    raise ValueError("order must be 1 or 2")
+    fds = {}
+    for quantity, order in QUANTITIES:
+        diff = d1 if order == 1 else d2
+        fds[(quantity, order)] = (4.0 * diff(quantity, step / 2)
+                                  - diff(quantity, step)) / 3.0
+    return fds
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +250,7 @@ def _suite_oracle(N: int, points: int, seed: int):
     w = sample_w(N, points, seed)
     form = special_phi(N)
     data = prepare_point_data(N, w, form, default_test_function(N))
-    fds = {key: fd_derivative(*key, form, w, data.u) for key in QUANTITIES}
-    return data, fds
+    return data, fd_derivatives(form, w, data.u)
 
 
 def _compare(closed: np.ndarray, fd: np.ndarray) -> tuple[float, bool]:
@@ -327,7 +321,8 @@ def conformal_change_mismatch(N: int, points: int, seed: int) -> float:
     base = curvature_batch(w)
     pj = phi_jet_batch(form, 0, w)
     worst = 0.0
-    for s in (-0.1, -0.05, 0.05, 0.1):
+    for s, direct in family_geometries(form, (-0.1, -0.05, 0.05, 0.1),
+                                       w).items():
         u = ((pj * s) + 1.0).log() * 0.5
         u_hess, u_lap = hessian_and_laplacian(u, base)
         du_up = np.einsum("bkl,bl->bk", base.g_inv, u.grad)
@@ -342,7 +337,6 @@ def conformal_change_mismatch(N: int, points: int, seed: int) -> float:
                     - (u_lap + (n - 2) * du_sq)[:, None, None] * base.g)
         e2u = 1.0 + s * pj.val
         scal_conf = (base.R - 2 * (n - 1) * u_lap - (n - 1) * (n - 2) * du_sq) / e2u
-        direct = family_geometry(form, s, w)
         worst = max(worst,
                     float(np.max(np.abs(direct.Gamma - gamma_conf))),
                     float(np.max(np.abs(direct.Ric - ric_conf))),

@@ -423,8 +423,7 @@ def _mutated_metric_arrays(kind):
 # derivative cross-checks fail with its Einstein records, and certify stops
 # in einstein_tau's spread guard (R spreads by 2.7e2 and 6.2e-5 at N = 2)
 # before any record.
-@pytest.mark.parametrize("kind", list(METRIC_MUTANTS))
-def test_wrong_metric_second_derivatives_fail_geometry(kind, monkeypatch):
+def _mutate_every_metric_arrays(monkeypatch, kind):
     original = geometry.metric_arrays
     mutated = _mutated_metric_arrays(kind)
     for module in [m for key, m in list(sys.modules.items())
@@ -432,11 +431,27 @@ def test_wrong_metric_second_derivatives_fail_geometry(kind, monkeypatch):
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, mutated)
+
+
+@pytest.mark.parametrize("kind", list(METRIC_MUTANTS))
+def test_wrong_metric_second_derivatives_fail_geometry(kind, monkeypatch):
+    _mutate_every_metric_arrays(monkeypatch, kind)
     checks, _ = cmd_geometry(RunConfig(N=2), {})
     assert _failing(checks) == ["einstein", "scalar_constant",
                                 "curvature_fd_oracle", "metric_dual_oracle"]
     with pytest.raises(geometry.NormalizationError):
         certify_n2()
+
+
+# The CLI turns the spread guard's error into a failing record and a report.
+def test_wrong_metric_fails_the_certify_report(monkeypatch, capsys):
+    _mutate_every_metric_arrays(monkeypatch, "scale-constant-term")
+    assert main(["certify", "--N", "2"]) == 1
+    report = parse_report(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    assert _failing(report["checks"]) == ["certify"]
+    assert "scalar curvature varies" in _record(report, "certify")[
+        "detail"]["reason"]
 
 
 # The mutant in the sweep alone: tau and the pointwise records are right,

@@ -11,8 +11,7 @@ from cpn_entropy.variation import (PositivityError, QUANTITIES,
                                    closed_form_derivative,
                                    conformal_change_mismatch,
                                    default_coefficients, default_test_function,
-                                   family_geometry,
-                                   fd_derivative,
+                                   family_geometries, fd_derivatives,
                                    prepare_point_data,
                                    undetected_mutations, verify_lemma_suite)
 from cpn_entropy import variation
@@ -78,7 +77,7 @@ def test_second_laplacian_variation_on_constant_is_zero():
     closed = closed_form_derivative("laplacian", 2, data,
                                     default_coefficients(2 * N))
     assert np.max(np.abs(closed)) < 1e-12
-    fd = fd_derivative("laplacian", 2, phi, w, data.u)
+    fd = fd_derivatives(phi, w, data.u)[("laplacian", 2)]
     assert np.max(np.abs(fd)) < 1e-7
 
 
@@ -89,7 +88,7 @@ def test_fd_inverse_matches_closed_form_tightly():
     data = prepare_point_data(N, w, phi, default_test_function(N))
     closed = closed_form_derivative("inverse", 1, data,
                                     default_coefficients(2 * N))
-    fd = fd_derivative("inverse", 1, phi, w, data.u)
+    fd = fd_derivatives(phi, w, data.u)[("inverse", 1)]
     assert np.max(np.abs(closed - fd)) < 1e-7
 
 
@@ -100,7 +99,7 @@ def test_fd_ricci_second_variation_matches_closed_form():
     data = prepare_point_data(N, w, phi, default_test_function(N))
     closed = closed_form_derivative("ricci", 2, data,
                                     default_coefficients(2 * N))
-    fd = fd_derivative("ricci", 2, phi, w, data.u)
+    fd = fd_derivatives(phi, w, data.u)[("ricci", 2)]
     scale = max(1.0, float(np.max(np.abs(closed))))
     assert np.max(np.abs(closed - fd)) / scale < 1e-5
 
@@ -114,11 +113,10 @@ def test_zero_direction_gives_zero_derivatives():
     from cpn_entropy.eigenfunctions import phi_jet_batch
 
     u_jet = phi_jet_batch(u, 0, w)
-    for quantity, order in QUANTITIES:
-        if order != 1:
-            continue
-        fd = fd_derivative(quantity, 1, zero, w, u_jet)
-        assert np.max(np.abs(np.asarray(fd))) < 1e-9
+    fds = fd_derivatives(zero, w, u_jet)
+    for key in QUANTITIES:
+        if key[1] == 1:
+            assert np.max(np.abs(np.asarray(fds[key]))) < 1e-9
 
 
 def test_gradient_coefficient_mutation_fails_only_laplacian_first_order():
@@ -172,8 +170,44 @@ def test_conformal_change_oracle(N):
 def test_family_positivity_guard():
     N = 2
     w = sample_w(N, 30, seed=8)
-    with pytest.raises(PositivityError):
-        family_geometry(special_phi(N), -0.9, w)
+    with pytest.raises(PositivityError, match="s=-0.9"):
+        family_geometries(special_phi(N), (0.05, -0.9), w)
+
+
+def test_fd_derivatives_keys_follow_quantities():
+    N = 2
+    w = sample_w(N, 3, seed=5)
+    data = prepare_point_data(N, w, special_phi(N), default_test_function(N))
+    assert list(fd_derivatives(special_phi(N), w, data.u)) == list(QUANTITIES)
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls made through the ``variation`` module's bindings of
+    ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _inner=getattr(variation, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(variation, name, counted)
+    return calls
+
+
+def test_one_stencil_feeds_every_finite_difference(monkeypatch):
+    # five geometries on one set of metric arrays and one phi jet; the other
+    # two phi jets are the point data's phi and u
+    calls = _count_calls(monkeypatch, ["metric_arrays", "phi_jet_batch",
+                                       "curvature_from_arrays",
+                                       "family_geometries"])
+    assert not failing_quantities(
+        verify_lemma_suite(2, 6, seed=7, mutations=None))
+    assert calls == {"metric_arrays": 1, "phi_jet_batch": 3,
+                     "curvature_from_arrays": 5, "family_geometries": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    assert conformal_change_mismatch(2, 6, seed=7) < 1e-8
+    assert calls == {"metric_arrays": 1, "phi_jet_batch": 2,
+                     "curvature_from_arrays": 4, "family_geometries": 1}
 
 
 def test_suite_input_validation():
