@@ -110,36 +110,61 @@ def cpn_volume(N: int):
     return adaptive_cpn_integral(one, N, tol=1e-6)
 
 
+# samples per Monte Carlo shard
+MC_SHARD_ROWS = 200_000
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n elementwise as ((x * x) * x) ..., a new array; ones for n = 0."""
+    out = np.ones_like(x) if n == 0 else x.copy()
+    for _ in range(n - 1):
+        out *= x
+    return out
+
+
 def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
-                        seed: int):
-    """Unbiased sphere-average estimate via normalized complex Gaussians.
+                        seed: int, q: int):
+    """Unbiased estimate of avg((Re p)^q) over the unit sphere of C^m.
 
     Returns (mean, standard_error).  Per-shard seeds are spawned from the
     master seed, so the estimate is deterministic for a fixed seed.
 
-    A shard of up to 200000 samples holds only its real parts and its
-    values, in two float buffers reused shard after shard; the complex
-    points exist one block of ``_BLOCK_ROWS`` rows at a time.  Four
-    properties fix the bits, those of g / |g| for g = a + 1j * b over the
-    whole shard: one spawned child per shard, drawing all of the shard's
-    real parts and then its imaginary parts (split draws continue one
-    stream); per-row normalisation; ``evaluate``, whose rows keep their
-    bits in any block; and one ``np.sum`` per shard of the values and one
-    of their squares.  So the block size does not move a bit.
+    p must have one bidegree (k, k).  Then p(g) = |g|^(2k) p(g / |g|), so
+    each complex Gaussian row g gives the sample (Re p(g) / |g|^(2k))^q at
+    the uniform point g / |g| without that point being built, and avg(f^3)
+    is estimated from f itself (6 terms at N = 2), not from f^3 (55).
+
+    A shard of up to ``MC_SHARD_ROWS`` samples holds only its real parts
+    and its values, in two float buffers reused shard after shard; the
+    complex rows exist one block of ``_BLOCK_ROWS`` rows at a time.  Four
+    properties fix the bits, those of the whole-shard formula
+    (Re p(g) / |g|^(2k))^q for g = a + 1j * b: one spawned child per
+    shard, drawing all of the shard's real parts and then its imaginary
+    parts (split draws continue one stream); per-row division by
+    |g|^(2k), with |g|^2 = sum a_j^2 + sum b_j^2 and both powers taken by
+    elementwise products in one fixed order; ``evaluate``, whose rows keep
+    their bits in any block; and one ``np.sum`` per shard of the values
+    and one of their squares.  So the block size does not move a bit.
     """
-    chunk = 200_000     # samples per shard
     if samples < 10_000:
         raise ValueError("samples must be >= 10^4")
     if p.m != m:
         raise ValueError("polynomial lives on a different C^m")
+    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+        raise ValueError("q must be an int >= 1")
+    degree = p.bidegree()
+    if degree is None or degree[0] != degree[1]:
+        raise ValueError("p must have one bidegree (k, k) to be divided "
+                         "by |g|^(2k)")
+    k = degree[0]
     seq = np.random.SeedSequence(seed)
-    reals = np.empty((min(chunk, samples), m))
+    reals = np.empty((min(MC_SHARD_ROWS, samples), m))
     vals = np.empty(len(reals))
     total = 0.0
     total_sq = 0.0
     count = 0
     while count < samples:
-        size = min(chunk, samples - count)
+        size = min(MC_SHARD_ROWS, samples - count)
         # one child per shard, spawned when needed: the same streams as
         # spawning them all at once, without holding them all
         rng = np.random.default_rng(seq.spawn(1)[0])
@@ -149,8 +174,13 @@ def monte_carlo_average(p: BihomogeneousPolynomial, m: int, samples: int,
             z = np.empty((s.stop - s.start, m), dtype=complex)
             z.real = reals[s]
             z.imag = rng.standard_normal(z.shape)
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            vals[s] = np.real(p.evaluate(z))
+            r2 = np.zeros(len(z))
+            for part in (z.real, z.imag):
+                for j in range(m):
+                    r2 += part[:, j] * part[:, j]
+            v = vals[s]
+            np.divide(np.real(p.evaluate(z)), _power(r2, k), out=v)
+            v[:] = _power(v, q)
         v = vals[:size]
         total += float(np.sum(v))
         total_sq += float(np.sum(np.square(v, out=v)))
